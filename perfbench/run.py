@@ -2,7 +2,7 @@
 
 Run one workload (from the root of a checkout)::
 
-    python3 perfbench/run.py --workload scale_edits --seed 3 --seconds 15 --trace 0
+    python3 perfbench/run.py --workload scale_edits --seed 3 --seconds 10 --trace 0
 
 or every workload in turn, untraced, with ``--workload all``.  Each run
 prints its metrics by name, with unit and sample count, then as its last
@@ -39,7 +39,7 @@ OUT_DIR = ROOT / ".perfbench"
 HELD_OUT_SEED = 7919
 
 #: Set-ups measured per run (fresh interpreters); ``setup_s`` is their median.
-SETUP_PROBES = 5
+SETUP_PROBES = 3
 
 WORKLOADS = ("seed_batch", "scale_batch", "scale_edits")
 BATCH = ("seed_batch", "scale_batch")
@@ -271,7 +271,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True,
                         choices=WORKLOADS + ("all",))
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=15)
+    parser.add_argument("--seconds", type=float, default=10)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--out", help="results file to append to "
                         "(default .perfbench/results.jsonl)")

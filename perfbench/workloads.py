@@ -55,7 +55,7 @@ SCALE = 10
 #: third of the cross-TU entry chain, so every cycle dirties a short, a
 #: medium and a long slice of the condensation.
 EDIT_CYCLE = ("body", "noop", "append", "shift", "noop", "break", "fix",
-              "noop", "body", "noop", "body")
+              "body", "noop", "body")
 
 #: Cycles generated per script (more than any run budget replays).
 SCRIPT_CYCLES = 8
