@@ -16,6 +16,11 @@ quartiles, the paired win ratio and a verdict:
   the pairs the way ``improved`` requires of the change);
 * ``unchanged``: otherwise.
 
+A change whose runs fail more operations, or fail more runs, than the
+parent's on a workload is ``worse`` on that workload whatever its times,
+and none of its metrics there counts as ``improved``.  Failed runs report
+no times, so their counts are printed above each table.
+
 Runs pair up by seed, in file order.  The exit code is 1 if any verdict is
 ``worse``.
 """
@@ -27,17 +32,29 @@ import json
 import statistics
 import sys
 from collections import defaultdict
+from dataclasses import dataclass, field
 
-from run import METRICS
-from tracing import LAYER_METRICS
+from run import BENCHMARK, metric_specs
 
 MIN_PAIRS = 10
 WIN_SHARE = 0.9
 
 
-def load(path: str) -> dict:
-    """(workload, trace) -> seed -> list of {metric: value}."""
-    runs: dict = defaultdict(lambda: defaultdict(list))
+@dataclass
+class Side:
+    """One commit's runs of one (workload, trace) pair."""
+
+    #: seed -> list of {metric: value}, one per run in file order.
+    runs: dict = field(default_factory=lambda: defaultdict(list))
+    attempted: int = 0
+    failed: int = 0
+    failed_runs: int = 0
+    total_runs: int = 0
+
+
+def load(path: str) -> dict[tuple[str, int], Side]:
+    """(workload, trace) -> that side's runs and failure counts."""
+    sides: dict = defaultdict(Side)
     with open(path, encoding="utf-8") as handle:
         for line in handle:
             if not line.strip():
@@ -48,8 +65,13 @@ def load(path: str) -> dict:
             else:
                 values = {name: entry["value"]
                           for name, entry in record["metrics"].items()}
-            runs[(record["workload"], record["trace"])][record["seed"]].append(values)
-    return runs
+            side = sides[(record["workload"], record["trace"])]
+            side.runs[record["seed"]].append(values)
+            side.attempted += record.get("attempted", 0)
+            side.failed += record.get("failed", 0)
+            side.failed_runs += bool(record.get("failed", 0))
+            side.total_runs += 1
+    return sides
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -88,22 +110,26 @@ def verdict(parent: list[float], change: list[float],
     return "unchanged", wins, losses
 
 
-def spec(name: str, trace: int) -> tuple[str, str, float | None]:
-    if trace:
-        unit, better = LAYER_METRICS[name][:2]
-        return unit, better, None
-    return METRICS[name]
-
-
 def compare(parent_path: str, change_path: str) -> int:
-    parent_runs, change_runs = load(parent_path), load(change_path)
+    parent_sides, change_sides = load(parent_path), load(change_path)
+    specs = metric_specs()
+    layers = {m["name"]: (m["unit"], m["better"], None)
+              for m in BENCHMARK["per_layer"]}
     worse = 0
-    for key in sorted(set(parent_runs) & set(change_runs)):
+    for key in sorted(set(parent_sides) & set(change_sides)):
         workload, trace = key
-        by_seed_p, by_seed_c = parent_runs[key], change_runs[key]
+        side_p, side_c = parent_sides[key], change_sides[key]
+        by_seed_p, by_seed_c = side_p.runs, side_c.runs
         names = sorted({name for runs in by_seed_p.values() for run in runs
                         for name in run})
         print(f"== {workload} ({'traced, per layer' if trace else 'end to end'}) ==")
+        more_failures = (side_c.failed > side_p.failed
+                         or side_c.failed_runs > side_p.failed_runs)
+        print(f"  failed operations: parent {side_p.failed}/{side_p.attempted} "
+              f"in {side_p.failed_runs}/{side_p.total_runs} runs, change "
+              f"{side_c.failed}/{side_c.attempted} in {side_c.failed_runs}/"
+              f"{side_c.total_runs} runs  {'worse' if more_failures else 'unchanged'}")
+        worse += more_failures
         print(f"  {'metric':<30} {'unit':<6} {'parent median [q1, q3]':>32} "
               f"{'change median [q1, q3]':>32} {'delta':>8} {'wins':>7}  verdict")
         for name in names:
@@ -116,8 +142,10 @@ def compare(parent_path: str, change_path: str) -> int:
             pairs = [(p[name], c[name]) for seed in by_seed_p
                      for p, c in zip(by_seed_p[seed], by_seed_c.get(seed, []))
                      if name in p and name in c]
-            unit, better, bound = spec(name, trace)
+            unit, better, bound = (layers if trace else specs)[name]
             outcome, wins, _ = verdict(parent, change, pairs, better, bound)
+            if more_failures and outcome == "improved":
+                outcome = "unresolved"
             worse += outcome == "worse"
             qp, qc = quartiles(parent), quartiles(change)
             delta = ((qc[1] - qp[1]) / abs(qp[1]) * 100) if qp[1] else 0.0

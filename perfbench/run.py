@@ -2,9 +2,9 @@
 
 Run one workload (from the root of a checkout)::
 
-    python3 perfbench/run.py --workload scale_edits --seed 3 --seconds 10 --trace 0
+    python3 perfbench/run.py --workload scale_edits --seed 3 --seconds 20 --trace 0
 
-or every workload in turn, untraced, with ``--workload all``.  Each run
+or every gated workload in turn, untraced, with ``--workload all``.  Each run
 prints its metrics by name, with unit and sample count, then as its last
 line one JSON object: ``correct``, ``attempted``, ``failed`` and
 ``metrics`` -- the end-to-end metrics of ``BENCHMARK.json`` with
@@ -28,7 +28,6 @@ import shutil
 import statistics
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -39,34 +38,38 @@ OUT_DIR = ROOT / ".perfbench"
 HELD_OUT_SEED = 7919
 
 #: Set-ups measured per run (fresh interpreters); ``setup_s`` is their median.
-SETUP_PROBES = 3
+SETUP_PROBES = 5
 
-WORKLOADS = ("seed_batch", "scale_batch", "scale_edits")
+#: The workloads ``BENCHMARK.json`` gates, and those run by hand only.
+WORKLOADS = ("seed_batch", "scale_edits")
+BY_HAND = ("scale_batch",)
 BATCH = ("seed_batch", "scale_batch")
 
-#: Every metric the benchmark reports: name -> (unit, better, bound).  The
-#: first three are ``BENCHMARK.json``'s end-to-end metrics, reported by every
-#: workload; the rest are per-workload details kept in the results file.
-#: ``bound`` is the share of the parent's median by which the metric may
-#: worsen before a change counts as a regression: 0.25, the most allowed,
-#: for times, because a shared 2-vCPU VM's speed drifts by 10-20% and more
-#: between runs.
-METRICS = {
-    "setup_s": ("s", "lower", 0.25),
-    "verdict_best_s": ("s", "lower", 0.25),
-    "peak_rss_mb": ("MB", "lower", 0.1),
+#: The gated metrics' specs (unit, better, bound) and the per-layer units.
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+
+#: Each workload's detail metrics, kept in the results file next to the
+#: gated ones: name -> (unit, better, bound).  Their times are wall times.
+DETAILS = {
     "analyze_p50_s": ("s", "lower", 0.25),
     "analyze_p90_s": ("s", "lower", 0.25),
-    "analyze_parallel_p50_s": ("s", "lower", 0.25),
-    "warm_p50_s": ("s", "lower", 0.25),
+    "analyze_parallel_s": ("s", "lower", 0.25),
+    "warm_s": ("s", "lower", 0.25),
     "pass_mean_ms": ("ms", "lower", 0.25),
     "pass_p50_ms": ("ms", "lower", 0.25),
     "pass_p90_ms": ("ms", "lower", 0.25),
     "noop_p50_ms": ("ms", "lower", 0.25),
     "restart_s": ("s", "lower", 0.25),
+    "host_slowdown": ("ratio", "lower", 0.25),
     "failed_ratio": ("ratio", "lower", 0.0),
 }
-END_TO_END = ("setup_s", "verdict_best_s", "peak_rss_mb")
+
+
+def metric_specs() -> dict[str, tuple[str, str, float]]:
+    """Every end-to-end metric: name -> (unit, better, bound)."""
+    gated = {m["name"]: (m["unit"], m["better"], m["bound"])
+             for m in BENCHMARK["end_to_end"]}
+    return {**gated, **DETAILS}
 
 
 def p90(values: list[float]) -> float:
@@ -75,34 +78,44 @@ def p90(values: list[float]) -> float:
     return statistics.quantiles(values, n=10, method="inclusive")[-1]
 
 
-def workload_metrics(workload: str, samples: dict, setup: list[float],
-                     attempted: int, failed: int) -> dict[str, tuple[float, int]]:
-    """Every metric the workload reports: name -> (value, sample count)."""
+def workload_metrics(workload: str, samples: dict, scaled: dict,
+                     setup: list[float], attempted: int,
+                     failed: int) -> dict[str, tuple[float, int]]:
+    """Every metric the workload reports: name -> (value, sample count).
+
+    ``samples`` are wall times, ``scaled`` the same at the reference host
+    speed; the gated times are scaled, the details wall times.
+    """
     usage = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
              + resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
     metrics = {"setup_s": (statistics.median(setup), len(setup)),
                "peak_rss_mb": (usage / 1024, 1),
                "failed_ratio": (failed / attempted, attempted)}
 
-    def median(kind, scale=1.0):
-        values = samples[kind]
-        return statistics.median(values) * scale, len(values)
+    def single(kind):
+        return samples[kind][0], len(samples[kind])
 
     if workload in BATCH:
+        main = "serial"
         serial = samples["serial"]
-        metrics["analyze_p50_s"] = median("serial")
+        metrics["verdict_s"] = (statistics.median(scaled["serial"]), len(serial))
+        metrics["analyze_p50_s"] = (statistics.median(serial), len(serial))
         metrics["analyze_p90_s"] = (p90(serial), len(serial))
-        metrics["analyze_parallel_p50_s"] = median("parallel")
-        metrics["warm_p50_s"] = median("warm")
-        metrics["verdict_best_s"] = (min(serial), len(serial))
+        metrics["analyze_parallel_s"] = single("parallel")
+        metrics["warm_s"] = single("warm")
     else:
-        passes = samples["pass"]
+        main = "pass"
+        passes, noops = samples["pass"], samples["noop"]
+        every = scaled["pass"] + scaled["noop"]
+        metrics["verdict_s"] = (statistics.fmean(every), len(every))
         metrics["pass_mean_ms"] = (statistics.fmean(passes) * 1000, len(passes))
         metrics["pass_p50_ms"] = (statistics.median(passes) * 1000, len(passes))
         metrics["pass_p90_ms"] = (p90(passes) * 1000, len(passes))
-        metrics["noop_p50_ms"] = median("noop", 1000)
-        metrics["restart_s"] = median("restart")
-        metrics["verdict_best_s"] = (min(samples["noop"]), len(samples["noop"]))
+        metrics["noop_p50_ms"] = (statistics.median(noops) * 1000, len(noops))
+        metrics["restart_s"] = single("restart")
+    slowdown = [wall / at_reference
+                for wall, at_reference in zip(samples[main], scaled[main])]
+    metrics["host_slowdown"] = (statistics.median(slowdown), len(slowdown))
     return metrics
 
 
@@ -112,39 +125,30 @@ def host_info(jobs: int) -> dict:
             "jobs": jobs,
             "python": platform.python_version(),
             "platform": platform.platform(),
-            "git_sha": git_sha(ROOT),
+            "git_sha": git_sha(),
             "loadavg": [round(x, 2) for x in os.getloadavg()]}
 
 
-def git_sha(root: Path) -> str | None:
-    """HEAD's commit, read from ``.git`` directly (None outside a clone)."""
-    git = root / ".git"
+def git_sha() -> str | None:
+    """HEAD's commit (None outside a git clone)."""
     try:
-        head = (git / "HEAD").read_text().strip()
-        if not head.startswith("ref: "):
-            return head
-        ref = head[5:]
-        if (git / ref).exists():
-            return (git / ref).read_text().strip()
-        for line in (git / "packed-refs").read_text().splitlines():
-            if line.endswith(" " + ref):
-                return line.split()[0]
+        done = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT,
+                              capture_output=True, text=True)
     except OSError:
-        pass
-    return None
+        return None
+    return done.stdout.strip() if done.returncode == 0 else None
 
 
 def measure_setup(workload: str, seed: int) -> list[float]:
-    """Wall time of fresh interpreters that import the toolchain and build
-    the workload's inputs."""
-    times = []
-    for _ in range(SETUP_PROBES):
-        start = time.perf_counter()
-        subprocess.run([sys.executable, str(HERE / "run.py"), "--setup-probe",
-                        "--workload", workload, "--seed", str(seed)],
-                       cwd=ROOT, check=True, stdout=subprocess.DEVNULL)
-        times.append(time.perf_counter() - start)
-    return times
+    """Times, at the reference host speed, of fresh interpreters that
+    import the toolchain and build the workload's inputs."""
+    from workloads import timed
+
+    command = [sys.executable, str(HERE / "run.py"), "--setup-probe",
+               "--workload", workload, "--seed", str(seed)]
+    return [timed(lambda: subprocess.run(command, cwd=ROOT, check=True,
+                                         stdout=subprocess.DEVNULL))[2]
+            for _ in range(SETUP_PROBES)]
 
 
 def print_table(rows: list[tuple[str, float, str, int | None]]) -> None:
@@ -155,7 +159,7 @@ def print_table(rows: list[tuple[str, float, str, int | None]]) -> None:
 
 def run_workload(args) -> int:
     import workloads
-    from tracing import LAYER_METRICS, Tracer, layer_metrics
+    from tracing import Tracer, layer_metrics
 
     baselines = json.loads((ROOT / "BENCH_engine.json").read_text())
     setup = measure_setup(args.workload, args.seed)
@@ -177,7 +181,7 @@ def run_workload(args) -> int:
         else:
             workloads.run_edits(ctx, files, inputs["script"])
             # The cold pass is set-up: work moved into it shows in setup_s.
-            cold = (recorder.samples.get("cold") or recorder.traced_samples["cold"])[0]
+            cold = (recorder.scaled.get("cold") or recorder.traced_samples["cold"])[0]
             setup = [probe + cold for probe in setup]
     except Exception:
         recorder.crashed(args.workload)
@@ -187,12 +191,14 @@ def run_workload(args) -> int:
         shutil.rmtree(workdir, ignore_errors=True)
 
     samples = recorder.samples
+    specs = metric_specs()
     metrics = {}
     if not recorder.failed:
         # A traced run times its traced-only ops (the edit workload's
         # restart) with the tracer on; untraced samples win where both exist.
         metrics = workload_metrics(args.workload,
-                                   {**recorder.traced_samples, **samples}, setup,
+                                   {**recorder.traced_samples, **samples},
+                                   recorder.scaled, setup,
                                    recorder.attempted, recorder.failed)
     record = {
         "schema": "perfbench-result/1",
@@ -202,10 +208,11 @@ def run_workload(args) -> int:
         "inputs": {key: value for key, value in inputs.items()
                    if key.endswith("sha256")},
         "samples": dict(samples),
+        "scaled_samples": dict(recorder.scaled),
         "traced_samples": dict(recorder.traced_samples),
         "attempted": recorder.attempted, "failed": recorder.failed,
         "failures": recorder.failures,
-        "metrics": {name: {"value": value, "unit": METRICS[name][0], "n": count}
+        "metrics": {name: {"value": value, "unit": specs[name][0], "n": count}
                     for name, (value, count) in metrics.items()},
     }
     record["host"]["loadavg_end"] = [round(x, 2) for x in os.getloadavg()]
@@ -214,10 +221,10 @@ def run_workload(args) -> int:
           f"trace={args.trace} jobs={jobs} ==")
     for failure in recorder.failures:
         print(f"FAILED {failure}")
-    print_table([(name, value, METRICS[name][0], count)
+    print_table([(name, value, specs[name][0], count)
                  for name, (value, count) in metrics.items()])
-    gated = {name: metrics[name][0] for name in END_TO_END if name in metrics}
-    units = {name: METRICS[name][0] for name in END_TO_END}
+    units = {m["name"]: m["unit"] for m in BENCHMARK["end_to_end"]}
+    gated = {name: metrics[name][0] for name in units if name in metrics}
 
     if tracer is not None:
         layers = layer_metrics(tracer)
@@ -233,10 +240,10 @@ def run_workload(args) -> int:
         record["layers"] = layers
         record["trace_file"] = str(trace_path.relative_to(ROOT))
         print(f"-- per layer (traced; spans in {record['trace_file']}) --")
-        print_table([(name, value, LAYER_METRICS[name][0], None)
+        units = {m["name"]: m["unit"] for m in BENCHMARK["per_layer"]}
+        print_table([(name, value, units[name], None)
                      for name, value in layers.items()])
         gated = layers
-        units = {name: spec[0] for name, spec in LAYER_METRICS.items()}
 
     out = Path(args.out) if args.out else OUT_DIR / "results.jsonl"
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -269,9 +276,9 @@ def run_all(args) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True,
-                        choices=WORKLOADS + ("all",))
+                        choices=WORKLOADS + BY_HAND + ("all",))
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=10)
+    parser.add_argument("--seconds", type=float, default=20)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--out", help="results file to append to "
                         "(default .perfbench/results.jsonl)")

@@ -148,31 +148,36 @@ def test_one_edit_cycle_replays_with_known_answers(small_corpus, tmp_path):
 # -- metrics and tracing ----------------------------------------------------------
 
 
-def test_benchmark_json_matches_the_metric_tables():
-    assert [w["name"] for w in BENCHMARK["workloads"]] == list(run.WORKLOADS)
-    assert {m["name"]: (m["unit"], m["better"], m["bound"])
-            for m in BENCHMARK["end_to_end"]} == {
-        name: run.METRICS[name] for name in run.END_TO_END}
-    assert {m["name"]: (m["unit"], m["better"])
-            for m in BENCHMARK["per_layer"]} == {
-        name: spec[:2] for name, spec in tracing.LAYER_METRICS.items()}
-
-
 @pytest.mark.parametrize("workload, named", [
-    ("seed_batch", ("analyze_p50_s", "analyze_p90_s", "analyze_parallel_p50_s",
-                    "warm_p50_s")),
-    ("scale_batch", ("analyze_p50_s", "analyze_parallel_p50_s", "warm_p50_s")),
+    ("seed_batch", ("analyze_p50_s", "analyze_p90_s", "analyze_parallel_s",
+                    "warm_s")),
+    ("scale_batch", ("analyze_p50_s", "analyze_parallel_s", "warm_s")),
     ("scale_edits", ("pass_mean_ms", "pass_p50_ms", "pass_p90_ms", "noop_p50_ms",
                      "restart_s")),
 ])
 def test_every_workload_metric_is_emitted(workload, named):
     samples = {kind: [1.0, 2.0, 3.0] for kind in
                ("serial", "parallel", "warm", "pass", "noop", "restart")}
-    metrics = run.workload_metrics(workload, samples, [0.5, 0.6, 0.7], 10, 0)
-    common = ("setup_s", "peak_rss_mb", "failed_ratio") + run.END_TO_END
-    assert set(common + named) <= set(metrics)
+    scaled = {kind: [value / 2 for value in values]
+              for kind, values in samples.items()}
+    metrics = run.workload_metrics(workload, samples, scaled, [0.5, 0.6, 0.7],
+                                   10, 0)
+    gated = tuple(m["name"] for m in BENCHMARK["end_to_end"])
+    assert set(gated + named + ("failed_ratio", "host_slowdown")) <= set(metrics)
+    assert set(metrics) <= set(run.metric_specs())
     assert all(value > 0 for name, (value, _) in metrics.items()
                if name != "failed_ratio")
+    # The gated time is at the reference host speed, the details wall time.
+    assert metrics["host_slowdown"][0] == 2.0
+
+
+def test_scaled_time_follows_the_reference_loop(monkeypatch):
+    monkeypatch.setattr(workloads, "reference_loop",
+                        lambda: 2 * workloads.REFERENCE_S)
+    recorder = workloads.Recorder()
+    recorder.run("serial", lambda: sum(range(10**5)))
+    (wall,), (scaled,) = recorder.samples["serial"], recorder.scaled["serial"]
+    assert scaled == pytest.approx(wall / 2 ** workloads.REFERENCE_EXPONENT)
 
 
 def test_tracer_restores_every_layer_function():
@@ -266,16 +271,30 @@ def test_compare_reports_a_noisy_parent_as_unresolved():
                            "lower", 0.1)[0] == "unresolved"
 
 
-def test_compare_command_over_two_result_files(tmp_path, capsys):
-    def write(path, values):
-        with open(path, "w") as handle:
-            for seed, value in enumerate(values):
-                handle.write(json.dumps({
-                    "workload": "seed_batch", "seed": seed, "trace": 0,
-                    "metrics": {"verdict_best_s": {"value": value}}}) + "\n")
+def _write_results(path, values, failed_seeds=()):
+    with open(path, "w") as handle:
+        for seed, value in enumerate(values):
+            failed = int(seed in failed_seeds)
+            metrics = {} if failed else {"verdict_s": {"value": value}}
+            handle.write(json.dumps({
+                "workload": "seed_batch", "seed": seed, "trace": 0,
+                "attempted": 5, "failed": failed, "metrics": metrics}) + "\n")
 
-    write(tmp_path / "parent.jsonl", _series(1.0))
-    write(tmp_path / "change.jsonl", _series(1.5))
+
+def test_compare_command_over_two_result_files(tmp_path, capsys):
+    _write_results(tmp_path / "parent.jsonl", _series(1.0))
+    _write_results(tmp_path / "change.jsonl", _series(1.5))
     assert compare.compare(str(tmp_path / "parent.jsonl"),
                            str(tmp_path / "change.jsonl")) == 1
     assert "worse" in capsys.readouterr().out
+
+
+def test_compare_counts_failed_runs_against_the_change(tmp_path, capsys):
+    _write_results(tmp_path / "parent.jsonl", _series(1.0))
+    _write_results(tmp_path / "change.jsonl", _series(0.5) + [0.5],
+                   failed_seeds={10})
+    assert compare.compare(str(tmp_path / "parent.jsonl"),
+                           str(tmp_path / "change.jsonl")) == 1
+    out = capsys.readouterr().out
+    assert "change 1/55 in 1/11 runs  worse" in out
+    assert "improved" not in out

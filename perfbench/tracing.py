@@ -94,67 +94,65 @@ LAYER_HOOKS = (
 MAIN = ("serial", "pass", "noop")
 PASSES = ("pass", "noop")
 
-#: Per-layer metric -> (unit, better, statistic, source, op kinds).
-#: Statistics: ``span_s`` (seconds in outermost spans of that name), ``span_n``
+#: Per-layer metric -> (statistic, source, op kinds); the units are in
+#: ``BENCHMARK.json``.  Statistics: ``span_s`` (seconds in outermost spans of that name), ``span_n``
 #: (their count), ``self_s`` (op time not covered by its direct children),
 #: ``counter`` (a value the op recorded), ``extra`` (measured once per run).
 LAYER_METRICS = {
-    "parse.s": ("s", "lower", "span_s", "parse", MAIN),
-    "parse_parallel.s": ("s", "lower", "span_s", "parse_parallel", ("parallel",)),
-    "parse_parallel.adopted": ("count", "higher", "counter", "parse.adopted", ("parallel",)),
-    "parse_parallel.fallbacks": ("count", "lower", "counter", "parse.fallbacks", ("parallel",)),
-    "callgraph.s": ("s", "lower", "span_s", "callgraph", MAIN),
-    "pointsto.collect_s": ("s", "lower", "span_s", "pointsto.collect", MAIN),
-    "pointsto.resolve_s": ("s", "lower", "span_s", "pointsto.resolve", MAIN),
-    "blocking.s": ("s", "lower", "span_s", "blocking", MAIN),
-    "irq_handlers.s": ("s", "lower", "span_s", "irq_handlers", MAIN),
-    "error_returning.s": ("s", "lower", "span_s", "error_returning", MAIN),
-    "facts.s": ("s", "lower", "span_s", "facts", MAIN),
-    "facts.consts_s": ("s", "lower", "extra", "facts.consts_s", ()),
-    "facts.intervals_s": ("s", "lower", "extra", "facts.intervals_s", ()),
-    "facts.octagons_s": ("s", "lower", "extra", "facts.octagons_s", ()),
-    "facts.infeasible_edges": ("count", "higher", "counter", "facts.infeasible_edges", MAIN),
-    "condense.s": ("s", "lower", "span_s", "condense", MAIN),
-    "summaries.s": ("s", "lower", "span_s", "summaries", MAIN),
-    "summaries.sccs": ("count", "lower", "span_n", "solve_scc", MAIN),
-    **{f"checker.{name}.s": ("s", "lower", "span_s", f"checker.{name}", MAIN)
+    "parse.s": ("span_s", "parse", MAIN),
+    "parse_parallel.s": ("span_s", "parse_parallel", ("parallel",)),
+    "parse_parallel.adopted": ("counter", "parse.adopted", ("parallel",)),
+    "parse_parallel.fallbacks": ("counter", "parse.fallbacks", ("parallel",)),
+    "callgraph.s": ("span_s", "callgraph", MAIN),
+    "pointsto.collect_s": ("span_s", "pointsto.collect", MAIN),
+    "pointsto.resolve_s": ("span_s", "pointsto.resolve", MAIN),
+    "blocking.s": ("span_s", "blocking", MAIN),
+    "irq_handlers.s": ("span_s", "irq_handlers", MAIN),
+    "error_returning.s": ("span_s", "error_returning", MAIN),
+    "facts.s": ("span_s", "facts", MAIN),
+    "facts.consts_s": ("extra", "facts.consts_s", ()),
+    "facts.intervals_s": ("extra", "facts.intervals_s", ()),
+    "facts.octagons_s": ("extra", "facts.octagons_s", ()),
+    "facts.infeasible_edges": ("counter", "facts.infeasible_edges", MAIN),
+    "condense.s": ("span_s", "condense", MAIN),
+    "summaries.s": ("span_s", "summaries", MAIN),
+    "summaries.sccs": ("span_n", "solve_scc", MAIN),
+    **{f"checker.{name}.s": ("span_s", f"checker.{name}", MAIN)
        for name, _ in CHECKERS},
-    "deputy.checks_total": ("count", "lower", "counter", "deputy.checks_total", MAIN),
-    "deputy.checks_discharged": ("count", "higher", "counter",
-                                 "deputy.checks_discharged", MAIN),
-    "deputy.checks_relational": ("count", "higher", "counter",
-                                 "deputy.checks_relational", MAIN),
-    "engine.phase.parse_s": ("s", "lower", "counter", "phase.parse", ("serial",)),
-    "engine.phase.artifacts_s": ("s", "lower", "counter", "phase.artifacts", ("serial",)),
-    "engine.phase.checkers_s": ("s", "lower", "counter", "phase.checkers", ("serial",)),
-    "engine.overhead_s": ("s", "lower", "self_s", "", ("serial",)),
-    "scheduler.worker_idle_ratio": ("ratio", "lower", "counter",
-                                    "scheduler.worker_idle_ratio", ("parallel",)),
-    "scheduler.tasks": ("count", "lower", "counter", "scheduler.tasks", ("parallel",)),
-    "cache.disk_hits": ("count", "higher", "counter", "cache.disk_hits", ("warm",)),
-    "cache.read_s": ("s", "lower", "span_s", "cache.read", ("warm",)),
-    "cache.write_s": ("s", "lower", "span_s", "cache.write", ("serial",)),
-    "incremental.parsed_units": ("count", "lower", "counter", "inc.parsed_units", PASSES),
-    "incremental.consts_solved": ("count", "lower", "counter", "inc.consts_solved", PASSES),
-    "incremental.dirty_sccs": ("count", "lower", "counter", "inc.dirty_sccs", PASSES),
-    "incremental.sccs_reused": ("count", "higher", "counter", "inc.sccs_reused", PASSES),
-    "incremental.shards_rerun": ("count", "lower", "counter", "inc.shards_rerun", PASSES),
-    "incremental.reuse_ratio": ("ratio", "higher", "counter", "inc.reuse_ratio", PASSES),
-    "incremental.reconcile_s": ("s", "lower", "span_s", "reconcile", PASSES),
-    "incremental.link_s": ("s", "lower", "span_s", "link", PASSES),
-    "incremental.fingerprint_s": ("s", "lower", "span_s", "fingerprint", PASSES),
-    "incremental.scc_keys_s": ("s", "lower", "span_s", "scc_keys", PASSES),
-    "incremental.solve_scc_s": ("s", "lower", "span_s", "solve_scc", PASSES),
-    "incremental.shard_s": ("s", "lower", "span_s", "shards", PASSES),
-    "incremental.residual_s": ("s", "lower", "self_s", "", PASSES),
-    "store.get_calls": ("count", "lower", "span_n", "store.get", ("restart",)),
-    "store.hits": ("count", "higher", "counter", "store.get.hits", ("restart",)),
-    "store.get_s": ("s", "lower", "span_s", "store.get", ("restart",)),
-    "store.put_rows": ("count", "lower", "counter", "store.put.rows", ("cold",)),
-    "store.put_s": ("s", "lower", "span_s", "store.put", ("cold",)),
-    "store.touch_s": ("s", "lower", "span_s", "store.touch", PASSES),
-    "trace.overhead_ratio": ("ratio", "lower", "extra", "trace.overhead_ratio", ()),
-    "trace.overhead_s": ("s", "lower", "extra", "trace.overhead_s", ()),
+    "deputy.checks_total": ("counter", "deputy.checks_total", MAIN),
+    "deputy.checks_discharged": ("counter", "deputy.checks_discharged", MAIN),
+    "deputy.checks_relational": ("counter", "deputy.checks_relational", MAIN),
+    "engine.phase.parse_s": ("counter", "phase.parse", ("serial",)),
+    "engine.phase.artifacts_s": ("counter", "phase.artifacts", ("serial",)),
+    "engine.phase.checkers_s": ("counter", "phase.checkers", ("serial",)),
+    "engine.overhead_s": ("self_s", "", ("serial",)),
+    "scheduler.worker_idle_ratio": ("counter", "scheduler.worker_idle_ratio",
+                                    ("parallel",)),
+    "scheduler.tasks": ("counter", "scheduler.tasks", ("parallel",)),
+    "cache.disk_hits": ("counter", "cache.disk_hits", ("warm",)),
+    "cache.read_s": ("span_s", "cache.read", ("warm",)),
+    "cache.write_s": ("span_s", "cache.write", ("serial",)),
+    "incremental.parsed_units": ("counter", "inc.parsed_units", PASSES),
+    "incremental.consts_solved": ("counter", "inc.consts_solved", PASSES),
+    "incremental.dirty_sccs": ("counter", "inc.dirty_sccs", PASSES),
+    "incremental.sccs_reused": ("counter", "inc.sccs_reused", PASSES),
+    "incremental.shards_rerun": ("counter", "inc.shards_rerun", PASSES),
+    "incremental.reuse_ratio": ("counter", "inc.reuse_ratio", PASSES),
+    "incremental.reconcile_s": ("span_s", "reconcile", PASSES),
+    "incremental.link_s": ("span_s", "link", PASSES),
+    "incremental.fingerprint_s": ("span_s", "fingerprint", PASSES),
+    "incremental.scc_keys_s": ("span_s", "scc_keys", PASSES),
+    "incremental.solve_scc_s": ("span_s", "solve_scc", PASSES),
+    "incremental.shard_s": ("span_s", "shards", PASSES),
+    "incremental.residual_s": ("self_s", "", PASSES),
+    "store.get_calls": ("span_n", "store.get", ("restart",)),
+    "store.hits": ("counter", "store.get.hits", ("restart",)),
+    "store.get_s": ("span_s", "store.get", ("restart",)),
+    "store.put_rows": ("counter", "store.put.rows", ("cold",)),
+    "store.put_s": ("span_s", "store.put", ("cold",)),
+    "store.touch_s": ("span_s", "store.touch", PASSES),
+    "trace.overhead_ratio": ("extra", "trace.overhead_ratio", ()),
+    "trace.overhead_s": ("extra", "trace.overhead_s", ()),
 }
 
 
@@ -321,7 +319,7 @@ def _op_value(op: Op, statistic: str, source: str) -> float:
 def layer_metrics(tracer: Tracer) -> dict[str, float]:
     """Every per-layer metric: its mean over the ops that exercise it."""
     values: dict[str, float] = {}
-    for name, (_, _, statistic, source, kinds) in LAYER_METRICS.items():
+    for name, (statistic, source, kinds) in LAYER_METRICS.items():
         if statistic == "extra":
             values[name] = tracer.extras.get(source, 0.0)
             continue

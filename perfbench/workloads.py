@@ -4,24 +4,34 @@ All three are closed loops with one client: the next operation starts when
 the previous one has returned.  Parallel legs use ``jobs = min(2, nproc)``.
 
 ``seed_batch``
-    Cold full analyses (fresh :class:`AnalysisEngine`, all six analyses) of
-    the embedded 11-TU kernel corpus: serial, then parallel, then warm (a
-    fresh engine over the serial run's ``cache_dir``), round after round.  The only corpus with
-    real kernel shapes (points-to-resolved function pointers, IRQ handlers,
-    pruned edges) and verdicts known independently of the tool.  Its inputs
-    do not depend on the seed.
+    Cold serial full analyses (fresh :class:`AnalysisEngine`, all six
+    analyses) of the embedded 11-TU kernel corpus, round after round; then
+    one cold parallel analysis and one warm one (a fresh engine over the
+    last serial run's ``cache_dir``).  The only corpus with real kernel
+    shapes (points-to-resolved function pointers, IRQ handlers, pruned
+    edges) and verdicts known independently of the tool.  Its inputs do not
+    depend on the seed.
 ``scale_batch``
-    The same three legs over ``generate_corpus(10, seed)`` (101 TUs).
+    The same legs over ``generate_corpus(10, seed)`` (101 TUs).  Run by
+    hand only: one cold analysis takes 10-20 s, too few per run to be
+    steady.
 ``scale_edits``
     One :class:`IncrementalAnalyzer` with a :class:`PersistentStore` over the
     scale-10 corpus replays a seeded edit script, one pass per edit, then a
     fresh analyzer restarts over the same store.
 
-Work is done in whole *rounds* (the three batch legs, or one cycle of the
+Work is done in whole *rounds* (one serial analysis, or one cycle of the
 edit script) while the next round is expected to fit in the time budget,
 so every run measures the same mix.  Every operation is counted as attempted;
 it fails if it raises or if a check of its output against a known answer
 fails.
+
+Every operation is timed twice over: as wall time, and scaled to a
+reference host speed.  The speed of a shared host drifts by up to 2x for
+minutes at a time; :func:`reference_loop`, a fixed pure-Python loop run
+just before and just after each operation, measures it, and the scaled
+time is the wall time times ``REFERENCE_S`` over the loop's mean time, to
+the power ``REFERENCE_EXPONENT``.
 """
 
 from __future__ import annotations
@@ -53,7 +63,9 @@ SCALE = 10
 #: The edit script, one pass per entry; whole cycles are replayed.  Three
 #: body edits per cycle each pick a unit near the middle of a different
 #: third of the cross-TU entry chain, so every cycle dirties a short, a
-#: medium and a long slice of the condensation.
+#: medium and a long slice of the condensation.  The other edits pick a
+#: unit near the middle of the chain: what a pass costs depends on where
+#: its unit sits, and every seed should measure the same mix.
 EDIT_CYCLE = ("body", "noop", "append", "shift", "noop", "break", "fix",
               "body", "noop", "body")
 
@@ -61,6 +73,42 @@ EDIT_CYCLE = ("body", "noop", "append", "shift", "noop", "break", "fix",
 SCRIPT_CYCLES = 8
 
 _LITERAL = re.compile(r"(?<![\w.])\d+(?![\w.])")
+
+#: Steps of the reference loop, and its time at the reference host speed
+#: (about its fastest on a 2-vCPU x86-64 VM under CPython 3.11).
+REFERENCE_STEPS = 500_000
+REFERENCE_S = 0.06
+
+#: How much more than the loop the analyses slow down on a slow host: they
+#: touch more memory, which neighbours on the host contend for.  Fitted on
+#: the per-run medians of 43 runs: with 1.2 the run-to-run spread (IQR over
+#: median) of the gated times fell from 0.06-0.12 (plain ratio) to
+#: 0.04-0.08; 1.1 and 1.3 did about as well, 1.4 worse.
+REFERENCE_EXPONENT = 1.2
+
+
+def reference_loop() -> float:
+    """Wall time of a fixed pure-Python loop of arithmetic and small-dict
+    stores.  It runs no toolchain code, so only the host's speed moves it;
+    op by op, the analyses' times follow it at 0.77-0.87 correlation."""
+    start = time.perf_counter()
+    total = 0
+    table = {}
+    for i in range(REFERENCE_STEPS):
+        table[i & 255] = total
+        total += i * i % 7
+    return time.perf_counter() - start
+
+
+def timed(fn):
+    """``fn()``'s result, its wall time and its time at the reference speed."""
+    before = reference_loop()
+    start = time.perf_counter()
+    result = fn()
+    elapsed = time.perf_counter() - start
+    after = reference_loop()
+    speed = 2 * REFERENCE_S / (before + after)
+    return result, elapsed, elapsed * speed ** REFERENCE_EXPONENT
 
 
 class Recorder:
@@ -72,10 +120,13 @@ class Recorder:
 
     def __init__(self, tracer=None) -> None:
         self.tracer = tracer
-        #: op kind -> seconds, for operations run without tracing.
+        #: op kind -> wall seconds, for operations run without tracing.
         self.samples: dict[str, list[float]] = defaultdict(list)
-        #: the same for operations run with the tracer installed.
+        #: op kind -> seconds at the reference host speed, likewise.
+        self.scaled: dict[str, list[float]] = defaultdict(list)
+        #: the same two for operations run with the tracer installed.
         self.traced_samples: dict[str, list[float]] = defaultdict(list)
+        self.traced_scaled: dict[str, list[float]] = defaultdict(list)
         self.attempted = 0
         self.failed = 0
         self.failures: list[str] = []
@@ -89,13 +140,17 @@ class Recorder:
         # one left behind is not this operation's cost.
         gc.collect()
         traced = self.tracer is not None and self.tracer.installed
-        with self.tracer.op(kind) if traced else nullcontext() as op:
-            start = time.perf_counter()
-            result = fn()
-            elapsed = time.perf_counter() - start
+        context = self.tracer.op(kind) if traced else nullcontext()
+
+        def call():
+            with context:
+                return fn()
+
+        result, elapsed, scaled = timed(call)
         (self.traced_samples if traced else self.samples)[kind].append(elapsed)
-        if op is not None and counters is not None:
-            op.counters.update(counters(result))
+        (self.traced_scaled if traced else self.scaled)[kind].append(scaled)
+        if traced and counters is not None:
+            self.tracer.ops[-1].counters.update(counters(result))
         return result
 
     def check(self, label: str, problems: list[str]) -> None:
@@ -177,7 +232,7 @@ def make_edit_script(files, seed: int, cycles: int = SCRIPT_CYCLES) -> list[Edit
             elif kind == "fix":
                 script.append(Edit("fix", broken))
             else:
-                unit = rng.randrange(units)
+                unit = rng.randrange(*bands[1])
                 broken = unit if kind == "break" else broken
                 script.append(Edit(kind, unit, "", rng.randrange(64),
                                    rng.randrange(1, 50)))
@@ -403,13 +458,15 @@ def _capture_shards(engine: AnalysisEngine, name: str) -> list[dict]:
 
 
 def run_batch(ctx: RunContext, files, workload: str) -> None:
-    """``seed_batch`` / ``scale_batch``: serial, parallel and warm legs."""
+    """``seed_batch`` / ``scale_batch``: timed rounds of the serial
+    analysis, then one parallel and one warm analysis."""
     rec = ctx.recorder
     tracing = rec.tracer is not None
+    cache_dir = ctx.workdir / "cache"
     started = time.perf_counter()
     rounds = 0
 
-    def serial(cache_dir):
+    def serial():
         engine = AnalysisEngine(files=files, cache_dir=str(cache_dir))
         payloads = _capture_shards(engine, "deputy")
         return engine, engine.run(), payloads
@@ -418,10 +475,9 @@ def run_batch(ctx: RunContext, files, workload: str) -> None:
         # A traced run alternates untraced and traced rounds: the
         # difference on identical work is the tracing overhead.
         _toggle_tracing(rec, tracing and rounds % 2 == 1)
-        cache_dir = ctx.workdir / f"cache-{rounds}"
+        shutil.rmtree(cache_dir, ignore_errors=True)
         engine, reference, payloads = rec.run(
-            "serial", lambda: serial(cache_dir),
-            counters=lambda out: _report_counters(out[1]))
+            "serial", serial, counters=lambda out: _report_counters(out[1]))
         if workload == "seed_batch":
             rec.check("seed verdicts", seed_verdict_problems(reference, ctx.baselines))
         else:
@@ -429,20 +485,20 @@ def run_batch(ctx: RunContext, files, workload: str) -> None:
         if rec.tracer is not None and rec.tracer.installed and not rec.tracer.extras:
             rec.tracer.extras.update(domain_costs(engine.program()))
         del engine
-        parallel = rec.run(
-            "parallel", lambda: AnalysisEngine(files=files).run(jobs=ctx.jobs),
-            counters=_report_counters)
-        rec.check("parallel", identity_problems(reference, parallel, "parallel"))
-        warm = rec.run(
-            "warm", lambda: AnalysisEngine(files=files, cache_dir=str(cache_dir)).run(),
-            counters=_report_counters)
-        rec.check("warm", identity_problems(reference, warm, "warm"))
-        shutil.rmtree(cache_dir, ignore_errors=True)
         rounds += 1
         if tracing and rounds < 2:
             continue
         if not _another_round(started, rounds, ctx.seconds):
             break
+    _toggle_tracing(rec, tracing)
+    parallel = rec.run(
+        "parallel", lambda: AnalysisEngine(files=files).run(jobs=ctx.jobs),
+        counters=_report_counters)
+    rec.check("parallel", identity_problems(reference, parallel, "parallel"))
+    warm = rec.run(
+        "warm", lambda: AnalysisEngine(files=files, cache_dir=str(cache_dir)).run(),
+        counters=_report_counters)
+    rec.check("warm", identity_problems(reference, warm, "warm"))
     _toggle_tracing(rec, False)
 
 
