@@ -40,6 +40,7 @@ from ..dataflow.context import AnalysisContext
 from ..dataflow.domains import FunctionFacts, facts_of
 from ..machine.program import Program
 from ..minic import ast_nodes as ast
+from ..minic.syntax import FunctionSyntax
 from ..minic.visitor import iter_child_nodes, walk
 
 _COMPARISONS = frozenset({"<", "<=", "==", "!=", ">", ">="})
@@ -126,7 +127,8 @@ def check_error_returns(ctx: AnalysisContext) -> ErrcheckReport:
                               else find_error_returning_functions(ctx.program))
     consts_cache = ctx.facts if ctx.facts is not None else {}
     for caller, func in ctx.program.functions_subset(ctx.functions):
-        _scan_function(report, caller, func, consts_cache)
+        _scan_function(report, caller, func, ctx.program.syntax(caller),
+                       consts_cache)
     report.unchecked.sort(key=_unchecked_sort_key)
     return report
 
@@ -343,14 +345,14 @@ def _join(a: PendingState, b: PendingState) -> PendingState:
 
 
 def _scan_function(report: ErrcheckReport, caller: str,
-                   func: ast.FuncDef,
+                   func: ast.FuncDef, syntax: FunctionSyntax,
                    consts_cache: dict[str, FunctionFacts | None]) -> None:
-    call_nodes = [node for node in walk(func.body)
-                  if (isinstance(node, ast.Call) and isinstance(node.func, ast.Ident)
+    call_nodes = [node for node in syntax.calls
+                  if (isinstance(node.func, ast.Ident)
                       and node.func.name in report.error_returning)]
     if not call_nodes:
         return      # skip the parent-map walk on the (common) irrelevant function
-    func_consts = facts_of(func, cache=consts_cache)
+    func_consts = facts_of(func, cache=consts_cache, syntax=syntax)
     cfg = None
     if func_consts is not None and func_consts.prunes:
         # A call in a provably-dead arm can never run: it creates no

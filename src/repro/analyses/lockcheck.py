@@ -53,6 +53,7 @@ from ..dataflow.summaries import (
 from ..machine.program import Program
 from ..minic import ast_nodes as ast
 from ..minic.errors import SourceLocation
+from ..minic.syntax import FunctionSyntax
 from ..minic.visitor import walk
 
 #: Legacy names (pre-summary-framework); the tables live in the shared
@@ -235,11 +236,12 @@ def check_locks(ctx: AnalysisContext) -> LockFacts:
     consts_cache = ctx.facts if ctx.facts is not None else {}
     facts = LockFacts()
     for name, func in ctx.program.functions_subset(ctx.functions):
-        if not _scan_relevant(func, summaries):
+        syntax = ctx.program.syntax(name)
+        if not _scan_relevant(syntax, summaries):
             continue    # nothing can move the lock state: skip CFG + solve
         scan = _FunctionScan(name, summaries)
         cfg = build_cfg(func)
-        func_consts = facts_of(func, cache=consts_cache, cfg=cfg)
+        func_consts = facts_of(func, cache=consts_cache, cfg=cfg, syntax=syntax)
 
         def transfer(block, state, _scan=scan):
             for element in block.elements:
@@ -277,11 +279,11 @@ def collect_lock_facts(program: Program,
                                        summaries=summaries, facts=consts))
 
 
-def _scan_relevant(func: ast.FuncDef,
+def _scan_relevant(syntax: FunctionSyntax,
                    summaries: dict[str, FunctionSummary]) -> bool:
-    """Whether any call in ``func`` can move the lock state."""
-    for node in walk(func.body):
-        if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Ident):
+    """Whether any call in the function can move the lock state."""
+    for node in syntax.calls:
+        if not isinstance(node.func, ast.Ident):
             continue
         name = node.func.name
         if name in ACQUIRE_CALLS:

@@ -17,7 +17,6 @@ from typing import Iterable, Iterator
 from ..machine.program import Program
 from ..minic import ast_nodes as ast
 from ..minic.errors import SourceLocation
-from ..minic.visitor import walk
 
 
 @dataclass(frozen=True)
@@ -135,10 +134,8 @@ def build_direct_callgraph(program: Program) -> tuple[CallGraph, list[IndirectCa
     indirect: list[IndirectCall] = []
     for name in program.defined_function_names():
         graph.add_node(name)
-    for name, func in program.functions.items():
-        for node in walk(func.body):
-            if not isinstance(node, ast.Call):
-                continue
+    for name in program.functions:
+        for node in program.syntax(name).calls:
             target = node.func
             if isinstance(target, ast.Ident):
                 graph.add_edge(name, target.name, node.location, indirect=False)

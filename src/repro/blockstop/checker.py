@@ -39,6 +39,7 @@ from ..dataflow.summaries import (
 from ..machine.program import Program
 from ..minic import ast_nodes as ast
 from ..minic.errors import SourceLocation
+from ..minic.syntax import FunctionSyntax
 from ..minic.visitor import walk
 from .blocking import (
     BlockingInfo,
@@ -120,8 +121,8 @@ def find_irq_handlers(program: Program) -> set[str]:
         for decl in unit.decls:
             if not isinstance(decl, ast.FuncDef):
                 continue
-            for node in walk(decl.body):
-                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Ident)
+            for node in program.syntax_of(decl).calls:
+                if (isinstance(node.func, ast.Ident)
                         and node.func.name in IRQ_HANDLER_REGISTRATION):
                     for arg in node.args:
                         name = _function_name_of(arg, program)
@@ -197,14 +198,16 @@ class BlockStopChecker:
     def _scan_atomic_regions(self, result: BlockStopResult,
                              blocking: BlockingInfo) -> None:
         for name, func in self.program.functions.items():
-            if _contains_asm(func):
+            syntax = self.program.syntax(name)
+            if syntax.has_asm:
                 result.asm_functions.add(name)
             starts_atomic = name in result.irq_handlers
-            self._scan_function(result, name, func, starts_atomic, blocking)
+            self._scan_function(result, name, func, syntax, starts_atomic,
+                                blocking)
 
     def _scan_function(self, result: BlockStopResult, name: str,
-                       func: ast.FuncDef, starts_atomic: bool,
-                       blocking: BlockingInfo) -> None:
+                       func: ast.FuncDef, syntax: FunctionSyntax,
+                       starts_atomic: bool, blocking: BlockingInfo) -> None:
         """Track the interrupt flag flow-sensitively over the function's CFG.
 
         The abstract state is a counter of nested disables.  The join at
@@ -229,10 +232,10 @@ class BlockStopChecker:
         infeasible, so calls in provably-dead arms are never recorded as
         atomic call sites.
         """
-        if not starts_atomic and not self._can_raise_depth(func):
+        if not starts_atomic and not self._can_raise_depth(syntax):
             return      # depth can never leave 0: skip the CFG + solve cost
         cfg = build_cfg(func)
-        func_consts = facts_of(func, cache=self.consts, cfg=cfg)
+        func_consts = facts_of(func, cache=self.consts, cfg=cfg, syntax=syntax)
         entry_depth = 1 if starts_atomic else 0
 
         def transfer(block, depth: int) -> int:
@@ -248,10 +251,10 @@ class BlockStopChecker:
                                             result=result, caller=name,
                                             blocking=blocking)
 
-    def _can_raise_depth(self, func: ast.FuncDef) -> bool:
-        """Whether any call in ``func`` can push the disable depth above 0."""
-        for node in walk(func.body):
-            if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Ident):
+    def _can_raise_depth(self, syntax: FunctionSyntax) -> bool:
+        """Whether any call in the function can push the disable depth above 0."""
+        for node in syntax.calls:
+            if not isinstance(node.func, ast.Ident):
                 continue
             name = node.func.name
             if name in IRQ_DISABLE_CALLS:
@@ -356,10 +359,6 @@ def _function_name_of(expr: ast.Expr, program: Program) -> str | None:
     if isinstance(expr, ast.Cast):
         return _function_name_of(expr.operand, program)
     return None
-
-
-def _contains_asm(func: ast.FuncDef) -> bool:
-    return any(isinstance(node, ast.Asm) for node in walk(func.body))
 
 
 def check_blockstop(ctx: AnalysisContext,

@@ -25,7 +25,6 @@ from enum import Enum, auto
 from ..machine.program import Program
 from ..minic import ast_nodes as ast
 from ..minic.ctypes import CFunc, CPointer, CStruct, CType
-from ..minic.visitor import walk
 from .callgraph import CallGraph, IndirectCall
 
 
@@ -122,14 +121,16 @@ class FunctionPointerAnalysis:
             self._collect_expr_store(init.expr, struct.tag, field_name)
 
     def _collect_body(self, func: ast.FuncDef) -> None:
-        for node in walk(func.body):
-            if isinstance(node, ast.Assign) and node.op == "=":
-                struct_tag, field_name = self._field_target(node.target)
-                self._collect_expr_store(node.value, struct_tag, field_name)
-            elif isinstance(node, ast.Call):
-                # Function names passed as call arguments (request_irq etc.).
-                for arg in node.args:
-                    self._collect_expr_store(arg, None, None)
+        # Every store only adds to sets, so assignments and call arguments
+        # need not interleave in body order.
+        syntax = self.program.syntax_of(func)
+        for node in syntax.assigns:
+            struct_tag, field_name = self._field_target(node.target)
+            self._collect_expr_store(node.value, struct_tag, field_name)
+        for node in syntax.calls:
+            # Function names passed as call arguments (request_irq etc.).
+            for arg in node.args:
+                self._collect_expr_store(arg, None, None)
 
     def _collect_expr_store(self, expr: ast.Expr, struct_tag: str | None,
                             field_name: str | None) -> None:

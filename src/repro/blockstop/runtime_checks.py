@@ -86,5 +86,6 @@ def insert_assertions(program: Program, checks: RuntimeCheckSet) -> int:
             continue
         call = ast.make_call(ASSERT_BUILTIN, [], func.location)
         func.body.stmts.insert(0, ast.ExprStmt(expr=call, location=func.location))
+        program.forget_syntax(func)
         inserted += 1
     return inserted

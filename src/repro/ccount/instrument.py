@@ -73,6 +73,7 @@ class CCountInstrumenter:
         env = TypeEnv(self.program, func)
         rewriter = _PointerWriteRewriter(self, env)
         func.body = rewriter.visit(func.body)
+        self.program.forget_syntax(func)
         self.result.per_function[func.name] = rewriter.instrumented
 
 

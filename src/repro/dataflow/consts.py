@@ -52,6 +52,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Optional
 
 from ..minic import ast_nodes as ast
+from ..minic.syntax import FunctionSyntax, index_function
 from ..minic.visitor import iter_child_nodes, walk
 from .cfg import CFG, BasicBlock, Edge, build_cfg
 from .solver import INFEASIBLE, solve_forward
@@ -206,7 +207,7 @@ def _fold_binary(op: str, left: int, right: int) -> Optional[int]:
 # ---------------------------------------------------------------------------
 
 
-def trackable_names(func: ast.FuncDef) -> frozenset[str]:
+def trackable_names(func: ast.FuncDef, syntax: Optional[FunctionSyntax] = None) -> frozenset[str]:
     """Names whose value only this function's own assignments can change.
 
     Scalar parameters and locals qualify unless their address is taken
@@ -216,35 +217,29 @@ def trackable_names(func: ast.FuncDef) -> frozenset[str]:
     unsound across calls and stores.  A name declared more than once
     (a shadowing inner-scope local, or a local shadowing a parameter) is
     also dropped: the environment is keyed by bare name, so it cannot tell
-    the two storage locations apart.
+    the two storage locations apart.  The Deputy instrumenter's region cache
+    uses the same set as its callee-immune names.
+
+    ``syntax`` is ``func``'s index record (``program.syntax(name)``); it is
+    built here when the caller has no program at hand.
     """
     from ..minic.ctypes import CArray
 
-    def base_ident(expr: ast.Expr) -> Optional[str]:
-        while isinstance(expr, (ast.Member, ast.Index)):
-            expr = expr.base
-        if isinstance(expr, ast.Cast):
-            return base_ident(expr.operand)
-        return expr.name if isinstance(expr, ast.Ident) else None
-
+    syntax = syntax or index_function(func)
     names = {
         param.name
         for param in getattr(func.type.strip(), "params", [])
         if getattr(param, "name", None)
     }
-    escaped: set[str] = set()
-    for node in walk(func.body):
-        if isinstance(node, ast.Declaration) and node.name and not node.is_typedef:
-            if node.name in names:
-                escaped.add(node.name)  # shadowed: ambiguous by name
-            elif isinstance(node.type.strip(), CArray):
-                escaped.add(node.name)
+    escaped = set(syntax.address_taken)
+    for decl in syntax.declarations:
+        if decl.name and not decl.is_typedef:
+            if decl.name in names:
+                escaped.add(decl.name)  # shadowed: ambiguous by name
+            elif isinstance(decl.type.strip(), CArray):
+                escaped.add(decl.name)
             else:
-                names.add(node.name)
-        elif isinstance(node, ast.Unary) and node.op == "&":
-            name = base_ident(node.operand)
-            if name is not None:
-                escaped.add(name)
+                names.add(decl.name)
     return frozenset(names - escaped)
 
 
@@ -643,12 +638,7 @@ def refined_edges(consts: Optional[FunctionConsts]):
 
 def has_branches(func: ast.FuncDef) -> bool:
     """Whether ``func`` contains any construct edge refinement could prune."""
-    for node in walk(func.body):
-        if isinstance(node, (ast.If, ast.While, ast.DoWhile, ast.Switch)):
-            return True
-        if isinstance(node, ast.For) and node.cond is not None:
-            return True
-    return False
+    return index_function(func).has_branches
 
 
 def consts_of(

@@ -44,12 +44,12 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Mapping, Optional, Protocol
 
 from ..minic import ast_nodes as ast
+from ..minic.syntax import FunctionSyntax, index_function
 from .cfg import CFG, BasicBlock, Edge, build_cfg
 from .consts import (
     CONST_SOLVE_COUNTS,
     ConstDomain,
     FunctionConsts,
-    has_branches,
     refined_edges,
     trackable_names,
 )
@@ -170,6 +170,7 @@ def solve_function_facts(
     func: ast.FuncDef,
     cfg: Optional[CFG] = None,
     domains: tuple[str, ...] = DEFAULT_DOMAINS,
+    syntax: Optional[FunctionSyntax] = None,
 ) -> FunctionFacts:
     """Run the reduced product of ``domains`` to fixpoint over one function.
 
@@ -182,7 +183,7 @@ def solve_function_facts(
     """
     CONST_SOLVE_COUNTS[func.name] += 1
     cfg = cfg or build_cfg(func)
-    safe = trackable_names(func)
+    safe = trackable_names(func, syntax)
     insts = [DOMAIN_REGISTRY[name](func, cfg, safe) for name in domains]
 
     def transfer(block: BasicBlock, states: tuple) -> tuple:
@@ -328,19 +329,22 @@ def facts_of(
     cache: Optional[dict] = None,
     cfg: Optional[CFG] = None,
     domains: tuple[str, ...] = DEFAULT_DOMAINS,
+    syntax: Optional[FunctionSyntax] = None,
 ) -> Optional[FunctionFacts]:
     """Memoized per-function product solve; ``None`` for branchless functions.
 
     The product API twin of ``consts_of`` — same cache discipline (the
     engine seeds ``cache`` from its keyed artifact), same branchless
     short-circuit (no branches means nothing to refine or prune and no loop
-    to bound).
+    to bound).  ``syntax`` is ``func``'s index record when the caller holds
+    the program (``program.syntax(name)``); otherwise it is built here.
     """
     if func is None:
         return None
     if cache is not None and func.name in cache:
         return cache[func.name]
-    result = solve_function_facts(func, cfg, domains) if has_branches(func) else None
+    syntax = syntax or index_function(func)
+    result = solve_function_facts(func, cfg, domains, syntax) if syntax.has_branches else None
     if cache is not None:
         cache[func.name] = result
     return result
@@ -359,7 +363,7 @@ def solve_program_facts(
     """
     results: dict[str, Optional[FunctionFacts]] = {}
     for name, func in program.functions_subset(functions):
-        results[name] = facts_of(func, domains=domains)
+        results[name] = facts_of(func, domains=domains, syntax=program.syntax(name))
     return results
 
 

@@ -42,6 +42,7 @@ from ..machine.interpreter import ctype_size
 from ..machine.program import Program
 from ..minic import ast_nodes as ast
 from ..minic.pretty import render_expression
+from ..minic.syntax import FunctionSyntax
 from ..minic.visitor import walk
 from .cfg import RETURN, build_cfg
 from .consts import eval_const, refined_edges
@@ -473,16 +474,16 @@ def function_frame_size(program: Program, func: ast.FuncDef) -> int:
     ftype = func.type.strip()
     for param in getattr(ftype, "params", []):
         total += max(ctype_size(param.type), 4)
-    for node in walk(func.body):
-        if isinstance(node, ast.Declaration) and not node.is_typedef:
+    for decl in program.syntax_of(func).declarations:
+        if not decl.is_typedef:
             try:
-                total += max(ctype_size(node.type), 4)
+                total += max(ctype_size(decl.type), 4)
             except Exception:
                 total += 4
     return total
 
 
-def _local_names(func: ast.FuncDef) -> frozenset[str]:
+def _local_names(func: ast.FuncDef, syntax: FunctionSyntax) -> frozenset[str]:
     """Parameter and local-variable names of ``func``.
 
     A lock expression mentioning one of these (``lock``, ``&(cache->lock)``)
@@ -492,9 +493,7 @@ def _local_names(func: ast.FuncDef) -> frozenset[str]:
     """
     params = getattr(func.type.strip(), "params", [])
     names = {param.name for param in params if getattr(param, "name", None)}
-    for node in walk(func.body):
-        if isinstance(node, ast.Declaration) and node.name:
-            names.add(node.name)
+    names.update(decl.name for decl in syntax.declarations if decl.name)
     return frozenset(names)
 
 
@@ -513,10 +512,10 @@ def _live_elements(cfg, func_consts: FunctionFacts):
                 yield element, element.expr
 
 
-def _needs_cfg(func: ast.FuncDef, lookup: Callable[[str], FunctionSummary | None]) -> bool:
-    """Whether any call in ``func`` can move the lock/IRQ state."""
-    for node in walk(func.body):
-        if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Ident):
+def _needs_cfg(syntax: FunctionSyntax, lookup: Callable[[str], FunctionSummary | None]) -> bool:
+    """Whether any call in the function can move the lock/IRQ state."""
+    for node in syntax.calls:
+        if not isinstance(node.func, ast.Ident):
             continue
         name = node.func.name
         if name in LOCK_ACQUIRE_CALLS or name in LOCK_RELEASE_CALLS:
@@ -554,7 +553,8 @@ def compute_summary(
             may_block=name in ctx.blocking_seeds,
             error_returns=(-1,) if name in ctx.errcode_annotated else (),
         )
-    func_consts = facts_of(func, cache=ctx.consts)
+    syntax = program.syntax(name)
+    func_consts = facts_of(func, cache=ctx.consts, syntax=syntax)
     cfg = None
     may_block = name in ctx.blocking_seeds
     error_codes: set[int] = set()
@@ -574,18 +574,17 @@ def compute_summary(
             if element.kind == RETURN:
                 error_codes |= _error_codes_of(expr, ctx, lookup)
     else:
-        for node in walk(func.body):
-            if isinstance(node, ast.Call) and not may_block:
-                if _call_may_block(node, name, ctx, lookup):
-                    may_block = True
-            if isinstance(node, ast.Return) and node.value is not None:
+        if not may_block:
+            may_block = any(_call_may_block(node, name, ctx, lookup) for node in syntax.calls)
+        for node in syntax.returns:
+            if node.value is not None:
                 error_codes |= _error_codes_of(node.value, ctx, lookup)
     if name in ctx.errcode_annotated:
         error_codes.add(-1)
 
     effects = _Effects()
     exit_state = ENTRY_STATE
-    if _needs_cfg(func, lookup):
+    if _needs_cfg(syntax, lookup):
         cfg = cfg or build_cfg(func)
 
         def transfer(block, state: SummaryState) -> SummaryState:
@@ -604,7 +603,7 @@ def compute_summary(
         exit_state = solved_exit if solved_exit is not None else ENTRY_STATE
 
     must, may, irq = exit_state
-    local_names = _local_names(func)
+    local_names = _local_names(func, syntax)
 
     def exported(lock: str) -> bool:
         return _caller_meaningful(lock, local_names)

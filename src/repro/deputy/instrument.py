@@ -20,11 +20,12 @@ import copy
 from dataclasses import dataclass, field
 
 from ..dataflow.cfg import build_cfg
+from ..dataflow.consts import trackable_names
 from ..dataflow.domains import facts_of
 from ..machine.program import Program
 from ..minic import ast_nodes as ast
 from ..minic.ctypes import CPointer
-from ..minic.visitor import walk
+from ..minic.syntax import FunctionSyntax
 from .checker import (
     Decision,
     DeputyOptions,
@@ -154,17 +155,20 @@ class DeputyInstrumenter:
             result.trusted = True
             return
         env = self._env_for(func)
-        loop_ranges, loop_relations = self._loop_facts(func)
+        syntax = self.program.syntax_of(func)
+        loop_ranges, loop_relations = self._loop_facts(func, syntax)
         worker = _FunctionInstrumenter(env, self.options, result, rewrite,
-                                       safe_names=_callee_immune_names(func),
+                                       safe_names=trackable_names(func, syntax),
                                        loop_ranges=loop_ranges,
                                        loop_relations=loop_relations)
         new_body = worker.stmt(func.body, worker.fresh_cache())
-        if rewrite and isinstance(new_body, ast.Block):
-            func.body = new_body
+        if rewrite:
+            if isinstance(new_body, ast.Block):
+                func.body = new_body
+            self.program.forget_syntax(func)
 
-    def _loop_facts(self, func: ast.FuncDef) -> tuple[dict[int, tuple],
-                                                      dict[int, tuple]]:
+    def _loop_facts(self, func: ast.FuncDef, syntax: FunctionSyntax
+                    ) -> tuple[dict[int, tuple], dict[int, tuple]]:
         """Solved interval and octagon loop-head states, keyed by ``id(stmt)``.
 
         The structural walk cannot iterate a loop body to a fixpoint, so the
@@ -179,7 +183,7 @@ class DeputyInstrumenter:
         if self.facts is not None:
             facts = self.facts.get(func.name)
         else:
-            facts = facts_of(func, cache=self._facts_cache)
+            facts = facts_of(func, cache=self._facts_cache, syntax=syntax)
         interval_envs = getattr(facts, "interval_envs", None) or {}
         octagon_envs = getattr(facts, "octagon_envs", None) or {}
         if not interval_envs and not octagon_envs:
@@ -203,46 +207,6 @@ class DeputyInstrumenter:
 def _function_is_trusted(func: ast.FuncDef) -> bool:
     from ..annotations.attrs import AnnotationKind
     return func.annotations.has(AnnotationKind.TRUSTED)
-
-
-def _callee_immune_names(func: ast.FuncDef) -> frozenset[str]:
-    """Variables of ``func`` that no function call can write.
-
-    Parameters and scalar locals qualify unless their address is taken
-    (``&x``) somewhere in the body; array locals decay to pointers at any
-    use, so they never qualify.  Everything else — globals above all — can
-    be stored to by a callee, which is what makes an index check over such
-    a name unsound to keep across a call.  A name declared more than once
-    (an inner-scope local shadowing another local or a parameter) is also
-    excluded: the region cache keys checks and constant facts by bare name
-    and cannot tell the two storage locations apart.
-    """
-    from ..minic.ctypes import CArray
-
-    def base_ident(expr: ast.Expr) -> str | None:
-        # &s.field / &arr[0] escape the base variable just as &x does.
-        while isinstance(expr, (ast.Member, ast.Index)):
-            expr = expr.base
-        if isinstance(expr, ast.Cast):
-            return base_ident(expr.operand)
-        return expr.name if isinstance(expr, ast.Ident) else None
-
-    names = {param.name for param in getattr(func.type.strip(), "params", [])
-             if getattr(param, "name", None)}
-    escaped: set[str] = set()
-    for node in walk(func.body):
-        if isinstance(node, ast.Declaration) and node.name and not node.is_typedef:
-            if node.name in names:
-                escaped.add(node.name)  # shadowed: ambiguous by name
-            elif isinstance(node.type.strip(), CArray):
-                escaped.add(node.name)
-            else:
-                names.add(node.name)
-        elif isinstance(node, ast.Unary) and node.op == "&":
-            name = base_ident(node.operand)
-            if name is not None:
-                escaped.add(name)
-    return frozenset(names - escaped)
 
 
 def _case_terminates(stmts: list[ast.Stmt]) -> bool:

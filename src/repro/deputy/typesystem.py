@@ -129,14 +129,10 @@ class TypeEnv:
                 if param.name:
                     self.locals[param.name] = _absorb_declarator_annotations(
                         param.type, param.annotations)
-        self._collect_locals(func.body)
-
-    def _collect_locals(self, node: ast.Node) -> None:
-        from ..minic.visitor import walk
-        for child in walk(node):
-            if isinstance(child, ast.Declaration) and not child.is_typedef:
-                self.locals[child.name] = _absorb_declarator_annotations(
-                    child.type, child.annotations)
+        for decl in program.syntax_of(func).declarations:
+            if not decl.is_typedef:
+                self.locals[decl.name] = _absorb_declarator_annotations(
+                    decl.type, decl.annotations)
 
     # -- lookups -------------------------------------------------------------
 

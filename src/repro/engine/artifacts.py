@@ -69,11 +69,11 @@ class ArtifactCache:
                     extra: dict[str, Any] | None = None) -> str:
         """A stable key for ``kind`` derived from the inputs that produce it.
 
-        The package version is part of every key: artifacts depend on the
-        analysis/parser *code* as much as on the sources, so a persisted
-        cache must not serve parses made by an older repro release.
+        The package's source digest is part of every key: artifacts depend
+        on the analysis/parser *code* as much as on the corpus, so a
+        persisted cache must not serve parses made by other code.
         """
-        from .. import __version__
+        from .. import source_digest
 
         digest = hashlib.sha256()
 
@@ -84,7 +84,7 @@ class ArtifactCache:
             digest.update(f"{len(raw)}:".encode())
             digest.update(raw)
 
-        feed(__version__)
+        feed(source_digest())
         feed(kind)
         for corpus_file in files:
             feed(corpus_file.filename)

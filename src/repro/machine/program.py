@@ -17,6 +17,7 @@ from ..minic import ast_nodes as ast
 from ..minic.ctypes import CFunc, CType
 from ..minic.errors import SemanticError
 from ..minic.symtab import TypeRegistry
+from ..minic.syntax import FunctionSyntax, index_function
 
 
 @dataclass
@@ -28,6 +29,19 @@ class Program:
     functions: dict[str, ast.FuncDef] = field(default_factory=dict)
     prototypes: dict[str, ast.Declaration] = field(default_factory=dict)
     globals: dict[str, ast.Declaration] = field(default_factory=dict)
+    #: Function name -> syntax record of ``functions[name]``, built on first
+    #: use.  Never pickled or deep-copied: a copy indexes its own nodes.
+    _syntax: dict[str, FunctionSyntax] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_syntax", None)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._syntax = {}
 
     # -- construction -------------------------------------------------------
 
@@ -81,6 +95,33 @@ class Program:
 
     def function(self, name: str) -> ast.FuncDef | None:
         return self.functions.get(name)
+
+    # -- the syntax index -----------------------------------------------------
+
+    def syntax(self, name: str) -> FunctionSyntax:
+        """The syntax record of defined function ``name`` (built on first use)."""
+        record = self._syntax.get(name)
+        if record is None:
+            record = self._syntax[name] = index_function(self.functions[name])
+        return record
+
+    def syntax_of(self, func: ast.FuncDef) -> FunctionSyntax:
+        """``func``'s syntax record: the cached one when ``func`` is the linked
+        definition, otherwise (a clone being instrumented) a fresh index."""
+        if self.functions.get(func.name) is func:
+            return self.syntax(func.name)
+        return index_function(func)
+
+    def adopt_syntax(self, func: ast.FuncDef, record: FunctionSyntax) -> None:
+        """Install a record indexed from ``func`` by an earlier link of the
+        same, unmodified FuncDef (the incremental analyzer's reuse)."""
+        if self.functions.get(func.name) is func:
+            self._syntax[func.name] = record
+
+    def forget_syntax(self, func: ast.FuncDef) -> None:
+        """Drop ``func``'s record after its body was rewritten in place."""
+        if self.functions.get(func.name) is func:
+            self._syntax.pop(func.name, None)
 
     def function_type(self, name: str) -> CFunc | None:
         """The function type of ``name`` from its definition or prototype."""

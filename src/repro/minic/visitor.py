@@ -9,6 +9,11 @@ Two base classes are provided:
 
 Both walk child nodes automatically, so a concrete visitor only overrides the
 hooks it cares about.
+
+Every traversal here reads one table: the names of each node class's fields
+that can hold children (``_child_fields``), built once per class from
+``dataclasses.fields``: reflecting over a dataclass at every visited node
+would dominate the cost of an analysis run.
 """
 
 from __future__ import annotations
@@ -18,13 +23,32 @@ from typing import Any, Iterator
 
 from . import ast_nodes as ast
 
+#: Field annotations (as written in :mod:`ast_nodes`) that never hold a node
+#: or a list of nodes.  Any other field is read and type-tested per node.
+_LEAF_ANNOTATIONS = frozenset({
+    "str", "int", "bool", "SourceLocation", "CType", "Optional[CType]",
+    "AnnotationSet", "Optional[list[Optional[str]]]",
+})
+
+#: Node class -> names of the fields that can hold children, in field order.
+_CHILD_FIELDS: dict[type, tuple[str, ...]] = {}
+
+
+def _child_fields(cls: type) -> tuple[str, ...]:
+    """Names of ``cls``'s fields that can hold AST children (memoized)."""
+    names = _CHILD_FIELDS.get(cls)
+    if names is None:
+        names = (tuple(spec.name for spec in fields(cls)
+                       if spec.type not in _LEAF_ANNOTATIONS)
+                 if is_dataclass(cls) else ())
+        _CHILD_FIELDS[cls] = names
+    return names
+
 
 def iter_child_nodes(node: ast.Node) -> Iterator[ast.Node]:
     """Yield the direct AST-node children of ``node``."""
-    if not is_dataclass(node):
-        return
-    for spec in fields(node):
-        value = getattr(node, spec.name)
+    for name in _child_fields(type(node)):
+        value = getattr(node, name)
         if isinstance(value, ast.Node):
             yield value
         elif isinstance(value, list):
@@ -34,10 +58,31 @@ def iter_child_nodes(node: ast.Node) -> Iterator[ast.Node]:
 
 
 def walk(node: ast.Node) -> Iterator[ast.Node]:
-    """Yield ``node`` and all its descendants in pre-order."""
-    yield node
-    for child in iter_child_nodes(node):
-        yield from walk(child)
+    """Yield ``node`` and all its descendants in pre-order.
+
+    An explicit stack rather than recursive generators: each child is pushed
+    once, in reverse, so the first child is the next node yielded.  A node's
+    children are read when the walk resumes after yielding it.
+    """
+    Node = ast.Node
+    table = _CHILD_FIELDS
+    stack = [node]
+    pop = stack.pop
+    push = stack.append
+    while stack:
+        node = pop()
+        yield node
+        names = table.get(type(node))
+        if names is None:
+            names = _child_fields(type(node))
+        for name in reversed(names):
+            value = getattr(node, name)
+            if isinstance(value, Node):
+                push(value)
+            elif isinstance(value, list):
+                for item in reversed(value):
+                    if isinstance(item, Node):
+                        push(item)
 
 
 class Visitor:
@@ -66,12 +111,10 @@ class Transformer:
         return node
 
     def _transform_children(self, node: ast.Node) -> None:
-        if not is_dataclass(node):
-            return
-        for spec in fields(node):
-            value = getattr(node, spec.name)
+        for name in _child_fields(type(node)):
+            value = getattr(node, name)
             if isinstance(value, ast.Node):
-                setattr(node, spec.name, self.visit(value))
+                setattr(node, name, self.visit(value))
             elif isinstance(value, list):
                 new_items = []
                 for item in value:
@@ -83,7 +126,7 @@ class Transformer:
                             new_items.append(replacement)
                     else:
                         new_items.append(item)
-                setattr(node, spec.name, new_items)
+                setattr(node, name, new_items)
 
 
 def initializer_expressions(init: ast.Initializer) -> list[ast.Expr]:

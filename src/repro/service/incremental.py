@@ -47,7 +47,7 @@ import json
 import time
 from dataclasses import dataclass, field, replace
 
-from .. import __version__
+from .. import source_digest
 from ..analyses.errcheck import find_error_returning_functions
 from ..blockstop.blocking import derive_blocking
 from ..blockstop.callgraph import build_direct_callgraph
@@ -84,6 +84,7 @@ from ..minic.parser import Parser
 from ..minic.pretty import PrettyPrinter
 from ..minic.source import Preprocessor
 from ..minic.symtab import TypeRegistry
+from ..minic.syntax import FunctionSyntax
 from ..minic.visitor import walk
 
 
@@ -120,7 +121,7 @@ def _dirty_scc_payload(scc, graph, condensation, consts, clean, dirty):
 
 def _content_key(corpus_file: CorpusFile) -> str:
     digest = hashlib.sha256()
-    for part in (__version__, corpus_file.filename, corpus_file.source,
+    for part in (source_digest(), corpus_file.filename, corpus_file.source,
                  "1" if corpus_file.kernel else "0"):
         raw = part.encode()
         digest.update(f"{len(raw)}:".encode())
@@ -185,6 +186,29 @@ class _UnitRecord:
     decl_render: str = ""
 
 
+@dataclass(frozen=True)
+class _FunctionRecord:
+    """What one pass derived from a linked FuncDef, for the next pass.
+
+    A unit that is not re-parsed keeps its FuncDef objects, and no analysis
+    mutates the shared program, so the syntax record and both hashes carry
+    over as long as the same object is linked again.  ``annotation_count``
+    guards the one in-place change linking itself makes: merging a
+    prototype's annotations into the definition (which only ever adds).
+    """
+
+    func: ast.FuncDef
+    annotation_count: int
+    syntax: FunctionSyntax
+    sem_hash: str
+    loc_hash: str
+
+
+def _annotation_count(func: ast.FuncDef) -> int:
+    ftype = func.type.strip()
+    return len(func.annotations) + len(getattr(ftype, "annotations", ()))
+
+
 @dataclass
 class IncrementalStats:
     """What one incremental pass reused and what it had to redo."""
@@ -208,6 +232,9 @@ class IncrementalStats:
     store_hits: int = 0
     #: Artifacts written through to the persistent store this pass.
     store_writes: int = 0
+    #: Functions whose syntax record and hashes were rebuilt this pass
+    #: (the functions of re-parsed units; 0 on a no-op pass).
+    indexed_functions: int = 0
     elapsed_seconds: float = 0.0
 
     def to_dict(self) -> dict:
@@ -228,6 +255,7 @@ class IncrementalStats:
             "parallel_jobs": self.parallel_jobs,
             "store_hits": self.store_hits,
             "store_writes": self.store_writes,
+            "indexed_functions": self.indexed_functions,
             "elapsed_seconds": round(self.elapsed_seconds, 4),
         }
 
@@ -276,6 +304,8 @@ class IncrementalAnalyzer:
         self._scc_store: dict[str, dict] = {}
         #: shard key -> run_shard payload dict
         self._shard_store: dict[str, dict] = {}
+        #: id(FuncDef) -> what the last pass derived from that FuncDef.
+        self._function_records: dict[int, _FunctionRecord] = {}
         self.revision = 0
         self.last_stats: IncrementalStats | None = None
         #: The last pass's shared artifacts (the service's /summaries source).
@@ -597,7 +627,7 @@ class IncrementalAnalyzer:
 
     # -- fingerprints ---------------------------------------------------------
 
-    def _fingerprint(self, program: Program):
+    def _fingerprint(self, program: Program, stats: IncrementalStats):
         """Per-function body hashes plus the corpus-global fingerprint.
 
         ``sem_hashes`` are *semantic*: the macro-expanded, pretty-printed
@@ -606,6 +636,11 @@ class IncrementalAnalyzer:
         node's source position, because checker findings carry line
         numbers: an edit that only shifts a function down a line must
         invalidate its shard payloads without re-solving its summaries.
+
+        Both hashes and the function's syntax record carry over from the
+        last pass for every FuncDef object linked again (see
+        :class:`_FunctionRecord`), so only the functions of re-parsed units
+        are rendered and walked; ``stats.indexed_functions`` counts them.
 
         Building a :class:`TypeEnv` per function *first* is load-bearing:
         its construction canonically absorbs declarator-trailing Deputy
@@ -618,24 +653,40 @@ class IncrementalAnalyzer:
         sem_hashes: dict[str, str] = {}
         loc_hashes: dict[str, str] = {}
         type_envs: dict[str, TypeEnv] = {}
-        global_parts = [__version__, self.precision.name,
+        global_parts = [source_digest(), self.precision.name,
                         json.dumps(self.defines, sort_keys=True)]
+        carried = self._function_records
+        records: dict[int, _FunctionRecord] = {}
         for unit in program.units:
             global_parts.append(f"@{unit.filename}")
             for decl in unit.decls:
-                if isinstance(decl, ast.FuncDef):
+                if not isinstance(decl, ast.FuncDef):
+                    global_parts.append(printer.print_top_level(decl))
+                    continue
+                count = _annotation_count(decl)
+                record = carried.get(id(decl))
+                if (record is not None and record.func is decl
+                        and record.annotation_count == count):
+                    program.adopt_syntax(decl, record.syntax)
+                    type_envs[decl.name] = TypeEnv(program, decl)
+                else:
                     type_envs[decl.name] = TypeEnv(program, decl)
                     sem = _sha(printer.print_funcdef(decl))
-                    sem_hashes[decl.name] = sem
                     digest = hashlib.sha256(sem.encode())
                     for node in walk(decl):
                         location = getattr(node, "location", None)
                         if location is not None:
                             digest.update(
                                 f"{location.line}:{location.column};".encode())
-                    loc_hashes[decl.name] = digest.hexdigest()[:32]
-                else:
-                    global_parts.append(printer.print_top_level(decl))
+                    record = _FunctionRecord(
+                        func=decl, annotation_count=count,
+                        syntax=program.syntax_of(decl), sem_hash=sem,
+                        loc_hash=digest.hexdigest()[:32])
+                    stats.indexed_functions += 1
+                records[id(decl)] = record
+                sem_hashes[decl.name] = record.sem_hash
+                loc_hashes[decl.name] = record.loc_hash
+        self._function_records = records
         globals_fp = _sha("\x00".join(global_parts))
         return sem_hashes, loc_hashes, globals_fp, type_envs
 
@@ -668,7 +719,7 @@ class IncrementalAnalyzer:
                     stats.consts_reused += 1
                     stats.store_hits += 1
                 else:
-                    value = facts_of(func)
+                    value = facts_of(func, syntax=program.syntax(name))
                     stats.consts_solved += 1
                     disk_writes.append((disk_key, (value,)))
             consts[name] = value
@@ -868,7 +919,8 @@ class IncrementalAnalyzer:
         program, diagnostics = self._link()
         stats.parse_errors = len(diagnostics)
 
-        sem_hashes, loc_hashes, globals_fp, type_envs = self._fingerprint(program)
+        sem_hashes, loc_hashes, globals_fp, type_envs = self._fingerprint(
+            program, stats)
         graph, indirect_calls = build_direct_callgraph(program)
         pointsto_pass = FunctionPointerAnalysis(program, self.precision)
         pointsto_pass.collect()

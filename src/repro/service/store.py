@@ -10,15 +10,20 @@ same way.  This module spills those maps to a SQLite file so a restarted
 ~0 SCCs on an unchanged corpus instead of paying a full cold pass.
 
 Because the keys are fingerprints of everything the artifact depends on
-(including the analyzer version via the globals fingerprint), invalidation
-is free: a changed input simply produces a different key, and the stale
-row ages out through the LRU sweep.  A version mismatch purges the file
-outright, keeping it from accumulating unreachable rows across upgrades.
+(including the analysis code, via the package's source digest in the
+globals fingerprint), invalidation is free: a changed input simply produces
+a different key, and the stale row ages out through the LRU sweep.  A store
+written by different code (its ``version`` meta row holds that code's
+source digest) is purged outright when opened, keeping it from
+accumulating unreachable rows across upgrades.
 
 Values are pickled Python objects; a row that fails to unpickle is treated
-as a miss and deleted.  All access is serialized behind one lock — the
-analyzer's passes are already serialized behind the service reconcile
-lock, so contention is not a concern.
+as a miss and deleted.  A hit does not write: its key is queued and its LRU
+clock refreshed by the next batched :meth:`PersistentStore.touch` (or write,
+or close), so a warm restart costs one commit per phase instead of one per
+hit.  All access is serialized behind one lock — the analyzer's passes are
+already serialized behind the service reconcile lock, so contention is not
+a concern.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import time
 from pathlib import Path
 from typing import Any, Optional
 
-from .. import __version__
+from .. import source_digest
 
 _DB_NAME = "store.sqlite"
 
@@ -70,22 +75,25 @@ class PersistentStore:
         self.writes = 0
         self.evictions = 0
         self._lock = threading.Lock()
+        #: (space, key) of hits whose LRU clock is not yet refreshed.
+        self._queued_hits: list[tuple[str, str]] = []
         self._conn = sqlite3.connect(str(self.path), check_same_thread=False)
         with self._lock:
             self._conn.executescript(_SCHEMA)
+            version = source_digest()
             row = self._conn.execute(
                 "SELECT value FROM meta WHERE name = 'version'").fetchone()
-            if row is not None and row[0] != __version__:
+            if row is not None and row[0] != version:
                 self._conn.execute("DELETE FROM entries")
             self._conn.execute(
                 "INSERT OR REPLACE INTO meta (name, value) VALUES (?, ?)",
-                ("version", __version__))
+                ("version", version))
             self._conn.commit()
 
     # -- core operations ----------------------------------------------------
 
     def get(self, space: str, key: str) -> Any:
-        """The stored value, or ``None`` on miss (touches the LRU clock)."""
+        """The stored value, or ``None`` on miss (queues an LRU touch)."""
         with self._lock:
             row = self._conn.execute(
                 "SELECT value FROM entries WHERE space = ? AND key = ?",
@@ -102,10 +110,7 @@ class PersistentStore:
                 self._conn.commit()
                 self.misses += 1
                 return None
-            self._conn.execute(
-                "UPDATE entries SET atime = ? WHERE space = ? AND key = ?",
-                (time.time(), space, key))
-            self._conn.commit()
+            self._queued_hits.append((space, key))
             self.hits += 1
             return value
 
@@ -126,20 +131,30 @@ class PersistentStore:
                 "INSERT OR REPLACE INTO entries (space, key, value, size, atime)"
                 " VALUES (?, ?, ?, ?, ?)", rows)
             self.writes += len(rows)
+            # Queued hits are recent uses: refresh them before the sweep
+            # picks its victims by age.
+            self._touch_locked(now, ())
             self._evict_locked()
             self._conn.commit()
 
     def touch(self, space: str, keys) -> None:
-        """Refresh the LRU clock of entries served from the in-memory tier."""
+        """Refresh the LRU clock of entries served from the in-memory tier,
+        together with every hit :meth:`get` queued since the last refresh."""
         now = time.time()
-        rows = [(now, space, key) for key in keys]
-        if not rows:
-            return
         with self._lock:
+            if self._touch_locked(now, [(space, key) for key in keys]):
+                self._conn.commit()
+
+    def _touch_locked(self, now: float, entries) -> bool:
+        """One ``executemany`` over ``entries`` plus the queued hits."""
+        rows = [(now, space, key)
+                for space, key in (*self._queued_hits, *entries)]
+        self._queued_hits.clear()
+        if rows:
             self._conn.executemany(
                 "UPDATE entries SET atime = ? WHERE space = ? AND key = ?",
                 rows)
-            self._conn.commit()
+        return bool(rows)
 
     def contains(self, space: str, key: str) -> bool:
         with self._lock:
@@ -194,4 +209,6 @@ class PersistentStore:
 
     def close(self) -> None:
         with self._lock:
+            if self._touch_locked(time.time(), ()):
+                self._conn.commit()
             self._conn.close()

@@ -10,7 +10,9 @@ keeps concurrent ``POST /analyze`` bursts from stacking redundant passes.
 
 from __future__ import annotations
 
+import sys
 import threading
+import time
 
 import pytest
 
@@ -61,8 +63,6 @@ class TestPersistentStore:
         store.close()
 
     def test_touch_refreshes_lru_clock(self, tmp_path):
-        import time
-
         store = PersistentStore(tmp_path, max_mb=0.001)
         blob = "x" * 300
         store.put("scc", "keep", blob)
@@ -80,11 +80,83 @@ class TestPersistentStore:
         assert store.get("scc", "other") is None
         store.close()
 
+    def test_hits_refresh_lru_clock_in_one_batch(self, tmp_path):
+        store = PersistentStore(tmp_path)
+        store.put_many("scc", [("a", 1), ("b", 2)])
+
+        def atimes():
+            with store._lock:
+                return dict(store._conn.execute(
+                    "SELECT key, atime FROM entries").fetchall())
+
+        written = atimes()
+        time.sleep(0.02)
+        assert store.get("scc", "a") == 1
+        assert store.get("scc", "b") == 2
+        # A hit writes nothing by itself ...
+        assert atimes() == written
+        # ... the next batched touch refreshes every queued hit with it.
+        store.touch("consts", [])
+        refreshed = atimes()
+        assert all(refreshed[key] > written[key] for key in ("a", "b"))
+        store.close()
+
+    def test_concurrent_hits_and_touches_keep_counts(self, tmp_path):
+        store = PersistentStore(tmp_path)
+        store.put_many("scc", [(f"k{index}", index) for index in range(50)])
+        errors = []
+
+        def reader(offset):
+            try:
+                for step in range(200):
+                    index = (step + offset) % 50
+                    assert store.get("scc", f"k{index}") == index
+                    if step % 20 == 0:
+                        store.touch("consts", [])
+            except Exception as error:
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader, args=(offset,))
+                       for offset in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert store.hits == 800
+        store.touch("consts", [])
+        assert store._queued_hits == []
+        store.close()
+
+    def test_close_flushes_queued_hits(self, tmp_path):
+        store = PersistentStore(tmp_path)
+        store.put("scc", "a", 1)
+        with store._lock:
+            written = store._conn.execute(
+                "SELECT atime FROM entries").fetchone()[0]
+        time.sleep(0.02)
+        store.get("scc", "a")
+        store.close()
+        reopened = PersistentStore(tmp_path)
+        with reopened._lock:
+            assert reopened._conn.execute(
+                "SELECT atime FROM entries").fetchone()[0] > written
+        reopened.close()
+
     def test_version_mismatch_purges(self, tmp_path, monkeypatch):
+        # The version row holds the writing code's source digest: a store
+        # written by any other code is purged when opened.
         store = PersistentStore(tmp_path)
         store.put("consts", "k", "v")
         store.close()
-        monkeypatch.setattr("repro.service.store.__version__", "0.0.0-test")
+        monkeypatch.setattr("repro.service.store.source_digest",
+                            lambda: "0" * 32)
         purged = PersistentStore(tmp_path)
         assert purged.get("consts", "k") is None
         assert purged.entry_count() == 0
@@ -160,29 +232,65 @@ class TestWarmRestart:
 
 
 class TestReconcileCoalescing:
-    def test_burst_coalesces_onto_queued_pass(self):
+    def test_burst_coalesces_onto_queued_pass(self, monkeypatch):
         service = AnalysisService()
         service.request_reconcile()  # prime caches
         results = []
+
+        # Hold the burst's first pass in flight until the five other
+        # callers wait at the gate, however fast a pass is.
+        entered = threading.Event()
+        release = threading.Event()
+        analyze = service.analyzer.analyze
+
+        def held_analyze(*args, **kwargs):
+            if not entered.is_set():
+                entered.set()
+                assert release.wait(timeout=60)
+            return analyze(*args, **kwargs)
+
+        gate = service._gate
+        gate_wait = gate.wait
+        waiting = [0]
+
+        def counting_wait(timeout=None):
+            waiting[0] += 1  # runs with the gate's lock held
+            try:
+                return gate_wait(timeout)
+            finally:
+                waiting[0] -= 1
+
+        monkeypatch.setattr(service.analyzer, "analyze", held_analyze)
+        monkeypatch.setattr(gate, "wait", counting_wait)
 
         def call():
             snapshot, coalesced = service.request_reconcile()
             results.append((snapshot.revision, coalesced))
 
         threads = [threading.Thread(target=call) for _ in range(6)]
-        for thread in threads:
+        threads[0].start()
+        assert entered.wait(timeout=60)
+        for thread in threads[1:]:
             thread.start()
+        for _ in range(6000):
+            with gate:
+                if waiting[0] == 5:
+                    break
+            time.sleep(0.01)
+        with gate:
+            assert waiting[0] == 5
+        release.set()
         for thread in threads:
-            thread.join()
+            thread.join(timeout=120)
+            assert not thread.is_alive()
 
         assert len(results) == 6
         ran = [entry for entry in results if not entry[1]]
         coalesced = [entry for entry in results if entry[1]]
-        # At least one request ran a real pass; with six concurrent
-        # callers at most two passes ran (in-flight + queued) beyond the
-        # prime, so at least four coalesced.
-        assert 1 <= len(ran) <= 2
-        assert len(coalesced) >= 4
+        # Two passes ran beyond the prime (in-flight + queued); the other
+        # four callers coalesced onto the queued one.
+        assert len(ran) == 2
+        assert len(coalesced) == 4
         assert service.passes == 1 + len(ran)
         # Coalesced callers got the queued pass's published snapshot.
         latest = max(revision for revision, _ in results)
