@@ -11,10 +11,10 @@ per function:
 * recursive components (self loops, mutual recursion, cycles closed through
   a function pointer) iterate to a lattice fixpoint, with a divergence
   guard mirroring the intraprocedural solver's;
-* independent components of the same *wave* (equal dependency depth in the
-  condensation DAG) can be solved in parallel — the engine shards them
-  across its worker pool, and the merge is byte-identical with the serial
-  order because each component's result depends only on earlier waves.
+* a component can be solved as soon as its callee components are — the
+  engine's work-stealing executor schedules each one on that dependency
+  alone, and the merge is byte-identical with the serial wave order
+  because each component's result depends only on its callees.
 
 One SCC-ordered sweep with memoized summaries replaces re-running every
 checker to global convergence — few, cheap passes to the whole-program
@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from .summaries import (
     BOTTOM_SUMMARY,
@@ -309,17 +309,9 @@ def solve_summaries(
     graph: "CallGraph",
     condensation: Condensation | None = None,
     ctx: SummaryContext | None = None,
-    scc_runner: Callable | None = None,
     consts: dict | None = None,
 ) -> dict[str, FunctionSummary]:
     """Compute every function's summary, bottom-up over the condensation.
-
-    ``scc_runner(wave_sccs, ctx, graph, solved)`` may be supplied to solve
-    one wave's (mutually independent) components elsewhere — the engine
-    passes a pool-backed runner for ``--jobs N``.  It must return one
-    ``dict[str, FunctionSummary]`` per component, in wave order; the default
-    solves them inline.  Merging is order-independent because components of
-    a wave never overlap, so parallel and serial runs are identical.
 
     ``consts`` pre-seeds the context's per-function constant facts (the
     engine's keyed artifact); without it each function's facts are solved
@@ -330,11 +322,6 @@ def solve_summaries(
     ctx = ctx or build_context(program, graph, consts=consts)
     solved: dict[str, FunctionSummary] = {}
     for wave in condensation.waves:
-        wave_sccs = [condensation.sccs[index] for index in wave]
-        if scc_runner is not None and len(wave_sccs) > 1:
-            results = scc_runner(wave_sccs, ctx, graph, solved)
-        else:
-            results = [solve_scc(scc, ctx, graph, solved) for scc in wave_sccs]
-        for result in results:
-            solved.update(result)
+        for index in wave:
+            solved.update(solve_scc(condensation.sccs[index], ctx, graph, solved))
     return solved

@@ -3,8 +3,8 @@
 Public surface:
 
 * :class:`AnalysisEngine` — parses the corpus once, memoizes shared
-  artifacts, dispatches the registered analyses (serially or sharded by
-  translation unit over ``multiprocessing``);
+  artifacts, dispatches the registered analyses (serially, or sharded by
+  translation unit over one work-stealing worker pool);
 * :class:`ArtifactCache` / :class:`SharedArtifacts` — the content-keyed
   memo table and the artifact bundle every analysis consumes;
 * :class:`EngineReport` / :class:`AnalysisReport` — merged, serializable

@@ -258,25 +258,17 @@ def unit_function_map(program: Program) -> dict[str, list[str]]:
 
 def build_shared_artifacts(program: Program,
                            precision: Precision = Precision.TYPE_BASED,
-                           summary_solver=None,
-                           consts_solver=None,
                            phase_solver=None) -> SharedArtifacts:
     """Derive every shared artifact from an already parsed corpus.
 
-    ``summary_solver(program, graph, condensation, consts)`` and
-    ``consts_solver(program)`` may be supplied to compute the function
-    summaries / constant facts elsewhere — the engine passes cache-aware,
-    optionally pool-backed solvers; the defaults solve them inline.  The
-    constant facts are solved *first* and seeded into the summary
+    The constant facts are solved *first* and seeded into the summary
     computation so conditionally-dead effects never reach any summary.
-
-    ``phase_solver(program, graph, pointsto, condensation)`` replaces both:
-    it returns ``(consts, summaries)`` in one call, letting the engine's
-    work-stealing executor overlap the two phases over a single dependency
-    graph (per-TU constant facts feed exactly the SCCs whose members they
-    cover, so summary work starts before the last TU's facts are solved).
-    The condensation is built first either way — it depends only on the
-    resolved call graph.
+    ``phase_solver(program, graph, pointsto, condensation)`` may be
+    supplied to return ``(consts, summaries)`` from elsewhere — the engine
+    passes its cache-aware solver, which either solves them directly or
+    overlaps the two phases over one dependency graph on its work-stealing
+    executor; the default solves them inline.  The condensation is built
+    first either way — it depends only on the resolved call graph.
     """
     graph, indirect_calls = build_direct_callgraph(program)
     type_envs: dict[str, TypeEnv] = {}
@@ -289,16 +281,9 @@ def build_shared_artifacts(program: Program,
         consts, summaries = phase_solver(program, graph, pointsto,
                                          condensation)
     else:
-        if consts_solver is not None:
-            consts = consts_solver(program)
-        else:
-            consts = solve_program_facts(program)
-
-        if summary_solver is not None:
-            summaries = summary_solver(program, graph, condensation, consts)
-        else:
-            summaries = solve_summaries(program, graph, condensation,
-                                        consts=consts)
+        consts = solve_program_facts(program)
+        summaries = solve_summaries(program, graph, condensation,
+                                    consts=consts)
 
     blocking = derive_blocking(program, graph, summaries)
 

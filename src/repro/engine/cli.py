@@ -29,7 +29,7 @@ from ..kernel.corpus import ALL_FILES, KERNEL_FILES, CorpusFile
 from ..minic import ast_nodes as ast
 from ..minic.pretty import render_expression
 from .analyses import ANALYSIS_ORDER, blocking_witness, summary_payload
-from .core import SCHEDULER_MODES, AnalysisEngine, EngineReport
+from .core import AnalysisEngine, EngineReport
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -44,22 +44,12 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="comma-separated analyses, or 'all' (default). "
                           f"Known: {', '.join(ANALYSIS_ORDER)}")
     run.add_argument("--jobs", type=int, default=1,
-                     help="worker processes; >1 shards by translation unit, "
-                          "0 auto-detects the machine's CPU count "
-                          "(os.cpu_count())")
-    run.add_argument("--scheduler", default="work-steal",
-                     choices=SCHEDULER_MODES,
-                     help="parallel scheduling strategy: 'work-steal' "
-                          "(default) drives one persistent worker pool from "
-                          "a dependency-counted ready queue with no "
-                          "inter-wave barrier; 'wave' is the legacy "
-                          "Pool.map-per-wave barrier mode; 'inline' runs "
-                          "the work-steal task graph in-process (for "
-                          "debugging/determinism checks)")
-    run.add_argument("--chunk", type=int, default=None,
-                     help="max tasks per work-steal dispatch batch "
-                          "(default: the scheduler's MAX_CHUNK); recorded "
-                          "in --bench-json entries for tuning sweeps")
+                     help="worker processes; >1 parses in parallel and "
+                          "solves facts, summaries and checker shards on "
+                          "one work-stealing pool, both clamped to the "
+                          "usable CPUs (but at least 2); 0 means every CPU "
+                          "this process may run on; without fork the run "
+                          "is serial")
     run.add_argument("--cache-dir", default=None,
                      help="directory for the on-disk artifact cache")
     run.add_argument("--precision", default="type_based",
@@ -160,7 +150,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        choices=[p.name.lower() for p in Precision])
     serve.add_argument("--jobs", type=int, default=1,
                        help="worker processes for the dirty-SCC re-solve; "
-                            "0 auto-detects the machine's CPU count")
+                            "0 means every CPU this process may run on")
     serve.add_argument("--poll-seconds", type=float, default=0.5,
                        help="corpus poll interval")
     serve.add_argument("--store-dir", default=None,
@@ -199,8 +189,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except KeyError as error:
         print(f"error: {error.args[0]}", file=sys.stderr)
         return 2
-    report = engine.run(analyses=names, jobs=args.jobs,
-                        scheduler=args.scheduler, chunk=args.chunk)
+    report = engine.run(analyses=names, jobs=args.jobs)
     incremental = (_bench_incremental(files, precision)
                    if args.bench_incremental else None)
     if args.output:
@@ -305,8 +294,6 @@ def _append_bench_entry(path: str, report: EngineReport,
     if report.perf:
         entry["perf"] = report.perf
         scheduler = report.perf.get("scheduler", {})
-        if "max_chunk" in scheduler:
-            entry["chunk"] = scheduler["max_chunk"]
         if "worker_idle_ratio" in scheduler:
             entry["worker_idle_ratio"] = scheduler["worker_idle_ratio"]
     deputy = report.analyses.get("deputy")

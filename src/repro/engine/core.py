@@ -3,17 +3,20 @@
 :class:`AnalysisEngine` parses each corpus translation unit exactly once,
 derives the shared artifacts (AST, symbol tables, annotations, call graph,
 points-to solution) through the content-keyed :class:`ArtifactCache`, and
-dispatches every registered analysis over them — serially, or sharded by
-translation unit across a ``multiprocessing`` pool.  Per-analysis shard
-payloads are merged by the same code path in both modes, so parallel runs
-produce byte-identical reports.
+dispatches every registered analysis over them.  A run takes one of two
+paths, picked from what it can observe (:func:`worker_count`): direct
+serial calls when it resolves to one worker or the platform cannot
+``fork``; otherwise the speculative parallel parse, then one persistent
+:class:`WorkStealingExecutor` for the constant facts, the summaries and
+the checker shards, both on the same number of workers.  Both paths merge
+through the same code in the same order, so their reports are
+byte-identical.
 """
 
 from __future__ import annotations
 
 import copy
 import json
-import multiprocessing
 import time
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -38,7 +41,6 @@ from ..machine.program import Program
 from .analyses import (
     ANALYSIS_ORDER,
     AnalysisReport,
-    EngineAnalysis,
     diagnostics_report,
     finding_sort_key,
     make_registry,
@@ -50,7 +52,6 @@ from .artifacts import (
     unit_function_map,
 )
 from .scheduler import (
-    InlineExecutor,
     Task,
     WorkStealingExecutor,
     fork_available,
@@ -58,47 +59,23 @@ from .scheduler import (
     usable_cpus,
 )
 
-#: Scheduler modes accepted by :meth:`AnalysisEngine.run`.  ``work-steal``
-#: (the default) drives all phases through one persistent ready-queue
-#: executor; ``wave`` keeps the historical per-wave ``Pool.map`` barriers
-#: (the bench comparison baseline); ``inline`` runs the work-stealing task
-#: graph in-process (tests use it to scramble completion order).
-SCHEDULER_MODES = ("work-steal", "wave", "inline")
-
 #: Task tuple: (analysis name, shard index, function subset or None).
 _Task = tuple[str, int, "list[str] | None"]
 
-#: Worker state inherited through fork(); set only around a parallel run.
-_WORKER_CONTEXT: "tuple[SharedArtifacts, dict[str, EngineAnalysis]] | None" = None
 
-#: (context, graph) for summary-wave workers, inherited through fork().
-_SUMMARY_CONTEXT = None
+def worker_count(jobs: int) -> int:
+    """How many worker processes a run at ``jobs`` forks; 1 means serial.
 
-#: Program for constant-facts workers, inherited through fork().
-_CONSTS_CONTEXT = None
-
-
-def _run_shard_task(task: _Task) -> tuple[str, int, dict]:
-    """Execute one shard in a worker (or inline, for the serial path)."""
-    assert _WORKER_CONTEXT is not None, "worker context not initialised"
-    artifacts, registry = _WORKER_CONTEXT
-    name, index, functions = task
-    return name, index, registry[name].run_shard(artifacts, functions)
-
-
-def _solve_scc_task(task: "tuple[tuple[str, ...], dict]") -> dict:
-    """Solve one SCC in a worker; program/graph arrive via fork inheritance,
-    the (small) dependency summaries travel with the task."""
-    assert _SUMMARY_CONTEXT is not None, "summary context not initialised"
-    ctx, graph = _SUMMARY_CONTEXT
-    scc, solved = task
-    return solve_scc(scc, ctx, graph, solved)
-
-
-def _solve_consts_task(functions: "list[str]") -> dict:
-    """Solve one translation unit's condition facts in a worker."""
-    assert _CONSTS_CONTEXT is not None, "consts context not initialised"
-    return solve_program_facts(_CONSTS_CONTEXT, functions)
+    ``jobs=0`` resolves to every usable CPU.  Without ``fork`` there is no
+    pool at all.  Otherwise the pool is clamped to the affinity mask —
+    workers beyond it only add fork/IPC cost while time-slicing the same
+    cores — but an explicit ``jobs >= 2`` keeps a floor of two workers so
+    parallel behavior stays testable on any host.
+    """
+    jobs = resolve_jobs(jobs)
+    if jobs < 2 or not fork_available():
+        return 1
+    return min(jobs, max(2, usable_cpus()))
 
 
 def _make_steal_handler(program, graph, pointsto, precision, registry):
@@ -129,13 +106,6 @@ def _make_steal_handler(program, graph, pointsto, precision, registry):
             return solve_scc(scc, ctx, graph, needed)
         if kind == "shard":
             name, index, functions = payload
-            # Inline executors share the parent's memory: use the real
-            # artifacts (warm type envs and all) instead of assembling a
-            # worker-side view from broadcast pieces.
-            shared = state.get("shared_artifacts")
-            if shared is not None:
-                return name, index, registry[name].run_shard(shared,
-                                                             functions)
             data = state["artifacts"]
             artifacts = memo.get("artifacts")
             if artifacts is None or memo.get("artifacts_from") is not data:
@@ -197,6 +167,53 @@ def _scc_payload_fn(scc, graph, condensation, unit_of, cached_consts,
         return (scc, needed, member_facts)
 
     return payload_fn
+
+
+def summary_stats(artifacts: SharedArtifacts, summary_cache_hit: bool,
+                  consts_cache_hit: bool) -> dict:
+    """Condensation/summary metrics for the report (and the CI bench).
+
+    The batch engine and the incremental analyzer both build their
+    ``summary_stats`` here, each passing its own notion of whether the
+    summaries and the constant facts came from a cache.
+
+    The ``consts_*`` / ``intervals_*`` / ``octagons_*`` entries describe
+    the condition facts artifact (the consts×intervals×octagons product):
+    function coverage, how many functions each component pruned, and the
+    per-component infeasible-edge counts — each pruned edge is attributed
+    to exactly one component (the constant lattice first, then intervals,
+    then octagons for edges only the relational domain proves dead), so the
+    three edge counters sum to the total.  All pure functions of the
+    sources, so serial and parallel reports agree byte-for-byte (the
+    wall-clock solve time lives in ``cache_stats``, which report
+    comparisons already normalize away).
+    """
+    condensation = artifacts.condensation
+    solved = [fc for fc in artifacts.consts.values() if fc is not None]
+    interval_edges = sum(len(fc.interval_pruned) for fc in solved)
+    octagon_edges = sum(len(fc.octagon_pruned) for fc in solved)
+    return {
+        "functions": len(artifacts.summaries),
+        "sccs": len(condensation.sccs),
+        "waves": len(condensation.waves),
+        "largest_wave": max((len(w) for w in condensation.waves), default=0),
+        "recursive_functions": len(condensation.recursive_functions()),
+        "cache_hit": summary_cache_hit,
+        "consts_functions": len(solved),
+        "consts_pruned_functions": sum(
+            1 for fc in solved
+            if len(fc.infeasible) > len(fc.interval_pruned)
+            + len(fc.octagon_pruned)),
+        "consts_infeasible_edges": (sum(len(fc.infeasible) for fc in solved)
+                                    - interval_edges - octagon_edges),
+        "consts_cache_hit": consts_cache_hit,
+        "intervals_pruned_functions": sum(
+            1 for fc in solved if fc.interval_pruned),
+        "intervals_infeasible_edges": interval_edges,
+        "octagons_pruned_functions": sum(
+            1 for fc in solved if fc.octagon_pruned),
+        "octagons_infeasible_edges": octagon_edges,
+    }
 
 
 @dataclass
@@ -371,22 +388,16 @@ class AnalysisEngine:
         #: (0.0 on a cache hit; excluded from deterministic report fields).
         self._consts_cache_hit: bool | None = None
         self._consts_solve_seconds: float = 0.0
-        #: The run's persistent executor (work-steal/inline modes).  Created
-        #: by the first phase that schedules work, reused by every later
-        #: phase of the same run, closed when the run finishes.
+        #: The run's persistent executor (parallel runs only).  Created by
+        #: the first phase that schedules work, reused by every later phase
+        #: of the same run, closed when the run finishes.
         self._executor = None
-        #: Test hook: ready-queue pick function for the inline executor
-        #: (scrambles completion order to prove determinism).
-        self._inline_pick = None
         #: Stats from the last parallel parse (None when the serial parser
         #: built the program), and the constant facts its workers solved
         #: speculatively while parsing — exact ``facts_of`` results for
         #: functions of adopted TUs, so the consts phase skips them.
         self._parse_stats = None
         self._speculative_facts: dict = {}
-        #: Dispatch chunk override for the work-stealing executor
-        #: (``--chunk``); None keeps the scheduler default.
-        self._chunk: int | None = None
 
     # -- shared artifacts ---------------------------------------------------
 
@@ -395,23 +406,22 @@ class AnalysisEngine:
         return self.cache.content_key(kind, files=self.files,
                                       defines=self.defines)
 
-    def program(self, jobs: int = 1,
-                parse_mode: str | None = None) -> Program:
+    def program(self, jobs: int = 1) -> Program:
         """The parsed, linked corpus — built at most once per content key.
 
-        With ``jobs > 1`` (or an explicit ``parse_mode``) the build runs the
-        two-pass speculative parallel parser instead of the serial
-        front-end; the replay pass makes the result byte-identical either
-        way, so both paths share one cache key.
+        With ``jobs > 1`` the build runs the two-pass speculative parallel
+        parser on up to that many workers instead of the serial front-end;
+        the replay pass makes the result byte-identical either way, so both
+        paths share one cache key.
         """
         if self.tolerant:
-            return self._tolerant_parse(jobs, parse_mode)[0]
+            return self._tolerant_parse(jobs)[0]
 
         def build() -> Program:
-            if jobs > 1 or parse_mode is not None:
+            if jobs > 1:
                 from ..kernel.parallel import parse_corpus_parallel
-                result = parse_corpus_parallel(
-                    self.files, self.defines, jobs=jobs, mode=parse_mode)
+                result = parse_corpus_parallel(self.files, self.defines,
+                                               jobs=jobs)
                 self._parse_stats = result.stats
                 self._speculative_facts = dict(result.facts)
                 return result.program
@@ -419,14 +429,13 @@ class AnalysisEngine:
 
         return self.cache.get_or_build(self.program_key(), build)
 
-    def _tolerant_parse(self, jobs: int = 1, parse_mode: str | None = None
+    def _tolerant_parse(self, jobs: int = 1
                         ) -> "tuple[Program, tuple[ParseDiagnostic, ...]]":
         def build():
-            if jobs > 1 or parse_mode is not None:
+            if jobs > 1:
                 from ..kernel.parallel import parse_corpus_parallel
                 result = parse_corpus_parallel(
-                    self.files, self.defines, jobs=jobs, tolerant=True,
-                    mode=parse_mode)
+                    self.files, self.defines, jobs=jobs, tolerant=True)
                 self._parse_stats = result.stats
                 self._speculative_facts = dict(result.facts)
                 return (result.program, result.diagnostics)
@@ -466,147 +475,28 @@ class AnalysisEngine:
         """A ``program_factory`` for the hbench/boot path (see above)."""
         return self.fresh_kernel_program
 
-    def artifacts(self, jobs: int = 1,
-                  scheduler: str = "wave") -> SharedArtifacts:
+    def artifacts(self, jobs: int = 1) -> SharedArtifacts:
         """Shared artifacts for the configured precision (memory-cached).
 
-        In ``wave`` mode with ``jobs > 1`` the interprocedural summary
-        computation is scheduled in SCC waves across a fork pool —
-        components of the same wave are mutually independent, so the merged
-        result is byte-identical with the serial bottom-up order by
-        construction.  In ``work-steal``/``inline`` mode the constant-facts
-        and summary phases are instead solved over one dependency-counted
-        task graph on the run's persistent executor (see
-        :meth:`_phase_solver`); the merge replays serial order either way.
+        The constant facts and summaries come from :meth:`_phase_solver`:
+        solved directly when ``jobs`` is 1, or over one dependency-counted
+        task graph on a ``jobs``-worker executor otherwise.  The merge
+        replays serial order either way.
         """
         key = self.cache.content_key(
             "artifacts", files=self.files, defines=self.defines,
             extra={"precision": self.precision.name})
-        if scheduler in ("work-steal", "inline"):
-            return self.cache.get_or_build(
-                key,
-                lambda: build_shared_artifacts(
-                    self.program(), self.precision,
-                    phase_solver=lambda program, graph, pointsto, condensation:
-                    self._phase_solver(program, graph, pointsto, condensation,
-                                       jobs, scheduler)),
-                persist=False)
         return self.cache.get_or_build(
             key,
             lambda: build_shared_artifacts(
                 self.program(), self.precision,
-                summary_solver=lambda program, graph, condensation, consts:
-                self._solve_summaries(program, graph, condensation, jobs,
-                                      consts),
-                consts_solver=lambda program:
-                self._solve_consts(program, jobs)),
+                phase_solver=lambda program, graph, pointsto, condensation:
+                self._phase_solver(program, graph, pointsto, condensation,
+                                   jobs)),
             persist=False)
 
-    def _solve_consts(self, program, jobs: int):
-        """The cache-aware condition-facts solver injected into the build.
-
-        The artifact depends only on the parsed sources (files + defines +
-        package version) and the abstract-domain set, not on points-to
-        precision, so engines at different precisions share one entry —
-        while flipping the domain product (the ``domains`` salt) invalidates
-        persisted facts instead of misreading them.  Functions are
-        independent, so ``--jobs N`` shards the solve by translation unit
-        over the fork pool; the merge re-orders results into program
-        function order, making serial and parallel artifacts byte-identical.
-        """
-        key = self.cache.content_key(
-            "consts", files=self.files, defines=self.defines,
-            extra={"domains": domain_fingerprint(DEFAULT_DOMAINS)})
-        self._consts_cache_hit = self.cache.contains(key)
-
-        def build():
-            start = time.perf_counter()
-            value = self._compute_consts(program, jobs)
-            self._consts_solve_seconds = time.perf_counter() - start
-            return value
-
-        return self.cache.get_or_build(key, build)
-
-    def _compute_consts(self, program, jobs: int):
-        global _CONSTS_CONTEXT
-        unit_map = [functions for functions
-                    in unit_function_map(program).values() if functions]
-        use_parallel = (jobs > 1 and len(unit_map) > 1
-                        and "fork" in multiprocessing.get_all_start_methods())
-        if not use_parallel:
-            return solve_program_facts(program)
-        _CONSTS_CONTEXT = program
-        try:
-            context = multiprocessing.get_context("fork")
-            with context.Pool(processes=jobs) as pool:
-                shards = pool.map(_solve_consts_task, unit_map)
-        finally:
-            _CONSTS_CONTEXT = None
-        merged: dict = {}
-        for shard in shards:
-            merged.update(shard)
-        # Deterministic ordering: program definition order, as serial does.
-        return {name: merged[name] for name, _ in program.functions_subset(None)
-                if name in merged}
-
-    def _solve_summaries(self, program, graph, condensation, jobs: int,
-                         consts=None):
-        """The cache-aware summary solver injected into the artifact build.
-
-        The cache key mixes in the call-graph fingerprint — any change to
-        the corpus or to the points-to resolution produces a different graph
-        hash and invalidates persisted summaries; the summaries themselves
-        are small, picklable records, so they round-trip through the
-        on-disk layer (``--cache-dir``) across processes.  ``consts`` (the
-        engine's constant-facts artifact) seeds the computation so summaries
-        are taken over the pruned CFGs; the sources determine both artifacts,
-        so the shared files+defines key components keep them in lockstep.
-        """
-        key = self.cache.content_key(
-            "summaries", files=self.files, defines=self.defines,
-            extra={"precision": self.precision.name,
-                   "callgraph": callgraph_fingerprint(graph)})
-        self._summary_cache_hit = self.cache.contains(key)
-        return self.cache.get_or_build(
-            key, lambda: self._compute_summaries(program, graph,
-                                                 condensation, jobs, consts))
-
-    def _compute_summaries(self, program, graph, condensation, jobs: int,
-                           consts=None):
-        global _SUMMARY_CONTEXT
-        ctx = build_context(program, graph, consts=consts)
-        use_parallel = (jobs > 1
-                        and "fork" in multiprocessing.get_all_start_methods())
-        if not use_parallel:
-            return solve_summaries(program, graph, condensation, ctx)
-        _SUMMARY_CONTEXT = (ctx, graph)
-        try:
-            context = multiprocessing.get_context("fork")
-            with context.Pool(processes=jobs) as pool:
-                def scc_runner(wave_sccs, _ctx, _graph, solved):
-                    # Each task carries only the summaries its component can
-                    # actually look up (its members' out-of-SCC callees),
-                    # not the whole solved dict — keeping the per-task
-                    # pickle payload constant-size as the corpus grows.
-                    tasks = []
-                    for scc in wave_sccs:
-                        members = set(scc)
-                        needed = {}
-                        for name in scc:
-                            for callee in graph.edges.get(name, ()):
-                                if callee not in members and callee in solved:
-                                    needed[callee] = solved[callee]
-                        tasks.append((scc, needed))
-                    return pool.map(_solve_scc_task, tasks)
-
-                return solve_summaries(program, graph, condensation, ctx,
-                                       scc_runner=scc_runner)
-        finally:
-            _SUMMARY_CONTEXT = None
-
-    def _ensure_executor(self, program, graph, pointsto, jobs: int,
-                         scheduler: str):
-        """The run's persistent executor, forked on first use.
+    def _ensure_executor(self, program, graph, pointsto, jobs: int):
+        """The run's persistent ``jobs``-worker executor, forked on first use.
 
         Workers fork *after* points-to resolution (``resolve`` mutates the
         call graph in place), so the handler's inherited view of the graph
@@ -615,26 +505,7 @@ class AnalysisEngine:
         if self._executor is None:
             handler = _make_steal_handler(program, graph, pointsto,
                                           self.precision, self.registry)
-            # Forking more workers than cores only adds fork/IPC cost while
-            # time-slicing the same CPUs — clamp the pool to the affinity
-            # mask.  An explicit --jobs >= 2 still gets a real pool (the
-            # floor of 2) so parallel behavior stays testable everywhere.
-            effective = min(jobs, max(2, usable_cpus()))
-            if (scheduler == "inline" or effective < 2
-                    or not fork_available()):
-                self._executor = InlineExecutor(handler,
-                                                pick=self._inline_pick)
-                if self._chunk is not None:
-                    # Inline dispatch is one-at-a-time, but the stats still
-                    # record the requested cap so bench entries compare
-                    # like-for-like across hosts.
-                    self._executor.stats.max_chunk = self._chunk
-            else:
-                self._executor = WorkStealingExecutor(effective, handler,
-                                                      chunk=self._chunk)
-            # Schedule replays compare barrier vs queue at the width the
-            # user asked for, even when the host clamped the real pool.
-            self._executor.stats.sim_jobs = jobs
+            self._executor = WorkStealingExecutor(jobs, handler)
         return self._executor
 
     def _close_executor(self) -> None:
@@ -643,22 +514,31 @@ class AnalysisEngine:
             self._executor = None
 
     def _phase_solver(self, program, graph, pointsto, condensation,
-                      jobs: int, scheduler: str):
-        """Solve constant facts and summaries as one overlapped task graph.
+                      jobs: int):
+        """Solve (or load) the constant facts and the summaries.
 
-        Per-TU consts tasks have no dependencies; each SCC task depends on
-        the consts tasks covering its member functions plus its callee SCC
-        tasks — so summary work starts as soon as *its* TUs' facts exist,
-        while other TUs are still being solved, with no phase barrier in
-        between.  Dependency summaries and member facts are late-bound into
-        each task's payload at dispatch, keeping per-task pickle size
-        proportional to the component, not the program.
+        Both artifacts are cached under keys computed here and nowhere
+        else.  The consts key covers the parsed sources and the
+        abstract-domain set, not points-to precision, so engines at
+        different precisions share one entry, while flipping the domain
+        product invalidates persisted facts instead of misreading them.
+        The summaries key mixes in the call-graph fingerprint, so any change
+        to the corpus or to the points-to resolution invalidates persisted
+        summaries.  A warm run loads both without solving anything.
 
-        Both artifacts keep their existing cache keys: a warm run loads
-        them here without scheduling anything, and serial/wave runs share
-        the entries.  Merging replays the serial order (program order for
-        consts, wave order for summaries), so the artifacts are
-        byte-identical with the serial path no matter when tasks finished.
+        With ``jobs`` at 1 the two are solved by direct calls, the facts
+        seeding the summaries so they are taken over the pruned CFGs.
+        Otherwise they form one overlapped task graph on the run's
+        executor: per-TU consts tasks have no dependencies, and each SCC
+        task depends on the consts tasks covering its members plus its
+        callee SCC tasks, so summary work starts as soon as *its* TUs'
+        facts exist, with no phase barrier in between.  Dependency
+        summaries and member facts are late-bound into each task's payload
+        at dispatch, keeping per-task pickle size proportional to the
+        component, not the program.  Merging replays the serial order
+        (program order for consts, wave order for summaries), so the
+        artifacts are byte-identical with the serial path no matter when
+        tasks finished.
         """
         consts_key = self.cache.content_key(
             "consts", files=self.files, defines=self.defines,
@@ -671,13 +551,27 @@ class AnalysisEngine:
         summaries_hit = self.cache.contains(summaries_key)
         self._consts_cache_hit = consts_hit
         self._summary_cache_hit = summaries_hit
+
+        if jobs < 2:
+            def solve_consts():
+                started = time.perf_counter()
+                value = solve_program_facts(program)
+                self._consts_solve_seconds = time.perf_counter() - started
+                return value
+
+            consts = self.cache.get_or_build(consts_key, solve_consts)
+            summaries = self.cache.get_or_build(
+                summaries_key,
+                lambda: solve_summaries(program, graph, condensation,
+                                        consts=consts))
+            return consts, summaries
+
         cached_consts = (self.cache.get_or_build(consts_key, dict)
                          if consts_hit else None)
         if consts_hit and summaries_hit:
             return cached_consts, self.cache.get_or_build(summaries_key, dict)
 
-        executor = self._ensure_executor(program, graph, pointsto, jobs,
-                                         scheduler)
+        executor = self._ensure_executor(program, graph, pointsto, jobs)
         unit_map = {filename: functions for filename, functions
                     in unit_function_map(program).items() if functions}
         unit_of = {name: filename for filename, functions in unit_map.items()
@@ -699,11 +593,8 @@ class AnalysisEngine:
                     solved_units.add(filename)
                     continue
                 tasks.append(Task(id=f"consts:{filename}", kind="consts",
-                                  payload=missing, wave=-1))
+                                  payload=missing))
         if not summaries_hit:
-            wave_of = {index: wave_index
-                       for wave_index, wave in enumerate(condensation.waves)
-                       for index in wave}
             for index, scc in enumerate(condensation.sccs):
                 deps: list[str] = []
                 if not consts_hit:
@@ -717,8 +608,7 @@ class AnalysisEngine:
                     id=f"scc:{index}", kind="scc", deps=tuple(deps),
                     payload_fn=_scc_payload_fn(scc, graph, condensation,
                                                unit_of, cached_consts,
-                                               spec_facts or None),
-                    wave=wave_of.get(index, 0)))
+                                               spec_facts or None)))
 
         results = executor.run(tasks)
 
@@ -746,51 +636,6 @@ class AnalysisEngine:
                     solved.update(results[f"scc:{index}"])
             summaries = self.cache.get_or_build(summaries_key, lambda: solved)
         return consts, summaries
-
-    def summary_stats(self, artifacts: SharedArtifacts) -> dict:
-        """Condensation/summary metrics for the report (and the CI bench).
-
-        The ``consts_*`` / ``intervals_*`` / ``octagons_*`` entries describe
-        the condition facts artifact (the consts×intervals×octagons
-        product): function coverage, how many functions each component
-        pruned, and the per-component infeasible-edge counts — each pruned
-        edge is attributed to exactly one component (the constant lattice
-        first, then intervals, then octagons for edges only the relational
-        domain proves dead), so the three edge counters sum to the total.
-        All pure functions of the sources, so serial and parallel reports
-        agree byte-for-byte (the wall-clock solve time lives in
-        ``cache_stats``, which report comparisons already normalize away).
-        """
-        condensation = artifacts.condensation
-        solved = [fc for fc in artifacts.consts.values() if fc is not None]
-        interval_edges = sum(len(fc.interval_pruned) for fc in solved)
-        octagon_edges = sum(len(fc.octagon_pruned) for fc in solved)
-        return {
-            "functions": len(artifacts.summaries),
-            "sccs": len(condensation.sccs),
-            "waves": len(condensation.waves),
-            "largest_wave": max((len(w) for w in condensation.waves),
-                                default=0),
-            "recursive_functions": len(condensation.recursive_functions()),
-            "cache_hit": (True if self._summary_cache_hit is None
-                          else self._summary_cache_hit),
-            "consts_functions": len(solved),
-            "consts_pruned_functions": sum(
-                1 for fc in solved
-                if len(fc.infeasible) > len(fc.interval_pruned)
-                + len(fc.octagon_pruned)),
-            "consts_infeasible_edges": (sum(len(fc.infeasible)
-                                            for fc in solved)
-                                        - interval_edges - octagon_edges),
-            "consts_cache_hit": (True if self._consts_cache_hit is None
-                                 else self._consts_cache_hit),
-            "intervals_pruned_functions": sum(
-                1 for fc in solved if fc.interval_pruned),
-            "intervals_infeasible_edges": interval_edges,
-            "octagons_pruned_functions": sum(
-                1 for fc in solved if fc.octagon_pruned),
-            "octagons_infeasible_edges": octagon_edges,
-        }
 
     # -- running ------------------------------------------------------------
 
@@ -829,7 +674,7 @@ class AnalysisEngine:
         return tasks
 
     def _run_shards_steal(self, artifacts: SharedArtifacts,
-                          tasks: "list[_Task]", jobs: int, scheduler: str):
+                          tasks: "list[_Task]", jobs: int) -> list:
         """Run the checker shards on the run's persistent executor.
 
         The merged artifacts are broadcast once per worker (inbox FIFO
@@ -839,20 +684,16 @@ class AnalysisEngine:
         pool instead of serializing behind it.
         """
         executor = self._ensure_executor(artifacts.program, artifacts.graph,
-                                         artifacts.pointsto, jobs, scheduler)
-        if executor.parallel:
-            executor.broadcast("artifacts", {
-                "consts": artifacts.consts,
-                "condensation": artifacts.condensation,
-                "summaries": artifacts.summaries,
-                "blocking": artifacts.blocking,
-                "irq_handlers": artifacts.irq_handlers,
-                "error_returning": artifacts.error_returning,
-                "annotations": artifacts.annotations,
-            })
-        else:
-            executor.broadcast("shared_artifacts", artifacts)
-        shard_wave = len(artifacts.condensation.waves) + 1
+                                         artifacts.pointsto, jobs)
+        executor.broadcast("artifacts", {
+            "consts": artifacts.consts,
+            "condensation": artifacts.condensation,
+            "summaries": artifacts.summaries,
+            "blocking": artifacts.blocking,
+            "irq_handlers": artifacts.irq_handlers,
+            "error_returning": artifacts.error_returning,
+            "annotations": artifacts.annotations,
+        })
         steal_tasks: list[Task] = []
         parent_tasks = []
         for name, index, functions in tasks:
@@ -865,36 +706,18 @@ class AnalysisEngine:
                       self.registry[name].run_shard(artifacts, None))))
             else:
                 steal_tasks.append(Task(id=task_id, kind="shard",
-                                        payload=(name, index, functions),
-                                        wave=shard_wave))
-        results = executor.run(steal_tasks, parent_tasks)
-        return list(results.values()), executor.parallel
-
-    def _run_shards_pool(self, artifacts: SharedArtifacts,
-                         tasks: "list[_Task]", jobs: int):
-        """The historical shard phase: one ``Pool.map`` over all shards."""
-        global _WORKER_CONTEXT
-        use_parallel = jobs > 1 and len(tasks) > 1 and fork_available()
-        _WORKER_CONTEXT = (artifacts, self.registry)
-        try:
-            if use_parallel:
-                context = multiprocessing.get_context("fork")
-                with context.Pool(processes=jobs) as pool:
-                    results = pool.map(_run_shard_task, tasks)
-            else:
-                results = [_run_shard_task(task) for task in tasks]
-        finally:
-            _WORKER_CONTEXT = None
-        return results, use_parallel
+                                        payload=(name, index, functions)))
+        return list(executor.run(steal_tasks, parent_tasks).values())
 
     @staticmethod
-    def _perf_payload(mode: str, phases: dict, executor) -> dict:
+    def _perf_payload(phases: dict, executor) -> dict:
         """The report's timing/scheduler block (normalized out of identity
         comparisons alongside ``cache_stats``)."""
         payload = {"phases": {key: round(value, 4)
                               for key, value in phases.items()}}
-        scheduler_stats = {"mode": mode}
+        scheduler_stats = {"mode": "serial"}
         if executor is not None:
+            scheduler_stats["mode"] = "work-steal"
             scheduler_stats.update(executor.stats.to_dict())
             busy = {"consts": 0.0, "scc": 0.0, "shard": 0.0}
             for task_id, seconds in executor.stats.task_busy.items():
@@ -907,53 +730,38 @@ class AnalysisEngine:
         return payload
 
     def run(self, analyses: Iterable[str] | str | None = None,
-            jobs: int = 1, scheduler: str = "work-steal",
-            chunk: int | None = None) -> EngineReport:
+            jobs: int = 1) -> EngineReport:
         """Run the selected analyses over the corpus and merge their reports.
 
-        ``jobs=0`` auto-detects ``os.cpu_count()``.  ``scheduler`` selects
-        how parallel work is driven: ``work-steal`` (default) runs consts,
-        summaries and checker shards over one persistent dependency-counted
-        executor with no phase barriers; ``wave`` keeps the historical
-        per-wave pools; ``inline`` exercises the work-steal task graph
-        in-process.  Serial runs (``jobs=1``) bypass the executor entirely.
-        ``chunk`` caps the executor's dispatch batch (``--chunk``).  All
-        modes produce byte-identical reports.
-
-        Parallel runs also parse in parallel: the two-pass speculative
-        front-end hands adopted TUs' speculative constant facts straight to
-        the consts phase, so per-TU solving effectively starts before the
-        last TU finishes parsing.
+        The path is picked from what the run can observe, once, by
+        :func:`worker_count`: ``jobs=0`` means every usable CPU; one worker,
+        or a platform without ``fork``, means direct serial calls; anything
+        else means ``min(jobs, max(2, usable CPUs))`` workers on one
+        persistent work-stealing executor that solves consts, summaries and
+        checker shards with no phase barriers.  Parallel runs also parse in
+        parallel, on the same number of workers: the two-pass speculative
+        front-end hands adopted TUs' constant facts straight to the consts
+        phase.  Every path produces a byte-identical report.
         """
-        if scheduler not in SCHEDULER_MODES:
-            raise ValueError(f"unknown scheduler {scheduler!r} "
-                             f"(known: {', '.join(SCHEDULER_MODES)})")
-        jobs = resolve_jobs(jobs)
-        self._chunk = chunk
+        workers = worker_count(jobs)
         start = time.perf_counter()
         phases: dict[str, float] = {}
         names = self.resolve_analyses(analyses)
-        use_steal = (scheduler == "inline"
-                     or (scheduler == "work-steal" and jobs > 1
-                         and fork_available()))
         try:
             step = time.perf_counter()
-            self.program(jobs=jobs if use_steal else 1,
-                         parse_mode=("inline" if scheduler == "inline"
-                                     else None))
+            self.program(jobs=workers)
             phases["parse"] = time.perf_counter() - step
             step = time.perf_counter()
-            artifacts = self.artifacts(
-                jobs=jobs, scheduler=(scheduler if use_steal else "wave"))
+            artifacts = self.artifacts(jobs=workers)
             phases["artifacts"] = time.perf_counter() - step
             tasks = self._build_tasks(names, artifacts)
             step = time.perf_counter()
-            if use_steal:
-                results, use_parallel = self._run_shards_steal(
-                    artifacts, tasks, jobs, scheduler)
+            if workers > 1:
+                results = self._run_shards_steal(artifacts, tasks, workers)
             else:
-                results, use_parallel = self._run_shards_pool(
-                    artifacts, tasks, jobs)
+                results = [(name, index,
+                            self.registry[name].run_shard(artifacts, functions))
+                           for name, index, functions in tasks]
             phases["checkers"] = time.perf_counter() - step
         finally:
             executor = self._executor
@@ -963,11 +771,12 @@ class AnalysisEngine:
         for name, index, payload in results:
             shards[name].append((index, payload))
 
+        parallel = executor is not None and executor.parallel
         report = EngineReport(
             corpus_files=[f.filename for f in self.files],
             precision=self.precision.name.lower(),
-            jobs=jobs if use_parallel else 1,
-            parallel=use_parallel,
+            jobs=workers if parallel else 1,
+            parallel=parallel,
         )
         for name in names:
             payloads = [payload for _, payload in sorted(shards[name])]
@@ -982,10 +791,10 @@ class AnalysisEngine:
                               "evictions": self.cache.evictions,
                               "const_solve_ms": round(
                                   self._consts_solve_seconds * 1000, 3)}
-        report.summary_stats = self.summary_stats(artifacts)
-        mode = ("serial" if not use_parallel and not use_steal
-                else scheduler if use_steal else "wave")
-        report.perf = self._perf_payload(mode, phases, executor)
+        report.summary_stats = summary_stats(
+            artifacts, summary_cache_hit=self._summary_cache_hit is not False,
+            consts_cache_hit=self._consts_cache_hit is not False)
+        report.perf = self._perf_payload(phases, executor)
         if self._parse_stats is not None:
             report.perf["parse"] = self._parse_stats.to_dict()
         return report

@@ -1,10 +1,7 @@
 """Dependency-counted work-stealing task scheduler for the engine.
 
-The wave-barrier scheduler (PR 3) solved each dependency *wave* of the SCC
-condensation with one ``Pool.map`` and waited for the whole wave before
-starting the next — a single straggler left every other worker idle, and
-each phase (constant facts, summaries, checker shards) forked its own pool.
-This module replaces that with a ready-queue executor:
+A parallel engine run drives every phase (constant facts, summaries,
+checker shards) through one ready-queue executor:
 
 * the engine submits one :class:`Task` per unit of work with its explicit
   dependency edges (``deps``).  Each task carries a pending-dependency
@@ -14,8 +11,8 @@ This module replaces that with a ready-queue executor:
 * one pool of forked workers persists across *all* phases of a run.  Each
   worker owns an inbox queue and pulls continuously; the parent assigns
   ready tasks to idle workers the moment either appears, and batches large
-  ready backlogs into chunks so per-task dispatch overhead stays amortized
-  (the same trick ``Pool.map``'s chunksize plays, without the barrier);
+  ready backlogs into chunks of at most :data:`MAX_CHUNK` so per-task
+  dispatch overhead stays amortized;
 * ``broadcast()`` pushes a (tag, value) pair into every worker's inbox —
   inbox FIFO order guarantees a worker sees the broadcast before any task
   dispatched after it, which is how the checker-shard phase ships the
@@ -55,9 +52,9 @@ _POLL_SECONDS = 10.0
 
 
 def resolve_jobs(jobs: int) -> int:
-    """``--jobs 0`` means "use every core": resolve it to ``os.cpu_count()``."""
+    """``--jobs 0`` means "use every core": resolve it to :func:`usable_cpus`."""
     if jobs == 0:
-        return os.cpu_count() or 1
+        return usable_cpus()
     return max(1, jobs)
 
 
@@ -65,9 +62,9 @@ def usable_cpus() -> int:
     """CPUs this process may actually run on (affinity-aware).
 
     Worker processes beyond this add fork, copy-on-write and IPC cost while
-    time-slicing the same cores — the engine clamps its pool size here, so
-    ``--jobs 4`` on a 1-core container degrades to the inline executor
-    instead of paying four-way oversubscription for nothing.
+    time-slicing the same cores — the engine clamps its pool size here (to
+    no fewer than two workers), so ``--jobs 8`` on a 2-core host forks two
+    workers instead of paying four-way oversubscription for nothing.
     """
     try:
         return len(os.sched_getaffinity(0)) or 1
@@ -94,10 +91,6 @@ class Task:
     deps: tuple[str, ...] = ()
     payload: Any = None
     payload_fn: Callable[[dict], Any] | None = None
-    #: The wave index this task would run in under the barrier scheduler
-    #: (-1 = the pre-wave phase, -2 = the post-wave phase); only used for
-    #: the barrier-vs-queue estimate in the stats.
-    wave: int = 0
 
     def bind(self, results: dict) -> Any:
         return self.payload_fn(results) if self.payload_fn is not None else self.payload
@@ -108,34 +101,26 @@ class SchedulerStats:
     """What the executor did, and how busy it kept the pool.
 
     Besides the raw wall numbers (which depend on how many cores the host
-    really has), the stats carry each task's measured cost, dependencies
-    and barrier wave — enough to *replay* the run under both schedules
-    deterministically.  ``barrier_span_estimate`` / ``queue_span_estimate``
-    are those replays at ``sim_jobs`` workers: the structural
-    barrier-vs-ready-queue comparison, independent of host core count.
+    really has), the stats carry each task's measured cost and dependencies
+    — enough to *replay* the run deterministically:
+    ``queue_span_estimate`` re-schedules the recorded graph at ``jobs``
+    workers.
     """
 
     jobs: int = 1
-    #: Dispatch batch cap in effect (``--chunk``, default ``MAX_CHUNK``).
-    max_chunk: int = MAX_CHUNK
     tasks: int = 0
     chunks: int = 0
     broadcasts: int = 0
     max_ready: int = 0
     busy_seconds: float = 0.0
     span_seconds: float = 0.0
-    #: Per-task busy time keyed by id, for the schedule replays.
+    #: Per-task busy time keyed by id, for the schedule replay.
     task_busy: dict[str, float] = field(default_factory=dict)
-    task_wave: dict[str, int] = field(default_factory=dict)
     task_deps: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    #: run() call the task belonged to; replays never move work across
+    #: run() call the task belonged to; the replay never moves work across
     #: rounds (the real executor drains each round fully, too).
     task_round: dict[str, int] = field(default_factory=dict)
     rounds: int = 0
-    #: Width for the schedule replays; defaults to the pool width, the
-    #: engine pins it to the *requested* --jobs so a clamped/inline run
-    #: still reports the comparison the user asked about.
-    sim_jobs: int | None = None
 
     @property
     def idle_ratio(self) -> float:
@@ -145,37 +130,13 @@ class SchedulerStats:
             return 0.0
         return max(0.0, min(1.0, 1.0 - self.busy_seconds / capacity))
 
-    def _width(self) -> int:
-        return max(1, self.sim_jobs or self.jobs)
-
-    def barrier_span_estimate(self) -> float:
-        """Replayed wall time of the wave-barrier schedule over these tasks.
-
-        Waves run one after another (that is the barrier); within a wave the
-        load-balance lower bound ``max(longest task, total work / width)``
-        is taken — generous to the barrier scheduler, which also pays
-        per-wave pool latency this estimate ignores.
-        """
-        width = self._width()
-        by_wave: dict[tuple[int, int], list[float]] = {}
-        for task_id, busy in self.task_busy.items():
-            key = (self.task_round.get(task_id, 0),
-                   self.task_wave.get(task_id, 0))
-            by_wave.setdefault(key, []).append(busy)
-        total = 0.0
-        for key in sorted(by_wave):
-            times = by_wave[key]
-            total += max(max(times), sum(times) / width)
-        return total
-
     def queue_span_estimate(self) -> float:
         """Replayed wall time of the ready-queue schedule over these tasks.
 
-        Event-driven list scheduling at ``sim_jobs`` workers over the
-        recorded dependency graph and per-task costs, one round at a time —
-        the deterministic twin of what the executor actually did, at
-        whatever width the host couldn't provide."""
-        width = self._width()
+        Event-driven list scheduling at ``jobs`` workers over the recorded
+        dependency graph and per-task costs, one round at a time — the
+        deterministic twin of what the executor actually did."""
+        width = max(1, self.jobs)
         total = 0.0
         for round_no in range(max(self.rounds, 1)):
             ids = {task_id for task_id, busy in self.task_busy.items()
@@ -207,12 +168,8 @@ class SchedulerStats:
         return total
 
     def to_dict(self) -> dict:
-        barrier = self.barrier_span_estimate()
-        queue = self.queue_span_estimate()
         return {
             "jobs": self.jobs,
-            "sim_jobs": self._width(),
-            "max_chunk": self.max_chunk,
             "tasks": self.tasks,
             "chunks": self.chunks,
             "broadcasts": self.broadcasts,
@@ -220,9 +177,7 @@ class SchedulerStats:
             "busy_seconds": round(self.busy_seconds, 4),
             "span_seconds": round(self.span_seconds, 4),
             "worker_idle_ratio": round(self.idle_ratio, 4),
-            "barrier_span_estimate": round(barrier, 4),
-            "queue_span_estimate": round(queue, 4),
-            "barrier_vs_queue_delta": round(barrier - queue, 4),
+            "queue_span_estimate": round(self.queue_span_estimate(), 4),
         }
 
 
@@ -337,7 +292,6 @@ class InlineExecutor:
             self.stats.chunks += 1
             self.stats.busy_seconds += busy
             self.stats.task_busy[task.id] = busy
-            self.stats.task_wave[task.id] = task.wave
             graph.complete(task.id)
         self.stats.span_seconds += time.perf_counter() - started
         return results
@@ -393,18 +347,14 @@ class WorkStealingExecutor:
 
     parallel = True
 
-    def __init__(self, jobs: int, handler: TaskHandler,
-                 chunk: int | None = None) -> None:
+    def __init__(self, jobs: int, handler: TaskHandler) -> None:
         if jobs < 2:
             raise ValueError("WorkStealingExecutor needs jobs >= 2; "
                              "use InlineExecutor for serial runs")
         if not fork_available():
             raise RuntimeError("fork start method unavailable")
-        if chunk is not None and chunk < 1:
-            raise ValueError("chunk must be >= 1")
         self.jobs = jobs
-        self.max_chunk = chunk if chunk is not None else MAX_CHUNK
-        self.stats = SchedulerStats(jobs=jobs, max_chunk=self.max_chunk)
+        self.stats = SchedulerStats(jobs=jobs)
         context = multiprocessing.get_context("fork")
         self._results = context.Queue()
         self._inboxes = []
@@ -437,14 +387,12 @@ class WorkStealingExecutor:
                   results: dict) -> None:
         """Hand ready tasks to idle workers, chunking large backlogs."""
         while idle and graph.ready:
-            chunk_size = max(1, min(self.max_chunk,
+            chunk_size = max(1, min(MAX_CHUNK,
                                     len(graph.ready) // (self.jobs * 2)))
             batch = graph.pop_ready(chunk_size)
             worker_id = idle.pop()
             message = [(task.id, task.kind, task.bind(results))
                        for task in batch]
-            for task in batch:
-                self.stats.task_wave[task.id] = task.wave
             inflight[worker_id] = [task.id for task in batch]
             self._inboxes[worker_id].put(("tasks", message))
             self.stats.chunks += 1

@@ -65,14 +65,13 @@ from ..deputy.checker import DeputyOptions
 from ..deputy.typesystem import TypeEnv
 from ..engine.analyses import ANALYSIS_ORDER, diagnostics_report, make_registry
 from ..engine.artifacts import SharedArtifacts, unit_function_map
-from ..engine.core import EngineReport, _make_steal_handler
-from ..engine.scheduler import (
-    Task,
-    WorkStealingExecutor,
-    fork_available,
-    resolve_jobs,
-    usable_cpus,
+from ..engine.core import (
+    EngineReport,
+    _make_steal_handler,
+    summary_stats,
+    worker_count,
 )
+from ..engine.scheduler import Task, WorkStealingExecutor
 from ..blockstop.runtime_checks import RuntimeCheckSet
 from ..kernel.build import PARSE_COUNTS, ParseDiagnostic, _diagnostic_kind
 from ..kernel.corpus import KERNEL_FILES, CorpusFile
@@ -811,17 +810,13 @@ class IncrementalAnalyzer:
         the invalidated slice of the condensation with no barriers.  The
         pool forks fresh per pass — it must inherit *this* pass's parse.
         """
-        jobs = resolve_jobs(self.jobs)
-        if jobs < 2 or not fork_available() or len(dirty) < 2:
+        workers = worker_count(self.jobs)
+        if workers < 2 or len(dirty) < 2:
             return None
-        effective = min(jobs, max(2, usable_cpus()))
         clean: dict = {}
         for index, scc in enumerate(condensation.sccs):
             if index not in dirty:
                 clean.update(self._scc_store[scc_keys[index]])
-        wave_of = {index: depth
-                   for depth, wave in enumerate(condensation.waves)
-                   for index in wave}
         tasks = []
         for index in sorted(dirty):
             deps = tuple(f"scc:{callee}"
@@ -831,13 +826,12 @@ class IncrementalAnalyzer:
                 id=f"scc:{index}", kind="scc", deps=deps,
                 payload_fn=_dirty_scc_payload(condensation.sccs[index], graph,
                                               condensation, consts, clean,
-                                              dirty),
-                wave=wave_of.get(index, 0)))
+                                              dirty)))
         handler = _make_steal_handler(program, graph, pointsto,
                                       self.precision, self.registry)
-        with WorkStealingExecutor(effective, handler) as executor:
+        with WorkStealingExecutor(workers, handler) as executor:
             results = executor.run(tasks)
-        stats.parallel_jobs = effective
+        stats.parallel_jobs = workers
         return {index: results[f"scc:{index}"] for index in sorted(dirty)}
 
     def _shard_key(self, analysis, name: str, filename: str,
@@ -960,32 +954,9 @@ class IncrementalAnalyzer:
         if diagnostics:
             report.analyses["diagnostics"] = diagnostics_report(diagnostics)
 
-        solved_consts = [fc for fc in consts.values() if fc is not None]
-        interval_edges = sum(len(fc.interval_pruned) for fc in solved_consts)
-        octagon_edges = sum(len(fc.octagon_pruned) for fc in solved_consts)
-        report.summary_stats = {
-            "functions": len(summaries),
-            "sccs": len(condensation.sccs),
-            "waves": len(condensation.waves),
-            "largest_wave": max((len(w) for w in condensation.waves), default=0),
-            "recursive_functions": len(condensation.recursive_functions()),
-            "cache_hit": stats.dirty_sccs == 0,
-            "consts_functions": len(solved_consts),
-            "consts_pruned_functions": sum(
-                1 for fc in solved_consts
-                if len(fc.infeasible) > len(fc.interval_pruned)
-                + len(fc.octagon_pruned)),
-            "consts_infeasible_edges": (sum(len(fc.infeasible)
-                                            for fc in solved_consts)
-                                        - interval_edges - octagon_edges),
-            "consts_cache_hit": stats.consts_solved == 0,
-            "intervals_pruned_functions": sum(
-                1 for fc in solved_consts if fc.interval_pruned),
-            "intervals_infeasible_edges": interval_edges,
-            "octagons_pruned_functions": sum(
-                1 for fc in solved_consts if fc.octagon_pruned),
-            "octagons_infeasible_edges": octagon_edges,
-        }
+        report.summary_stats = summary_stats(
+            artifacts, summary_cache_hit=stats.dirty_sccs == 0,
+            consts_cache_hit=stats.consts_solved == 0)
         report.cache_stats = {
             "hits": stats.consts_reused + stats.sccs_reused + stats.shards_reused,
             "misses": stats.consts_solved + stats.dirty_sccs + stats.shards_rerun,

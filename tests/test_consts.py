@@ -628,9 +628,9 @@ class TestEngineConstsArtifact:
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("fork start method unavailable")
         engine = AnalysisEngine()
-        program = engine.program()
-        serial = solve_program_facts(program)
-        parallel = engine._compute_consts(program, jobs=3)
+        engine.run(analyses="stackcheck", jobs=2)
+        parallel = engine.artifacts().consts
+        serial = solve_program_facts(engine.program())
         assert parallel == serial
         assert list(parallel) == list(serial)   # merge order identical too
 

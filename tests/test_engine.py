@@ -157,8 +157,7 @@ class TestParallel:
             assert parallel_result.metrics == serial_result.metrics, name
 
     def test_work_steal_report_identical_to_serial(self, engine_report):
-        steal = AnalysisEngine().run(analyses="all", jobs=2,
-                                     scheduler="work-steal")
+        steal = AnalysisEngine().run(analyses="all", jobs=2)
         assert normalized_report(steal) == normalized_report(engine_report)
         scheduler_stats = steal.perf["scheduler"]
         assert scheduler_stats["mode"] == "work-steal"
@@ -166,28 +165,82 @@ class TestParallel:
         assert 0.0 <= scheduler_stats["worker_idle_ratio"] <= 1.0
         assert set(steal.perf["phases"]) >= {"parse", "artifacts", "checkers"}
 
-    def test_wave_mode_report_identical_to_serial(self, engine_report):
-        wave = AnalysisEngine().run(analyses="all", jobs=2, scheduler="wave")
-        assert normalized_report(wave) == normalized_report(engine_report)
-
-    def test_scrambled_completion_order_byte_identical(self, engine_report):
+    def test_scrambled_completion_order_byte_identical(
+            self, engine_report, monkeypatch):
         """Out-of-order task completion must never change the report.
 
-        The inline executor runs the exact work-steal task graph in-process
-        with an adversarial ready-queue pick, so tasks complete in a
-        scrambled (but dependency-legal) order; the merged report must be
-        byte-identical with the serial run regardless."""
+        The run's executor is swapped for an inline one that runs the exact
+        work-steal task graph in-process with an adversarial ready-queue
+        pick, so tasks complete in a scrambled (but dependency-legal)
+        order; the merged report must be byte-identical with the serial run
+        regardless."""
         import random
 
+        from repro.engine import core
+        from repro.engine.scheduler import InlineExecutor
+
         rng = random.Random(20260808)
-        engine = AnalysisEngine()
-        engine._inline_pick = lambda ready: rng.randrange(len(ready))
-        scrambled = engine.run(analyses="all", jobs=1, scheduler="inline")
+        built = []
+
+        def scrambled_executor(jobs, handler):
+            built.append(jobs)
+            return InlineExecutor(
+                handler, pick=lambda ready: rng.randrange(len(ready)))
+
+        monkeypatch.setattr(core, "WorkStealingExecutor", scrambled_executor)
+        monkeypatch.setattr(core, "fork_available", lambda: True)
+        scrambled = AnalysisEngine().run(analyses="all", jobs=2)
+        assert built == [2]
+        assert scrambled.perf["scheduler"]["mode"] == "work-steal"
+        assert scrambled.perf["scheduler"]["tasks"] > 0
         assert normalized_report(scrambled) == normalized_report(engine_report)
 
-    def test_unknown_scheduler_rejected(self):
-        with pytest.raises(ValueError, match="unknown scheduler"):
-            AnalysisEngine().run(analyses="all", jobs=2, scheduler="magic")
+    def test_no_fork_runs_serial_without_forking(
+            self, engine_report, monkeypatch):
+        """Where ``fork`` is unavailable a parallel request runs serially."""
+        import multiprocessing.process
+        import os
+
+        from repro.engine import core
+
+        def refuse(*args):
+            raise AssertionError("the no-fork path started a process")
+
+        monkeypatch.setattr(core, "fork_available", lambda: False)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                            refuse)
+        monkeypatch.setattr(os, "fork", refuse)
+        report = AnalysisEngine().run(analyses="all", jobs=2)
+        assert report.parallel is False
+        assert report.perf["scheduler"]["mode"] == "serial"
+        assert normalized_report(report) == normalized_report(engine_report)
+
+    def test_worker_count_shared_by_parse_and_executor(self, monkeypatch):
+        """One clamp for both pools: jobs=8 on 2 usable CPUs forks 2 + 2."""
+        import multiprocessing.process
+
+        from repro.engine import core
+        from repro.engine.scheduler import fork_available
+        from repro.kernel import parallel
+
+        if not fork_available():
+            pytest.skip("fork start method unavailable")
+        targets = []
+        start = multiprocessing.process.BaseProcess.start
+
+        def counting_start(process):
+            targets.append(process._target.__name__)
+            return start(process)
+
+        monkeypatch.setattr(core, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                            counting_start)
+        report = AnalysisEngine().run(analyses="stackcheck", jobs=8)
+        assert report.perf["parse"]["jobs"] == 2
+        assert report.perf["scheduler"]["jobs"] == 2
+        assert report.jobs == 2
+        assert sorted(targets) == ["_parse_worker"] * 2 + ["_worker_loop"] * 2
 
     def test_jobs_one_stays_serial(self, engine_report):
         assert not engine_report.parallel

@@ -436,18 +436,15 @@ class TestKernelCorpusInterproc:
 # ---------------------------------------------------------------------------
 
 class TestEngineSummaries:
-    def test_wave_parallel_solve_matches_serial(self, kernel_program):
+    def test_wave_parallel_solve_matches_serial(self):
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("fork start method unavailable")
-        graph, indirect = build_direct_callgraph(kernel_program)
-        analysis = FunctionPointerAnalysis(kernel_program, Precision.TYPE_BASED)
-        analysis.collect()
-        analysis.resolve(graph, indirect)
-        condensation = condense_callgraph(graph)
-        serial = solve_summaries(kernel_program, graph, condensation)
         engine = AnalysisEngine()
-        parallel = engine._compute_summaries(kernel_program, graph,
-                                             condensation, jobs=3)
+        engine.run(analyses="stackcheck", jobs=2)
+        artifacts = engine.artifacts()
+        parallel = artifacts.summaries
+        serial = solve_summaries(artifacts.program, artifacts.graph,
+                                 condense_callgraph(artifacts.graph))
         assert parallel == serial
         assert list(parallel) == list(serial)   # merge order identical too
 

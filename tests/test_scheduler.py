@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-import os
 import random
 
 import pytest
 
+from repro.engine import scheduler
 from repro.engine.scheduler import (
     ExecutorError,
     InlineExecutor,
@@ -15,6 +15,7 @@ from repro.engine.scheduler import (
     WorkStealingExecutor,
     fork_available,
     resolve_jobs,
+    usable_cpus,
 )
 
 
@@ -24,12 +25,12 @@ def chain_and_leaves(chain_length: int, leaf_count: int) -> list[Task]:
     The starvation shape: under wave-barrier scheduling every wave past the
     first holds a single chain link, so all but one worker idles.
     """
-    tasks = [Task(id="chain0", kind="chain", payload=0, wave=0)]
+    tasks = [Task(id="chain0", kind="chain", payload=0)]
     for i in range(1, chain_length):
         tasks.append(Task(id=f"chain{i}", kind="chain", payload=i,
-                          deps=(f"chain{i - 1}",), wave=i))
+                          deps=(f"chain{i - 1}",)))
     for i in range(leaf_count):
-        tasks.append(Task(id=f"leaf{i}", kind="leaf", payload=i, wave=0))
+        tasks.append(Task(id=f"leaf{i}", kind="leaf", payload=i))
     return tasks
 
 
@@ -179,7 +180,6 @@ class TestInlineExecutor:
         assert stats["tasks"] == 50
         assert stats["max_ready"] >= 40
         assert "worker_idle_ratio" in stats
-        assert "barrier_vs_queue_delta" in stats
 
 
 needs_fork = pytest.mark.skipif(not fork_available(),
@@ -261,23 +261,18 @@ class TestWorkStealingExecutor:
         with pytest.raises(ValueError):
             WorkStealingExecutor(1, echo_handler)
 
-    def test_chunk_override_caps_dispatch(self):
-        with WorkStealingExecutor(2, echo_handler, chunk=1) as ex:
+    def test_chunk_override_caps_dispatch(self, monkeypatch):
+        monkeypatch.setattr(scheduler, "MAX_CHUNK", 1)
+        with WorkStealingExecutor(2, echo_handler) as ex:
             results = ex.run([Task(id=f"t{i}", kind="k", payload=i)
                               for i in range(12)])
         assert len(results) == 12
-        assert ex.stats.max_chunk == 1
-        assert ex.stats.to_dict()["max_chunk"] == 1
-        # chunk=1 means every dispatch carried exactly one task.
+        # A cap of 1 means every dispatch carried exactly one task.
         assert ex.stats.chunks == 12
-
-    def test_chunk_below_one_rejected(self):
-        with pytest.raises(ValueError, match="chunk"):
-            WorkStealingExecutor(2, echo_handler, chunk=0)
 
 
 def test_resolve_jobs():
-    assert resolve_jobs(0) == (os.cpu_count() or 1)
+    assert resolve_jobs(0) == usable_cpus()
     assert resolve_jobs(1) == 1
     assert resolve_jobs(4) == 4
     assert resolve_jobs(-3) == 1
