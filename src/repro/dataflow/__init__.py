@@ -36,11 +36,8 @@ from .cfg import COND, DECL, EXPR, RETURN, CFG, BasicBlock, Edge, Element, build
 from .consts import (
     ConstDomain,
     FunctionConsts,
-    consts_of,
     eval_const,
     refined_edges,
-    solve_function_consts,
-    solve_program_consts,
 )
 from .context import AnalysisContext
 from .domains import (
@@ -106,7 +103,6 @@ __all__ = [
     "callgraph_fingerprint",
     "close_octagon",
     "condense_callgraph",
-    "consts_of",
     "domain_fingerprint",
     "entails_octagon",
     "eval_const",
@@ -121,9 +117,7 @@ __all__ = [
     "reachable_blocks",
     "refined_edges",
     "solve_forward",
-    "solve_function_consts",
     "solve_function_facts",
-    "solve_program_consts",
     "solve_program_facts",
     "solve_scc",
     "solve_summaries",

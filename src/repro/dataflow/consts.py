@@ -49,16 +49,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Optional
+from typing import Mapping, Optional
 
 from ..minic import ast_nodes as ast
 from ..minic.syntax import FunctionSyntax, index_function
 from ..minic.visitor import iter_child_nodes, walk
-from .cfg import CFG, BasicBlock, Edge, build_cfg
-from .solver import INFEASIBLE, solve_forward
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..machine.program import Program
+from .cfg import CFG, BasicBlock, Edge
+from .solver import INFEASIBLE
 
 #: A constant environment: trackable name -> known integer value.  Absence
 #: means ⊤ (unknown); the whole-env ⊥ is the solver's ``None``.
@@ -520,47 +517,6 @@ def reset_const_solve_counts() -> None:
     CONST_SOLVE_COUNTS.clear()
 
 
-def solve_function_consts(func: ast.FuncDef, cfg: Optional[CFG] = None) -> FunctionConsts:
-    """Solve the constant lattice (with edge refinement) for one function."""
-    CONST_SOLVE_COUNTS[func.name] += 1
-    cfg = cfg or build_cfg(func)
-    safe = trackable_names(func)
-
-    def transfer(block: BasicBlock, env: ConstEnv) -> ConstEnv:
-        for element in block.elements:
-            env = _transfer_element(env, element, safe)
-        return env
-
-    def refine(block: BasicBlock, pos: int, edge: Edge, env: ConstEnv):
-        outcome = _refine_edge(block, pos, edge, env, safe)
-        if outcome is INFEASIBLE:
-            return INFEASIBLE
-        if not outcome:
-            return env
-        merged = dict(env)
-        merged.update(outcome)
-        return merged
-
-    in_envs = solve_forward(cfg, transfer, join_envs, entry_state={}, edge_refine=refine)
-
-    result = FunctionConsts(function=cfg.function, block_count=len(cfg.blocks))
-    infeasible: set[tuple[int, int]] = set()
-    for block in cfg.blocks:
-        env = in_envs[block.index]
-        if env is None:
-            continue
-        result.in_envs[block.index] = freeze_env(env)
-        out_env = transfer(block, env)
-        for pos, edge in enumerate(block.succs):
-            outcome = _refine_edge(block, pos, edge, out_env, safe)
-            if outcome is INFEASIBLE:
-                infeasible.add((block.index, pos))
-            elif outcome:
-                result.edge_facts[(block.index, pos)] = outcome
-    result.infeasible = frozenset(infeasible)
-    return result
-
-
 class ConstDomain:
     """Constant propagation as an :class:`~repro.dataflow.domains.AbstractDomain`.
 
@@ -634,42 +590,3 @@ def refined_edges(consts: Optional[FunctionConsts]):
         return state
 
     return refine
-
-
-def has_branches(func: ast.FuncDef) -> bool:
-    """Whether ``func`` contains any construct edge refinement could prune."""
-    return index_function(func).has_branches
-
-
-def consts_of(
-    func: Optional[ast.FuncDef], cache: Optional[dict] = None, cfg: Optional[CFG] = None
-) -> Optional[FunctionConsts]:
-    """Memoized per-function solve; ``None`` for branchless functions.
-
-    ``cache`` maps function name to a solved :class:`FunctionConsts` (or
-    ``None``) — the engine seeds it from its keyed artifact so checkers and
-    the summary sweep never re-solve what the artifact already holds.
-    """
-    if func is None:
-        return None
-    if cache is not None and func.name in cache:
-        return cache[func.name]
-    result = solve_function_consts(func, cfg) if has_branches(func) else None
-    if cache is not None:
-        cache[func.name] = result
-    return result
-
-
-def solve_program_consts(
-    program: "Program", functions: Optional[list[str]] = None
-) -> dict[str, Optional[FunctionConsts]]:
-    """Solve every (or a subset of) function's constant facts.
-
-    Deterministic: results come out in the program's function-definition
-    order regardless of how the engine shards the computation, so serial
-    and ``--jobs N`` runs persist byte-identical artifacts.
-    """
-    results: dict[str, Optional[FunctionConsts]] = {}
-    for name, func in program.functions_subset(functions):
-        results[name] = consts_of(func)
-    return results

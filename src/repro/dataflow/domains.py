@@ -39,7 +39,6 @@ misinterpreting them.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Mapping, Optional, Protocol
 
@@ -333,11 +332,11 @@ def facts_of(
 ) -> Optional[FunctionFacts]:
     """Memoized per-function product solve; ``None`` for branchless functions.
 
-    The product API twin of ``consts_of`` — same cache discipline (the
-    engine seeds ``cache`` from its keyed artifact), same branchless
-    short-circuit (no branches means nothing to refine or prune and no loop
-    to bound).  ``syntax`` is ``func``'s index record when the caller holds
-    the program (``program.syntax(name)``); otherwise it is built here.
+    ``cache`` maps function names to solved facts (the engine seeds it from
+    its keyed artifact); a function without branches has nothing to refine
+    or prune and no loop to bound, so it is not solved.  ``syntax`` is
+    ``func``'s index record when the caller holds the program
+    (``program.syntax(name)``); otherwise it is built here.
     """
     if func is None:
         return None
@@ -365,7 +364,3 @@ def solve_program_facts(
     for name, func in program.functions_subset(functions):
         results[name] = facts_of(func, domains=domains, syntax=program.syntax(name))
     return results
-
-
-#: Kept for callers that count product solves under the historical name.
-FACTS_SOLVE_COUNTS: Counter[str] = CONST_SOLVE_COUNTS

@@ -8,15 +8,16 @@ each checker re-derived those facts from scratch (and the harness re-parsed
 the corpus per experiment); the :class:`ArtifactCache` memoizes them under
 content-derived keys so a whole-corpus run parses each translation unit
 exactly once, and repeated runs (CI smoke jobs, the harness) can reuse a
-previous run's parse via the optional on-disk layer.
+previous run's parse, constant facts and summaries from the optional
+on-disk tier: the ``artifact`` space of a SQLite
+:class:`~repro.service.store.PersistentStore`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import pickle
+import sqlite3
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
@@ -35,30 +36,39 @@ from ..kernel.corpus import CorpusFile
 from ..machine.program import Program
 from ..minic import ast_nodes as ast
 
+#: The store space of the batch engine's whole-corpus artifacts.
+_SPACE = "artifact"
+
 
 class ArtifactCache:
-    """A content-keyed memo table with an optional on-disk pickle layer.
+    """A content-keyed memo table over an optional on-disk store.
 
     Keys are derived from the *content* that determines an artifact (source
     text, preprocessor defines, analysis parameters), never from object
     identity, so two engines over the same corpus share work and any change
-    to a source file invalidates everything derived from it.
+    to a source file invalidates everything derived from it.  With a
+    ``cache_dir`` the persisted artifacts live in the ``artifact`` space of
+    a :class:`~repro.service.store.PersistentStore` there, LRU-bounded by
+    ``max_mb`` (``None`` or 0: no bound); a value is a hit only once it
+    has loaded.
     """
 
     def __init__(self, cache_dir: str | Path | None = None,
                  max_mb: float | None = None) -> None:
         self._memory: dict[str, Any] = {}
-        self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        if self.cache_dir is not None:
-            self.cache_dir.mkdir(parents=True, exist_ok=True)
-        #: On-disk budget in bytes; ``None`` disables eviction.  A daemon
-        #: run accumulates one pickle per content key forever otherwise.
-        self.max_bytes = (int(max_mb * 1024 * 1024)
-                          if max_mb is not None else None)
+        self.store = None
+        if cache_dir is not None:
+            # Imported here: repro.service's package init imports this module.
+            from ..service.store import PersistentStore
+
+            self.store = PersistentStore(cache_dir, max_mb=max_mb)
         self.hits = 0
         self.misses = 0
         self.disk_hits = 0
-        self.evictions = 0
+
+    @property
+    def evictions(self) -> int:
+        return self.store.evictions if self.store is not None else 0
 
     # -- keys ---------------------------------------------------------------
 
@@ -96,100 +106,62 @@ class ArtifactCache:
 
     # -- lookup -------------------------------------------------------------
 
-    def get_or_build(self, key: str, builder: Callable[[], Any],
-                     persist: bool = True) -> Any:
-        """Return the artifact under ``key``, building (and storing) on miss."""
+    def lookup(self, key: str, persist: bool = True) -> Any:
+        """The artifact under ``key`` from memory or disk, or ``None``.
+
+        The first half of :meth:`get_or_build`: it counts hits and disk
+        hits.  A ``None`` is a miss, which the caller fills with :meth:`put`.
+        """
         if key in self._memory:
             self.hits += 1
             return self._memory[key]
-        if persist:
-            value = self._load_disk(key)
-            if value is not None:
-                self.hits += 1
-                self.disk_hits += 1
-                self._memory[key] = value
-                return value
+        value = self._load_disk(key) if persist else None
+        if value is not None:
+            self.hits += 1
+            self.disk_hits += 1
+            self._memory[key] = value
+        return value
+
+    def put(self, key: str, value: Any, persist: bool = True) -> Any:
+        """Keep ``value``, built after a :meth:`lookup` miss, under ``key``:
+        the second half of :meth:`get_or_build`, which counts the miss."""
         self.misses += 1
-        value = builder()
         self._memory[key] = value
         if persist:
             self._store_disk(key, value)
         return value
 
-    def contains(self, key: str) -> bool:
-        if key in self._memory:
-            return True
-        path = self._disk_path(key)
-        return path is not None and path.exists()
-
-    def clear_memory(self) -> None:
-        """Drop the in-memory layer (the disk layer, if any, survives)."""
-        self._memory.clear()
+    def get_or_build(self, key: str, builder: Callable[[], Any],
+                     persist: bool = True) -> Any:
+        """Return the artifact under ``key``, building (and storing) on miss."""
+        value = self.lookup(key, persist)
+        return value if value is not None else self.put(key, builder(), persist)
 
     # -- disk layer ---------------------------------------------------------
 
-    def _disk_path(self, key: str) -> Path | None:
-        if self.cache_dir is None:
-            return None
-        return self.cache_dir / f"{key}.pkl"
-
     def _load_disk(self, key: str) -> Any:
-        path = self._disk_path(key)
-        if path is None or not path.exists():
+        """The stored artifact, or ``None``: a failed read is a miss."""
+        if self.store is None:
             return None
         try:
-            with path.open("rb") as handle:
-                value = pickle.load(handle)
-        except Exception:
-            # A stale or truncated entry is treated as a miss.
+            value = self.store.get(_SPACE, key)
+            if value is not None:
+                # get() only queues the LRU touch; a run has at most three
+                # disk hits, so refresh the row's clock now.
+                self.store.touch(_SPACE, ())
+        except sqlite3.Error:
             return None
-        try:
-            # Touch on read: mtime doubles as the LRU clock for eviction.
-            os.utime(path)
-        except OSError:
-            pass
         return value
 
     def _store_disk(self, key: str, value: Any) -> None:
-        path = self._disk_path(key)
-        if path is None:
+        if self.store is None:
             return
         try:
-            tmp = path.with_suffix(".tmp")
-            with tmp.open("wb") as handle:
-                pickle.dump(value, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            tmp.replace(path)
+            self.store.put(_SPACE, key, value)
         except Exception:
-            # Unpicklable artifacts simply stay memory-only.
-            try:
-                tmp.unlink(missing_ok=True)
-            except OSError:
-                pass
-            return
-        self._evict_lru()
-
-    def _evict_lru(self) -> None:
-        """Drop least-recently-used pickles until the dir fits the budget."""
-        if self.max_bytes is None or self.cache_dir is None:
-            return
-        entries = []
-        for path in self.cache_dir.glob("*.pkl"):
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
-            entries.append((stat.st_mtime_ns, stat.st_size, path))
-        entries.sort()
-        total = sum(size for _, size, _ in entries)
-        for _, size, path in entries:
-            if total <= self.max_bytes:
-                break
-            try:
-                path.unlink()
-            except OSError:
-                continue
-            total -= size
-            self.evictions += 1
+            # Unpicklable artifacts, or a store that refuses the write,
+            # simply stay memory-only.
+            pass
 
 
 @dataclass

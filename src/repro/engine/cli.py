@@ -51,7 +51,9 @@ def _build_parser() -> argparse.ArgumentParser:
                           "this process may run on; without fork the run "
                           "is serial")
     run.add_argument("--cache-dir", default=None,
-                     help="directory for the on-disk artifact cache")
+                     help="directory for the on-disk artifact store "
+                          "(store.sqlite, the format of serve --store-dir; "
+                          "one directory may serve both)")
     run.add_argument("--precision", default="type_based",
                      choices=[p.name.lower() for p in Precision],
                      help="function-pointer points-to precision")
@@ -77,8 +79,9 @@ def _build_parser() -> argparse.ArgumentParser:
                           "pass, then touch one TU and re-analyze); the "
                           "result lands in the --bench-json entry")
     run.add_argument("--cache-max-mb", type=float, default=None,
-                     help="LRU-evict the on-disk artifact cache beyond this "
-                          "size (requires --cache-dir)")
+                     help="LRU-evict the on-disk artifact store beyond "
+                          "this size; 0 means no bound (requires "
+                          "--cache-dir)")
     run.add_argument("--corpus-dir", default=None,
                      help="analyze a corpus tree exported by 'export-corpus' "
                           "instead of the embedded sources")
@@ -97,7 +100,8 @@ def _build_parser() -> argparse.ArgumentParser:
     callgraph.add_argument("--include-user", action="store_true",
                            help="include user-level corpus files")
     callgraph.add_argument("--cache-dir", default=None,
-                           help="directory for the on-disk artifact cache")
+                           help="directory for the on-disk artifact store "
+                                "(as for run --cache-dir)")
     callgraph.add_argument("--format", default="text", choices=("text", "json"))
     callgraph.add_argument("--function", default=None,
                            help="restrict the summary/witness listing to one "

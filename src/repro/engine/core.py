@@ -547,29 +547,26 @@ class AnalysisEngine:
             "summaries", files=self.files, defines=self.defines,
             extra={"precision": self.precision.name,
                    "callgraph": callgraph_fingerprint(graph)})
-        consts_hit = self.cache.contains(consts_key)
-        summaries_hit = self.cache.contains(summaries_key)
-        self._consts_cache_hit = consts_hit
-        self._summary_cache_hit = summaries_hit
+        # A hit is a value that loaded; anything else is solved again.
+        consts = self.cache.lookup(consts_key)
+        summaries = self.cache.lookup(summaries_key)
+        consts_hit = self._consts_cache_hit = consts is not None
+        summaries_hit = self._summary_cache_hit = summaries is not None
 
         if jobs < 2:
-            def solve_consts():
+            if not consts_hit:
                 started = time.perf_counter()
-                value = solve_program_facts(program)
+                consts = solve_program_facts(program)
                 self._consts_solve_seconds = time.perf_counter() - started
-                return value
-
-            consts = self.cache.get_or_build(consts_key, solve_consts)
-            summaries = self.cache.get_or_build(
-                summaries_key,
-                lambda: solve_summaries(program, graph, condensation,
-                                        consts=consts))
+                self.cache.put(consts_key, consts)
+            if not summaries_hit:
+                summaries = self.cache.put(
+                    summaries_key,
+                    solve_summaries(program, graph, condensation,
+                                    consts=consts))
             return consts, summaries
-
-        cached_consts = (self.cache.get_or_build(consts_key, dict)
-                         if consts_hit else None)
         if consts_hit and summaries_hit:
-            return cached_consts, self.cache.get_or_build(summaries_key, dict)
+            return consts, summaries
 
         executor = self._ensure_executor(program, graph, pointsto, jobs)
         unit_map = {filename: functions for filename, functions
@@ -607,14 +604,12 @@ class AnalysisEngine:
                 tasks.append(Task(
                     id=f"scc:{index}", kind="scc", deps=tuple(deps),
                     payload_fn=_scc_payload_fn(scc, graph, condensation,
-                                               unit_of, cached_consts,
+                                               unit_of, consts,
                                                spec_facts or None)))
 
         results = executor.run(tasks)
 
-        if consts_hit:
-            consts = cached_consts
-        else:
+        if not consts_hit:
             merged: dict = dict(spec_facts)
             for filename in unit_map:
                 if filename in solved_units:
@@ -623,18 +618,16 @@ class AnalysisEngine:
             ordered = {name: merged[name]
                        for name, _ in program.functions_subset(None)
                        if name in merged}
-            consts = self.cache.get_or_build(consts_key, lambda: ordered)
+            consts = self.cache.put(consts_key, ordered)
             self._consts_solve_seconds = sum(
                 busy for task_id, busy in executor.stats.task_busy.items()
                 if task_id.startswith("consts:"))
-        if summaries_hit:
-            summaries = self.cache.get_or_build(summaries_key, dict)
-        else:
+        if not summaries_hit:
             solved: dict = {}
             for wave in condensation.waves:
                 for index in wave:
                     solved.update(results[f"scc:{index}"])
-            summaries = self.cache.get_or_build(summaries_key, lambda: solved)
+            summaries = self.cache.put(summaries_key, solved)
         return consts, summaries
 
     # -- running ------------------------------------------------------------

@@ -6,8 +6,14 @@ artifact it caches in memory — per-function consts facts keyed by
 summaries keyed by a Merkle fingerprint over the SCC's member hashes and
 its callees' fingerprints, and per-(analysis, TU) finding shards keyed the
 same way.  This module spills those maps to a SQLite file so a restarted
-``repro-engine serve`` (or a batch run pointed at the same store) re-solves
-~0 SCCs on an unchanged corpus instead of paying a full cold pass.
+``repro-engine serve`` re-solves ~0 SCCs on an unchanged corpus instead of
+paying a full cold pass.
+
+The batch engine's :class:`~repro.engine.artifacts.ArtifactCache` writes
+through the same store (``run --cache-dir``): it keeps its whole-corpus
+artifacts (the parsed program, the constant facts, the summaries) in the
+``artifact`` space under its own content keys, and does not reuse the
+analyzer's rows.  One directory can serve both.
 
 Because the keys are fingerprints of everything the artifact depends on
 (including the analysis code, via the package's source digest in the
@@ -15,7 +21,10 @@ globals fingerprint), invalidation is free: a changed input simply produces
 a different key, and the stale row ages out through the LRU sweep.  A store
 written by different code (its ``version`` meta row holds that code's
 source digest) is purged outright when opened, keeping it from
-accumulating unreachable rows across upgrades.
+accumulating unreachable rows across upgrades.  A file that is not a
+readable database (``sqlite3.DatabaseError``) is deleted, with its
+``-journal``, and recreated empty (``stats()["recreated"]``); a locked or
+busy one (``sqlite3.OperationalError``) raises and is left untouched.
 
 Values are pickled Python objects; a row that fails to unpickle is treated
 as a miss and deleted.  A hit does not write: its key is queued and its LRU
@@ -59,9 +68,10 @@ CREATE TABLE IF NOT EXISTS meta (
 class PersistentStore:
     """A content-keyed artifact store on disk, LRU-bounded by size.
 
-    ``spaces`` partition the keyspace by artifact kind ("consts", "scc",
-    "shard"); keys within a space are the analyzer's own fingerprints, so
-    equality of key implies equality of artifact.
+    ``spaces`` partition the keyspace by artifact kind: the analyzer's
+    "consts", "scc" and "shard", and the batch cache's "artifact"; keys
+    within a space are their writer's own fingerprints, so equality of key
+    implies equality of artifact.
     """
 
     def __init__(self, directory: str | os.PathLike,
@@ -77,18 +87,36 @@ class PersistentStore:
         self._lock = threading.Lock()
         #: (space, key) of hits whose LRU clock is not yet refreshed.
         self._queued_hits: list[tuple[str, str]] = []
-        self._conn = sqlite3.connect(str(self.path), check_same_thread=False)
-        with self._lock:
-            self._conn.executescript(_SCHEMA)
+        #: Whether the file held no readable database and was replaced.
+        self.recreated = False
+        try:
+            self._conn = self._open()
+        except sqlite3.OperationalError:
+            raise  # locked or busy: another connection holds the file
+        except sqlite3.DatabaseError:
+            for path in (self.path, self.path.with_name(_DB_NAME + "-journal")):
+                path.unlink(missing_ok=True)
+            self._conn = self._open()
+            self.recreated = True
+
+    def _open(self) -> sqlite3.Connection:
+        """Connect, create the schema and purge rows of other code."""
+        conn = sqlite3.connect(str(self.path), check_same_thread=False)
+        try:
+            conn.executescript(_SCHEMA)
             version = source_digest()
-            row = self._conn.execute(
+            row = conn.execute(
                 "SELECT value FROM meta WHERE name = 'version'").fetchone()
             if row is not None and row[0] != version:
-                self._conn.execute("DELETE FROM entries")
-            self._conn.execute(
+                conn.execute("DELETE FROM entries")
+            conn.execute(
                 "INSERT OR REPLACE INTO meta (name, value) VALUES (?, ?)",
                 ("version", version))
-            self._conn.commit()
+            conn.commit()
+        except sqlite3.Error:
+            conn.close()
+            raise
+        return conn
 
     # -- core operations ----------------------------------------------------
 
@@ -156,13 +184,6 @@ class PersistentStore:
                 rows)
         return bool(rows)
 
-    def contains(self, space: str, key: str) -> bool:
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT 1 FROM entries WHERE space = ? AND key = ?",
-                (space, key)).fetchone()
-            return row is not None
-
     # -- bookkeeping --------------------------------------------------------
 
     def _evict_locked(self) -> None:
@@ -203,7 +224,7 @@ class PersistentStore:
         return {"path": str(self.path), "entries": self.entry_count(),
                 "bytes": self.total_bytes(), "hits": self.hits,
                 "misses": self.misses, "writes": self.writes,
-                "evictions": self.evictions,
+                "evictions": self.evictions, "recreated": self.recreated,
                 "max_mb": (self.max_bytes / (1024 * 1024)
                            if self.max_bytes else None)}
 

@@ -16,12 +16,10 @@ from repro.dataflow.cfg import COND
 from repro.dataflow.consts import (
     FunctionConsts,
     eval_const,
-    solve_function_consts,
-    solve_program_consts,
     trackable_names,
     transfer_expr,
 )
-from repro.dataflow.domains import solve_program_facts
+from repro.dataflow.domains import solve_function_facts, solve_program_facts
 from repro.deputy.checker import ObligationKind, ObligationStatus, check_program
 from repro.engine.cli import main as cli_main
 from repro.engine.core import AnalysisEngine
@@ -168,7 +166,7 @@ class TestEdgeRefinement:
         program = parse("void f(%s) { %s }" % (params, body))
         func = program.functions["f"]
         cfg = build_cfg(func)
-        return cfg, solve_function_consts(func, cfg)
+        return cfg, solve_function_facts(func, cfg, domains=("consts",))
 
     def test_if_zero_arm_is_unreachable(self):
         cfg, fc = self.prune("if (0) { n = 1; } n = 2;")
@@ -261,7 +259,7 @@ class TestEdgeRefinement:
             "}\n"
         )
         func = program.functions["f"]
-        assert not solve_function_consts(func).prunes
+        assert not solve_function_facts(func, domains=("consts",)).prunes
         facts = collect_lock_facts(program)
         assert [a for a in facts.acquisitions if a.function == "f"]
 
@@ -276,7 +274,8 @@ class TestEdgeRefinement:
             "    return 0;\n"
             "}\n"
         )
-        assert not solve_function_consts(program.functions["f"]).prunes
+        assert not solve_function_facts(program.functions["f"],
+                                        domains=("consts",)).prunes
         facts = collect_lock_facts(program)
         assert [a for a in facts.acquisitions if a.function == "f"]
 

@@ -334,15 +334,14 @@ class TestCacheEviction:
         for index in range(4):
             cache.get_or_build(f"artifact-{index}", lambda: b"x" * 2048)
         assert cache.evictions >= 3
-        remaining = sum(p.stat().st_size for p in tmp_path.glob("*.pkl"))
-        assert remaining <= cache.max_bytes
+        assert cache.store.total_bytes() <= cache.store.max_bytes
 
     def test_no_budget_means_no_eviction(self, tmp_path):
         cache = ArtifactCache(cache_dir=tmp_path)
         for index in range(4):
             cache.get_or_build(f"artifact-{index}", lambda: b"x" * 2048)
         assert cache.evictions == 0
-        assert len(list(tmp_path.glob("*.pkl"))) == 4
+        assert cache.store.entry_count("artifact") == 4
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ keeps concurrent ``POST /analyze`` bursts from stacking redundant passes.
 
 from __future__ import annotations
 
+import sqlite3
 import sys
 import threading
 import time
@@ -29,8 +30,8 @@ class TestPersistentStore:
         assert store.get("consts", "k1") == {"facts": [1, 2, 3]}
         # Spaces partition the keyspace.
         assert store.get("scc", "k1") is None
-        assert store.contains("consts", "k1")
-        assert not store.contains("scc", "k1")
+        assert store.entry_count("consts") == 1
+        assert store.entry_count("scc") == 0
         store.close()
 
     def test_none_values_distinguishable_when_wrapped(self, tmp_path):
@@ -171,8 +172,42 @@ class TestPersistentStore:
                 (b"not a pickle",))
             store._conn.commit()
         assert store.get("consts", "k") is None
-        assert not store.contains("consts", "k")
+        assert store.entry_count("consts") == 0
         store.close()
+
+    def test_garbage_file_is_recreated(self, tmp_path):
+        (tmp_path / "store.sqlite").write_bytes(b"not a database" * 100)
+        (tmp_path / "store.sqlite-journal").write_bytes(b"stale")
+        store = PersistentStore(tmp_path)
+        assert store.stats()["recreated"] is True
+        assert not (tmp_path / "store.sqlite-journal").exists()
+        store.put("consts", "k", "v")
+        store.close()
+        reopened = PersistentStore(tmp_path)
+        assert reopened.recreated is False
+        assert reopened.get("consts", "k") == "v"
+        reopened.close()
+
+    def test_locked_file_raises_and_keeps_rows(self, tmp_path, monkeypatch):
+        store = PersistentStore(tmp_path)
+        store.put("consts", "k", "v")
+        store.close()
+        holder = sqlite3.connect(str(tmp_path / "store.sqlite"))
+        holder.execute("BEGIN EXCLUSIVE")
+        connect = sqlite3.connect
+        monkeypatch.setattr("repro.service.store.sqlite3.connect",
+                            lambda *args, **kwargs: connect(*args, **kwargs,
+                                                            timeout=0.05))
+        try:
+            with pytest.raises(sqlite3.OperationalError):
+                PersistentStore(tmp_path)
+        finally:
+            holder.rollback()
+            holder.close()
+        reopened = PersistentStore(tmp_path)
+        assert reopened.recreated is False
+        assert reopened.get("consts", "k") == "v"
+        reopened.close()
 
 
 class TestWarmRestart:
@@ -301,6 +336,16 @@ class TestReconcileCoalescing:
         snapshot, coalesced = service.request_reconcile()
         assert snapshot is not None
         assert coalesced is False
+
+
+def test_service_reconciles_over_garbage_store(tmp_path):
+    (tmp_path / "store.sqlite").write_bytes(b"not a database" * 100)
+    service = AnalysisService(store_dir=tmp_path)
+    snapshot, _ = service.request_reconcile()
+    assert snapshot is not None
+    assert service.stats_payload()["store"]["recreated"] is True
+    assert service.store.writes > 0
+    service.store.close()
 
 
 @pytest.mark.parametrize("max_mb", [None, 5.0])

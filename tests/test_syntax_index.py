@@ -20,7 +20,7 @@ import pytest
 
 import repro
 from repro.annotations.attrs import AnnotationKind
-from repro.dataflow.consts import has_branches, trackable_names
+from repro.dataflow.consts import trackable_names
 from repro.dataflow.summaries import FRAME_OVERHEAD, function_frame_size
 from repro.deputy import instrument as deputy_instrument
 from repro.deputy.typesystem import TypeEnv
@@ -241,7 +241,6 @@ class TestFunctionSyntax:
                 syntax = program.syntax(name)
                 assert trackable_names(func, syntax) == reference_trackable_names(func)
                 assert trackable_names(func) == reference_trackable_names(func)
-                assert has_branches(func) == reference_has_branches(func)
                 if not program.function_annotations(name).has(
                         AnnotationKind.STACKSIZE):
                     assert (function_frame_size(program, func)
