@@ -8,7 +8,10 @@ real subprocess, and checks the full loop:
 2. `/findings` matches `repro-engine run` byte-for-byte;
 3. an on-disk edit is picked up by the watcher and re-analyzed
    *incrementally* (no full re-parse, SCCs reused);
-4. a *restarted* serve over the unchanged corpus warm-starts from the
+4. a body edit to `spin_lock_init`, which 9 other units call, dirties
+   its callers' SCCs but re-runs Deputy in its own unit only, and the
+   served findings match `repro-engine run` over the edited corpus;
+5. a *restarted* serve over the unchanged corpus warm-starts from the
    persistent store: its first pass re-solves 0 SCCs and serves findings
    byte-identical to the pre-restart snapshot.
 
@@ -92,6 +95,38 @@ def sorted_findings(findings: list[dict]) -> list[dict]:
     return sorted(findings, key=lambda f: json.dumps(f, sort_keys=True))
 
 
+def batch_findings(corpus: Path) -> list[dict]:
+    """The findings of `repro-engine run` over the corpus directory."""
+    batch = subprocess.run(
+        [sys.executable, "-m", "repro.engine", "run", "--analyses", "all",
+         "--corpus-dir", str(corpus), "--format", "json"],
+        check=True, capture_output=True, text=True)
+    report = json.loads(batch.stdout)
+    return sorted_findings([finding
+                            for analysis in report["analyses"].values()
+                            for finding in analysis["findings"]])
+
+
+def wait_for_pass(port: int, revision: int, what: str) -> dict:
+    """The ``last_pass`` stats once the service has reached ``revision``."""
+    def reanalyzed():
+        status, payload = get(port, "/stats")
+        if status != 200 or payload.get("revision", 1) < revision:
+            return None
+        return payload["last_pass"]
+
+    return wait_for(reanalyzed, EDIT_BUDGET_SECONDS, what)
+
+
+def bump_literal(path: Path, function: str, literal: str, new: str) -> None:
+    """Replace the first ``literal`` in ``function``'s body."""
+    source = path.read_text()
+    body = source.index("{", source.index(f"void {function}("))
+    end = source.index("\n}\n", body)
+    at = source.index(literal, body, end)
+    path.write_text(source[:at] + new + source[at + len(literal):])
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory(prefix="repro-daemon-smoke-") as tmp:
         corpus = Path(tmp) / "corpus"
@@ -100,16 +135,6 @@ def main() -> None:
             [sys.executable, "-m", "repro.engine", "export-corpus",
              str(corpus)], check=True, capture_output=True, text=True)
         print(run.stdout.strip())
-
-        batch = subprocess.run(
-            [sys.executable, "-m", "repro.engine", "run", "--analyses", "all",
-             "--corpus-dir", str(corpus), "--format", "json"],
-            check=True, capture_output=True, text=True)
-        batch_report = json.loads(batch.stdout)
-        batch_findings = sorted_findings(
-            [finding
-             for analysis in batch_report["analyses"].values()
-             for finding in analysis["findings"]])
 
         proc, port = start_serve(corpus, store)
         try:
@@ -120,7 +145,7 @@ def main() -> None:
             if status != 200:
                 fail(f"/findings returned {status}")
             served_findings = sorted_findings(served["findings"])
-            if served_findings != batch_findings:
+            if served_findings != batch_findings(corpus):
                 fail("served findings differ from `repro-engine run`")
             print(f"findings: {served['count']} (matches batch run)")
 
@@ -130,15 +155,7 @@ def main() -> None:
             target.write_text(target.read_text()
                               + "\nint __daemon_smoke(void) { return 0; }\n")
 
-            def reanalyzed():
-                status, payload = get(port, "/stats")
-                if status != 200 or payload.get("revision", 1) < 2:
-                    return None
-                return payload
-
-            stats = wait_for(reanalyzed, EDIT_BUDGET_SECONDS,
-                             "the watcher to trigger a second pass")
-            last = stats["last_pass"]
+            last = wait_for_pass(port, 2, "the watcher to trigger a second pass")
             print("edit pass: "
                   f"full_reparse={last['full_reparse']} "
                   f"parsed_units={last['parsed_units']} "
@@ -148,6 +165,32 @@ def main() -> None:
                 fail("edit pass fell back to a full re-parse")
             if last["sccs_reused"] == 0:
                 fail("edit pass reused no SCC summaries")
+
+            # A body edit to a widely called function keeps its signature:
+            # its callers' SCCs re-solve, but Deputy, which reads other
+            # functions only through their signatures, re-runs one unit.
+            bump_literal(corpus / "lib" / "kernel_lib.c", "spin_lock_init",
+                         "-1", "-2")
+            last = wait_for_pass(port, 3, "the watcher to pick up the body edit")
+            deputy_reruns = last["shards_rerun_by_analysis"]["deputy"]
+            print("body-edit pass: "
+                  f"full_reparse={last['full_reparse']} "
+                  f"dirty_sccs={last['dirty_sccs']} "
+                  f"shards_rerun={last['shards_rerun']} "
+                  f"deputy_reruns={deputy_reruns}")
+            if last["full_reparse"]:
+                fail("body-edit pass fell back to a full re-parse")
+            if last["dirty_sccs"] <= 1:
+                fail("body edit dirtied no caller SCCs "
+                     f"(dirty_sccs={last['dirty_sccs']})")
+            if deputy_reruns != 1:
+                fail(f"body edit re-ran {deputy_reruns} Deputy shards, not 1")
+            status, served = get(port, "/findings")
+            if status != 200:
+                fail(f"/findings (body edit) returned {status}")
+            if sorted_findings(served["findings"]) != batch_findings(corpus):
+                fail("body-edit findings differ from `repro-engine run`")
+            print(f"body-edit findings: {served['count']} (matches batch run)")
 
             status, pre_restart = get(port, "/findings")
             if status != 200:

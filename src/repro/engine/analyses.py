@@ -23,6 +23,7 @@ from __future__ import annotations
 import copy
 import hashlib
 from dataclasses import dataclass, field
+from enum import Enum, auto
 from typing import Any
 
 from ..analyses.errcheck import check_error_returns
@@ -105,17 +106,32 @@ class AnalysisReport:
                    metrics=dict(payload.get("metrics", {})))
 
 
+class ShardReads(Enum):
+    """What a per-unit shard reads about functions outside its unit.
+
+    The incremental service folds exactly this into the shard's cache key,
+    next to the unit's own location hashes and the globals fingerprint, so
+    an edit elsewhere re-runs the shard only when what it reads moved.
+    """
+
+    #: The Merkle SCC keys of the unit's functions, which cover every
+    #: transitive callee's body: summaries, blocking facts, error returns.
+    CALLEE_SCC_KEYS = auto()
+    #: Only the signatures (``Program.function_type``) of the names the
+    #: unit's bodies reference.
+    REFERENCED_SIGNATURES = auto()
+    #: Nothing: the shard depends on the unit's own bodies alone.
+    NOTHING = auto()
+
+
 class EngineAnalysis:
     """Base adapter: one registered analysis over the shared artifacts."""
 
     name = "base"
     #: Whether run_shard can be restricted to a translation unit's functions.
     per_unit = False
-    #: Whether a shard's result can depend on *callees* of its functions
-    #: (through summaries, blocking facts, error-return sets...).  The
-    #: incremental service folds callee SCC keys into the shard cache key
-    #: only when this is set; intraprocedural analyses skip that.
-    interprocedural = True
+    #: What a per-unit shard reads about functions outside its unit.
+    shard_reads = ShardReads.CALLEE_SCC_KEYS
 
     def run_shard(self, artifacts: SharedArtifacts,
                   functions: list[str] | None) -> dict:
@@ -129,7 +145,7 @@ class EngineAnalysis:
         """Extra content folded into this analysis's incremental shard keys.
 
         Override when ``run_shard`` consumes a *global* artifact that body
-        hashes and callee SCC keys don't cover (e.g. errcheck's
+        hashes and the declared ``shard_reads`` don't cover (e.g. errcheck's
         error-returning set).  The empty default means the standard key
         components fully determine the shard payload.
         """
@@ -141,6 +157,11 @@ class DeputyAnalysis(EngineAnalysis):
 
     name = "deputy"
     per_unit = True
+    #: A shard reads its own bodies, its own functions' facts, the globals,
+    #: and ``Program.function_type`` of identifiers its bodies name (types
+    #: of names and calls, call contracts) — never another function's
+    #: body, facts or summary.
+    shard_reads = ShardReads.REFERENCED_SIGNATURES
 
     def __init__(self, options: DeputyOptions | None = None) -> None:
         self.options = options or DeputyOptions()
@@ -436,9 +457,8 @@ class CCountAnalysis(EngineAnalysis):
     name = "ccount"
     per_unit = True
     #: Purely intraprocedural — an edit to a callee never changes this
-    #: analysis's result for the caller's unit, so the incremental service
-    #: keys its shards on body hashes alone, without callee SCC keys.
-    interprocedural = False
+    #: analysis's result for the caller's unit.
+    shard_reads = ShardReads.NOTHING
 
     def run_shard(self, artifacts, functions):
         program = artifacts.program

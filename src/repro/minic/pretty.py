@@ -49,10 +49,16 @@ class PrettyPrinter:
         raise TypeError(f"cannot print top-level node {type(node).__name__}")
 
     def print_funcdef(self, func: ast.FuncDef) -> str:
+        return f"{self.print_signature(func)}\n{self.print_stmt(func.body, 0)}"
+
+    def print_signature(self, func: ast.FuncDef) -> str:
+        """A definition's header: storage, return type, name, parameters
+        with their annotations, then the function's annotations."""
         storage = f"{func.storage} " if func.storage else ""
         annos = self._annotations(func.annotations, leading_space=True)
-        header = storage + self._declare(func.type, func.name, skip_func_annos=True)
-        return f"{header}{annos}\n{self.print_stmt(func.body, 0)}"
+        return (storage
+                + self._declare(func.type, func.name, skip_func_annos=True)
+                + annos)
 
     def print_declaration(self, decl: ast.Declaration) -> str:
         storage = f"{decl.storage} " if decl.storage else ""

@@ -2,12 +2,12 @@
 
 Most analyses need only a handful of syntactic facts about a function body —
 its call sites, its plain assignments, its local declarations, its returns,
-which names have their address taken, whether it contains inline assembly or
-any branch — and re-walking the body once per fact, per pass, would dominate
-an incremental pass.  :func:`index_function` collects all of them in a
-single walk into a frozen :class:`FunctionSyntax`; the linked
-:class:`~repro.machine.program.Program` owns one record per function
-(``program.syntax(name)``, built on first use).
+which names it mentions and which have their address taken, whether it
+contains inline assembly or any branch — and re-walking the body once per
+fact, per pass, would dominate an incremental pass.  :func:`index_function`
+collects all of them in a single walk into a frozen :class:`FunctionSyntax`;
+the linked :class:`~repro.machine.program.Program` owns one record per
+function (``program.syntax(name)``, built on first use).
 
 The records hold references to the function's own nodes, so they describe
 the tree as it was when indexed: code that rewrites a linked body in place
@@ -36,6 +36,9 @@ class FunctionSyntax:
     #: Every declaration in the body (typedefs included).
     declarations: tuple[ast.Declaration, ...]
     returns: tuple[ast.Return, ...]
+    #: Every identifier the body names: locals, parameters, globals and
+    #: functions alike (a local may shadow a function's name).
+    names: frozenset[str]
     #: Base names of ``&x``, ``&x.f``, ``&x[i]`` (through casts) operands.
     address_taken: frozenset[str]
     has_asm: bool
@@ -60,11 +63,14 @@ def index_function(func: ast.FuncDef) -> FunctionSyntax:
     assigns: list[ast.Assign] = []
     declarations: list[ast.Declaration] = []
     returns: list[ast.Return] = []
+    names: set[str] = set()
     address_taken: set[str] = set()
     has_asm = has_branches = False
     for node in walk(func.body):
         if isinstance(node, ast.Expr):
-            if isinstance(node, ast.Call):
+            if isinstance(node, ast.Ident):
+                names.add(node.name)
+            elif isinstance(node, ast.Call):
                 calls.append(node)
             elif isinstance(node, ast.Assign):
                 if node.op == "=":
@@ -84,6 +90,6 @@ def index_function(func: ast.FuncDef) -> FunctionSyntax:
             has_branches = True
     return FunctionSyntax(calls=tuple(calls), assigns=tuple(assigns),
                           declarations=tuple(declarations),
-                          returns=tuple(returns),
+                          returns=tuple(returns), names=frozenset(names),
                           address_taken=frozenset(address_taken),
                           has_asm=has_asm, has_branches=has_branches)

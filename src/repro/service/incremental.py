@@ -17,8 +17,12 @@ at the granularity the dependency structure actually has:
   key — so editing one function dirties exactly its component and the
   components that (transitively) call it;
 * **checker shards** per (analysis, translation unit), keyed on the unit's
-  function bodies plus, for interprocedural analyses, those functions'
-  SCC keys.
+  function bodies plus exactly what the analysis declares its shard reads
+  about functions outside the unit (:class:`~repro.engine.analyses.ShardReads`):
+  the functions' SCC keys, which fold in every callee's, for errcheck and
+  lockcheck; the signature hash of every name the bodies reference for
+  Deputy; nothing for CCount.  So a body edit that keeps its function's
+  signature re-runs Deputy only in the edited unit.
 
 Two invariants keep this sound:
 
@@ -63,7 +67,12 @@ from ..dataflow.interproc import (
 from ..dataflow.summaries import build_context
 from ..deputy.checker import DeputyOptions
 from ..deputy.typesystem import TypeEnv
-from ..engine.analyses import ANALYSIS_ORDER, diagnostics_report, make_registry
+from ..engine.analyses import (
+    ANALYSIS_ORDER,
+    ShardReads,
+    diagnostics_report,
+    make_registry,
+)
 from ..engine.artifacts import SharedArtifacts, unit_function_map
 from ..engine.core import (
     EngineReport,
@@ -190,10 +199,11 @@ class _FunctionRecord:
     """What one pass derived from a linked FuncDef, for the next pass.
 
     A unit that is not re-parsed keeps its FuncDef objects, and no analysis
-    mutates the shared program, so the syntax record and both hashes carry
-    over as long as the same object is linked again.  ``annotation_count``
-    guards the one in-place change linking itself makes: merging a
-    prototype's annotations into the definition (which only ever adds).
+    mutates the shared program, so the syntax record, the hashes and the
+    referenced names carry over as long as the same object is linked again.
+    ``annotation_count`` guards the one in-place change linking itself
+    makes: merging a prototype's annotations into the definition (which
+    only ever adds).
     """
 
     func: ast.FuncDef
@@ -201,6 +211,13 @@ class _FunctionRecord:
     syntax: FunctionSyntax
     sem_hash: str
     loc_hash: str
+    #: Hash of the rendered header (storage, return type, name, parameters
+    #: with their annotations, function annotations): all that
+    #: ``Program.function_type`` tells another function's Deputy shard.
+    sig_hash: str
+    #: The identifiers the body names, sorted once here so a pass that
+    #: keeps this record builds Deputy's shard keys by lookups alone.
+    referenced: tuple[str, ...]
 
 
 def _annotation_count(func: ast.FuncDef) -> int:
@@ -224,6 +241,8 @@ class IncrementalStats:
     sccs_reused: int = 0
     dirty_functions: list[str] = field(default_factory=list)
     shards_rerun: int = 0
+    #: ``shards_rerun`` split by analysis: every registered name, 0 allowed.
+    shards_rerun_by_analysis: dict[str, int] = field(default_factory=dict)
     shards_reused: int = 0
     #: Worker count the dirty-SCC re-solve actually ran with (0 = serial).
     parallel_jobs: int = 0
@@ -250,6 +269,7 @@ class IncrementalStats:
             "sccs_reused": self.sccs_reused,
             "dirty_functions": list(self.dirty_functions),
             "shards_rerun": self.shards_rerun,
+            "shards_rerun_by_analysis": dict(self.shards_rerun_by_analysis),
             "shards_reused": self.shards_reused,
             "parallel_jobs": self.parallel_jobs,
             "store_hits": self.store_hits,
@@ -303,8 +323,8 @@ class IncrementalAnalyzer:
         self._scc_store: dict[str, dict] = {}
         #: shard key -> run_shard payload dict
         self._shard_store: dict[str, dict] = {}
-        #: id(FuncDef) -> what the last pass derived from that FuncDef.
-        self._function_records: dict[int, _FunctionRecord] = {}
+        #: function name -> what the last pass derived from its FuncDef.
+        self._function_records: dict[str, _FunctionRecord] = {}
         self.revision = 0
         self.last_stats: IncrementalStats | None = None
         #: The last pass's shared artifacts (the service's /summaries source).
@@ -627,19 +647,22 @@ class IncrementalAnalyzer:
     # -- fingerprints ---------------------------------------------------------
 
     def _fingerprint(self, program: Program, stats: IncrementalStats):
-        """Per-function body hashes plus the corpus-global fingerprint.
+        """Per-function records plus the corpus-global fingerprint.
 
-        ``sem_hashes`` are *semantic*: the macro-expanded, pretty-printed
-        body (signature and annotations included) — what summaries and
-        constant facts can observe.  ``loc_hashes`` additionally fold every
+        Each linked function gets a :class:`_FunctionRecord`.  Its
+        ``sem_hash`` is *semantic*: the macro-expanded, pretty-printed body
+        (signature and annotations included) — what summaries and constant
+        facts can observe.  Its ``loc_hash`` additionally folds every
         node's source position, because checker findings carry line
         numbers: an edit that only shifts a function down a line must
         invalidate its shard payloads without re-solving its summaries.
+        Its ``sig_hash`` covers the header alone, which is all another
+        unit's Deputy shard reads about it.
 
-        Both hashes and the function's syntax record carry over from the
-        last pass for every FuncDef object linked again (see
-        :class:`_FunctionRecord`), so only the functions of re-parsed units
-        are rendered and walked; ``stats.indexed_functions`` counts them.
+        Records carry over from the last pass for every FuncDef object
+        linked again (see :class:`_FunctionRecord`), so only the functions
+        of re-parsed units are rendered and walked;
+        ``stats.indexed_functions`` counts them.
 
         Building a :class:`TypeEnv` per function *first* is load-bearing:
         its construction canonically absorbs declarator-trailing Deputy
@@ -649,13 +672,11 @@ class IncrementalAnalyzer:
         points-to pass and the deputy checker consume the same entries.
         """
         printer = self._printer
-        sem_hashes: dict[str, str] = {}
-        loc_hashes: dict[str, str] = {}
         type_envs: dict[str, TypeEnv] = {}
         global_parts = [source_digest(), self.precision.name,
                         json.dumps(self.defines, sort_keys=True)]
         carried = self._function_records
-        records: dict[int, _FunctionRecord] = {}
+        records: dict[str, _FunctionRecord] = {}
         for unit in program.units:
             global_parts.append(f"@{unit.filename}")
             for decl in unit.decls:
@@ -663,7 +684,7 @@ class IncrementalAnalyzer:
                     global_parts.append(printer.print_top_level(decl))
                     continue
                 count = _annotation_count(decl)
-                record = carried.get(id(decl))
+                record = carried.get(decl.name)
                 if (record is not None and record.func is decl
                         and record.annotation_count == count):
                     program.adopt_syntax(decl, record.syntax)
@@ -677,17 +698,17 @@ class IncrementalAnalyzer:
                         if location is not None:
                             digest.update(
                                 f"{location.line}:{location.column};".encode())
+                    syntax = program.syntax_of(decl)
                     record = _FunctionRecord(
-                        func=decl, annotation_count=count,
-                        syntax=program.syntax_of(decl), sem_hash=sem,
-                        loc_hash=digest.hexdigest()[:32])
+                        func=decl, annotation_count=count, syntax=syntax,
+                        sem_hash=sem, loc_hash=digest.hexdigest()[:32],
+                        sig_hash=_sha(printer.print_signature(decl)),
+                        referenced=tuple(sorted(syntax.names)))
                     stats.indexed_functions += 1
-                records[id(decl)] = record
-                sem_hashes[decl.name] = record.sem_hash
-                loc_hashes[decl.name] = record.loc_hash
+                records[decl.name] = record
         self._function_records = records
         globals_fp = _sha("\x00".join(global_parts))
-        return sem_hashes, loc_hashes, globals_fp, type_envs
+        return records, globals_fp, type_envs
 
     # -- analysis -------------------------------------------------------------
 
@@ -834,18 +855,35 @@ class IncrementalAnalyzer:
         stats.parallel_jobs = workers
         return {index: results[f"scc:{index}"] for index in sorted(dirty)}
 
-    def _shard_key(self, analysis, name: str, filename: str,
-                   functions: list[str], loc_hashes: dict[str, str],
-                   scc_key_of: dict[str, str], globals_fp: str,
+    @staticmethod
+    def _shard_key(name: str, filename: str, functions: list[str],
+                   records: dict[str, _FunctionRecord],
+                   outside: dict[str, str], globals_fp: str,
                    salt: str) -> str:
+        """A per-unit shard's key: the unit's location hashes plus, for each
+        of its functions, what the analysis reads outside the unit
+        (``outside``: function name -> that content, as text)."""
         parts = [name, filename, globals_fp, salt]
         for function in functions:
-            parts.append(f"{function}={loc_hashes.get(function, '')}")
-            if analysis.interprocedural:
-                parts.append(scc_key_of.get(function, ""))
+            parts.append(f"{function}={records[function].loc_hash}")
+            parts.append(outside.get(function, ""))
         return _sha("\x00".join(parts))
 
-    def _run_shards(self, artifacts: SharedArtifacts, loc_hashes: dict[str, str],
+    @staticmethod
+    def _signatures_read(records: dict[str, _FunctionRecord]) -> dict[str, str]:
+        """Function name -> ``name:sig_hash`` of every identifier its body
+        names, locals included: the call-contract check and the type of a
+        call resolve a direct callee through ``Program.function_type``
+        without looking at locals.  A name with no definition folds in
+        bare, so a later definition changes the key."""
+        signature = {name: f"{name}:{record.sig_hash}"
+                     for name, record in records.items()}
+        return {name: "\x00".join([signature.get(ref, ref)
+                                   for ref in record.referenced])
+                for name, record in records.items()}
+
+    def _run_shards(self, artifacts: SharedArtifacts,
+                    records: dict[str, _FunctionRecord],
                     scc_keys: list[str], globals_fp: str,
                     report: EngineReport, stats: IncrementalStats) -> None:
         condensation = artifacts.condensation
@@ -853,9 +891,13 @@ class IncrementalAnalyzer:
         for index, scc in enumerate(condensation.sccs):
             for function in scc:
                 scc_key_of[function] = scc_keys[index]
+        outside_of = {ShardReads.CALLEE_SCC_KEYS: scc_key_of,
+                      ShardReads.REFERENCED_SIGNATURES:
+                          self._signatures_read(records),
+                      ShardReads.NOTHING: {}}
         root_parts = [globals_fp, callgraph_fingerprint(artifacts.graph)]
-        root_parts.extend(f"{name}={loc_hashes[name]}"
-                          for name in sorted(loc_hashes))
+        root_parts.extend(f"{name}={records[name].loc_hash}"
+                          for name in sorted(records))
         root_fp = _sha("\x00".join(root_parts))
         store: dict[str, dict] = {}
         disk_writes: list[tuple[str, tuple]] = []
@@ -865,11 +907,13 @@ class IncrementalAnalyzer:
                 continue
             analysis = self.registry[name]
             salt = analysis.shard_salt(artifacts)
+            stats.shards_rerun_by_analysis[name] = 0
             payloads = []
             if analysis.per_unit:
+                outside = outside_of[analysis.shard_reads]
                 keys = [
-                    self._shard_key(analysis, name, filename, functions,
-                                    loc_hashes, scc_key_of, globals_fp, salt)
+                    self._shard_key(name, filename, functions, records,
+                                    outside, globals_fp, salt)
                     for filename, functions in artifacts.unit_functions.items()
                     if functions]
                 tasks = [functions for functions
@@ -889,6 +933,7 @@ class IncrementalAnalyzer:
                     else:
                         payload = analysis.run_shard(artifacts, functions)
                         stats.shards_rerun += 1
+                        stats.shards_rerun_by_analysis[name] += 1
                         disk_writes.append((key, (payload,)))
                 else:
                     stats.shards_reused += 1
@@ -913,8 +958,9 @@ class IncrementalAnalyzer:
         program, diagnostics = self._link()
         stats.parse_errors = len(diagnostics)
 
-        sem_hashes, loc_hashes, globals_fp, type_envs = self._fingerprint(
-            program, stats)
+        records, globals_fp, type_envs = self._fingerprint(program, stats)
+        sem_hashes = {name: record.sem_hash
+                      for name, record in records.items()}
         graph, indirect_calls = build_direct_callgraph(program)
         pointsto_pass = FunctionPointerAnalysis(program, self.precision)
         pointsto_pass.collect()
@@ -949,7 +995,7 @@ class IncrementalAnalyzer:
             corpus_files=[f.filename for f in files],
             precision=self.precision.name.lower(),
             jobs=1, parallel=False)
-        self._run_shards(artifacts, loc_hashes, scc_keys, globals_fp,
+        self._run_shards(artifacts, records, scc_keys, globals_fp,
                          report, stats)
         if diagnostics:
             report.analyses["diagnostics"] = diagnostics_report(diagnostics)

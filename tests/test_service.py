@@ -74,6 +74,62 @@ CHAIN_FILES = (CorpusFile("lib.c", CHAIN_LIB),
                CorpusFile("mid.c", CHAIN_MID),
                CorpusFile("top.c", CHAIN_TOP))
 
+# ---------------------------------------------------------------------------
+# Deputy reads another unit's function only through its signature.  `fill`
+# wants `count(n)` bytes, so a caller passing `char local[8]` and 8 meets
+# the contract statically; `count(n + 1)` turns that into a run-time check
+# without touching the caller's unit.
+# ---------------------------------------------------------------------------
+
+FILL_LIB = """
+int fill(char * count(n) buf, unsigned int n) {
+    buf[0] = 0;
+    return 0;
+}
+"""
+
+FILL_COUNT_EDIT = ("count(n) buf", "count(n + 1) buf")
+
+LATER_DEFINED = (FILL_LIB, FILL_LIB + """
+int later(char * count(n + 1) buf, unsigned int n) {
+    return 0;
+}
+""")
+
+FILL_CALLER = """
+int fill(char * count(n) buf, unsigned int n);
+int caller(void) {
+    char local[8];
+    return fill(local, 8);
+}
+"""
+
+FILL_AS_VALUE = """
+int fill(char * count(n) buf, unsigned int n);
+int take(void) {
+    int (*fp)(char *, unsigned int) = fill;
+    return 0;
+}
+"""
+
+FILL_SHADOWED = """
+int spare(char *buf, unsigned int n) {
+    return 0;
+}
+int use(void) {
+    char local[8];
+    int (*fill)(char *, unsigned int) = spare;
+    return fill(local, 8);
+}
+"""
+
+LATER_CALLER = """
+int caller(void) {
+    char local[8];
+    return later(local, 8);
+}
+"""
+
 
 def edit(files, filename, old, new):
     """Return ``files`` with ``old`` replaced by ``new`` in ``filename``."""
@@ -113,6 +169,18 @@ def assert_reports_identical(incremental_report, fresh_report):
     assert left == right
 
 
+def assert_matches_cold(report, files):
+    """``report`` equals a fresh analyzer's, and its findings a batch run's."""
+    assert_reports_identical(report, IncrementalAnalyzer(files=files).analyze())
+    batch = AnalysisEngine(files=files, tolerant=True).run(jobs=1)
+    assert report.all_findings() == batch.all_findings()
+
+
+def deputy_counts(report):
+    metrics = report.analyses["deputy"].metrics
+    return metrics["obligations_static"], metrics["obligations_runtime"]
+
+
 # ---------------------------------------------------------------------------
 # Invalidation correctness
 # ---------------------------------------------------------------------------
@@ -149,10 +217,43 @@ class TestInvalidation:
         assert stats.consts_solved == 1
         assert stats.dirty_sccs == 3
         assert "lone" not in resolved
+        # leaf keeps its signature, so no other unit's Deputy shard reads
+        # anything that moved; the one re-run is lib.c's own.  errcheck
+        # and lockcheck read callee summaries: every unit on the chain.
+        assert stats.shards_rerun_by_analysis == {
+            "deputy": 1, "blockstop": 1, "errcheck": 3, "lockcheck": 3,
+            "stackcheck": 1, "ccount": 1}
+        assert stats.shards_rerun == 10
 
         # The answer stays exact: byte-identical to analyzing the edited
         # corpus from scratch.
-        assert_reports_identical(report, IncrementalAnalyzer(files=edited).analyze())
+        assert_matches_cold(report, edited)
+
+    @pytest.mark.parametrize("user, change, before, after", [
+        # The caller's call contract is now checked at run time.
+        (FILL_CALLER, FILL_COUNT_EDIT, (1, 1), (0, 2)),
+        # No call edge reaches `fill` from user.c, so callee SCC keys would
+        # miss this dependency; the referenced name's signature does not.
+        (FILL_AS_VALUE, FILL_COUNT_EDIT, (0, 1), (0, 1)),
+        # The call contract resolves `fill(...)` through the global `fill`
+        # although a local pointer of that name is in scope, so a local's
+        # name still folds in the global's signature.
+        (FILL_SHADOWED, FILL_COUNT_EDIT, (1, 1), (0, 2)),
+        # A called name with no definition gains one in another unit.
+        (LATER_CALLER, LATER_DEFINED, (0, 1), (0, 2)),
+    ], ids=["caller", "value-only", "shadowing-local", "gains-definition"])
+    def test_signature_edit_reruns_referencing_deputy_shard(self, user, change,
+                                                            before, after):
+        files = (CorpusFile("lib.c", FILL_LIB), CorpusFile("user.c", user))
+        analyzer = IncrementalAnalyzer(files=files)
+        assert deputy_counts(analyzer.analyze()) == before
+        edited = edit(files, "lib.c", *change)
+        report = analyzer.analyze(edited)
+        assert analyzer.last_stats.full_reparse is False
+        # lib.c's own shard plus user.c's, which reads what moved.
+        assert analyzer.last_stats.shards_rerun_by_analysis["deputy"] == 2
+        assert deputy_counts(report) == after
+        assert_matches_cold(report, edited)
 
     def test_line_shift_skips_summaries_but_refreshes_findings(self):
         analyzer = IncrementalAnalyzer(files=CHAIN_FILES)
