@@ -13,7 +13,11 @@ real subprocess, and checks the full loop:
    served findings match `repro-engine run` over the edited corpus;
 5. a *restarted* serve over the unchanged corpus warm-starts from the
    persistent store: its first pass re-solves 0 SCCs and serves findings
-   byte-identical to the pre-restart snapshot.
+   byte-identical to the pre-restart snapshot;
+6. a serve restarted after `spin_lock_init` was edited again while it was
+   down mixes store hits with dirty SCCs in its first pass, re-runs Deputy
+   in one unit, and serves findings equal to `repro-engine run` over the
+   edited corpus.
 
 Exit status 0 on success; any failure prints the reason and exits 1.
 Run from a source checkout: `python scripts/daemon_smoke.py`.
@@ -226,6 +230,42 @@ def main() -> None:
                     pre_restart["findings"]):
                 fail("warm-restart findings differ from pre-restart snapshot")
             print(f"restart findings: {served['count']} (byte-identical)")
+        finally:
+            stop_serve(proc)
+
+        # Edit while serve is down, to a literal the store has never held:
+        # the restart's first pass solves the dirty SCCs against clean
+        # components it reads back from the store.
+        bump_literal(corpus / "lib" / "kernel_lib.c", "spin_lock_init",
+                     "-2", "-3")
+        proc, port = start_serve(corpus, store)
+        try:
+            wait_healthy(proc, port)
+            status, stats = get(port, "/stats")
+            if status != 200:
+                fail(f"/stats (offline-edit restart) returned {status}")
+            last = stats["last_pass"]
+            deputy_reruns = last["shards_rerun_by_analysis"]["deputy"]
+            print("offline-edit restart pass: "
+                  f"dirty_sccs={last['dirty_sccs']} "
+                  f"store_hits={last['store_hits']} "
+                  f"deputy_reruns={deputy_reruns}")
+            if last["dirty_sccs"] <= 1:
+                fail("offline edit dirtied no caller SCCs "
+                     f"(dirty_sccs={last['dirty_sccs']})")
+            if last["store_hits"] == 0:
+                fail("offline-edit restart never hit the persistent store")
+            if deputy_reruns != 1:
+                fail(f"offline edit re-ran {deputy_reruns} Deputy shards, "
+                     "not 1")
+            status, served = get(port, "/findings")
+            if status != 200:
+                fail(f"/findings (offline-edit restart) returned {status}")
+            if sorted_findings(served["findings"]) != batch_findings(corpus):
+                fail("offline-edit restart findings differ from "
+                     "`repro-engine run`")
+            print(f"offline-edit restart findings: {served['count']} "
+                  "(matches batch run)")
             print("daemon-smoke: OK")
         finally:
             stop_serve(proc)

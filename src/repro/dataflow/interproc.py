@@ -11,10 +11,10 @@ per function:
 * recursive components (self loops, mutual recursion, cycles closed through
   a function pointer) iterate to a lattice fixpoint, with a divergence
   guard mirroring the intraprocedural solver's;
-* a component can be solved as soon as its callee components are — the
-  engine's work-stealing executor schedules each one on that dependency
-  alone, and the merge is byte-identical with the serial wave order
-  because each component's result depends only on its callees.
+* a component's result depends only on its callee components' — so the
+  incremental analyzer can reuse clean components and re-solve only dirty
+  ones, and every path, serial or parallel, batch or incremental, solves
+  in one process in the same wave order and gets byte-identical summaries.
 
 One SCC-ordered sweep with memoized summaries replaces re-running every
 checker to global convergence — few, cheap passes to the whole-program
@@ -46,8 +46,7 @@ MAX_SCC_ITERATIONS = 64
 #: How many times each SCC (keyed by its sorted member tuple) has been
 #: solved in this process.  The incremental analyzer's invalidation tests
 #: assert against this, the same way the engine's parse-once guarantee is
-#: asserted against ``PARSE_COUNTS``.  Like that counter it is per-process:
-#: pool workers bump their own copies, not the parent's.
+#: asserted against ``PARSE_COUNTS``.
 SCC_SOLVE_COUNTS: Counter[tuple[str, ...]] = Counter()
 
 

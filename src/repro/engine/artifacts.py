@@ -181,7 +181,8 @@ class SharedArtifacts:
       the infeasible-edge set every condition-aware solve prunes with;
       ``None`` entries mark branchless functions;
     * ``condensation`` — the SCC condensation of that graph, in bottom-up
-      (reverse-topological) order, with its parallel-scheduling waves;
+      (reverse-topological) order, with its dependency waves (the order
+      :func:`solve_summaries` solves in);
     * ``summaries`` — one interprocedural :class:`FunctionSummary` per
       function, solved callees-first over the condensation; every checker's
       cross-function knowledge comes from here;
@@ -237,10 +238,10 @@ def build_shared_artifacts(program: Program,
     computation so conditionally-dead effects never reach any summary.
     ``phase_solver(program, graph, pointsto, condensation)`` may be
     supplied to return ``(consts, summaries)`` from elsewhere — the engine
-    passes its cache-aware solver, which either solves them directly or
-    overlaps the two phases over one dependency graph on its work-stealing
-    executor; the default solves them inline.  The condensation is built
-    first either way — it depends only on the resolved call graph.
+    passes its cache-aware solver, which may solve the facts as per-unit
+    tasks on its work-stealing executor; the default solves them inline.
+    The condensation is built first either way — it depends only on the
+    resolved call graph.
     """
     graph, indirect_calls = build_direct_callgraph(program)
     type_envs: dict[str, TypeEnv] = {}

@@ -45,9 +45,10 @@ def _build_parser() -> argparse.ArgumentParser:
                           f"Known: {', '.join(ANALYSIS_ORDER)}")
     run.add_argument("--jobs", type=int, default=1,
                      help="worker processes; >1 parses in parallel and "
-                          "solves facts, summaries and checker shards on "
+                          "solves per-unit facts and checker shards on "
                           "one work-stealing pool, both clamped to the "
-                          "usable CPUs (but at least 2); 0 means every CPU "
+                          "usable CPUs (but at least 2), while summaries "
+                          "are solved in this process; 0 means every CPU "
                           "this process may run on; without fork the run "
                           "is serial")
     run.add_argument("--cache-dir", default=None,
@@ -142,7 +143,8 @@ def _build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve",
         help="run the always-on analysis service: a file watcher drives "
-             "incremental re-analysis behind an HTTP JSON API")
+             "incremental re-analysis, in this one process, behind an "
+             "HTTP JSON API")
     serve.add_argument("--corpus-dir", default=None,
                        help="corpus tree to watch (from 'export-corpus'); "
                             "without it the embedded corpus is served and "
@@ -152,9 +154,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="TCP port (0 picks a free one)")
     serve.add_argument("--precision", default="type_based",
                        choices=[p.name.lower() for p in Precision])
-    serve.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for the dirty-SCC re-solve; "
-                            "0 means every CPU this process may run on")
     serve.add_argument("--poll-seconds", type=float, default=0.5,
                        help="corpus poll interval")
     serve.add_argument("--store-dir", default=None,
@@ -594,9 +593,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     serve(corpus_dir=args.corpus_dir, host=args.host, port=args.port,
           precision=Precision[args.precision.upper()],
-          poll_seconds=args.poll_seconds, jobs=args.jobs,
-          store_dir=args.store_dir, store_max_mb=args.store_max_mb,
-          verbose=args.verbose)
+          poll_seconds=args.poll_seconds, store_dir=args.store_dir,
+          store_max_mb=args.store_max_mb, verbose=args.verbose)
     return 0
 
 

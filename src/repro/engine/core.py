@@ -7,8 +7,9 @@ dispatches every registered analysis over them.  A run takes one of two
 paths, picked from what it can observe (:func:`worker_count`): direct
 serial calls when it resolves to one worker or the platform cannot
 ``fork``; otherwise the speculative parallel parse, then one persistent
-:class:`WorkStealingExecutor` for the constant facts, the summaries and
-the checker shards, both on the same number of workers.  Both paths merge
+:class:`WorkStealingExecutor` for the per-unit constant facts and the
+checker shards, both on the same number of workers.  Summaries are solved
+in the parent on both paths, by :func:`solve_summaries`.  Both paths merge
 through the same code in the same order, so their reports are
 byte-identical.
 """
@@ -28,12 +29,7 @@ from ..dataflow.domains import (
     domain_fingerprint,
     solve_program_facts,
 )
-from ..dataflow.interproc import (
-    build_context,
-    callgraph_fingerprint,
-    solve_scc,
-    solve_summaries,
-)
+from ..dataflow.interproc import callgraph_fingerprint, solve_summaries
 from ..deputy.checker import DeputyOptions
 from ..kernel.build import ParseDiagnostic, parse_corpus, parse_corpus_tolerant
 from ..kernel.corpus import KERNEL_FILES, CorpusFile
@@ -84,26 +80,15 @@ def _make_steal_handler(program, graph, pointsto, precision, registry):
     Returns a closure over the phase-independent artifacts (parsed program,
     resolved call graph, points-to solution) — workers receive it through
     ``fork()`` at executor construction, so none of it is ever pickled.
-    Per-phase inputs arrive with the task payload (dependency summaries,
-    member constant facts) or via broadcast (the merged artifacts the
-    checker shards consume); ``memo`` holds what a worker derives once and
-    reuses across tasks (its summary context, its assembled artifact view).
+    A ``consts`` task's payload names the unit functions to solve; a
+    ``shard`` task reads the merged artifacts from the broadcast state, and
+    ``memo`` keeps the artifact view a worker assembles from them once.
     """
     memo: dict = {}
 
     def handler(kind, payload, state):
         if kind == "consts":
             return solve_program_facts(program, payload)
-        if kind == "scc":
-            scc, needed, member_facts = payload
-            ctx = memo.get("ctx")
-            if ctx is None:
-                ctx = memo["ctx"] = build_context(program, graph)
-            # Shipped facts are pure functions of the sources, so the
-            # context's memo can only ever grow consistent entries; any
-            # member missing one falls back to the lazy in-context solve.
-            ctx.consts.update(member_facts)
-            return solve_scc(scc, ctx, graph, needed)
         if kind == "shard":
             name, index, functions = payload
             data = state["artifacts"]
@@ -128,45 +113,6 @@ def _make_steal_handler(program, graph, pointsto, precision, registry):
         raise ValueError(f"unknown task kind {kind!r}")
 
     return handler
-
-
-def _scc_payload_fn(scc, graph, condensation, unit_of, cached_consts,
-                    spec_facts=None):
-    """Late-bound payload for one SCC task: assembled at dispatch time from
-    the results of the tasks it depends on.
-
-    Ships ``(scc, needed, member_facts)`` — the out-of-component callee
-    summaries this component's fixpoint can look up, and the constant
-    facts of its member functions (from the members' consts tasks, the
-    parse workers' speculative solves, or the cached artifact when this
-    run only re-solves summaries)."""
-
-    def payload_fn(results):
-        members = set(scc)
-        needed = {}
-        for name in scc:
-            for callee in graph.edges.get(name, ()):
-                if callee in members or callee in needed:
-                    continue
-                owner = condensation.scc_of.get(callee)
-                solved = results.get(f"scc:{owner}")
-                if solved is not None and callee in solved:
-                    needed[callee] = solved[callee]
-        member_facts = {}
-        for name in scc:
-            if cached_consts is not None:
-                if name in cached_consts:
-                    member_facts[name] = cached_consts[name]
-                continue
-            if spec_facts is not None and name in spec_facts:
-                member_facts[name] = spec_facts[name]
-                continue
-            shard = results.get(f"consts:{unit_of.get(name)}")
-            if shard is not None and name in shard:
-                member_facts[name] = shard[name]
-        return (scc, needed, member_facts)
-
-    return payload_fn
 
 
 def summary_stats(artifacts: SharedArtifacts, summary_cache_hit: bool,
@@ -479,9 +425,9 @@ class AnalysisEngine:
         """Shared artifacts for the configured precision (memory-cached).
 
         The constant facts and summaries come from :meth:`_phase_solver`:
-        solved directly when ``jobs`` is 1, or over one dependency-counted
-        task graph on a ``jobs``-worker executor otherwise.  The merge
-        replays serial order either way.
+        the facts solved directly when ``jobs`` is 1, or as per-unit tasks
+        on a ``jobs``-worker executor otherwise (merged in program order);
+        the summaries solved in the parent either way.
         """
         key = self.cache.content_key(
             "artifacts", files=self.files, defines=self.defines,
@@ -526,19 +472,14 @@ class AnalysisEngine:
         to the corpus or to the points-to resolution invalidates persisted
         summaries.  A warm run loads both without solving anything.
 
-        With ``jobs`` at 1 the two are solved by direct calls, the facts
-        seeding the summaries so they are taken over the pruned CFGs.
-        Otherwise they form one overlapped task graph on the run's
-        executor: per-TU consts tasks have no dependencies, and each SCC
-        task depends on the consts tasks covering its members plus its
-        callee SCC tasks, so summary work starts as soon as *its* TUs'
-        facts exist, with no phase barrier in between.  Dependency
-        summaries and member facts are late-bound into each task's payload
-        at dispatch, keeping per-task pickle size proportional to the
-        component, not the program.  Merging replays the serial order
-        (program order for consts, wave order for summaries), so the
-        artifacts are byte-identical with the serial path no matter when
-        tasks finished.
+        With ``jobs`` at 1 the facts are solved by a direct call.
+        Otherwise each translation unit's facts are one task on the run's
+        executor, except units whose facts the parallel parse already
+        speculated, and the results merge in program order.  Either way the
+        summaries are then solved in the parent by :func:`solve_summaries`,
+        seeded with the facts so they are taken over the pruned CFGs: one
+        SCC's fixpoint costs less than shipping its callee summaries to a
+        worker.  So every path builds byte-identical artifacts.
         """
         consts_key = self.cache.content_key(
             "consts", files=self.files, defines=self.defines,
@@ -550,84 +491,43 @@ class AnalysisEngine:
         # A hit is a value that loaded; anything else is solved again.
         consts = self.cache.lookup(consts_key)
         summaries = self.cache.lookup(summaries_key)
-        consts_hit = self._consts_cache_hit = consts is not None
-        summaries_hit = self._summary_cache_hit = summaries is not None
+        self._consts_cache_hit = consts is not None
+        self._summary_cache_hit = summaries is not None
 
-        if jobs < 2:
-            if not consts_hit:
-                started = time.perf_counter()
-                consts = solve_program_facts(program)
-                self._consts_solve_seconds = time.perf_counter() - started
-                self.cache.put(consts_key, consts)
-            if not summaries_hit:
-                summaries = self.cache.put(
-                    summaries_key,
-                    solve_summaries(program, graph, condensation,
-                                    consts=consts))
-            return consts, summaries
-        if consts_hit and summaries_hit:
-            return consts, summaries
-
-        executor = self._ensure_executor(program, graph, pointsto, jobs)
-        unit_map = {filename: functions for filename, functions
-                    in unit_function_map(program).items() if functions}
-        unit_of = {name: filename for filename, functions in unit_map.items()
-                   for name in functions}
-
-        # Facts the parallel parse workers already solved while parsing:
-        # exact facts_of results, so their functions need no consts task.
-        # A unit fully covered schedules nothing; partially covered units
-        # get a shrunken payload of just the missing names.
-        spec_facts = self._speculative_facts if not consts_hit else {}
-        solved_units: set[str] = set()
-
-        tasks: list[Task] = []
-        if not consts_hit:
-            for filename, functions in unit_map.items():
+        if consts is None and jobs < 2:
+            started = time.perf_counter()
+            consts = solve_program_facts(program)
+            self._consts_solve_seconds = time.perf_counter() - started
+            self.cache.put(consts_key, consts)
+        elif consts is None:
+            # Facts the parallel parse workers already solved while parsing:
+            # exact facts_of results, so their functions need no consts task.
+            # A unit fully covered schedules nothing; partially covered units
+            # get a shrunken payload of just the missing names.
+            executor = self._ensure_executor(program, graph, pointsto, jobs)
+            spec_facts = self._speculative_facts
+            tasks: list[Task] = []
+            for filename, functions in unit_function_map(program).items():
                 missing = [name for name in functions
                            if name not in spec_facts]
-                if not missing:
-                    solved_units.add(filename)
-                    continue
-                tasks.append(Task(id=f"consts:{filename}", kind="consts",
-                                  payload=missing))
-        if not summaries_hit:
-            for index, scc in enumerate(condensation.sccs):
-                deps: list[str] = []
-                if not consts_hit:
-                    deps.extend(sorted({f"consts:{unit_of[name]}"
-                                        for name in scc
-                                        if name in unit_of
-                                        and unit_of[name] not in solved_units}))
-                deps.extend(f"scc:{callee}" for callee
-                            in condensation.scc_callees.get(index, ()))
-                tasks.append(Task(
-                    id=f"scc:{index}", kind="scc", deps=tuple(deps),
-                    payload_fn=_scc_payload_fn(scc, graph, condensation,
-                                               unit_of, consts,
-                                               spec_facts or None)))
-
-        results = executor.run(tasks)
-
-        if not consts_hit:
+                if missing:
+                    tasks.append(Task(id=f"consts:{filename}", kind="consts",
+                                      payload=missing))
+            results = executor.run(tasks)
             merged: dict = dict(spec_facts)
-            for filename in unit_map:
-                if filename in solved_units:
-                    continue
-                merged.update(results[f"consts:{filename}"])
-            ordered = {name: merged[name]
-                       for name, _ in program.functions_subset(None)
-                       if name in merged}
-            consts = self.cache.put(consts_key, ordered)
+            for task in tasks:
+                merged.update(results[task.id])
+            consts = self.cache.put(consts_key, {
+                name: merged[name]
+                for name, _ in program.functions_subset(None)
+                if name in merged})
             self._consts_solve_seconds = sum(
                 busy for task_id, busy in executor.stats.task_busy.items()
                 if task_id.startswith("consts:"))
-        if not summaries_hit:
-            solved: dict = {}
-            for wave in condensation.waves:
-                for index in wave:
-                    solved.update(results[f"scc:{index}"])
-            summaries = self.cache.put(summaries_key, solved)
+        if summaries is None:
+            summaries = self.cache.put(
+                summaries_key,
+                solve_summaries(program, graph, condensation, consts=consts))
         return consts, summaries
 
     # -- running ------------------------------------------------------------
@@ -712,7 +612,7 @@ class AnalysisEngine:
         if executor is not None:
             scheduler_stats["mode"] = "work-steal"
             scheduler_stats.update(executor.stats.to_dict())
-            busy = {"consts": 0.0, "scc": 0.0, "shard": 0.0}
+            busy = {"consts": 0.0, "shard": 0.0}
             for task_id, seconds in executor.stats.task_busy.items():
                 kind = task_id.split(":", 1)[0]
                 if kind in busy:
@@ -730,11 +630,12 @@ class AnalysisEngine:
         :func:`worker_count`: ``jobs=0`` means every usable CPU; one worker,
         or a platform without ``fork``, means direct serial calls; anything
         else means ``min(jobs, max(2, usable CPUs))`` workers on one
-        persistent work-stealing executor that solves consts, summaries and
-        checker shards with no phase barriers.  Parallel runs also parse in
-        parallel, on the same number of workers: the two-pass speculative
-        front-end hands adopted TUs' constant facts straight to the consts
-        phase.  Every path produces a byte-identical report.
+        persistent work-stealing executor that solves per-unit consts and
+        checker shards, while the parent solves the summaries in between.
+        Parallel runs also parse in parallel, on the same number of workers:
+        the two-pass speculative front-end hands adopted TUs' constant facts
+        straight to the consts phase.  Every path produces a byte-identical
+        report.
         """
         workers = worker_count(jobs)
         start = time.perf_counter()

@@ -13,10 +13,10 @@ Two properties are deliberate:
 
 * **the condensation is starvation-shaped** — each unit's entry point calls
   the previous unit's entry, so the SCC chain is as deep as the corpus is
-  wide, while every unit also carries a pile of independent leaves.  Wave
-  scheduling serializes on the chain; the ready-queue scheduler drains the
-  leaves meanwhile.  A few units carry deliberately heavy functions so task
-  costs are uneven (the straggler case);
+  wide, while every unit also carries a pile of independent leaves.  An
+  edit low on the chain dirties a long slice of the condensation, one high
+  on it a short slice.  A few units carry deliberately heavy functions so
+  analysis costs are uneven (the straggler case);
 * **generation is deterministic** (``random.Random(seed)``) and ingest is
   resumable: :func:`write_corpus` records a content hash per TU in
   ``MANIFEST.json`` and skips files whose on-disk bytes already match, so
@@ -168,7 +168,7 @@ def _leaf(prefix: str, index: int, rng: random.Random) -> str:
 
 def _heavy(prefix: str, rng: random.Random) -> str:
     """A deliberately expensive-to-analyze function: deep nesting, many
-    statements and branches, so per-SCC task costs stay uneven."""
+    statements and branches, so per-function analysis costs stay uneven."""
     lines = [f"int {prefix}_heavy(int seed)",
              "{",
              "    int i;",
@@ -311,10 +311,8 @@ def _unit_source(unit: int, rng: random.Random, leaf_count: int) -> str:
         "    return acc;\n"
         "}\n")
     # The entry is a chain link — its SCC sits alone in its condensation
-    # wave — and carries deliberate analysis weight: the chain is the
-    # critical path, so its cost is exactly what barrier scheduling
-    # serializes on (one wave per unit, everything else idle) while the
-    # ready-queue scheduler overlaps it with the leaf backlog.
+    # wave — and carries deliberate analysis weight, so re-solving a dirty
+    # slice of the chain costs what a real call chain would.
     weight = []
     for block in range(3):
         bound = rng.randrange(5, 10)

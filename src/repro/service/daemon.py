@@ -53,7 +53,6 @@ class AnalysisService:
                  precision: Precision = Precision.TYPE_BASED,
                  poll_seconds: float = 0.5,
                  debounce_seconds: float = 0.3,
-                 jobs: int = 1,
                  store_dir: str | Path | None = None,
                  store_max_mb: float | None = None,
                  verbose: bool = False) -> None:
@@ -67,7 +66,7 @@ class AnalysisService:
         self.store = (PersistentStore(store_dir, max_mb=store_max_mb)
                       if store_dir is not None else None)
         self.analyzer = IncrementalAnalyzer(defines=defines,
-                                            precision=precision, jobs=jobs,
+                                            precision=precision,
                                             store=self.store,
                                             **kwargs)
         self.verbose = verbose
@@ -223,7 +222,6 @@ def serve(corpus_dir: str | Path | None = None,
           defines: dict[str, str] | None = None,
           precision: Precision = Precision.TYPE_BASED,
           poll_seconds: float = 0.5,
-          jobs: int = 1,
           store_dir: str | Path | None = None,
           store_max_mb: float | None = None,
           verbose: bool = False) -> None:
@@ -232,7 +230,7 @@ def serve(corpus_dir: str | Path | None = None,
 
     service = AnalysisService(corpus_dir=corpus_dir, defines=defines,
                               precision=precision, poll_seconds=poll_seconds,
-                              jobs=jobs, store_dir=store_dir,
+                              store_dir=store_dir,
                               store_max_mb=store_max_mb, verbose=verbose)
     server = make_server(service, host=host, port=port)
     bound_host, bound_port = server.server_address[:2]

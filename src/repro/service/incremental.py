@@ -15,7 +15,9 @@ at the granularity the dependency structure actually has:
   (:func:`repro.dataflow.interproc.scc_fingerprints`) that fold each
   member's body hash, its resolved out-edges and every callee component's
   key — so editing one function dirties exactly its component and the
-  components that (transitively) call it;
+  components that (transitively) call it.  One wave loop, in this process,
+  takes each component from memory, else from the persistent store, else
+  from a fresh fixpoint;
 * **checker shards** per (analysis, translation unit), keyed on the unit's
   function bodies plus exactly what the analysis declares its shard reads
   about functions outside the unit (:class:`~repro.engine.analyses.ShardReads`):
@@ -74,13 +76,7 @@ from ..engine.analyses import (
     make_registry,
 )
 from ..engine.artifacts import SharedArtifacts, unit_function_map
-from ..engine.core import (
-    EngineReport,
-    _make_steal_handler,
-    summary_stats,
-    worker_count,
-)
-from ..engine.scheduler import Task, WorkStealingExecutor
+from ..engine.core import EngineReport, summary_stats
 from ..blockstop.runtime_checks import RuntimeCheckSet
 from ..kernel.build import PARSE_COUNTS, ParseDiagnostic, _diagnostic_kind
 from ..kernel.corpus import KERNEL_FILES, CorpusFile
@@ -98,33 +94,6 @@ from ..minic.visitor import walk
 
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:32]
-
-
-def _dirty_scc_payload(scc, graph, condensation, consts, clean, dirty):
-    """Late-bound payload for one dirty SCC task.
-
-    Ships ``(scc, needed, member_facts)`` exactly like the engine's steal
-    path, except out-of-component callee summaries can come from *either*
-    a dirty dependency's task result or the clean store (``clean``)."""
-
-    def payload_fn(results):
-        members = set(scc)
-        needed = {}
-        for name in scc:
-            for callee in graph.edges.get(name, ()):
-                if callee in members or callee in needed:
-                    continue
-                owner = condensation.scc_of.get(callee)
-                if owner in dirty:
-                    component = results.get(f"scc:{owner}")
-                    if component is not None and callee in component:
-                        needed[callee] = component[callee]
-                elif callee in clean:
-                    needed[callee] = clean[callee]
-        member_facts = {name: consts[name] for name in scc if name in consts}
-        return (scc, needed, member_facts)
-
-    return payload_fn
 
 
 def _content_key(corpus_file: CorpusFile) -> str:
@@ -159,18 +128,6 @@ class _TableSnapshot:
     structs_complete: frozenset[str]
     enums_complete: frozenset[str]
     anon: int
-
-    def tables_equal(self, other: "_TableSnapshot") -> bool:
-        """Compare by rendered content, never by deep object equality
-        (registry types are cyclic; renders name the cycle instead)."""
-        return (self.macros == other.macros
-                and self.typedef_renders == other.typedef_renders
-                and self.enum_constants == other.enum_constants
-                and self.struct_keys == other.struct_keys
-                and self.enum_keys == other.enum_keys
-                and self.structs_complete == other.structs_complete
-                and self.enums_complete == other.enums_complete
-                and self.anon == other.anon)
 
 
 @dataclass
@@ -244,8 +201,6 @@ class IncrementalStats:
     #: ``shards_rerun`` split by analysis: every registered name, 0 allowed.
     shards_rerun_by_analysis: dict[str, int] = field(default_factory=dict)
     shards_reused: int = 0
-    #: Worker count the dirty-SCC re-solve actually ran with (0 = serial).
-    parallel_jobs: int = 0
     #: Artifacts served from the persistent store (cold-start warm hits).
     store_hits: int = 0
     #: Artifacts written through to the persistent store this pass.
@@ -271,7 +226,6 @@ class IncrementalStats:
             "shards_rerun": self.shards_rerun,
             "shards_rerun_by_analysis": dict(self.shards_rerun_by_analysis),
             "shards_reused": self.shards_reused,
-            "parallel_jobs": self.parallel_jobs,
             "store_hits": self.store_hits,
             "store_writes": self.store_writes,
             "indexed_functions": self.indexed_functions,
@@ -287,10 +241,10 @@ class IncrementalAnalyzer:
     :class:`~repro.engine.AnalysisEngine` would produce over the same
     sources; ``last_stats`` records what the pass reused.  Passes are
     serialized — the service runs them behind a lock and publishes
-    immutable snapshots for readers — but *within* a pass the dirty-SCC
-    re-solve can fan out over the engine's work-stealing executor when
-    ``jobs`` allows it (the merge replays serial wave order, so the
-    report stays byte-identical either way).
+    immutable snapshots for readers — and each runs in this process: a
+    dirty SCC's fixpoint costs less than shipping its callee summaries to
+    a worker, and a pool forked per pass would fork from a process that
+    already runs the service's HTTP and watcher threads.
     """
 
     def __init__(self,
@@ -299,7 +253,6 @@ class IncrementalAnalyzer:
                  precision: Precision = Precision.TYPE_BASED,
                  deputy_options: DeputyOptions | None = None,
                  runtime_checks: RuntimeCheckSet | None = None,
-                 jobs: int = 1,
                  store=None) -> None:
         self.files = tuple(files)
         self.defines = dict(defines or {})
@@ -308,9 +261,6 @@ class IncrementalAnalyzer:
         #: in-memory artifact stores spill through it, so a fresh analyzer
         #: over an unchanged corpus warm-starts with ~0 dirty SCCs.
         self.store = store
-        #: Worker processes for the dirty-SCC re-solve (0 = auto-detect);
-        #: passes with fewer than two dirty components stay serial.
-        self.jobs = jobs
         self.registry = make_registry(deputy_options, runtime_checks)
         self._printer = PrettyPrinter()
         self._type_registry: TypeRegistry | None = None
@@ -751,38 +701,19 @@ class IncrementalAnalyzer:
             stats.store_writes += len(disk_writes)
         return consts
 
-    def _solve_summaries(self, program: Program, graph, pointsto,
-                         condensation, consts: dict, scc_keys: list[str],
+    def _solve_summaries(self, program: Program, graph, condensation,
+                         consts: dict, scc_keys: list[str],
                          stats: IncrementalStats) -> dict:
-        """Bottom-up solve reusing clean components from the SCC store.
+        """Bottom-up solve reusing clean components from the SCC stores.
 
         Mirrors :func:`repro.dataflow.interproc.solve_summaries` wave
-        order exactly (dict iteration order is observable downstream);
-        dirty components start at lattice bottom with their clean
-        dependencies supplied, so the result is the batch least fixpoint.
-        When ``jobs`` allows it the dirty components are pre-solved on the
-        work-stealing executor; the loop below still merges in serial wave
-        order, so parallel and serial passes are byte-identical.
+        order exactly (dict iteration order is observable downstream).
+        Each component comes from memory, else from the persistent store,
+        else from :func:`solve_scc`: a dirty component starts at lattice
+        bottom with its callees' summaries supplied, so the result is the
+        batch least fixpoint.
         """
         ctx = build_context(program, graph, consts=consts)
-        # Components missing from memory may still be on disk: prefetch
-        # them so they are neither scheduled on the pool nor re-solved.
-        from_disk: dict[str, dict] = {}
-        if self.store is not None:
-            for index in range(len(condensation.sccs)):
-                key = scc_keys[index]
-                if key in self._scc_store or key in from_disk:
-                    continue
-                wrapped = self.store.get("scc", key)
-                if wrapped is not None:
-                    from_disk[key] = wrapped[0]
-                    stats.store_hits += 1
-        dirty_indices = {index for index in range(len(condensation.sccs))
-                         if scc_keys[index] not in self._scc_store
-                         and scc_keys[index] not in from_disk}
-        presolved = self._presolve_dirty(program, graph, pointsto,
-                                         condensation, consts, scc_keys,
-                                         dirty_indices, stats)
         solved: dict = {}
         store: dict[str, dict] = {}
         dirty: list[str] = []
@@ -796,16 +727,17 @@ class IncrementalAnalyzer:
                 if component is not None:
                     stats.sccs_reused += 1
                     disk_touches.append(key)
-                elif key in from_disk:
-                    component = from_disk[key]
-                    stats.sccs_reused += 1
                 else:
-                    if presolved is not None and index in presolved:
-                        component = presolved[index]
+                    wrapped = (self.store.get("scc", key)
+                               if self.store is not None else None)
+                    if wrapped is not None:
+                        component = wrapped[0]
+                        stats.sccs_reused += 1
+                        stats.store_hits += 1
                     else:
                         component = solve_scc(scc, ctx, graph, solved)
-                    dirty.extend(scc)
-                    disk_writes[key] = component
+                        dirty.extend(scc)
+                        disk_writes[key] = component
                 store[key] = component
                 solved.update(component)
         stats.dirty_sccs = len(condensation.sccs) - stats.sccs_reused
@@ -818,42 +750,6 @@ class IncrementalAnalyzer:
             self.store.touch("scc", disk_touches)
             stats.store_writes += len(disk_writes)
         return solved
-
-    def _presolve_dirty(self, program, graph, pointsto, condensation,
-                        consts: dict, scc_keys: list[str],
-                        dirty: set[int],
-                        stats: IncrementalStats) -> dict | None:
-        """Solve the dirty components on a work-stealing pool, or ``None``.
-
-        Only the *dirty* subgraph is scheduled: each dirty SCC depends on
-        its dirty callee components (clean callee summaries come from the
-        store and ship with the task payload), so the pool drains exactly
-        the invalidated slice of the condensation with no barriers.  The
-        pool forks fresh per pass — it must inherit *this* pass's parse.
-        """
-        workers = worker_count(self.jobs)
-        if workers < 2 or len(dirty) < 2:
-            return None
-        clean: dict = {}
-        for index, scc in enumerate(condensation.sccs):
-            if index not in dirty:
-                clean.update(self._scc_store[scc_keys[index]])
-        tasks = []
-        for index in sorted(dirty):
-            deps = tuple(f"scc:{callee}"
-                         for callee in condensation.scc_callees.get(index, ())
-                         if callee in dirty)
-            tasks.append(Task(
-                id=f"scc:{index}", kind="scc", deps=deps,
-                payload_fn=_dirty_scc_payload(condensation.sccs[index], graph,
-                                              condensation, consts, clean,
-                                              dirty)))
-        handler = _make_steal_handler(program, graph, pointsto,
-                                      self.precision, self.registry)
-        with WorkStealingExecutor(workers, handler) as executor:
-            results = executor.run(tasks)
-        stats.parallel_jobs = workers
-        return {index: results[f"scc:{index}"] for index in sorted(dirty)}
 
     @staticmethod
     def _shard_key(name: str, filename: str, functions: list[str],
@@ -969,9 +865,8 @@ class IncrementalAnalyzer:
         consts = self._solve_consts(program, globals_fp, sem_hashes, stats)
         condensation = condense_callgraph(graph)
         scc_keys = scc_fingerprints(condensation, graph, sem_hashes, globals_fp)
-        summaries = self._solve_summaries(program, graph, pointsto,
-                                          condensation, consts, scc_keys,
-                                          stats)
+        summaries = self._solve_summaries(program, graph, condensation,
+                                          consts, scc_keys, stats)
 
         artifacts = SharedArtifacts(
             program=program,

@@ -165,15 +165,36 @@ class TestParallel:
         assert 0.0 <= scheduler_stats["worker_idle_ratio"] <= 1.0
         assert set(steal.perf["phases"]) >= {"parse", "artifacts", "checkers"}
 
+    def test_parallel_run_solves_each_scc_once_in_parent(self):
+        """Summaries are solved in the parent on the parallel path too, so
+        the parent's per-process counter sees every SCC exactly once."""
+        from repro.dataflow.interproc import (
+            SCC_SOLVE_COUNTS,
+            reset_scc_solve_counts,
+        )
+        from repro.engine.scheduler import fork_available
+
+        if not fork_available():
+            pytest.skip("fork start method unavailable")
+        reset_scc_solve_counts()
+        AnalysisEngine().run(analyses="all", jobs=1)
+        serial = dict(SCC_SOLVE_COUNTS)
+        reset_scc_solve_counts()
+        report = AnalysisEngine().run(analyses="all", jobs=2)
+        assert report.parallel
+        assert dict(SCC_SOLVE_COUNTS) == serial
+        assert len(serial) == 198
+        assert set(serial.values()) == {1}
+        assert "scc" not in report.perf["scheduler"]["busy_by_phase"]
+
     def test_scrambled_completion_order_byte_identical(
             self, engine_report, monkeypatch):
         """Out-of-order task completion must never change the report.
 
         The run's executor is swapped for an inline one that runs the exact
-        work-steal task graph in-process with an adversarial ready-queue
-        pick, so tasks complete in a scrambled (but dependency-legal)
-        order; the merged report must be byte-identical with the serial run
-        regardless."""
+        work-steal task lists in-process with an adversarial pick, so tasks
+        complete in a scrambled order; the merged report must be
+        byte-identical with the serial run regardless."""
         import random
 
         from repro.engine import core
@@ -185,7 +206,7 @@ class TestParallel:
         def scrambled_executor(jobs, handler):
             built.append(jobs)
             return InlineExecutor(
-                handler, pick=lambda ready: rng.randrange(len(ready)))
+                handler, pick=lambda queued: rng.randrange(len(queued)))
 
         monkeypatch.setattr(core, "WorkStealingExecutor", scrambled_executor)
         monkeypatch.setattr(core, "fork_available", lambda: True)

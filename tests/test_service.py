@@ -325,35 +325,6 @@ class TestKernelCorpusEquivalence:
         batch = AnalysisEngine(files=KERNEL_FILES, tolerant=True).run(jobs=1)
         assert_reports_identical(incremental, batch)
 
-    def test_parallel_dirty_solve_byte_identical_with_serial(self):
-        from repro.engine.scheduler import fork_available
-
-        if not fork_available():
-            pytest.skip("fork start method unavailable")
-        serial = IncrementalAnalyzer(jobs=1).analyze()
-        parallel_analyzer = IncrementalAnalyzer(jobs=2)
-        parallel = parallel_analyzer.analyze()
-        # The cold pass dirties every SCC, so the pool must have engaged.
-        assert parallel_analyzer.last_stats.parallel_jobs >= 2
-        assert_reports_identical(parallel, serial)
-
-    def test_parallel_touch_pass_byte_identical_with_serial(self):
-        from repro.engine.scheduler import fork_available
-
-        if not fork_available():
-            pytest.skip("fork start method unavailable")
-        touched = KERNEL_FILES[:-1] + (replace(
-            KERNEL_FILES[-1],
-            source=KERNEL_FILES[-1].source
-            + "\nint __parallel_touch_a(void) { return 1; }\n"
-            + "\nint __parallel_touch_b(void) { return 2; }\n"),)
-        reports = []
-        for jobs in (1, 2):
-            analyzer = IncrementalAnalyzer(jobs=jobs)
-            analyzer.analyze()
-            reports.append(analyzer.analyze(touched))
-        assert_reports_identical(reports[1], reports[0])
-
     def test_touch_one_unit_dirties_one_scc(self):
         analyzer = IncrementalAnalyzer()
         analyzer.analyze()

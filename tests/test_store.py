@@ -265,6 +265,49 @@ class TestWarmRestart:
         assert store.writes > store_writes
         store.close()
 
+    def test_restart_over_corpus_edited_while_down(self, tmp_path):
+        """A restart mixes store hits with dirty SCCs in one pass.
+
+        The edits land while no analyzer runs: a body edit to
+        ``spin_lock_init``, which other units call, and two functions
+        appended to the last unit.  So the fresh analyzer's memory is
+        empty, the clean components come from disk, and the dirty ones
+        are solved against them."""
+        from dataclasses import replace
+
+        from repro.engine import AnalysisEngine
+
+        store = PersistentStore(tmp_path)
+        IncrementalAnalyzer(files=KERNEL_FILES, store=store).analyze()
+
+        lib = KERNEL_FILES[0]
+        body = lib.source.index("void spin_lock_init(")
+        at = lib.source.index("lock->owner_cpu = -1;", body)
+        lib = replace(lib, source=lib.source[:at] + "lock->owner_cpu = -2;"
+                      + lib.source[at + len("lock->owner_cpu = -1;"):])
+        last = KERNEL_FILES[-1]
+        assert last.filename == "kernel/watchdog.c"
+        last = replace(last, source=last.source
+                       + "\nint __restart_edit_a(void) { return 1; }\n"
+                       + "\nint __restart_edit_b(void) { return 2; }\n")
+        edited = (lib,) + KERNEL_FILES[1:-1] + (last,)
+
+        warm = IncrementalAnalyzer(files=edited, store=store)
+        report = warm.analyze()
+        stats = warm.last_stats
+        assert stats.dirty_sccs > 1
+        assert stats.store_hits > 0
+
+        fresh = IncrementalAnalyzer(files=edited).analyze()
+        payloads = [report.to_dict(), fresh.to_dict()]
+        for payload in payloads:
+            for key in ("elapsed_seconds", "cache_stats", "perf"):
+                payload.pop(key, None)
+        assert payloads[0] == payloads[1]
+        cold = AnalysisEngine(files=edited, tolerant=True).run()
+        assert report.all_findings() == cold.all_findings()
+        store.close()
+
 
 class TestReconcileCoalescing:
     def test_burst_coalesces_onto_queued_pass(self, monkeypatch):
