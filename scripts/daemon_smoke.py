@@ -9,11 +9,14 @@ real subprocess, and checks the full loop:
 3. an on-disk edit is picked up by the watcher and re-analyzed
    *incrementally* (no full re-parse, SCCs reused);
 4. a body edit to `spin_lock_init`, which 9 other units call, dirties
-   its callers' SCCs but re-runs Deputy in its own unit only, and the
-   served findings match `repro-engine run` over the edited corpus;
+   its callers' SCCs but re-runs Deputy in its own unit only, rebuilds
+   neither the call graph, the points-to sets nor the condensation, and
+   the served findings match `repro-engine run` over the edited corpus;
 5. a *restarted* serve over the unchanged corpus warm-starts from the
    persistent store: its first pass re-solves 0 SCCs and serves findings
-   byte-identical to the pre-restart snapshot;
+   byte-identical to the pre-restart snapshot, and a `POST /analyze` with
+   no edit then re-parses nothing, re-runs no shard and rebuilds no
+   corpus-wide artifact (`last_pass.rebuilt_artifacts == []`);
 6. a serve restarted after `spin_lock_init` was edited again while it was
    down mixes store hits with dirty SCCs in its first pass, re-runs Deputy
    in one unit, and serves findings equal to `repro-engine run` over the
@@ -47,6 +50,16 @@ def get(port: int, path: str) -> tuple[int, dict]:
     try:
         with urllib.request.urlopen(
                 f"http://127.0.0.1:{port}{path}", timeout=10) as response:
+            return response.status, json.load(response)
+    except urllib.error.HTTPError as error:
+        return error.code, json.load(error)
+
+
+def post(port: int, path: str) -> tuple[int, dict]:
+    request = urllib.request.Request(f"http://127.0.0.1:{port}{path}",
+                                     method="POST")
+    try:
+        with urllib.request.urlopen(request, timeout=60) as response:
             return response.status, json.load(response)
     except urllib.error.HTTPError as error:
         return error.code, json.load(error)
@@ -181,9 +194,14 @@ def main() -> None:
                   f"full_reparse={last['full_reparse']} "
                   f"dirty_sccs={last['dirty_sccs']} "
                   f"shards_rerun={last['shards_rerun']} "
-                  f"deputy_reruns={deputy_reruns}")
+                  f"deputy_reruns={deputy_reruns} "
+                  f"rebuilt={last['rebuilt_artifacts']}")
             if last["full_reparse"]:
                 fail("body-edit pass fell back to a full re-parse")
+            graph_rebuilt = {"callgraph", "pointsto", "condensation"} & set(
+                last["rebuilt_artifacts"])
+            if graph_rebuilt:
+                fail(f"body edit rebuilt {sorted(graph_rebuilt)}")
             if last["dirty_sccs"] <= 1:
                 fail("body edit dirtied no caller SCCs "
                      f"(dirty_sccs={last['dirty_sccs']})")
@@ -230,6 +248,23 @@ def main() -> None:
                     pre_restart["findings"]):
                 fail("warm-restart findings differ from pre-restart snapshot")
             print(f"restart findings: {served['count']} (byte-identical)")
+
+            # A forced pass with no edit reuses every corpus-wide artifact.
+            status, analyzed = post(port, "/analyze")
+            if status != 200:
+                fail(f"POST /analyze (no edit) returned {status}: {analyzed}")
+            last = analyzed["stats"]
+            print("no-op pass: "
+                  f"parsed_units={last['parsed_units']} "
+                  f"shards_rerun={last['shards_rerun']} "
+                  f"rebuilt={last['rebuilt_artifacts']}")
+            if last["rebuilt_artifacts"] != []:
+                fail("no-op pass rebuilt "
+                     f"{last['rebuilt_artifacts']}")
+            if last["parsed_units"] != 0:
+                fail(f"no-op pass re-parsed {last['parsed_units']} units")
+            if last["shards_rerun"] != 0:
+                fail(f"no-op pass re-ran {last['shards_rerun']} shards")
         finally:
             stop_serve(proc)
 

@@ -33,15 +33,21 @@ class Program:
     #: use.  Never pickled or deep-copied: a copy indexes its own nodes.
     _syntax: dict[str, FunctionSyntax] = field(
         default_factory=dict, init=False, repr=False, compare=False)
+    #: Function name -> merged annotations adopted from an earlier link
+    #: (see :meth:`adopt_annotations`).  Never pickled or deep-copied.
+    _annotations: dict[str, AnnotationSet] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         state.pop("_syntax", None)
+        state.pop("_annotations", None)
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._syntax = {}
+        self._annotations = {}
 
     # -- construction -------------------------------------------------------
 
@@ -135,8 +141,18 @@ class Program:
             return stripped if isinstance(stripped, CFunc) else None
         return None
 
+    def adopt_annotations(self, name: str, annotations: AnnotationSet) -> None:
+        """Serve ``annotations`` as ``name``'s merged annotations: the
+        incremental analyzer's reuse of a merge made by an earlier link of
+        the same definition and the same prototypes.  Callers only read
+        the set :meth:`function_annotations` returns."""
+        self._annotations[name] = annotations
+
     def function_annotations(self, name: str) -> AnnotationSet:
         """Merged annotations for ``name`` from its definition and prototypes."""
+        adopted = self._annotations.get(name)
+        if adopted is not None:
+            return adopted
         merged = AnnotationSet()
         func = self.functions.get(name)
         if func is not None:

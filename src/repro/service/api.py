@@ -3,7 +3,9 @@
 Endpoints (all JSON, UTF-8, sorted keys):
 
 * ``GET /health`` — liveness; 503 with ``{"status": "starting"}`` until the
-  first analysis pass has published a snapshot, 200 afterwards.
+  first analysis pass has published a snapshot, 200 afterwards.  While no
+  pass has succeeded and one has raised, the 503 reads
+  ``{"status": "failed"}`` with ``failed_passes`` and ``last_error``.
 * ``GET /findings`` — every finding of the current snapshot, batch-identical
   with ``repro-engine run --json``; ``?checker=`` and ``?function=`` filter.
   ``?since=<revision>`` switches to delta form: ``added``/``removed``
@@ -14,8 +16,11 @@ Endpoints (all JSON, UTF-8, sorted keys):
   unit (``<tu>`` is the corpus filename and may contain slashes).
 * ``GET /summaries/<function>`` — one function's interprocedural summary
   (the CLI callgraph payload) plus its SCC membership; 404 when unknown.
-* ``GET /stats`` — service counters plus the last pass's incremental stats.
-* ``POST /analyze`` — force a reconcile pass now; returns its stats.
+* ``GET /stats`` — service counters plus the last pass's incremental stats;
+  ``failed_passes`` and ``last_error`` (type, message, revision) report
+  passes that raised.
+* ``POST /analyze`` — force a reconcile pass now; returns its stats, or a
+  500 carrying the error when the pass raised.
   Concurrent requests coalesce: while a pass runs, one follow-up pass is
   queued and later arrivals ride on it (``"coalesced": true``) instead of
   stacking up redundant full passes.
@@ -82,10 +87,26 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                                             "/summaries/<function>",
                                             "/stats", "POST /analyze"]})
 
+    def _unavailable(self) -> None:
+        """503 while no snapshot exists: starting, or failed so far."""
+        service = self.service
+        payload = {"status": service.status()}
+        if service.last_error is not None:
+            payload.update(failed_passes=service.failed_passes,
+                           last_error=service.last_error)
+        self._reply(503, payload)
+
     def do_POST(self) -> None:  # noqa: N802 - stdlib naming
         route = urlparse(self.path).path.rstrip("/")
         if route == "/analyze":
-            snapshot, coalesced = self.service.request_reconcile()
+            try:
+                snapshot, coalesced = self.service.request_reconcile()
+            except Exception as error:  # noqa: BLE001 - reported to the client
+                self._reply(500, {"status": "failed",
+                                  "error": {"type": type(error).__name__,
+                                            "message": str(error)},
+                                  "failed_passes": self.service.failed_passes})
+                return
             self._reply(200, {"status": "ok",
                               "revision": snapshot.revision,
                               "coalesced": coalesced,
@@ -99,7 +120,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
     def _health(self) -> None:
         snapshot = self.service.snapshot
         if snapshot is None:
-            self._reply(503, {"status": "starting"})
+            self._unavailable()
             return
         self._reply(200, {"status": "ok",
                           "revision": snapshot.revision,
@@ -109,7 +130,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
     def _findings(self, query: dict) -> None:
         snapshot = self.service.snapshot
         if snapshot is None:
-            self._reply(503, {"status": "starting"})
+            self._unavailable()
             return
         findings = snapshot.report.all_findings()
         checker = query.get("checker", [None])[0]
@@ -167,7 +188,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
     def _findings_by_file(self, filename: str) -> None:
         snapshot = self.service.snapshot
         if snapshot is None:
-            self._reply(503, {"status": "starting"})
+            self._unavailable()
             return
         findings = [f for f in snapshot.report.all_findings()
                     if f["file"] == filename]
@@ -179,7 +200,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
     def _summary(self, name: str) -> None:
         snapshot = self.service.snapshot
         if snapshot is None:
-            self._reply(503, {"status": "starting"})
+            self._unavailable()
             return
         artifacts = snapshot.artifacts
         payload = summary_payload(artifacts, name)

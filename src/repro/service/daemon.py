@@ -9,12 +9,19 @@ and serve from it, so the HTTP API stays responsive mid-re-analysis.
 With a corpus directory the service watches the tree and reconciles when
 edits settle; without one it serves the embedded corpus and re-analyzes only
 on ``POST /analyze``.
+
+A pass that raises is reported, not lost: the service counts it
+(``failed_passes``), keeps its type and message (``last_error``) and keeps
+serving the last snapshot; the caller that ran it — ``POST /analyze``, the
+watcher, the initial pass — gets the exception or logs it.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
+import traceback
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -80,6 +87,15 @@ class AnalysisService:
         self._running = False
         self._queued = False
         self._pass_seq = 0
+        #: (pass sequence number, message) of the latest failed pass, so
+        #: callers that coalesced onto it get its failure.  Only the text is
+        #: kept: the exception's traceback would keep that pass's program
+        #: alive.
+        self._failure: tuple[int, str] | None = None
+        #: Passes that raised, and the latest one's type, message and
+        #: revision (kept after later passes succeed).
+        self.failed_passes = 0
+        self.last_error: dict | None = None
         self._totals = {"parsed_units": 0, "consts_solved": 0,
                         "dirty_sccs": 0, "sccs_reused": 0,
                         "shards_rerun": 0, "shards_reused": 0,
@@ -99,11 +115,26 @@ class AnalysisService:
         return time.monotonic() - self.started
 
     def reconcile(self) -> Snapshot:
-        """Run one analysis pass over the current sources and publish it."""
+        """Run one analysis pass over the current sources and publish it.
+
+        A pass that raises publishes nothing: the last snapshot keeps
+        serving, the failure is counted in ``failed_passes`` and kept in
+        ``last_error``, and the exception propagates to the caller.
+        """
         with self._reconcile_lock:
-            files = (load_corpus_dir(self.corpus_dir)
-                     if self.corpus_dir is not None else None)
-            report = self.analyzer.analyze(files)
+            try:
+                files = (load_corpus_dir(self.corpus_dir)
+                         if self.corpus_dir is not None else None)
+                report = self.analyzer.analyze(files)
+            except Exception as error:
+                self.failed_passes += 1
+                self.last_error = {"type": type(error).__name__,
+                                   "message": str(error),
+                                   "revision": self.analyzer.revision}
+                print(f"repro-engine serve: analysis pass "
+                      f"{self.analyzer.revision} failed", file=sys.stderr)
+                traceback.print_exc()
+                raise
             stats = self.analyzer.last_stats
             snapshot = Snapshot(revision=self.analyzer.revision,
                                 report=report, stats=stats,
@@ -136,7 +167,9 @@ class AnalysisService:
         are taken waits for the queued pass and rides on its snapshot —
         that pass also starts after the request arrived, so merging them
         loses nothing.  Keeps a watcher burst plus concurrent ``POST
-        /analyze`` calls from stacking up N redundant full passes.
+        /analyze`` calls from stacking up N redundant full passes.  A pass
+        that raises re-raises to the request that ran it; the requests that
+        rode on it get a :class:`RuntimeError` with its message.
         """
         with self._gate:
             if not self._running:
@@ -153,18 +186,32 @@ class AnalysisService:
                 target = self._pass_seq + 2
                 while self._pass_seq < target:
                     self._gate.wait()
+                if self._failure is not None and self._failure[0] == target:
+                    raise RuntimeError(self._failure[1])
                 return self.snapshot, True
+        failure = None
         try:
             snapshot = self.reconcile()
+        except Exception as error:
+            failure = str(error)
+            raise
         finally:
             with self._gate:
                 self._running = False
                 self._pass_seq += 1
+                if failure is not None:
+                    self._failure = (self._pass_seq, failure)
                 self._gate.notify_all()
         return snapshot, False
 
     def _watcher_reconcile(self) -> None:
-        self.request_reconcile()
+        """The watcher's and the initial pass's callback.  A failed pass is
+        already recorded and printed by :meth:`reconcile`; the service keeps
+        serving its last snapshot and the next edit runs a fresh pass."""
+        try:
+            self.request_reconcile()
+        except Exception:  # noqa: BLE001 - the service outlives a bad pass
+            pass
 
     def findings_at(self, revision: int) -> list[dict] | None:
         """The findings published at ``revision``, if still in the window."""
@@ -179,17 +226,31 @@ class AnalysisService:
             self.watcher.start()
 
     def stop(self) -> None:
+        """Stop watching and, once a running pass is done, close the store
+        (which dates the rows the last pass served from memory)."""
         if self.watcher is not None:
             self.watcher.stop()
+        if self.store is not None:
+            with self._reconcile_lock:
+                self.store.close()
 
     # -- reporting ----------------------------------------------------------
+
+    def status(self) -> str:
+        """``ok`` once a pass published a snapshot; before that ``failed``
+        if a pass raised, else ``starting``."""
+        if self.snapshot is not None:
+            return "ok"
+        return "failed" if self.last_error is not None else "starting"
 
     def stats_payload(self) -> dict:
         snapshot = self.snapshot
         payload = {
-            "status": "ok" if snapshot is not None else "starting",
+            "status": self.status(),
             "uptime_seconds": round(self.uptime(), 3),
             "passes": self.passes,
+            "failed_passes": self.failed_passes,
+            "last_error": self.last_error,
             "watching": (self.corpus_dir.as_posix()
                          if self.corpus_dir is not None else None),
             "totals": dict(self._totals),

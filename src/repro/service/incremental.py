@@ -24,7 +24,17 @@ at the granularity the dependency structure actually has:
   the functions' SCC keys, which fold in every callee's, for errcheck and
   lockcheck; the signature hash of every name the bodies reference for
   Deputy; nothing for CCount.  So a body edit that keeps its function's
-  signature re-runs Deputy only in the edited unit.
+  signature re-runs Deputy only in the edited unit;
+* **corpus-wide artifacts** — the call graph with points-to, the
+  condensation, the IRQ handlers, the annotations map, the summary
+  context, and the blocking and error-return sets — are the last pass's
+  whenever the inputs they read did not move.  Each function's record
+  carries its contributions (a structure hash of what the graph scans
+  read, its merged annotations, its type environment), so a pass compares
+  records instead of re-walking the corpus, and a no-op pass recomputes
+  none of them (``IncrementalStats.rebuilt_artifacts``).  The comparisons
+  are of content hashes, so an artifact also survives a full re-parse
+  that changed nothing it reads.
 
 Two invariants keep this sound:
 
@@ -55,6 +65,7 @@ from dataclasses import dataclass, field, replace
 
 from .. import source_digest
 from ..analyses.errcheck import find_error_returning_functions
+from ..annotations.attrs import AnnotationSet
 from ..blockstop.blocking import derive_blocking
 from ..blockstop.callgraph import build_direct_callgraph
 from ..blockstop.checker import find_irq_handlers
@@ -66,7 +77,7 @@ from ..dataflow.interproc import (
     scc_fingerprints,
     solve_scc,
 )
-from ..dataflow.summaries import build_context
+from ..dataflow.summaries import SummaryContext, build_context
 from ..deputy.checker import DeputyOptions
 from ..deputy.typesystem import TypeEnv
 from ..engine.analyses import (
@@ -156,11 +167,11 @@ class _FunctionRecord:
     """What one pass derived from a linked FuncDef, for the next pass.
 
     A unit that is not re-parsed keeps its FuncDef objects, and no analysis
-    mutates the shared program, so the syntax record, the hashes and the
-    referenced names carry over as long as the same object is linked again.
-    ``annotation_count`` guards the one in-place change linking itself
-    makes: merging a prototype's annotations into the definition (which
-    only ever adds).
+    mutates the shared program, so the syntax record, the hashes, the
+    referenced names and the type environment carry over as long as the
+    same object is linked again.  ``annotation_count`` guards the one
+    in-place change linking itself makes: merging a prototype's annotations
+    into the definition (which only ever adds).
     """
 
     func: ast.FuncDef
@@ -175,11 +186,86 @@ class _FunctionRecord:
     #: The identifiers the body names, sorted once here so a pass that
     #: keeps this record builds Deputy's shard keys by lookups alone.
     referenced: tuple[str, ...]
+    #: Hash of exactly what the call graph, the points-to collection and
+    #: the IRQ-handler scan read from this function (see
+    #: :func:`_structure_hash`).
+    structure_hash: str
+    #: ``Program.function_annotations`` of this function, merged once.
+    annotations: AnnotationSet
+    #: The function's type environment.  It reads globals and callee types
+    #: through ``env.program`` lazily, so each pass that links this FuncDef
+    #: again re-points it at that pass's Program.
+    env: TypeEnv
 
 
 def _annotation_count(func: ast.FuncDef) -> int:
     ftype = func.type.strip()
     return len(func.annotations) + len(getattr(ftype, "annotations", ()))
+
+
+def _function_reference(expr: ast.Expr) -> str | None:
+    """The identifier ``expr`` names through any ``&`` and casts: the shape
+    in which the points-to collection and the IRQ-handler scan look for a
+    function stored as data or passed as an argument."""
+    while True:
+        if isinstance(expr, ast.Cast):
+            expr = expr.operand
+        elif isinstance(expr, ast.Unary) and expr.op == "&":
+            expr = expr.operand
+        else:
+            return expr.name if isinstance(expr, ast.Ident) else None
+
+
+def _structure_hash(sig_hash: str, sem_hash: str,
+                    syntax: FunctionSyntax) -> str:
+    """Everything :func:`build_direct_callgraph`,
+    :meth:`FunctionPointerAnalysis.collect` and :func:`find_irq_handlers`
+    read from one function: its signature (the points-to sets key address-
+    taken functions by it), each call's callee or "indirect" with its
+    location, each function reference passed as an argument or assigned,
+    with the assigned field's name.  A function with an indirect call also
+    folds in its ``sem_hash``: resolving the call types the pointer
+    expression through the function's locals."""
+    parts = [sig_hash]
+    indirect = False
+    for call in syntax.calls:
+        target = call.func
+        if isinstance(target, ast.Ident):
+            parts.append(f"call {target.name} {call.location}")
+        else:
+            indirect = True
+            parts.append(f"indirect {call.location}")
+        for arg in call.args:
+            name = _function_reference(arg)
+            if name is not None:
+                parts.append(f"arg {name}")
+    for assign in syntax.assigns:
+        name = _function_reference(assign.value)
+        if name is not None:
+            target = assign.target
+            field_name = target.name if isinstance(target, ast.Member) else ""
+            parts.append(f"store {field_name}={name}")
+    if indirect:
+        parts.append(sem_hash)
+    return _sha("\x00".join(parts))
+
+
+@dataclass(frozen=True)
+class _PassState:
+    """What the last completed pass derived, for the next pass to reuse.
+
+    The artifacts are shared with the snapshot the service's readers may
+    still hold, so a pass reads them and never mutates them.
+    """
+
+    globals_fp: str
+    #: function name -> record, in ``program.functions`` order.
+    records: dict[str, _FunctionRecord]
+    artifacts: SharedArtifacts
+    #: The summary context, re-created with each pass's program and facts.
+    context: SummaryContext
+    callgraph_fp: str
+    scc_keys: list[str]
 
 
 @dataclass
@@ -208,6 +294,11 @@ class IncrementalStats:
     #: Functions whose syntax record and hashes were rebuilt this pass
     #: (the functions of re-parsed units; 0 on a no-op pass).
     indexed_functions: int = 0
+    #: The corpus-wide artifacts this pass recomputed rather than reused,
+    #: sorted, from: annotations, blocking, callgraph, condensation,
+    #: error_returning, irq_handlers, pointsto, summary_context.  Empty on
+    #: a no-op pass; all of them on a cold one.
+    rebuilt_artifacts: list[str] = field(default_factory=list)
     elapsed_seconds: float = 0.0
 
     def to_dict(self) -> dict:
@@ -229,6 +320,7 @@ class IncrementalStats:
             "store_hits": self.store_hits,
             "store_writes": self.store_writes,
             "indexed_functions": self.indexed_functions,
+            "rebuilt_artifacts": list(self.rebuilt_artifacts),
             "elapsed_seconds": round(self.elapsed_seconds, 4),
         }
 
@@ -267,14 +359,16 @@ class IncrementalAnalyzer:
         self._preprocessor: Preprocessor | None = None
         self._records: list[_UnitRecord] = []
         self._last_good: dict[str, CorpusFile] = {}
-        #: function name -> ((body hash, globals fp, domains), facts | None)
-        self._consts_store: dict[str, tuple[tuple[str, str, str], object]] = {}
+        #: function name -> ((body hash, globals fp, domains), its store
+        #: key, facts | None)
+        self._consts_store: dict[str, tuple[tuple[str, str, str], str, object]] = {}
         #: SCC Merkle key -> solved {name: FunctionSummary} for the component
         self._scc_store: dict[str, dict] = {}
         #: shard key -> run_shard payload dict
         self._shard_store: dict[str, dict] = {}
-        #: function name -> what the last pass derived from its FuncDef.
-        self._function_records: dict[str, _FunctionRecord] = {}
+        #: The last completed pass's derived state, its function records
+        #: included (None before the first pass).
+        self._last: _PassState | None = None
         self.revision = 0
         self.last_stats: IncrementalStats | None = None
         #: The last pass's shared artifacts (the service's /summaries source).
@@ -607,12 +701,23 @@ class IncrementalAnalyzer:
         numbers: an edit that only shifts a function down a line must
         invalidate its shard payloads without re-solving its summaries.
         Its ``sig_hash`` covers the header alone, which is all another
-        unit's Deputy shard reads about it.
+        unit's Deputy shard reads about it; its ``structure_hash`` covers
+        what the call graph, points-to and IRQ scans read.
 
         Records carry over from the last pass for every FuncDef object
         linked again (see :class:`_FunctionRecord`), so only the functions
         of re-parsed units are rendered and walked;
-        ``stats.indexed_functions`` counts them.
+        ``stats.indexed_functions`` counts them.  A carried record's
+        :class:`TypeEnv` is re-pointed at this pass's program, and its
+        merged annotations are adopted by it (``Program.adopt_annotations``)
+        unless the globals moved — a unit dropped out of the link, say —
+        in which case they are merged again, since a prototype may have
+        gone.
+
+        The global part folds every linked unit's ``decl_render``, in link
+        order.  Those renders are taken before linking merges earlier
+        prototypes' annotations into later ones, but linking is a function
+        of the ordered renders, so they still determine the linked result.
 
         Building a :class:`TypeEnv` per function *first* is load-bearing:
         its construction canonically absorbs declarator-trailing Deputy
@@ -622,66 +727,81 @@ class IncrementalAnalyzer:
         points-to pass and the deputy checker consume the same entries.
         """
         printer = self._printer
-        type_envs: dict[str, TypeEnv] = {}
+        renders = {id(record.unit): record.decl_render
+                   for record in self._records if record.unit is not None}
         global_parts = [source_digest(), self.precision.name,
                         json.dumps(self.defines, sort_keys=True)]
-        carried = self._function_records
-        records: dict[str, _FunctionRecord] = {}
         for unit in program.units:
             global_parts.append(f"@{unit.filename}")
-            for decl in unit.decls:
-                if not isinstance(decl, ast.FuncDef):
-                    global_parts.append(printer.print_top_level(decl))
-                    continue
-                count = _annotation_count(decl)
-                record = carried.get(decl.name)
-                if (record is not None and record.func is decl
-                        and record.annotation_count == count):
-                    program.adopt_syntax(decl, record.syntax)
-                    type_envs[decl.name] = TypeEnv(program, decl)
-                else:
-                    type_envs[decl.name] = TypeEnv(program, decl)
-                    sem = _sha(printer.print_funcdef(decl))
-                    digest = hashlib.sha256(sem.encode())
-                    for node in walk(decl):
-                        location = getattr(node, "location", None)
-                        if location is not None:
-                            digest.update(
-                                f"{location.line}:{location.column};".encode())
-                    syntax = program.syntax_of(decl)
-                    record = _FunctionRecord(
-                        func=decl, annotation_count=count, syntax=syntax,
-                        sem_hash=sem, loc_hash=digest.hexdigest()[:32],
-                        sig_hash=_sha(printer.print_signature(decl)),
-                        referenced=tuple(sorted(syntax.names)))
-                    stats.indexed_functions += 1
-                records[decl.name] = record
-        self._function_records = records
+            global_parts.append(renders[id(unit)])
         globals_fp = _sha("\x00".join(global_parts))
+        last = self._last
+        same_globals = last is not None and last.globals_fp == globals_fp
+        carried = last.records if last is not None else {}
+        records: dict[str, _FunctionRecord] = {}
+        for name, decl in program.functions.items():
+            count = _annotation_count(decl)
+            record = carried.get(name)
+            if (record is not None and record.func is decl
+                    and record.annotation_count == count):
+                program.adopt_syntax(decl, record.syntax)
+                record.env.program = program
+                if not same_globals:
+                    record = replace(
+                        record, annotations=program.function_annotations(name))
+                program.adopt_annotations(name, record.annotations)
+            else:
+                env = TypeEnv(program, decl)
+                sem = _sha(printer.print_funcdef(decl))
+                digest = hashlib.sha256(sem.encode())
+                for node in walk(decl):
+                    location = getattr(node, "location", None)
+                    if location is not None:
+                        digest.update(
+                            f"{location.line}:{location.column};".encode())
+                syntax = program.syntax_of(decl)
+                sig = _sha(printer.print_signature(decl))
+                record = _FunctionRecord(
+                    func=decl, annotation_count=count, syntax=syntax,
+                    sem_hash=sem, loc_hash=digest.hexdigest()[:32],
+                    sig_hash=sig, referenced=tuple(sorted(syntax.names)),
+                    structure_hash=_structure_hash(sig, sem, syntax),
+                    annotations=program.function_annotations(name), env=env)
+                program.adopt_annotations(name, record.annotations)
+                stats.indexed_functions += 1
+            records[name] = record
+        type_envs = {name: record.env for name, record in records.items()}
         return records, globals_fp, type_envs
 
     # -- analysis -------------------------------------------------------------
 
     def _solve_consts(self, program: Program, globals_fp: str,
-                      sem_hashes: dict[str, str],
-                      stats: IncrementalStats) -> dict:
+                      records: dict[str, _FunctionRecord],
+                      stats: IncrementalStats):
+        """Constant facts per function, and the memo for the next pass.
+
+        Each function is looked up by key (body hash, globals fingerprint,
+        domains) in memory, then in the persistent store, else solved.  The
+        memo keeps each entry's store key, so a memory hit costs one tuple
+        comparison.
+        """
+        memo = self._consts_store
         consts: dict = {}
-        store: dict[str, tuple[tuple[str, str, str], object]] = {}
+        store: dict[str, tuple[tuple[str, str, str], str, object]] = {}
         domains = domain_fingerprint(DEFAULT_DOMAINS)
         # Values are wrapped in a 1-tuple on disk: ``None`` is a legitimate
         # artifact (branchless function), so a bare miss must be
         # distinguishable from a stored ``None``.
         disk_writes: list[tuple[str, tuple]] = []
-        disk_touches: list[str] = []
-        for name, func in program.functions_subset(None):
-            key = (sem_hashes[name], globals_fp, domains)
-            disk_key = _sha("\x00".join(key))
-            cached = self._consts_store.get(name)
-            if cached is not None and cached[0] == key:
-                value = cached[1]
+        live: list[str] = []
+        for name, func in program.functions.items():
+            key = (records[name].sem_hash, globals_fp, domains)
+            entry = memo.get(name)
+            if entry is not None and entry[0] == key:
                 stats.consts_reused += 1
-                disk_touches.append(disk_key)
+                live.append(entry[1])
             else:
+                disk_key = _sha("\x00".join(key))
                 wrapped = (self.store.get("consts", disk_key)
                            if self.store is not None else None)
                 if wrapped is not None:
@@ -692,18 +812,17 @@ class IncrementalAnalyzer:
                     value = facts_of(func, syntax=program.syntax(name))
                     stats.consts_solved += 1
                     disk_writes.append((disk_key, (value,)))
-            consts[name] = value
-            store[name] = (key, value)
-        self._consts_store = store
+                entry = (key, disk_key, value)
+            consts[name] = entry[2]
+            store[name] = entry
         if self.store is not None:
             self.store.put_many("consts", disk_writes)
-            self.store.touch("consts", disk_touches)
+            self.store.touch("consts", live)
             stats.store_writes += len(disk_writes)
-        return consts
+        return consts, store
 
-    def _solve_summaries(self, program: Program, graph, condensation,
-                         consts: dict, scc_keys: list[str],
-                         stats: IncrementalStats) -> dict:
+    def _solve_summaries(self, graph, condensation, context: SummaryContext,
+                         scc_keys: list[str], stats: IncrementalStats):
         """Bottom-up solve reusing clean components from the SCC stores.
 
         Mirrors :func:`repro.dataflow.interproc.solve_summaries` wave
@@ -711,23 +830,27 @@ class IncrementalAnalyzer:
         Each component comes from memory, else from the persistent store,
         else from :func:`solve_scc`: a dirty component starts at lattice
         bottom with its callees' summaries supplied, so the result is the
-        batch least fixpoint.
+        batch least fixpoint.  Returns the summaries, the memo for the next
+        pass, and the members of every component not served from memory
+        (whose summaries may differ from the last pass's).
         """
-        ctx = build_context(program, graph, consts=consts)
+        memo = self._scc_store
         solved: dict = {}
         store: dict[str, dict] = {}
         dirty: list[str] = []
+        fetched: list[str] = []
         disk_writes: dict[str, dict] = {}
-        disk_touches: list[str] = []
+        live: list[str] = []
         for wave in condensation.waves:
             for index in wave:
                 scc = condensation.sccs[index]
                 key = scc_keys[index]
-                component = self._scc_store.get(key)
+                component = memo.get(key)
                 if component is not None:
                     stats.sccs_reused += 1
-                    disk_touches.append(key)
+                    live.append(key)
                 else:
+                    fetched.extend(scc)
                     wrapped = (self.store.get("scc", key)
                                if self.store is not None else None)
                     if wrapped is not None:
@@ -735,21 +858,20 @@ class IncrementalAnalyzer:
                         stats.sccs_reused += 1
                         stats.store_hits += 1
                     else:
-                        component = solve_scc(scc, ctx, graph, solved)
+                        component = solve_scc(scc, context, graph, solved)
                         dirty.extend(scc)
                         disk_writes[key] = component
                 store[key] = component
                 solved.update(component)
         stats.dirty_sccs = len(condensation.sccs) - stats.sccs_reused
         stats.dirty_functions = sorted(dirty)
-        self._scc_store = store
         if self.store is not None:
             self.store.put_many(
                 "scc", [(key, (component,))
                         for key, component in disk_writes.items()])
-            self.store.touch("scc", disk_touches)
+            self.store.touch("scc", live)
             stats.store_writes += len(disk_writes)
-        return solved
+        return solved, store, fetched
 
     @staticmethod
     def _shard_key(name: str, filename: str, functions: list[str],
@@ -780,8 +902,10 @@ class IncrementalAnalyzer:
 
     def _run_shards(self, artifacts: SharedArtifacts,
                     records: dict[str, _FunctionRecord],
-                    scc_keys: list[str], globals_fp: str,
-                    report: EngineReport, stats: IncrementalStats) -> None:
+                    scc_keys: list[str], globals_fp: str, callgraph_fp: str,
+                    report: EngineReport, stats: IncrementalStats):
+        """Run or reuse every checker shard and merge each analysis;
+        returns the payload memo for the next pass."""
         condensation = artifacts.condensation
         scc_key_of: dict[str, str] = {}
         for index, scc in enumerate(condensation.sccs):
@@ -791,7 +915,7 @@ class IncrementalAnalyzer:
                       ShardReads.REFERENCED_SIGNATURES:
                           self._signatures_read(records),
                       ShardReads.NOTHING: {}}
-        root_parts = [globals_fp, callgraph_fingerprint(artifacts.graph)]
+        root_parts = [globals_fp, callgraph_fp]
         root_parts.extend(f"{name}={records[name].loc_hash}"
                           for name in sorted(records))
         root_fp = _sha("\x00".join(root_parts))
@@ -837,14 +961,24 @@ class IncrementalAnalyzer:
                 store[key] = payload
                 payloads.append(payload)
             report.analyses[name] = analysis.merge(artifacts, payloads)
-        self._shard_store = store
         if self.store is not None:
             self.store.put_many("shard", disk_writes)
             self.store.touch("shard", disk_touches)
             stats.store_writes += len(disk_writes)
+        return store
 
     def analyze(self, files: tuple[CorpusFile, ...] | None = None) -> EngineReport:
-        """Run one incremental pass; returns the merged engine report."""
+        """Run one incremental pass; returns the merged engine report.
+
+        Every corpus-wide artifact is the last pass's when the inputs it
+        reads did not change, and is rebuilt otherwise; a cold pass is the
+        case where every comparison misses.  What the analysis carries to
+        the next pass — function records, memos, the last pass's artifacts
+        — is replaced only when the pass completes, so after a pass that
+        raises the next one compares against the last completed pass.  (The
+        parse state and the carried type environments' ``program`` move
+        during the pass; the next pass re-links and re-points them.)
+        """
         start = time.perf_counter()
         self.revision += 1
         stats = IncrementalStats(revision=self.revision)
@@ -855,18 +989,80 @@ class IncrementalAnalyzer:
         stats.parse_errors = len(diagnostics)
 
         records, globals_fp, type_envs = self._fingerprint(program, stats)
-        sem_hashes = {name: record.sem_hash
-                      for name, record in records.items()}
-        graph, indirect_calls = build_direct_callgraph(program)
-        pointsto_pass = FunctionPointerAnalysis(program, self.precision)
-        pointsto_pass.collect()
-        pointsto = pointsto_pass.resolve(graph, indirect_calls, envs=type_envs)
+        last = self._last
+        old = last.records if last is not None else {}
+        # The same functions in the same order over the same globals; then
+        # whether each record's hashes equal its predecessor's.
+        same_frame = (last is not None and last.globals_fp == globals_fp
+                      and list(records) == list(old))
+        structure_same = same_frame and all(
+            record.structure_hash == old[name].structure_hash
+            for name, record in records.items())
+        bodies_same = same_frame and all(
+            record.sem_hash == old[name].sem_hash
+            for name, record in records.items())
+        rebuilt: list[str] = []
 
-        consts = self._solve_consts(program, globals_fp, sem_hashes, stats)
-        condensation = condense_callgraph(graph)
-        scc_keys = scc_fingerprints(condensation, graph, sem_hashes, globals_fp)
-        summaries = self._solve_summaries(program, graph, condensation,
-                                          consts, scc_keys, stats)
+        # What the call graph, points-to and IRQ scans read is each
+        # function's structure hash; the annotations, its signature hash.
+        if structure_same:
+            graph = last.artifacts.graph
+            pointsto = last.artifacts.pointsto
+            irq_handlers = last.artifacts.irq_handlers
+            annotations = last.artifacts.annotations
+        else:
+            # A fresh graph: resolve() adds the indirect edges to it.
+            graph, indirect_calls = build_direct_callgraph(program)
+            pointsto_pass = FunctionPointerAnalysis(program, self.precision)
+            pointsto_pass.collect()
+            pointsto = pointsto_pass.resolve(graph, indirect_calls,
+                                             envs=type_envs)
+            irq_handlers = find_irq_handlers(program)
+            annotations = {name: program.function_annotations(name)
+                           for name in program.all_function_names()}
+            rebuilt += ["callgraph", "pointsto", "irq_handlers", "annotations"]
+
+        consts, consts_store = self._solve_consts(program, globals_fp,
+                                                  records, stats)
+        # The condensation and the graph fingerprint read the edge set
+        # alone, so they also survive a rebuild that moved only call sites.
+        if last is not None and (structure_same
+                                 or graph.edges == last.artifacts.graph.edges):
+            condensation = last.artifacts.condensation
+            callgraph_fp = last.callgraph_fp
+        else:
+            condensation = condense_callgraph(graph)
+            callgraph_fp = callgraph_fingerprint(graph)
+            rebuilt.append("condensation")
+        if bodies_same and condensation is last.artifacts.condensation:
+            scc_keys = last.scc_keys
+        else:
+            scc_keys = scc_fingerprints(
+                condensation, graph,
+                {name: record.sem_hash for name, record in records.items()},
+                globals_fp)
+        # The context's seed sets and resolved indirect callees read the
+        # annotations and the graph; its program and facts are this pass's.
+        if structure_same:
+            context = replace(last.context, program=program,
+                              consts=dict(consts))
+        else:
+            context = build_context(program, graph, consts=consts)
+            rebuilt.append("summary_context")
+        summaries, scc_store, fetched = self._solve_summaries(
+            graph, condensation, context, scc_keys, stats)
+        if structure_same and all(
+                summaries[name] == last.artifacts.summaries.get(name)
+                for name in fetched):
+            blocking = last.artifacts.blocking
+            error_returning = last.artifacts.error_returning
+        else:
+            # Fresh objects only: derive_blocking fills in the info it builds.
+            blocking = derive_blocking(program, graph, summaries)
+            error_returning = find_error_returning_functions(program,
+                                                             summaries)
+            rebuilt += ["blocking", "error_returning"]
+        stats.rebuilt_artifacts = sorted(rebuilt)
 
         artifacts = SharedArtifacts(
             program=program,
@@ -876,22 +1072,20 @@ class IncrementalAnalyzer:
             consts=consts,
             condensation=condensation,
             summaries=summaries,
-            blocking=derive_blocking(program, graph, summaries),
-            irq_handlers=find_irq_handlers(program),
-            error_returning=find_error_returning_functions(program, summaries),
-            annotations={name: program.function_annotations(name)
-                         for name in program.all_function_names()},
+            blocking=blocking,
+            irq_handlers=irq_handlers,
+            error_returning=error_returning,
+            annotations=annotations,
             type_envs=type_envs,
             unit_functions=unit_function_map(program),
         )
-        self.artifacts = artifacts
 
         report = EngineReport(
             corpus_files=[f.filename for f in files],
             precision=self.precision.name.lower(),
             jobs=1, parallel=False)
-        self._run_shards(artifacts, records, scc_keys, globals_fp,
-                         report, stats)
+        shard_store = self._run_shards(artifacts, records, scc_keys,
+                                       globals_fp, callgraph_fp, report, stats)
         if diagnostics:
             report.analyses["diagnostics"] = diagnostics_report(diagnostics)
 
@@ -905,6 +1099,15 @@ class IncrementalAnalyzer:
             "evictions": 0,
             "const_solve_ms": 0.0,
         }
+
+        # The pass completed: commit what the next one reuses.
+        self._consts_store = consts_store
+        self._scc_store = scc_store
+        self._shard_store = shard_store
+        self._last = _PassState(
+            globals_fp=globals_fp, records=records, artifacts=artifacts,
+            context=context, callgraph_fp=callgraph_fp, scc_keys=scc_keys)
+        self.artifacts = artifacts
         stats.elapsed_seconds = time.perf_counter() - start
         report.elapsed_seconds = stats.elapsed_seconds
         self.last_stats = stats

@@ -30,7 +30,12 @@ Values are pickled Python objects; a row that fails to unpickle is treated
 as a miss and deleted.  A hit does not write: its key is queued and its LRU
 clock refreshed by the next batched :meth:`PersistentStore.touch` (or write,
 or close), so a warm restart costs one commit per phase instead of one per
-hit.  All access is serialized behind one lock — the analyzer's passes are
+hit.  Rows a caller serves from its own memory are a space's *live set*
+(the keys of its last :meth:`PersistentStore.touch`): their clocks are only
+written just before an eviction sweep picks a victim, and on close, so an
+unbounded store writes nothing for them however many passes reuse them.
+The live set is this process's: another process sharing the file sees
+those rows' clocks as of their last write.  All access is serialized behind one lock — the analyzer's passes are
 already serialized behind the service reconcile lock, so contention is not
 a concern.
 """
@@ -87,6 +92,9 @@ class PersistentStore:
         self._lock = threading.Lock()
         #: (space, key) of hits whose LRU clock is not yet refreshed.
         self._queued_hits: list[tuple[str, str]] = []
+        #: space -> keys its caller last reported serving from memory; their
+        #: clocks are written only before an eviction sweep and on close.
+        self._live: dict[str, list[str]] = {}
         #: Whether the file held no readable database and was replaced.
         self.recreated = False
         try:
@@ -162,15 +170,21 @@ class PersistentStore:
             # Queued hits are recent uses: refresh them before the sweep
             # picks its victims by age.
             self._touch_locked(now, ())
-            self._evict_locked()
+            self._evict_locked(now)
             self._conn.commit()
 
     def touch(self, space: str, keys) -> None:
-        """Refresh the LRU clock of entries served from the in-memory tier,
-        together with every hit :meth:`get` queued since the last refresh."""
+        """Refresh the LRU clock of every hit :meth:`get` queued since the
+        last refresh, and make ``keys`` — the entries the caller serves from
+        its in-memory tier — ``space``'s live set, replacing the previous
+        one.  Live entries' clocks are written lazily: just before this
+        store's eviction sweep picks a victim, and on :meth:`close`.  So
+        this store never evicts a live entry, but another process's store
+        over the same file, which sees the clocks as last written, may."""
         now = time.time()
         with self._lock:
-            if self._touch_locked(now, [(space, key) for key in keys]):
+            self._live[space] = list(keys)
+            if self._touch_locked(now, ()):
                 self._conn.commit()
 
     def _touch_locked(self, now: float, entries) -> bool:
@@ -184,13 +198,21 @@ class PersistentStore:
                 rows)
         return bool(rows)
 
+    def _live_entries(self) -> list[tuple[str, str]]:
+        return [(space, key) for space, keys in self._live.items()
+                for key in keys]
+
     # -- bookkeeping --------------------------------------------------------
 
-    def _evict_locked(self) -> None:
+    def _evict_locked(self, now: float) -> None:
         if self.max_bytes is None:
             return
         total = self._conn.execute(
             "SELECT COALESCE(SUM(size), 0) FROM entries").fetchone()[0]
+        if total > self.max_bytes:
+            # The live set is in use: date it now, so the sweep below picks
+            # its victims among the rows nobody is serving.
+            self._touch_locked(now, self._live_entries())
         while total > self.max_bytes:
             victim = self._conn.execute(
                 "SELECT space, key, size FROM entries"
@@ -230,6 +252,7 @@ class PersistentStore:
 
     def close(self) -> None:
         with self._lock:
-            if self._touch_locked(time.time(), ()):
+            if self._touch_locked(time.time(), self._live_entries()):
                 self._conn.commit()
+            self._live.clear()
             self._conn.close()

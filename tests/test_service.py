@@ -10,10 +10,13 @@ The invalidation tests assert two things at once: the *work* stays confined
 from __future__ import annotations
 
 import copy
+import gc
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -31,6 +34,7 @@ from repro.service import (
     load_corpus_dir,
 )
 from repro.service.api import make_server
+from repro.service.store import PersistentStore
 
 # ---------------------------------------------------------------------------
 # A small corpus with a cross-file call chain: top -> mid -> leaf, plus an
@@ -319,6 +323,229 @@ class TestInvalidation:
         assert plain._shard_store.keys().isdisjoint(defined._shard_store.keys())
 
 
+# ---------------------------------------------------------------------------
+# Reuse of corpus-wide artifacts: a pass keeps the last pass's call graph,
+# points-to, condensation, IRQ handlers, annotations, summary context and
+# blocking/error-return sets whenever their inputs did not move.  The
+# script below moves each input in turn (and some back), and every pass
+# must still build exactly what a fresh analyzer builds.
+# ---------------------------------------------------------------------------
+
+DEVICE_OPS = """
+struct drv_ops {
+    int (*handler)(int v);
+};
+static struct drv_ops drv_table;
+int request_irq(int irq, void *handler, void *dev);
+int drv_first(int v) {
+    return v;
+}
+int drv_second(int v) {
+    return v + 1;
+}
+int drv_setup(void) {
+    drv_table.handler = drv_first;
+    return 0;
+}
+int drv_dispatch(int v) {
+    return drv_table.handler(v);
+}
+"""
+
+REUSE_FILES = CHAIN_FILES + (CorpusFile("fill.c", FILL_LIB),
+                             CorpusFile("user.c", FILL_CALLER),
+                             CorpusFile("drv.c", DEVICE_OPS))
+
+EXTRA_FUNCTION = "int extra(int v) {\n    return v + 1;\n}\n"
+DUPLICATE_LONE = "int lone(void) {\n    return 1;\n}\n"
+
+#: (label, (filename, old, new) or None for a no-op), applied in order.
+REUSE_EDITS = (
+    ("noop", None),
+    ("literal bump", ("lib.c", "return 7;", "return 8;")),
+    ("add call", ("top.c", "return mid() + CHAIN_BONUS;",
+                  "return mid() + lone() + CHAIN_BONUS;")),
+    ("remove call", ("top.c", "return mid() + lone() + CHAIN_BONUS;",
+                     "return mid() + CHAIN_BONUS;")),
+    ("store in field", ("drv.c", "    drv_table.handler = drv_first;\n",
+                        "    drv_table.handler = drv_first;\n"
+                        "    drv_table.handler = &drv_second;\n")),
+    ("irq via cast", ("drv.c", "    return 0;\n}\nint drv_dispatch",
+                      "    request_irq(3, (void *) drv_second, 0);\n"
+                      "    return 0;\n}\nint drv_dispatch")),
+    ("header annotations", ("lib.c", "int lone(void) {",
+                            "int lone(void) blocking errcodes(5) {")),
+    ("signature", ("fill.c",) + FILL_COUNT_EDIT),
+    # top.c's new prototype inherits lib.c's `blocking` when linked; then
+    # lib.c's prototype drops it, and only lib.c's own text changed.
+    ("inheriting prototype", ("top.c", "int mid(void);",
+                              "int mid(void);\nvoid schedule(void);")),
+    ("inherited annotation", ("lib.c", "void schedule(void) blocking;",
+                              "void schedule(void);")),
+    ("append", ("lib.c", "int lone(void)", EXTRA_FUNCTION + "int lone(void)")),
+    ("remove appended", ("lib.c", EXTRA_FUNCTION + "int lone(void)",
+                         "int lone(void)")),
+    ("line shift", ("mid.c", "int leaf(void);", "\nint leaf(void);")),
+    ("break", ("mid.c", "return leaf() + 1;", "return leaf( + 1;")),
+    ("fix", ("mid.c", "return leaf( + 1;", "return leaf() + 1;")),
+    ("duplicate definition", ("top.c", "int top(void) {",
+                              DUPLICATE_LONE + "int top(void) {")),
+    ("remove duplicate", ("top.c", DUPLICATE_LONE + "int top(void) {",
+                          "int top(void) {")),
+    ("macro", ("lib.c", "#define CHAIN_BONUS 3", "#define CHAIN_BONUS 4")),
+)
+
+GRAPH_ARTIFACTS = {"callgraph", "pointsto", "condensation"}
+
+
+def artifact_fields(artifacts) -> dict:
+    """Every shared artifact a pass may reuse, in comparable form."""
+    graph = artifacts.graph
+    condensation = artifacts.condensation
+    return {
+        "graph": (graph.nodes, graph.edges, graph.call_sites),
+        "pointsto": artifacts.pointsto,
+        "condensation": (condensation.sccs, condensation.waves,
+                         condensation.scc_callees),
+        "blocking": artifacts.blocking,
+        "irq_handlers": artifacts.irq_handlers,
+        "error_returning": artifacts.error_returning,
+        "annotations": {name: str(annotations) for name, annotations
+                        in artifacts.annotations.items()},
+        "summaries": artifacts.summaries,
+        "consts": artifacts.consts,
+        "unit_functions": artifacts.unit_functions,
+    }
+
+
+class TestArtifactReuse:
+    def test_every_pass_builds_what_a_fresh_analyzer_builds(self):
+        files = REUSE_FILES
+        analyzer = IncrementalAnalyzer(files=files)
+        analyzer.analyze()
+        assert analyzer.last_stats.rebuilt_artifacts == sorted(
+            GRAPH_ARTIFACTS | {"irq_handlers", "annotations", "summary_context",
+                               "blocking", "error_returning"})
+        for label, change in REUSE_EDITS:
+            last_good = files
+            if change is not None:
+                files = edit(files, *change)
+            report = analyzer.analyze(files)
+            rebuilt = set(analyzer.last_stats.rebuilt_artifacts)
+            artifacts = analyzer.artifacts
+            if label == "break":
+                # A broken unit keeps serving its last good parse, which a
+                # fresh analyzer only has after seeing the good source.
+                fresh = IncrementalAnalyzer(files=last_good)
+                fresh.analyze()
+                assert_reports_identical(report, fresh.analyze(files))
+                served = [f for f in report.all_findings()
+                          if f["analysis"] != "diagnostics"]
+                batch = AnalysisEngine(files=last_good, tolerant=True).run(jobs=1)
+                assert served == batch.all_findings(), label
+            else:
+                fresh = IncrementalAnalyzer(files=files)
+                fresh.analyze()
+                assert_matches_cold(report, files)
+            assert artifact_fields(artifacts) == artifact_fields(
+                fresh.artifacts), label
+            assert all(env.program is artifacts.program
+                       for env in artifacts.type_envs.values()), label
+            if label in ("noop", "break"):
+                assert rebuilt == set(), label
+            if label in ("literal bump", "fix"):
+                assert not rebuilt & GRAPH_ARTIFACTS, label
+            if label in ("add call", "store in field", "irq via cast",
+                         "append"):
+                assert GRAPH_ARTIFACTS <= rebuilt, label
+
+    def test_stats_dict_lists_rebuilt_artifacts(self):
+        analyzer = IncrementalAnalyzer(files=CHAIN_FILES)
+        analyzer.analyze()
+        analyzer.analyze(CHAIN_FILES)
+        assert analyzer.last_stats.to_dict()["rebuilt_artifacts"] == []
+
+
+class TestCarriedState:
+    def test_carried_maps_hold_only_the_current_corpus(self, monkeypatch):
+        service = AnalysisService(files=CHAIN_FILES)
+        analyzer = service.analyzer
+        # Every pass's program, a failed pass's included.
+        programs = []
+        link = analyzer._link
+
+        def tracked_link():
+            program, diagnostics = link()
+            programs.append(weakref.ref(program))
+            return program, diagnostics
+
+        monkeypatch.setattr(analyzer, "_link", tracked_link)
+        service.request_reconcile()
+        files = CHAIN_FILES
+        appended = []
+        literal = 7
+        for step in range(40):
+            kind = step % 5
+            if step == 21:
+                files = edit(files, "lib.c", "#define CHAIN_BONUS 3",
+                             "#define CHAIN_BONUS 5")
+            elif kind == 0:
+                name = f"grown{step}"
+                appended.append(name)
+                files = edit(files, "mid.c", "int mid(void) {",
+                             f"int {name}(int v) {{\n    return v + {step};\n}}"
+                             "\nint mid(void) {")
+            elif kind == 1:
+                name = appended.pop(0)
+                source = next(f.source for f in files if f.filename == "mid.c")
+                start = source.index(f"int {name}(")
+                end = source.index("}\n", start) + 2
+                files = edit(files, "mid.c", source[start:end], "")
+            elif kind == 2:
+                files = edit(files, "top.c", "return mid() + CHAIN_BONUS;",
+                             "return mid( + CHAIN_BONUS;")
+            elif kind == 3:
+                files = edit(files, "top.c", "return mid( + CHAIN_BONUS;",
+                             "return mid() + CHAIN_BONUS;")
+            else:
+                files = edit(files, "lib.c", f"return {literal};",
+                             f"return {literal + 1};")
+                literal += 1
+            analyzer.files = files
+            if step == 14:
+                # A pass that raises: neither the failure the service keeps
+                # nor the analyzer may hold on to its program.
+                _fail_once(monkeypatch, service)
+                with pytest.raises(RuntimeError):
+                    service.request_reconcile()
+            service.request_reconcile()
+        assert service.failed_passes == 1
+        assert len(programs) == 42
+        snapshot, _ = service.request_reconcile()
+        assert_matches_cold(snapshot.report, files)
+
+        artifacts = analyzer.artifacts
+        program = artifacts.program
+        functions = set(program.functions)
+        state = analyzer._last
+        assert set(state.records) == functions
+        assert set(analyzer._consts_store) == functions
+        assert set(analyzer._scc_store) == set(state.scc_keys)
+        assert len(state.scc_keys) == len(artifacts.condensation.sccs)
+        stats = analyzer.last_stats
+        assert len(analyzer._shard_store) == (stats.shards_rerun
+                                              + stats.shards_reused)
+        assert all(record.env.program is program
+                   for record in state.records.values())
+
+        # Carried type environments, the reused summary context and the
+        # service's record of the failure point at the current program only:
+        # no earlier pass's program stays alive.
+        del artifacts, program, state, snapshot
+        gc.collect()
+        assert [ref() for ref in programs[:-1]] == [None] * (len(programs) - 1)
+
+
 class TestKernelCorpusEquivalence:
     def test_cold_pass_matches_batch_engine(self):
         incremental = IncrementalAnalyzer().analyze()
@@ -416,6 +643,41 @@ class TestCacheEviction:
         assert cache.store.entry_count("artifact") == 4
 
 
+def _atimes(store):
+    with store._lock:
+        return dict(store._conn.execute(
+            "SELECT space || ':' || key, atime FROM entries").fetchall())
+
+
+class TestStoreLiveSet:
+    """Rows served from the analyzer's memory are dated lazily."""
+
+    def test_noop_pass_writes_nothing_to_an_unbounded_store(self, tmp_path):
+        store = PersistentStore(tmp_path)
+        analyzer = IncrementalAnalyzer(files=CHAIN_FILES, store=store)
+        analyzer.analyze()
+        written = _atimes(store)
+        time.sleep(0.02)
+        analyzer.analyze(CHAIN_FILES)
+        assert analyzer.last_stats.store_writes == 0
+        assert _atimes(store) == written
+        store.close()
+
+    def test_close_dates_the_live_set(self, tmp_path):
+        store = PersistentStore(tmp_path)
+        store.put_many("scc", [("a", 1), ("b", 2)])
+        written = _atimes(store)
+        time.sleep(0.02)
+        store.touch("scc", ["a"])
+        assert _atimes(store) == written
+        store.close()
+        reopened = PersistentStore(tmp_path)
+        dated = _atimes(reopened)
+        assert dated["scc:a"] > written["scc:a"]
+        assert dated["scc:b"] == written["scc:b"]
+        reopened.close()
+
+
 # ---------------------------------------------------------------------------
 # Corpus export / load / watch
 # ---------------------------------------------------------------------------
@@ -451,23 +713,29 @@ class TestCorpusOnDisk:
 # HTTP API (in-process server on an ephemeral port)
 # ---------------------------------------------------------------------------
 
-@pytest.fixture(scope="class")
-def http_service():
-    service = AnalysisService(files=CHAIN_FILES)
+def _serve(service):
+    """Serve ``service`` on an ephemeral port; returns the server and a
+    ``request(path, method)`` that answers ``(status, JSON payload)``."""
     server = make_server(service, port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+    threading.Thread(target=server.serve_forever, daemon=True).start()
     port = server.server_address[1]
 
     def request(path, method="GET"):
-        req = urllib.request.Request(
-            f"http://127.0.0.1:{port}{path}", method=method)
+        req = urllib.request.Request(f"http://127.0.0.1:{port}{path}",
+                                     method=method)
         try:
             with urllib.request.urlopen(req, timeout=10) as response:
                 return response.status, json.load(response)
         except urllib.error.HTTPError as error:
             return error.code, json.load(error)
 
+    return server, request
+
+
+@pytest.fixture(scope="class")
+def http_service():
+    service = AnalysisService(files=CHAIN_FILES)
+    server, request = _serve(service)
     try:
         yield service, request
     finally:
@@ -663,3 +931,181 @@ class TestServiceWatchesDirectory:
             assert snapshot.stats.dirty_sccs == 3
         finally:
             service.stop()
+
+
+# ---------------------------------------------------------------------------
+# A pass that raises is reported, not lost
+# ---------------------------------------------------------------------------
+
+def _fail_once(monkeypatch, service, analysis="lockcheck"):
+    """Make ``analysis``'s next shard raise; later shards run normally."""
+    adapter = service.analyzer.registry[analysis]
+    run_shard = adapter.run_shard
+    calls = []
+
+    def failing(artifacts, functions):
+        calls.append(functions)
+        if len(calls) == 1:
+            raise RuntimeError("injected shard failure")
+        return run_shard(artifacts, functions)
+
+    monkeypatch.setattr(adapter, "run_shard", failing)
+    return calls
+
+
+def _cold_findings(files):
+    return AnalysisEngine(files=files, tolerant=True).run(jobs=1).all_findings()
+
+
+class TestFailingPass:
+    def test_failing_edit_pass_answers_500_and_next_pass_recovers(
+            self, tmp_path, monkeypatch):
+        export_corpus(tmp_path, CHAIN_FILES)
+        service = AnalysisService(corpus_dir=tmp_path)
+        server, request = _serve(service)
+        try:
+            service.reconcile()
+            revision = service.snapshot.revision
+            (tmp_path / "lib.c").write_text(
+                CHAIN_LIB.replace("return 0;", "return 3;"))
+            calls = _fail_once(monkeypatch, service)
+
+            status, payload = request("/analyze", method="POST")
+            assert status == 500
+            assert payload["status"] == "failed"
+            assert payload["error"] == {"type": "RuntimeError",
+                                        "message": "injected shard failure"}
+            assert calls
+
+            # The last good snapshot keeps serving; the failure is counted.
+            status, stats = request("/stats")
+            assert status == 200
+            assert stats["status"] == "ok"
+            assert stats["revision"] == revision
+            assert stats["failed_passes"] == 1
+            assert stats["last_error"]["type"] == "RuntimeError"
+            assert stats["last_error"]["message"] == "injected shard failure"
+            assert request("/health")[0] == 200
+
+            status, payload = request("/analyze", method="POST")
+            assert status == 200
+            assert payload["status"] == "ok"
+            status, served = request("/findings")
+            assert status == 200
+            assert served["findings"] == _cold_findings(
+                load_corpus_dir(tmp_path))
+            assert request("/stats")[1]["failed_passes"] == 1
+        finally:
+            server.shutdown()
+            server.server_close()
+            service.stop()
+
+    def test_failing_initial_pass_reports_failed_health(self, monkeypatch):
+        service = AnalysisService(files=CHAIN_FILES)
+        server, request = _serve(service)
+        try:
+            _fail_once(monkeypatch, service)
+            status, payload = request("/analyze", method="POST")
+            assert status == 500
+            assert payload["error"]["type"] == "RuntimeError"
+
+            status, health = request("/health")
+            assert status == 503
+            assert health["status"] == "failed"
+            assert health["failed_passes"] == 1
+            assert health["last_error"]["message"] == "injected shard failure"
+            status, stats = request("/stats")
+            assert (status, stats["status"], stats["failed_passes"]) == (
+                200, "failed", 1)
+            assert request("/findings")[0] == 503
+
+            status, payload = request("/analyze", method="POST")
+            assert status == 200
+            assert request("/health")[0] == 200
+            assert request("/findings")[1]["findings"] == _cold_findings(
+                CHAIN_FILES)
+        finally:
+            server.shutdown()
+            server.server_close()
+            service.stop()
+
+    def test_failing_background_initial_pass_is_recorded(self, monkeypatch):
+        service = AnalysisService(files=CHAIN_FILES)
+        _fail_once(monkeypatch, service)
+        service.start()
+        try:
+            for _ in range(3000):
+                if service.failed_passes:
+                    break
+                threading.Event().wait(0.01)
+            assert service.failed_passes == 1
+            assert service.status() == "failed"
+            assert service.snapshot is None
+            snapshot, _ = service.request_reconcile()
+            assert snapshot.report.all_findings() == _cold_findings(CHAIN_FILES)
+            assert service.status() == "ok"
+        finally:
+            service.stop()
+
+    def test_coalesced_request_gets_the_failure_of_its_pass(self, monkeypatch):
+        service = AnalysisService(files=CHAIN_FILES)
+        service.request_reconcile()
+        # The first pass is held in flight; the queued pass, which the
+        # third request rides on, raises.
+        entered = threading.Event()
+        release = threading.Event()
+        analyze = service.analyzer.analyze
+        calls = []
+
+        def analyze_then_fail(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                entered.set()
+                assert release.wait(timeout=60)
+                return analyze(*args, **kwargs)
+            raise RuntimeError("queued pass failed")
+
+        gate = service._gate
+        gate_wait = gate.wait
+        waiting = [0]
+
+        def counting_wait(timeout=None):
+            waiting[0] += 1  # runs with the gate's lock held
+            try:
+                return gate_wait(timeout)
+            finally:
+                waiting[0] -= 1
+
+        monkeypatch.setattr(service.analyzer, "analyze", analyze_then_fail)
+        monkeypatch.setattr(gate, "wait", counting_wait)
+        outcomes = []
+
+        def call():
+            try:
+                snapshot, coalesced = service.request_reconcile()
+                outcomes.append(("ok", coalesced))
+            except RuntimeError as error:
+                outcomes.append((str(error), None))
+
+        threads = [threading.Thread(target=call) for _ in range(3)]
+        threads[0].start()
+        assert entered.wait(timeout=60)
+        for thread in threads[1:]:
+            thread.start()
+        for _ in range(6000):
+            with gate:
+                if waiting[0] == 2:
+                    break
+            time.sleep(0.01)
+        with gate:
+            assert waiting[0] == 2
+        release.set()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+        assert sorted(outcomes, key=str) == sorted(
+            [("ok", False), ("queued pass failed", None),
+             ("queued pass failed", None)], key=str)
+        assert len(calls) == 2
+        assert service.failed_passes == 1
+        assert service.status() == "ok"
