@@ -9,7 +9,6 @@ from .delayed_free import (
 from .instrument import (
     CCountInstrumentationResult,
     CCountInstrumenter,
-    instrument_copy,
     instrument_program,
 )
 from .report import (
@@ -24,8 +23,7 @@ from .typeinfo import TypeInfoRegistry, TypeLayout, build_typeinfo, typeid_const
 __all__ = [
     "delayed_free_scope", "count_delayed_scopes", "count_pointer_nullouts",
     "count_rtti_sites",
-    "CCountInstrumentationResult", "CCountInstrumenter", "instrument_copy",
-    "instrument_program",
+    "CCountInstrumentationResult", "CCountInstrumenter", "instrument_program",
     "CCountConversionReport", "CCountRunReport", "build_conversion_report",
     "build_run_report",
     "BadFree", "CCountConfig", "CCountRuntime", "CCountStats", "install",

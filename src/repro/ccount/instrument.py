@@ -15,6 +15,12 @@ Two further rewrites reproduce the manual conversion work §2.2 reports:
   instrumented and how many were skipped because they target local variables
   (footnote 2: the kernel version of CCount does not track references from
   locals).
+
+Instrumenting a function never modifies it: the rewriter path-copies
+(:class:`~repro.minic.visitor.Transformer`), so it returns a twin that shares
+every untouched subtree.  The engine counts on the twins of the shared
+program; :func:`instrument_program` installs each rewritten body into its
+definition.
 """
 
 from __future__ import annotations
@@ -37,10 +43,15 @@ BULK_FUNCTIONS = {"memcpy": "__ccount_memcpy", "memmove": "__ccount_memcpy",
 
 @dataclass
 class CCountInstrumentationResult:
-    """Summary of one CCount instrumentation run."""
+    """Summary of one CCount instrumentation run.
+
+    ``typeinfo`` is ``None`` after a run that instrumented single functions
+    (the engine's shards) and needed no type layout; a whole-program
+    :meth:`CCountInstrumenter.run` always fills it in.
+    """
 
     program: Program
-    typeinfo: TypeInfoRegistry
+    typeinfo: TypeInfoRegistry | None = None
     pointer_writes_instrumented: int = 0
     pointer_writes_skipped_local: int = 0
     bulk_calls_converted: int = 0
@@ -54,27 +65,41 @@ class CCountInstrumenter:
                  typeinfo: TypeInfoRegistry | None = None) -> None:
         self.program = program
         self.config = config or CCountConfig()
-        self.typeinfo = typeinfo or build_typeinfo(program)
-        self.result = CCountInstrumentationResult(program=program, typeinfo=self.typeinfo)
+        self.result = CCountInstrumentationResult(program=program, typeinfo=typeinfo)
+
+    @property
+    def typeinfo(self) -> TypeInfoRegistry:
+        """The type-layout registry, built whole on first use: only a bulk
+        ``memcpy``/``memset`` rewrite reads it."""
+        if self.result.typeinfo is None:
+            self.result.typeinfo = build_typeinfo(self.program)
+        return self.result.typeinfo
 
     def run(self) -> CCountInstrumentationResult:
+        """Instrument the whole program in place: each function's rewritten
+        body is installed into its definition."""
         for unit in self.program.units:
             for decl in unit.decls:
                 if isinstance(decl, ast.FuncDef):
-                    self._do_function(decl)
+                    twin = self.instrument_function(decl)
+                    if twin is not decl:
+                        decl.body = twin.body
+                        self.program.forget_syntax(decl)
+        # Callers install the runtime from the result's registry.
+        self.result.typeinfo = self.typeinfo
         return self.result
 
-    def instrument_function(self, func: ast.FuncDef) -> None:
-        """Instrument one function in place (it need not be in ``program``;
-        the engine's per-unit shards pass private clones)."""
-        self._do_function(func)
+    def instrument_function(self, func: ast.FuncDef) -> ast.FuncDef:
+        """``func`` with its pointer writes and bulk calls rewritten.
 
-    def _do_function(self, func: ast.FuncDef) -> None:
-        env = TypeEnv(self.program, func)
-        rewriter = _PointerWriteRewriter(self, env)
-        func.body = rewriter.visit(func.body)
-        self.program.forget_syntax(func)
+        Returns a new ``FuncDef`` that shares every untouched subtree with
+        ``func``, or ``func`` itself when nothing was rewritten; ``func`` is
+        never modified, so the engine's shards instrument the shared program.
+        """
+        rewriter = _PointerWriteRewriter(self, TypeEnv(self.program, func))
+        twin = rewriter.visit(func)
         self.result.per_function[func.name] = rewriter.instrumented
+        return twin
 
 
 class _PointerWriteRewriter(Transformer):
@@ -155,10 +180,3 @@ def instrument_program(program: Program, config: CCountConfig | None = None,
                        typeinfo: TypeInfoRegistry | None = None) -> CCountInstrumentationResult:
     """Instrument ``program`` in place for CCount."""
     return CCountInstrumenter(program, config, typeinfo).run()
-
-
-def instrument_copy(program: Program,
-                    config: CCountConfig | None = None) -> CCountInstrumentationResult:
-    """Instrument a deep copy of ``program``, leaving the original untouched."""
-    clone = copy.deepcopy(program)
-    return CCountInstrumenter(clone, config).run()

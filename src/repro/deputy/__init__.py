@@ -12,7 +12,6 @@ from .checker import (
 from .instrument import (
     DeputyInstrumenter,
     InstrumentationResult,
-    instrument_copy,
     instrument_program,
 )
 from .optimizer import CheckCache
@@ -30,8 +29,7 @@ from .typesystem import (
 __all__ = [
     "Decision", "DeputyOptions", "FunctionCheckResult", "Obligation",
     "ObligationKind", "ObligationStatus", "check_program",
-    "DeputyInstrumenter", "InstrumentationResult", "instrument_copy",
-    "instrument_program",
+    "DeputyInstrumenter", "InstrumentationResult", "instrument_program",
     "CheckCache",
     "ConversionReport", "build_report",
     "CHECK_BUILTINS", "DeputyRuntimeStats", "install",

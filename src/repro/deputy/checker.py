@@ -15,7 +15,6 @@ checked statically, the rest at run time.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from enum import Enum, auto
 from typing import Optional
@@ -26,6 +25,7 @@ from ..machine.program import Program
 from ..minic import ast_nodes as ast
 from ..minic.ctypes import CArray, CPointer, CStruct, CType
 from ..minic.errors import SourceLocation
+from ..minic.visitor import Transformer, walk
 from .typesystem import (
     DeputyError,
     PointerKind,
@@ -102,16 +102,11 @@ class Decision:
 
     status: ObligationStatus
     kind: ObligationKind
+    #: The run-time check call.  Its operands are the access site's own
+    #: nodes, not copies: the engine only records and renders checks, and
+    #: the instrumenter copies a check once, when it splices it.
     check: Optional[ast.Expr] = None
     detail: str = ""
-
-
-def _copy_expr(expr: ast.Expr) -> ast.Expr:
-    return copy.deepcopy(expr)
-
-
-def _check_call(name: str, args: list[ast.Expr], loc: SourceLocation) -> ast.Call:
-    return ast.make_call(name, [_copy_expr(a) for a in args], loc)
 
 
 def decide_deref(env: TypeEnv, pointer: ast.Expr, target_type: CType,
@@ -131,8 +126,7 @@ def decide_deref(env: TypeEnv, pointer: ast.Expr, target_type: CType,
         return Decision(ObligationStatus.STATIC, ObligationKind.DEREF,
                         detail="nonnull-annotated pointer")
     size = max(ctype_size(target_type), 1)
-    check = _check_call("__deputy_check_ptr",
-                        [pointer, ast.int_lit(size)], loc)
+    check = ast.make_call("__deputy_check_ptr", [pointer, ast.int_lit(size)], loc)
     return Decision(ObligationStatus.RUNTIME, ObligationKind.DEREF, check=check)
 
 
@@ -151,19 +145,19 @@ def _rebind_field_expr(expr: ast.Expr, base: ast.Expr) -> ast.Expr | None:
         base = base.exprs[-1]
     if not isinstance(base, ast.Member):
         return expr
-    container = base.base
-    arrow = base.arrow
-    from ..minic.visitor import Transformer, walk
+    return _FieldSubst(base.base, base.arrow).visit(expr)
 
-    class _Rebind(Transformer):
-        def visit_Ident(self, node: ast.Ident) -> ast.Expr:
-            return ast.Member(base=_copy_expr(container), name=node.name,
-                              arrow=arrow, location=node.location)
 
-    has_idents = any(isinstance(node, ast.Ident) for node in walk(expr))
-    if not has_idents:
-        return expr
-    return _Rebind().visit(_copy_expr(expr))
+class _FieldSubst(Transformer):
+    """Every identifier becomes the same-named field of ``base``."""
+
+    def __init__(self, base: ast.Expr, arrow: bool) -> None:
+        self.base = base
+        self.arrow = arrow
+
+    def visit_Ident(self, node: ast.Ident) -> ast.Expr:
+        return ast.Member(base=self.base, name=node.name, arrow=self.arrow,
+                          location=node.location)
 
 
 def decide_index(env: TypeEnv, base: ast.Expr, index: ast.Expr,
@@ -211,8 +205,7 @@ def decide_index(env: TypeEnv, base: ast.Expr, index: ast.Expr,
         if prove is not None and (proof := prove(index, count_expr)):
             return Decision(ObligationStatus.STATIC, ObligationKind.INDEX,
                             detail=f"{proof}-bounded index")
-        check = _check_call("__deputy_check_index",
-                            [index, count_expr], loc)
+        check = ast.make_call("__deputy_check_index", [index, count_expr], loc)
         return Decision(ObligationStatus.RUNTIME, ObligationKind.INDEX, check=check)
     if facts.kind is PointerKind.BOUND and facts.bound_hi is not None:
         bound_const = constant_value(facts.bound_hi)
@@ -223,15 +216,15 @@ def decide_index(env: TypeEnv, base: ast.Expr, index: ast.Expr,
         if prove is not None and (proof := prove(index, facts.bound_hi)):
             return Decision(ObligationStatus.STATIC, ObligationKind.INDEX,
                             detail=f"{proof}-bounded index")
-        check = _check_call("__deputy_check_index", [index, facts.bound_hi], loc)
+        check = ast.make_call("__deputy_check_index", [index, facts.bound_hi], loc)
         return Decision(ObligationStatus.RUNTIME, ObligationKind.INDEX, check=check)
     if facts.kind is PointerKind.NULLTERM:
-        check = _check_call("__deputy_check_nt", [base, index], loc)
+        check = ast.make_call("__deputy_check_nt", [base, index], loc)
         return Decision(ObligationStatus.RUNTIME, ObligationKind.NULLTERM, check=check)
     # SAFE pointer used as an array: only index 0 is legal.
     if index_const == 0:
         return decide_deref(env, base, _element_type(base_type), options, loc)
-    check = _check_call("__deputy_check_index", [index, ast.int_lit(1)], loc)
+    check = ast.make_call("__deputy_check_index", [index, ast.int_lit(1)], loc)
     return Decision(ObligationStatus.RUNTIME, ObligationKind.INDEX, check=check,
                     detail="indexing a SAFE (single-element) pointer")
 
@@ -256,8 +249,8 @@ def decide_cast(env: TypeEnv, cast: ast.Cast, options: DeputyOptions) -> Decisio
         and isinstance(target, CStruct))
     if needs_size_check:
         size = max(ctype_size(target), 1) if target.complete else 1
-        check = _check_call("__deputy_check_cast",
-                            [cast.operand, ast.int_lit(size)], cast.location)
+        check = ast.make_call("__deputy_check_cast",
+                              [cast.operand, ast.int_lit(size)], cast.location)
         return Decision(ObligationStatus.RUNTIME, ObligationKind.CAST, check=check)
     return Decision(ObligationStatus.STATIC, ObligationKind.CAST)
 
@@ -287,21 +280,9 @@ def decide_union_access(env: TypeEnv, member: ast.Member,
         return Decision(ObligationStatus.TRUSTED, ObligationKind.UNION,
                         detail="union container not syntactically visible")
     outer_base = container.base
-    cond = _substitute_fields(_copy_expr(when.args[0]), outer_base, container.arrow)
+    cond = _FieldSubst(outer_base, container.arrow).visit(when.args[0])
     check = ast.make_call("__deputy_check_union", [cond], member.location)
     return Decision(ObligationStatus.RUNTIME, ObligationKind.UNION, check=check)
-
-
-def _substitute_fields(expr: ast.Expr, base: ast.Expr, arrow: bool) -> ast.Expr:
-    """Replace free identifiers in a when-clause with fields of ``base``."""
-    from ..minic.visitor import Transformer
-
-    class _Subst(Transformer):
-        def visit_Ident(self, node: ast.Ident) -> ast.Expr:
-            return ast.Member(base=_copy_expr(base), name=node.name, arrow=arrow,
-                              location=node.location)
-
-    return _Subst().visit(expr)
 
 
 def decide_call_contracts(env: TypeEnv, call: ast.Call,
@@ -322,8 +303,7 @@ def decide_call_contracts(env: TypeEnv, call: ast.Call,
         facts = pointer_facts(param.type)
         if facts.kind is not PointerKind.COUNT or facts.count_expr is None:
             continue
-        count_expr = _substitute_params(_copy_expr(facts.count_expr),
-                                        param_names, call.args)
+        count_expr = _substitute_params(facts.count_expr, param_names, call.args)
         if count_expr is None:
             decisions.append(Decision(ObligationStatus.TRUSTED,
                                       ObligationKind.CALL_CONTRACT,
@@ -340,8 +320,8 @@ def decide_call_contracts(env: TypeEnv, call: ast.Call,
             continue
         element = facts.element
         size = max(ctype_size(element), 1)
-        check = _check_call("__deputy_check_count",
-                            [arg, count_expr, ast.int_lit(size)], call.location)
+        check = ast.make_call("__deputy_check_count",
+                              [arg, count_expr, ast.int_lit(size)], call.location)
         decisions.append(Decision(ObligationStatus.RUNTIME,
                                   ObligationKind.CALL_CONTRACT, check=check))
     return decisions
@@ -350,21 +330,23 @@ def decide_call_contracts(env: TypeEnv, call: ast.Call,
 def _substitute_params(expr: ast.Expr, param_names: list[str],
                        args: list[ast.Expr]) -> Optional[ast.Expr]:
     """Rewrite callee-parameter names to caller argument expressions."""
-    from ..minic.visitor import Transformer, walk
-
     mapping = {name: args[index] for index, name in enumerate(param_names)
                if index < len(args) and name}
     unresolved = [node.name for node in walk(expr)
                   if isinstance(node, ast.Ident) and node.name not in mapping]
     if unresolved:
         return None
+    return _ParamSubst(mapping).visit(expr)
 
-    class _Subst(Transformer):
-        def visit_Ident(self, node: ast.Ident) -> ast.Expr:
-            target = mapping.get(node.name)
-            return _copy_expr(target) if target is not None else node
 
-    return _Subst().visit(expr)
+class _ParamSubst(Transformer):
+    """Every identifier becomes the caller's argument it names."""
+
+    def __init__(self, mapping: dict[str, ast.Expr]) -> None:
+        self.mapping = mapping
+
+    def visit_Ident(self, node: ast.Ident) -> ast.Expr:
+        return self.mapping.get(node.name, node)
 
 
 def _element_type(ctype: CType) -> CType:

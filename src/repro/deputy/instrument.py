@@ -294,9 +294,11 @@ class _FunctionInstrumenter:
             kind=decision.kind, status=status, location=loc,
             function=self.result.function, detail=decision.detail,
             check=check))
-        if not self.rewrite:
+        if not self.rewrite or check is None:
             return None
-        return check
+        # The check's operands are the access site's own nodes; the spliced
+        # check gets copies, so no node sits twice in the tree.
+        return copy.deepcopy(check)
 
     def _wrap(self, checks: list[ast.Expr], expr: ast.Expr) -> ast.Expr:
         if not checks:
@@ -576,9 +578,3 @@ def instrument_program(program: Program,
     """Instrument ``program`` in place and return the result summary."""
     return DeputyInstrumenter(program, options).run(rewrite=True)
 
-
-def instrument_copy(program: Program,
-                    options: DeputyOptions | None = None) -> InstrumentationResult:
-    """Instrument a deep copy of ``program``, leaving the original untouched."""
-    clone = copy.deepcopy(program)
-    return DeputyInstrumenter(clone, options).run(rewrite=True)

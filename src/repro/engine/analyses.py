@@ -20,7 +20,6 @@ and serialized to JSON without caring which checker produced them.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 from dataclasses import dataclass, field
 from enum import Enum, auto
@@ -446,12 +445,15 @@ class StackcheckAnalysis(EngineAnalysis):
 class CCountAnalysis(EngineAnalysis):
     """CCount instrumentation planning (counts only; shared AST untouched).
 
-    The rewriter mutates trees in place, so planning deep-copies each shard's
-    function definitions and instruments the clones — still O(parse-once),
-    since nothing is re-parsed, and now shardable per translation unit: every
-    census counter is a per-function sum (a function's null-outs depend only
-    on its own body), and the type-layout registry is a pure function of the
-    shared program, computed once at merge.
+    The rewriter path-copies (:class:`repro.minic.visitor.Transformer`):
+    instrumenting a function returns a twin that shares every untouched
+    subtree with the linked definition, so planning runs on the shared
+    program itself, with its cached syntax records, and copies only the
+    paths it rewrites.  Shardable per translation unit: every census
+    counter is a per-function sum (a function's null-outs depend only on
+    its own body), and the type-layout registry is a pure function of the
+    shared program, built by a shard only when a bulk-call rewrite reads it
+    and counted once at merge.
     """
 
     name = "ccount"
@@ -467,21 +469,18 @@ class CCountAnalysis(EngineAnalysis):
         else:
             units = [unit for unit in program.units
                      if artifacts.unit_functions.get(unit.filename) == functions]
-        instrumenter = CCountInstrumenter(program,
-                                          typeinfo=build_typeinfo(program))
-        # The census counters run on the *instrumented* clones, matching the
+        instrumenter = CCountInstrumenter(program)
+        # The census counters run on the *instrumented* twins, matching the
         # established harness census (build_conversion_report): the rewriter
         # turns plain null-out assignments into __ccount_ptr_write calls, so
         # counting before instrumentation would report different numbers for
         # the same metric names.
-        clones: list[minic_ast.FuncDef] = []
+        twins: list[minic_ast.FuncDef] = []
         top_level: list[minic_ast.Node] = []
         for unit in units:
             for decl in unit.decls:
                 if isinstance(decl, minic_ast.FuncDef):
-                    clone = copy.deepcopy(decl)
-                    instrumenter.instrument_function(clone)
-                    clones.append(clone)
+                    twins.append(instrumenter.instrument_function(decl))
                 else:
                     top_level.append(decl)
         result = instrumenter.result
@@ -491,10 +490,10 @@ class CCountAnalysis(EngineAnalysis):
                 "pointer_writes_instrumented": result.pointer_writes_instrumented,
                 "pointer_writes_skipped_local": result.pointer_writes_skipped_local,
                 "bulk_calls_converted": result.bulk_calls_converted,
-                "rtti_sites": (count_rtti_sites_in(clones)
+                "rtti_sites": (count_rtti_sites_in(twins)
                                + count_rtti_sites_in(top_level)),
-                "pointer_nullouts": count_pointer_nullouts_in(clones),
-                "delayed_free_scopes": (count_delayed_scopes_in(clones)
+                "pointer_nullouts": count_pointer_nullouts_in(twins),
+                "delayed_free_scopes": (count_delayed_scopes_in(twins)
                                         + count_delayed_scopes_in(top_level)),
             },
         }

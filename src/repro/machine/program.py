@@ -113,7 +113,7 @@ class Program:
 
     def syntax_of(self, func: ast.FuncDef) -> FunctionSyntax:
         """``func``'s syntax record: the cached one when ``func`` is the linked
-        definition, otherwise (a clone being instrumented) a fresh index."""
+        definition, otherwise (a copy, say) a fresh index."""
         if self.functions.get(func.name) is func:
             return self.syntax(func.name)
         return index_function(func)
@@ -125,7 +125,8 @@ class Program:
             self._syntax[func.name] = record
 
     def forget_syntax(self, func: ast.FuncDef) -> None:
-        """Drop ``func``'s record after its body was rewritten in place."""
+        """Drop ``func``'s record after an in-place installer replaced its
+        body (on a private program; analyses never rewrite a linked body)."""
         if self.functions.get(func.name) is func:
             self._syntax.pop(func.name, None)
 

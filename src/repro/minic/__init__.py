@@ -30,7 +30,7 @@ from .errors import (
     SourceLocation,
     TypeError_,
 )
-from .lexer import Lexer, tokenize
+from .lexer import tokenize
 from .parser import Parser, evaluate_constant, parse_expression, parse_source
 from .pretty import PrettyPrinter, render_expression, render_statement, render_unit
 from .source import Preprocessor, SourceFile, preprocess, strip_comments
@@ -43,7 +43,7 @@ __all__ = [
     "CParam", "CPointer", "CStruct", "CType", "CVoid", "types_compatible",
     "LexError", "MiniCError", "ParseError", "SemanticError", "SourceLocation",
     "TypeError_",
-    "Lexer", "tokenize",
+    "tokenize",
     "Parser", "evaluate_constant", "parse_expression", "parse_source",
     "PrettyPrinter", "render_expression", "render_statement", "render_unit",
     "Preprocessor", "SourceFile", "preprocess", "strip_comments",

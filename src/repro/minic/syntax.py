@@ -10,8 +10,13 @@ the linked :class:`~repro.machine.program.Program` owns one record per
 function (``program.syntax(name)``, built on first use).
 
 The records hold references to the function's own nodes, so they describe
-the tree as it was when indexed: code that rewrites a linked body in place
-must drop the record afterwards (``program.forget_syntax(func)``).
+the tree as it was when indexed.  Analyses never rewrite a linked body: the
+path-copying :class:`~repro.minic.visitor.Transformer` leaves its input
+untouched, so a record stays valid for as long as its FuncDef lives.  Only
+the in-place installers, each of which works on a private program (CCount's
+whole-program ``run``, Deputy's ``rewrite=True`` pass and BlockStop's
+``insert_assertions``), replace a linked body, and they drop its record
+afterwards (``program.forget_syntax(func)``).
 """
 
 from __future__ import annotations

@@ -3,12 +3,20 @@
 Two base classes are provided:
 
 * :class:`Visitor` — read-only traversal with ``visit_<NodeClass>`` hooks.
-* :class:`Transformer` — rebuild-style traversal used by the instrumenters;
-  returning a new node replaces the old one, returning the input leaves the
-  tree unchanged.
+* :class:`Transformer` — path-copying rewrite used by the instrumenters;
+  returning a new node replaces the old one, returning the input (or
+  ``None``) keeps it.
 
 Both walk child nodes automatically, so a concrete visitor only overrides the
 hooks it cares about.
+
+A :class:`Transformer` never modifies the tree it is given: it builds new
+nodes only along the paths to the nodes its hooks replaced and shares every
+untouched subtree with the input (path copying, after Driscoll et al.,
+*Making Data Structures Persistent*).  A rewrite that changes nothing returns
+its input object, so callers compare by identity to learn whether anything
+moved, and an analysis can rewrite a shared, linked program without copying
+it first.
 
 Every traversal here reads one table: the names of each node class's fields
 that can hold children (``_child_fields``), built once per class from
@@ -18,6 +26,7 @@ would dominate the cost of an analysis run.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import fields, is_dataclass
 from typing import Any, Iterator
 
@@ -100,33 +109,56 @@ class Visitor:
 
 
 class Transformer:
-    """Rebuild-style traversal: hooks return replacement nodes."""
+    """Path-copying rewrite: hooks return replacement nodes.
+
+    ``visit(node)`` rewrites ``node``'s children first.  When none of them
+    changed (by identity) the ``visit_<NodeClass>`` hook receives ``node``
+    itself; otherwise it receives a shallow copy of ``node`` with only the
+    changed fields set.  A list field gets a new list only when one of its
+    items changed or a hook returned a list to splice in its place.
+
+    The one contract a hook must keep: never mutate its argument (or any
+    node reachable from it), since that node may be the caller's own.  Build
+    and return a new node instead.
+    """
 
     def visit(self, node: ast.Node) -> ast.Node:
-        self._transform_children(node)
+        node = self._transform_children(node)
         method = getattr(self, "visit_" + type(node).__name__, None)
         if method is not None:
             replacement = method(node)
             return node if replacement is None else replacement
         return node
 
-    def _transform_children(self, node: ast.Node) -> None:
+    def _transform_children(self, node: ast.Node) -> ast.Node:
+        """``node`` itself, or a shallow copy carrying its rewritten children."""
+        changes: dict[str, Any] = {}
         for name in _child_fields(type(node)):
             value = getattr(node, name)
             if isinstance(value, ast.Node):
-                setattr(node, name, self.visit(value))
+                replacement = self.visit(value)
+                if replacement is not value:
+                    changes[name] = replacement
             elif isinstance(value, list):
-                new_items = []
+                items: list = []
+                moved = False
                 for item in value:
-                    if isinstance(item, ast.Node):
-                        replacement = self.visit(item)
-                        if isinstance(replacement, list):
-                            new_items.extend(replacement)
-                        else:
-                            new_items.append(replacement)
+                    replacement = self.visit(item) if isinstance(item, ast.Node) else item
+                    if replacement is item:
+                        items.append(item)
+                        continue
+                    moved = True
+                    if isinstance(replacement, list):
+                        items.extend(replacement)
                     else:
-                        new_items.append(item)
-                setattr(node, name, new_items)
+                        items.append(replacement)
+                if moved:
+                    changes[name] = items
+        if not changes:
+            return node
+        twin = copy.copy(node)
+        vars(twin).update(changes)
+        return twin
 
 
 def initializer_expressions(init: ast.Initializer) -> list[ast.Expr]:

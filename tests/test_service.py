@@ -622,6 +622,21 @@ class TestParseErrorIsolation:
         assert_reports_identical(fixed,
                                  IncrementalAnalyzer(files=CHAIN_FILES).analyze())
 
+    def test_malformed_literal_is_a_diagnostic_not_a_failed_pass(self):
+        analyzer = IncrementalAnalyzer(files=CHAIN_FILES)
+        baseline = analyzer.analyze()
+        broken = edit(CHAIN_FILES, "mid.c", "return leaf() + 1;",
+                      "int x = 09; return leaf() + 1;")
+        report = analyzer.analyze(broken)
+        diagnostics = report.analyses["diagnostics"].findings
+        assert [finding["file"] for finding in diagnostics] == ["mid.c"]
+        assert "invalid integer literal" in diagnostics[0]["message"]
+        assert ([f for f in report.all_findings()
+                 if f["analysis"] != "diagnostics"] == baseline.all_findings())
+
+        fixed = analyzer.analyze(CHAIN_FILES)
+        assert_matches_cold(fixed, CHAIN_FILES)
+
 
 # ---------------------------------------------------------------------------
 # Artifact-cache eviction

@@ -1,7 +1,10 @@
 """Tests for the cheap AST traversal and the per-function syntax index.
 
 The traversal is checked against the recursive reference implementation it
-replaced (kept below verbatim), node for node and by identity.  Every
+replaced (kept below verbatim), node for node and by identity; the
+path-copying rewrite against the in-place reference transformer, and for
+never touching its input.  The analyses must leave the shared program, and
+its syntax records, exactly as they found them.  Every
 :class:`FunctionSyntax` field is checked against the per-site body walk it
 replaced, over the seed corpus and a generated one.  The incremental
 analyzer must re-index exactly the functions of re-parsed units and still
@@ -20,18 +23,21 @@ import pytest
 
 import repro
 from repro.annotations.attrs import AnnotationKind
+from repro.ccount import instrument as ccount_instrument
+from repro.ccount import typeinfo as ccount_typeinfo
 from repro.dataflow.consts import trackable_names
 from repro.dataflow.summaries import FRAME_OVERHEAD, function_frame_size
 from repro.deputy import instrument as deputy_instrument
 from repro.deputy.typesystem import TypeEnv
 from repro.engine import AnalysisEngine
+from repro.engine import analyses as engine_analyses
 from repro.kernel.build import parse_corpus
 from repro.kernel.corpus import KERNEL_FILES, CorpusFile
 from repro.kernel.synth import generate_corpus
 from repro.machine.interpreter import ctype_size
 from repro.minic import ast_nodes as ast
 from repro.minic.ctypes import CArray
-from repro.minic.pretty import PrettyPrinter
+from repro.minic.pretty import PrettyPrinter, render_unit
 from repro.minic.syntax import index_function
 from repro.minic.visitor import Transformer, iter_child_nodes, walk
 from repro.service import AnalysisService, IncrementalAnalyzer
@@ -178,6 +184,48 @@ def _same_nodes(left, right):
     return len(left) == len(right) and all(a is b for a, b in zip(left, right))
 
 
+def _field_snapshot(root):
+    """Every node under ``root`` with each field's value (and list items)."""
+    return [(node, [(name, value, list(value) if isinstance(value, list) else None)
+                    for name, value in vars(node).items()])
+            for node in walk(root)]
+
+
+def _matches_snapshot(root, snapshot):
+    """Whether ``root`` still holds the same nodes with the same field values,
+    by identity."""
+    if not _same_nodes(walk(root), [node for node, _ in snapshot]):
+        return False
+    for node, recorded in snapshot:
+        current = vars(node)
+        if len(current) != len(recorded):
+            return False
+        for name, value, items in recorded:
+            if current[name] is not value:
+                return False
+            if items is not None and not _same_nodes(value, items):
+                return False
+    return True
+
+
+def _rewritten_by_new_rewriter(root):
+    """ids of the nodes :class:`NewRewriter` must not share: an ``IntLit``
+    (its hook replaces it), and every node with a rewritten child or an
+    ``ExprStmt`` child (whose hook splices a list in its parent's)."""
+    changed = set()
+
+    def visit(node):
+        moved = isinstance(node, ast.IntLit)
+        for child in iter_child_nodes(node):
+            moved = visit(child) or isinstance(child, ast.ExprStmt) or moved
+        if moved:
+            changed.add(id(node))
+        return moved
+
+    visit(root)
+    return changed
+
+
 class TestTraversal:
     def test_walk_and_children_match_reference(self, programs):
         for _, program in programs:
@@ -200,11 +248,46 @@ class TestTraversal:
         rewritten = 0
         for _, program in programs:
             for func in program.functions.values():
-                new = NewRewriter().visit(copy.deepcopy(func))
+                new = NewRewriter().visit(func)
                 reference = ReferenceRewriter().visit(copy.deepcopy(func))
                 assert shape(new) == shape(reference)
                 rewritten += shape(new) != shape(func)
         assert rewritten > 100
+
+    def test_transformer_leaves_its_input_untouched(self, programs):
+        printer = PrettyPrinter()
+        for _, program in programs:
+            for func in program.functions.values():
+                rendered = printer.print_funcdef(func)
+                snapshot = _field_snapshot(func)
+                NewRewriter().visit(func)
+                assert printer.print_funcdef(func) == rendered
+                assert _matches_snapshot(func, snapshot)
+
+    def test_transformer_shares_every_unchanged_subtree(self, programs):
+        shared = copied = 0
+        for _, program in programs:
+            for func in program.functions.values():
+                output = {id(node) for node in walk(NewRewriter().visit(func))}
+                changed = _rewritten_by_new_rewriter(func)
+                for node in walk(func):
+                    assert (id(node) in output) is (id(node) not in changed)
+                    shared += id(node) in output
+                copied += len(changed)
+        assert shared > 1000 and copied > 100
+
+    def test_rewrite_that_changes_nothing_returns_its_input(self, programs):
+        class Identity(Transformer):
+            def visit_Ident(self, node):
+                return node
+
+            def visit_Block(self, node):
+                return None
+
+        for _, program in programs:
+            for func in program.functions.values():
+                assert Transformer().visit(func) is func
+                assert Identity().visit(func) is func
 
     def test_walk_is_not_bounded_by_recursion_depth(self):
         expr = ast.IntLit(value=0)
@@ -261,8 +344,8 @@ class TestFunctionSyntax:
         func = program.functions[name]
         assert program.syntax(name) is program.syntax(name)
         assert program.syntax_of(func) is program.syntax(name)
-        # A FuncDef that is not the linked definition (an instrumenter's
-        # clone) is indexed afresh, over its own nodes, and never cached.
+        # A FuncDef that is not the linked definition (a copy) is indexed
+        # afresh, over its own nodes, and never cached.
         clone = copy.deepcopy(func)
         record = program.syntax_of(clone)
         assert record is not program.syntax_of(clone)
@@ -291,6 +374,181 @@ class TestFunctionSyntax:
             assert _same_nodes(record.calls, fresh.calls)
             rewritten += record is not before[name]
         assert rewritten > 0
+
+
+# ---------------------------------------------------------------------------
+# Rewriting without copying: CCount plans on the shared program
+# ---------------------------------------------------------------------------
+
+
+class ReferencePointerWriteRewriter(ReferenceTransformer,
+                                    ccount_instrument._PointerWriteRewriter):
+    """CCount's hooks on the in-place reference traversal."""
+
+
+def reference_ccount(program):
+    """CCount over ``program`` the way it ran before path copying: every
+    body rewritten in place by the reference traversal."""
+    instrumenter = ccount_instrument.CCountInstrumenter(
+        program, typeinfo=ccount_typeinfo.build_typeinfo(program))
+    for unit in program.units:
+        for func in unit.functions():
+            rewriter = ReferencePointerWriteRewriter(instrumenter,
+                                                     TypeEnv(program, func))
+            func.body = rewriter.visit(func.body)
+            program.forget_syntax(func)
+            instrumenter.result.per_function[func.name] = rewriter.instrumented
+    return instrumenter.result
+
+
+def _renders(program):
+    return [render_unit(unit) for unit in program.units]
+
+
+def _ccount_outcome(program, result):
+    return (_renders(program),
+            result.pointer_writes_instrumented, result.pointer_writes_skipped_local,
+            result.bulk_calls_converted, result.per_function,
+            len(result.typeinfo.layouts))
+
+
+def _fold_declarator_annotations(program):
+    """Build every function's ``TypeEnv`` once.
+
+    Building one folds the declarator annotations of its parameters and
+    locals into their pointer types, in the shared program
+    (``_absorb_declarator_annotations``: an idempotent normalization that
+    predates path copying and changes how those declarations render), so
+    the tests below take their "before" after it.
+    """
+    for func in program.functions.values():
+        TypeEnv(program, func)
+
+
+def _untouched_state(program):
+    """Every unit's rendering and every function's syntax record."""
+    return (_renders(program),
+            {name: program.syntax(name) for name in program.functions})
+
+
+def _assert_untouched(program, state):
+    renders, records = state
+    assert _renders(program) == renders
+    assert all(program.syntax(name) is record for name, record in records.items())
+
+
+#: The seed corpus's CCount census: writes instrumented, skipped local, bulk
+#: calls converted, type layouts, RTTI sites, null-outs, delayed scopes.
+SEED_CCOUNT_CENSUS = {
+    "pointer_writes_instrumented": 73, "pointer_writes_skipped_local": 49,
+    "bulk_calls_converted": 0, "type_layouts": 25, "rtti_sites": 8,
+    "pointer_nullouts": 6, "delayed_free_scopes": 2,
+}
+
+
+class TestRewriteWithoutCopying:
+    @pytest.mark.parametrize("deputy_first", [False, True],
+                             ids=["ccount", "deputy+ccount"])
+    def test_ccount_matches_the_in_place_reference(self, deputy_first):
+        for files in (KERNEL_FILES, generate_corpus(2, seed=11)):
+            program, reference = parse_corpus(files), parse_corpus(files)
+            if deputy_first:
+                deputy_instrument.instrument_program(program)
+                deputy_instrument.instrument_program(reference)
+            reference = copy.deepcopy(reference)
+            expected = _ccount_outcome(reference, reference_ccount(reference))
+            result = ccount_instrument.instrument_program(program)
+            assert _ccount_outcome(program, result) == expected
+
+    def test_ccount_drops_only_the_records_of_rewritten_bodies(self):
+        program = parse_corpus(KERNEL_FILES)
+        before = {name: (func.body, program.syntax(name))
+                  for name, func in program.functions.items()}
+        result = ccount_instrument.instrument_program(program)
+        assert result.bulk_calls_converted == 0
+        rewritten = 0
+        for name, func in program.functions.items():
+            body, record = before[name]
+            moved = func.body is not body
+            assert (program.syntax(name) is not record) is moved
+            assert moved is (result.per_function[name] > 0)
+            rewritten += moved
+        assert rewritten > 10
+
+    def test_instrumenting_a_function_never_touches_it(self):
+        program = parse_corpus(KERNEL_FILES)
+        _fold_declarator_annotations(program)
+        instrumenter = ccount_instrument.CCountInstrumenter(program)
+        printer = PrettyPrinter()
+        twins = 0
+        for name, func in program.functions.items():
+            rendered, snapshot = printer.print_funcdef(func), _field_snapshot(func)
+            twin = instrumenter.instrument_function(func)
+            assert printer.print_funcdef(func) == rendered
+            assert _matches_snapshot(func, snapshot)
+            assert (twin is func) is (instrumenter.result.per_function[name] == 0)
+            twins += twin is not func
+        assert twins > 10
+
+    def test_engine_census_is_unchanged(self):
+        report = AnalysisEngine().run(analyses=["ccount"])
+        assert report.analyses["ccount"].metrics == SEED_CCOUNT_CENSUS
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_engine_run_leaves_the_shared_program_untouched(self, jobs):
+        engine = AnalysisEngine()
+        program = engine.program(jobs=jobs)
+        _fold_declarator_annotations(program)
+        state = _untouched_state(program)
+        engine.run(jobs=jobs)
+        assert engine.program(jobs=jobs) is program
+        _assert_untouched(program, state)
+
+    def test_incremental_passes_leave_the_program_untouched(self):
+        def folded_parse(files):
+            program = parse_corpus(files)
+            _fold_declarator_annotations(program)
+            return program
+
+        analyzer = IncrementalAnalyzer(files=KERNEL_FILES)
+        analyzer.analyze()
+        program = analyzer.artifacts.program
+        assert _renders(program) == _renders(folded_parse(KERNEL_FILES))
+        records = {name: program.syntax(name) for name in program.functions}
+
+        # The touched unit has pointer writes, so its CCount shard rewrites.
+        target = KERNEL_FILES[0]
+        touched = (replace(target, source=target.source
+                           + "\nint __touch(void) { return 0; }\n"),
+                   ) + KERNEL_FILES[1:]
+        analyzer.analyze(touched)
+        assert analyzer.last_stats.shards_rerun_by_analysis["ccount"] == 1
+        assert _renders(program) == _renders(folded_parse(KERNEL_FILES))
+        current = analyzer.artifacts.program
+        assert _renders(current) == _renders(folded_parse(touched))
+        rerun = set(analyzer.artifacts.unit_functions[target.filename])
+        per_function = ccount_instrument.instrument_program(
+            parse_corpus(KERNEL_FILES)).per_function
+        assert any(per_function[name] for name in rerun - {"__touch"})
+        for name in current.functions:
+            if name not in rerun:
+                assert current.syntax(name) is records[name]
+
+    def test_type_layouts_are_built_only_when_a_rewrite_reads_them(self, monkeypatch):
+        builds = []
+        build = ccount_typeinfo.build_typeinfo
+
+        def counting(program):
+            builds.append(program)
+            return build(program)
+
+        monkeypatch.setattr(ccount_instrument, "build_typeinfo", counting)
+        monkeypatch.setattr(engine_analyses, "build_typeinfo", counting)
+        AnalysisEngine().run(analyses=["ccount"])
+        assert 1 <= len(builds) <= 5
+        builds.clear()
+        AnalysisEngine(files=generate_corpus(2, seed=11)).run(analyses=["ccount"])
+        assert len(builds) == 1
 
 
 # ---------------------------------------------------------------------------
