@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum, auto
-from typing import Callable, Optional
+from typing import Optional
 
 from ..annotations.attrs import AnnotationKind, AnnotationSet
 from ..machine.program import Program
@@ -34,11 +34,9 @@ from ..minic.ctypes import (
 #: Return types of abstract-machine builtins that have no corpus prototype.
 #: ``__raw_alloc`` in particular must type as ``void *`` so that casting its
 #: result to an object pointer generates the cast obligation (and its
-#: run-time size check) instead of silently typing as ``int``.  Factories,
-#: not shared instances: pointer types can have annotations folded into them
-#: in place.
-_BUILTIN_RETURN_TYPES: dict[str, Callable[[], "CType"]] = {
-    "__raw_alloc": lambda: pointer_to(VOID),
+#: run-time size check) instead of silently typing as ``int``.
+_BUILTIN_RETURN_TYPES: dict[str, CType] = {
+    "__raw_alloc": pointer_to(VOID),
 }
 
 
@@ -127,12 +125,10 @@ class TypeEnv:
         if isinstance(ftype, CFunc):
             for param in ftype.params:
                 if param.name:
-                    self.locals[param.name] = _absorb_declarator_annotations(
-                        param.type, param.annotations)
+                    self.locals[param.name] = param.type
         for decl in program.syntax_of(func).declarations:
             if not decl.is_typedef:
-                self.locals[decl.name] = _absorb_declarator_annotations(
-                    decl.type, decl.annotations)
+                self.locals[decl.name] = decl.type
 
     # -- lookups -------------------------------------------------------------
 
@@ -184,7 +180,7 @@ class TypeEnv:
                     return ftype.return_type
                 builtin = _BUILTIN_RETURN_TYPES.get(expr.func.name)
                 if builtin is not None:
-                    return builtin()
+                    return builtin
             func_type = self.type_of(expr.func).strip()
             if isinstance(func_type, CPointer):
                 inner = func_type.target.strip()
@@ -213,28 +209,6 @@ class TypeEnv:
     def facts_of(self, expr: ast.Expr) -> PointerFacts:
         """Pointer facts for the static type of ``expr``."""
         return pointer_facts(self.type_of(expr))
-
-
-def _absorb_declarator_annotations(ctype: CType, annotations: AnnotationSet) -> CType:
-    """Fold trailing declarator annotations into a pointer type.
-
-    Deputy's canonical syntax puts annotations after the ``*``
-    (``struct buf * nonnull b``), but writing them after the declarator name
-    (``struct buf *b nonnull``) is also accepted; either way the facts end up
-    on the pointer type the checker consults.
-    """
-    if not annotations:
-        return ctype
-    from ..annotations.attrs import DEPUTY_KINDS
-    deputy_only = annotations.only(DEPUTY_KINDS)
-    if not deputy_only:
-        return ctype
-    stripped = ctype.strip()
-    if isinstance(stripped, CPointer):
-        for annotation in deputy_only:
-            if not stripped.annotations.has(annotation.kind):
-                stripped.annotations.add(annotation)
-    return ctype
 
 
 def _target_of(ctype: CType) -> CType:

@@ -44,13 +44,12 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="comma-separated analyses, or 'all' (default). "
                           f"Known: {', '.join(ANALYSIS_ORDER)}")
     run.add_argument("--jobs", type=int, default=1,
-                     help="worker processes; >1 parses in parallel and "
-                          "solves per-unit facts and checker shards on "
-                          "one work-stealing pool, both clamped to the "
-                          "usable CPUs (but at least 2), while summaries "
-                          "are solved in this process; 0 means every CPU "
-                          "this process may run on; without fork the run "
-                          "is serial")
+                     help="worker processes; >1 forks one work-stealing "
+                          "pool, clamped to the usable CPUs (but at least "
+                          "2), for per-unit facts and checker shards, "
+                          "while the parse and the summaries run in this "
+                          "process; 0 means every CPU this process may run "
+                          "on; without fork the run is serial")
     run.add_argument("--cache-dir", default=None,
                      help="directory for the on-disk artifact store "
                           "(store.sqlite, the format of serve --store-dir; "

@@ -3,15 +3,16 @@
 :class:`AnalysisEngine` parses each corpus translation unit exactly once,
 derives the shared artifacts (AST, symbol tables, annotations, call graph,
 points-to solution) through the content-keyed :class:`ArtifactCache`, and
-dispatches every registered analysis over them.  A run takes one of two
-paths, picked from what it can observe (:func:`worker_count`): direct
-serial calls when it resolves to one worker or the platform cannot
-``fork``; otherwise the speculative parallel parse, then one persistent
-:class:`WorkStealingExecutor` for the per-unit constant facts and the
-checker shards, both on the same number of workers.  Summaries are solved
-in the parent on both paths, by :func:`solve_summaries`.  Both paths merge
-through the same code in the same order, so their reports are
-byte-identical.
+dispatches every registered analysis over them.  Every run parses in this
+process, through :func:`parse_corpus` (or :func:`parse_corpus_tolerant`):
+the units share one macro and type table, so each unit parses after the
+ones before it.  A run then takes one of two paths, picked from what it
+can observe (:func:`worker_count`): direct serial calls when it resolves to
+one worker or the platform cannot ``fork``; otherwise one persistent
+:class:`WorkStealingExecutor`, forked after points-to, for the per-unit
+constant facts and the checker shards.  Summaries are solved in the parent
+on both paths, by :func:`solve_summaries`.  Both paths merge through the
+same code in the same order, so their reports are byte-identical.
 """
 
 from __future__ import annotations
@@ -62,11 +63,12 @@ _Task = tuple[str, int, "list[str] | None"]
 def worker_count(jobs: int) -> int:
     """How many worker processes a run at ``jobs`` forks; 1 means serial.
 
-    ``jobs=0`` resolves to every usable CPU.  Without ``fork`` there is no
-    pool at all.  Otherwise the pool is clamped to the affinity mask —
-    workers beyond it only add fork/IPC cost while time-slicing the same
-    cores — but an explicit ``jobs >= 2`` keeps a floor of two workers so
-    parallel behavior stays testable on any host.
+    The count is the size of the run's one pool, the executor; the parse
+    forks nothing.  ``jobs=0`` resolves to every usable CPU.  Without
+    ``fork`` there is no pool at all.  Otherwise the pool is clamped to the
+    affinity mask — workers beyond it only add fork/IPC cost while
+    time-slicing the same cores — but an explicit ``jobs >= 2`` keeps a
+    floor of two workers so parallel behavior stays testable on any host.
     """
     jobs = resolve_jobs(jobs)
     if jobs < 2 or not fork_available():
@@ -338,12 +340,6 @@ class AnalysisEngine:
         #: the first phase that schedules work, reused by every later phase
         #: of the same run, closed when the run finishes.
         self._executor = None
-        #: Stats from the last parallel parse (None when the serial parser
-        #: built the program), and the constant facts its workers solved
-        #: speculatively while parsing — exact ``facts_of`` results for
-        #: functions of adopted TUs, so the consts phase skips them.
-        self._parse_stats = None
-        self._speculative_facts: dict = {}
 
     # -- shared artifacts ---------------------------------------------------
 
@@ -352,42 +348,22 @@ class AnalysisEngine:
         return self.cache.content_key(kind, files=self.files,
                                       defines=self.defines)
 
-    def program(self, jobs: int = 1) -> Program:
+    def program(self) -> Program:
         """The parsed, linked corpus — built at most once per content key.
 
-        With ``jobs > 1`` the build runs the two-pass speculative parallel
-        parser on up to that many workers instead of the serial front-end;
-        the replay pass makes the result byte-identical either way, so both
-        paths share one cache key.
+        Every run parses in this process, one unit after another against
+        the shared macro and type tables; parallel runs fork their pool
+        only after points-to (:meth:`_ensure_executor`).
         """
         if self.tolerant:
-            return self._tolerant_parse(jobs)[0]
+            return self._tolerant_parse()[0]
+        return self.cache.get_or_build(
+            self.program_key(), lambda: parse_corpus(self.files, self.defines))
 
-        def build() -> Program:
-            if jobs > 1:
-                from ..kernel.parallel import parse_corpus_parallel
-                result = parse_corpus_parallel(self.files, self.defines,
-                                               jobs=jobs)
-                self._parse_stats = result.stats
-                self._speculative_facts = dict(result.facts)
-                return result.program
-            return parse_corpus(self.files, self.defines)
-
-        return self.cache.get_or_build(self.program_key(), build)
-
-    def _tolerant_parse(self, jobs: int = 1
-                        ) -> "tuple[Program, tuple[ParseDiagnostic, ...]]":
-        def build():
-            if jobs > 1:
-                from ..kernel.parallel import parse_corpus_parallel
-                result = parse_corpus_parallel(
-                    self.files, self.defines, jobs=jobs, tolerant=True)
-                self._parse_stats = result.stats
-                self._speculative_facts = dict(result.facts)
-                return (result.program, result.diagnostics)
-            return parse_corpus_tolerant(self.files, self.defines)
-
-        return self.cache.get_or_build(self.program_key(), build)
+    def _tolerant_parse(self) -> "tuple[Program, tuple[ParseDiagnostic, ...]]":
+        return self.cache.get_or_build(
+            self.program_key(),
+            lambda: parse_corpus_tolerant(self.files, self.defines))
 
     def parse_diagnostics(self) -> tuple[ParseDiagnostic, ...]:
         """Per-file frontend errors (tolerant mode only; else empty)."""
@@ -473,13 +449,13 @@ class AnalysisEngine:
         summaries.  A warm run loads both without solving anything.
 
         With ``jobs`` at 1 the facts are solved by a direct call.
-        Otherwise each translation unit's facts are one task on the run's
-        executor, except units whose facts the parallel parse already
-        speculated, and the results merge in program order.  Either way the
-        summaries are then solved in the parent by :func:`solve_summaries`,
-        seeded with the facts so they are taken over the pruned CFGs: one
-        SCC's fixpoint costs less than shipping its callee summaries to a
-        worker.  So every path builds byte-identical artifacts.
+        Otherwise each translation unit with functions is one ``consts``
+        task on the run's executor, and the results merge in program order.
+        Either way the summaries are then solved in the parent by
+        :func:`solve_summaries`, seeded with the facts so they are taken
+        over the pruned CFGs: one SCC's fixpoint costs less than shipping
+        its callee summaries to a worker.  So every path builds
+        byte-identical artifacts.
         """
         consts_key = self.cache.content_key(
             "consts", files=self.files, defines=self.defines,
@@ -500,21 +476,13 @@ class AnalysisEngine:
             self._consts_solve_seconds = time.perf_counter() - started
             self.cache.put(consts_key, consts)
         elif consts is None:
-            # Facts the parallel parse workers already solved while parsing:
-            # exact facts_of results, so their functions need no consts task.
-            # A unit fully covered schedules nothing; partially covered units
-            # get a shrunken payload of just the missing names.
             executor = self._ensure_executor(program, graph, pointsto, jobs)
-            spec_facts = self._speculative_facts
-            tasks: list[Task] = []
-            for filename, functions in unit_function_map(program).items():
-                missing = [name for name in functions
-                           if name not in spec_facts]
-                if missing:
-                    tasks.append(Task(id=f"consts:{filename}", kind="consts",
-                                      payload=missing))
+            tasks = [Task(id=f"consts:{filename}", kind="consts",
+                          payload=functions)
+                     for filename, functions in unit_function_map(program).items()
+                     if functions]
             results = executor.run(tasks)
-            merged: dict = dict(spec_facts)
+            merged: dict = {}
             for task in tasks:
                 merged.update(results[task.id])
             consts = self.cache.put(consts_key, {
@@ -632,10 +600,8 @@ class AnalysisEngine:
         else means ``min(jobs, max(2, usable CPUs))`` workers on one
         persistent work-stealing executor that solves per-unit consts and
         checker shards, while the parent solves the summaries in between.
-        Parallel runs also parse in parallel, on the same number of workers:
-        the two-pass speculative front-end hands adopted TUs' constant facts
-        straight to the consts phase.  Every path produces a byte-identical
-        report.
+        That executor is the run's one pool: every path parses serially in
+        this process first.  Every path produces a byte-identical report.
         """
         workers = worker_count(jobs)
         start = time.perf_counter()
@@ -643,7 +609,7 @@ class AnalysisEngine:
         names = self.resolve_analyses(analyses)
         try:
             step = time.perf_counter()
-            self.program(jobs=workers)
+            self.program()
             phases["parse"] = time.perf_counter() - step
             step = time.perf_counter()
             artifacts = self.artifacts(jobs=workers)
@@ -689,6 +655,4 @@ class AnalysisEngine:
             artifacts, summary_cache_hit=self._summary_cache_hit is not False,
             consts_cache_hit=self._consts_cache_hit is not False)
         report.perf = self._perf_payload(phases, executor)
-        if self._parse_stats is not None:
-            report.perf["parse"] = self._parse_stats.to_dict()
         return report

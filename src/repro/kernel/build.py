@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 from ..ccount import (
     CCountConfig,
@@ -22,6 +22,7 @@ from ..ccount import instrument as ccount_instrument
 from ..deputy import DeputyOptions, InstrumentationResult
 from ..deputy import instrument as deputy_instrument
 from ..machine.program import Program
+from ..minic import ast_nodes as ast
 from ..minic.errors import MiniCError, SourceLocation
 from ..minic.lexer import tokenize
 from ..minic.parser import Parser
@@ -115,6 +116,12 @@ class ParseDiagnostic:
     message: str
     location: SourceLocation
 
+    @classmethod
+    def of(cls, filename: str, error: MiniCError) -> "ParseDiagnostic":
+        """The diagnostic ``error`` leaves for corpus file ``filename``."""
+        return cls(filename=filename, kind=_diagnostic_kind(error),
+                   message=error.message, location=error.location)
+
     def to_dict(self) -> dict:
         return {"filename": self.filename, "kind": self.kind,
                 "message": self.message,
@@ -132,6 +139,39 @@ def _diagnostic_kind(error: MiniCError) -> str:
     return "".join(parts)
 
 
+def link_tolerant(
+    parsed: Iterable[tuple[Optional[ast.TranslationUnit], Optional[ParseDiagnostic]]],
+    registry: TypeRegistry,
+) -> tuple[Program, tuple[ParseDiagnostic, ...]]:
+    """Link parsed units in corpus order, isolating link errors per unit.
+
+    ``parsed`` holds one ``(unit, diagnostic)`` pair per corpus file: the
+    unit to link (None when the file has none) and the diagnostic its parse
+    left (None when it parsed).  A unit that fails to link — a duplicate
+    definition, say — is skipped and reported the same way, and leaves no
+    partial functions or globals behind.
+    """
+    program = Program(registry=registry)
+    diagnostics: list[ParseDiagnostic] = []
+    linked: list[ast.TranslationUnit] = []
+    for unit, diagnostic in parsed:
+        if diagnostic is not None:
+            diagnostics.append(diagnostic)
+        if unit is None:
+            continue
+        try:
+            program.add_unit(unit)
+            linked.append(unit)
+        except MiniCError as error:
+            diagnostics.append(ParseDiagnostic.of(unit.filename, error))
+            if len(program.units) != len(linked):
+                # add_unit failed midway; relink the good units.
+                program = Program(registry=registry)
+                for good in linked:
+                    program.add_unit(good)
+    return program, tuple(diagnostics)
+
+
 def parse_corpus_tolerant(
     files: tuple[CorpusFile, ...] = ALL_FILES,
     defines: dict[str, str] | None = None,
@@ -145,32 +185,19 @@ def parse_corpus_tolerant(
     exist in the linked program — every analysis stays sound over the
     files that *did* parse) and reported as a structured diagnostic.
     Link-time errors (duplicate definitions) skip the offending unit the
-    same way.
+    same way (:func:`link_tolerant`).
     """
     registry = registry or TypeRegistry()
     preprocessor = preprocessor or Preprocessor(defines)
-    program = Program(registry=registry)
-    diagnostics: list[ParseDiagnostic] = []
-    linked: list = []
+    parsed = []
     for corpus_file in files:
         try:
-            unit = _parse_file(corpus_file, registry, preprocessor)
-            program.add_unit(unit)
-            linked.append(unit)
+            parsed.append((_parse_file(corpus_file, registry, preprocessor), None))
         except MiniCError as error:
-            diagnostics.append(ParseDiagnostic(
-                filename=corpus_file.filename,
-                kind=_diagnostic_kind(error),
-                message=error.message,
-                location=error.location))
-            if len(program.units) != len(linked):
-                # add_unit failed midway; relink the good units so the
-                # broken one leaves no partial functions/globals behind.
-                program = Program(registry=registry)
-                for good in linked:
-                    program.add_unit(good)
+            parsed.append((None, ParseDiagnostic.of(corpus_file.filename, error)))
+    program, diagnostics = link_tolerant(parsed, registry)
     program._corpus_preprocessor = preprocessor  # type: ignore[attr-defined]
-    return program, tuple(diagnostics)
+    return program, diagnostics
 
 
 def build_kernel(config: BuildConfig | None = None,

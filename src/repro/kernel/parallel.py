@@ -1,652 +1,14 @@
-"""Speculative two-pass parallel parse front-end.
+"""A name kept for the repository benchmark's layer tracer; nothing calls it.
 
-The corpus is parsed against *shared* state — one macro table and one
-:class:`~repro.minic.symtab.TypeRegistry` across every TU, the stand-in
-for kernel-wide headers — which made parse the last strictly serial phase
-of the engine pipeline.  This module parallelizes it without giving up
-byte-identical output:
-
-**Pass one (speculative).**  The first TU is parsed serially in the parent;
-its post-state is the *seed*.  Every later TU is then parsed in a worker
-against a private copy of the seed registry and an exactly *predicted*
-macro table (:meth:`Preprocessor.scan_directives` replays only the
-preprocessor directives of the intervening TUs — exact, because ``#ifdef``
-consults defined-ness and ``#define``/``#undef`` never expand their
-payload).  The worker records everything the parse *observed* of the
-shared state (macro reads, typedef/enum-constant lookups, struct/enum tag
-references — see :class:`RecordingPreprocessor` and
-:class:`RecordingTypeRegistry`) plus everything it *wrote* (the TU's
-effect delta).
-
-**Pass two (replay).**  The parent consumes worker results in MANIFEST
-order.  A TU is *adopted* when its recorded read set is consistent with
-the canonical state at its position — i.e. the speculative parse observed
-exactly what a serial parse would have observed — after which its effect
-delta is applied and its type references are remapped onto the canonical
-registry objects.  Any divergence (a mid-corpus typedef definer, a struct
-completed by an intervening TU, a worker parse error) falls back to a
-plain serial parse of that one TU at the canonical state, reproducing the
-serial semantics — including error behaviour — exactly.
-
-Workers also speculatively solve per-function dataflow facts for the TU
-they parsed (``facts_of`` depends only on the ``FuncDef``), so the consts
-phase can start before the last TU finishes parsing.  Functions whose body
-folds ``sizeof`` of a struct/enum are excluded: that is the one place
-parse-time facts could observe layout that a later TU completes.
-
-Known residual: Deputy annotation expressions are not AST child nodes, so
-a ``sizeof(struct ...)`` *inside an annotation* would keep a worker-local
-(structurally identical) struct object after remap.  The corpus grammar
-never produces one; the byte-identity assertions would catch it if it did.
+Every run parses through :func:`~repro.kernel.build.parse_corpus` (or
+:func:`~repro.kernel.build.parse_corpus_tolerant`), one unit after another
+in the parent, so ``parse_corpus_parallel`` is bound to ``parse_corpus``.
+It stays only because ``perfbench/tracing.py``'s ``LAYER_HOOKS`` imports
+it, which is why the ``parse_parallel.*`` per-layer metrics read 0.  The
+benchmark change that moves the tracer onto a span API (ROADMAP.md, *One
+span API*, step 2) deletes this file.
 """
 
-from __future__ import annotations
+from .build import parse_corpus
 
-import copy
-import multiprocessing
-import queue as _queue
-import time
-from dataclasses import dataclass, field
-from typing import Any, Optional
-
-from ..dataflow.domains import facts_of
-from ..machine.program import Program
-from ..minic import ast_nodes as ast
-from ..minic.ctypes import (
-    CArray,
-    CEnum,
-    CFunc,
-    CNamed,
-    CPointer,
-    CStruct,
-    CType,
-)
-from ..minic.errors import MiniCError
-from ..minic.lexer import tokenize
-from ..minic.parser import Parser
-from ..minic.pretty import PrettyPrinter
-from ..minic.source import Preprocessor, RecordingPreprocessor
-from ..minic.symtab import RecordingTypeRegistry, TypeRegistry
-from ..minic.visitor import walk
-from ..engine.scheduler import fork_available, usable_cpus
-from .build import (
-    PARSE_COUNTS,
-    ParseDiagnostic,
-    _diagnostic_kind,
-    _parse_file,
-    parse_corpus,
-    parse_corpus_tolerant,
-)
-from .corpus import CorpusFile
-
-#: Seconds between worker liveness checks while draining results.
-_POLL_SECONDS = 10.0
-
-#: AST attributes that may carry a CType needing canonical remapping.
-_TYPE_ATTRS = ("ctype", "to_type", "of_type", "type")
-
-
-@dataclass
-class ParseEffects:
-    """One TU's observations of — and mutations to — the shared state."""
-
-    macro_reads: set[str] = field(default_factory=set)
-    macro_sets: dict[str, str] = field(default_factory=dict)
-    macro_dels: set[str] = field(default_factory=set)
-    typedef_reads: set[str] = field(default_factory=set)
-    typedef_writes: set[str] = field(default_factory=set)
-    typedef_defs: dict[str, CType] = field(default_factory=dict)
-    enum_constant_reads: set[str] = field(default_factory=set)
-    enum_constant_writes: set[str] = field(default_factory=set)
-    enum_constant_defs: dict[str, int] = field(default_factory=dict)
-    struct_refs: set[str] = field(default_factory=set)
-    struct_created: set[str] = field(default_factory=set)
-    struct_completed: dict[str, CStruct] = field(default_factory=dict)
-    enum_refs: set[str] = field(default_factory=set)
-    enum_created: set[str] = field(default_factory=set)
-    enum_completed: dict[str, CEnum] = field(default_factory=dict)
-    anon_tags: int = 0
-
-
-@dataclass
-class ParallelParseStats:
-    """What the two-pass parse did (surfaced in the engine's perf block)."""
-
-    mode: str = "serial"          # "serial" | "inline" | "fork"
-    jobs: int = 1
-    units: int = 0
-    speculated: int = 0           # worker parses attempted
-    adopted: int = 0              # speculative results validated + merged
-    fallbacks: int = 0            # TUs reparsed serially at canonical state
-    worker_failures: int = 0      # worker parse raised (subset of fallbacks)
-    facts_speculated: int = 0     # functions whose facts came from workers
-    prescan_seconds: float = 0.0
-    wall_seconds: float = 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode, "jobs": self.jobs, "units": self.units,
-            "speculated": self.speculated, "adopted": self.adopted,
-            "fallbacks": self.fallbacks,
-            "worker_failures": self.worker_failures,
-            "facts_speculated": self.facts_speculated,
-            "prescan_seconds": round(self.prescan_seconds, 6),
-            "wall_seconds": round(self.wall_seconds, 6),
-        }
-
-
-@dataclass
-class ParallelParseResult:
-    """A parsed+linked program plus the speculation byproducts."""
-
-    program: Program
-    diagnostics: tuple[ParseDiagnostic, ...]
-    #: Speculatively solved per-function facts (only for adopted TUs whose
-    #: functions are layout-hazard-free); feeds the consts phase.
-    facts: dict[str, Any]
-    stats: ParallelParseStats
-
-
-@dataclass
-class _SeedView:
-    """Renders of everything a worker could observe at fork time."""
-
-    typedefs: dict[str, str]
-    enum_constants: dict[str, int]
-    structs: dict[str, tuple[bool, Optional[str]]]
-    enums: dict[str, tuple[bool, Optional[str]]]
-    anon_counter: int
-
-
-def _registry_view(registry: TypeRegistry, printer: PrettyPrinter) -> _SeedView:
-    return _SeedView(
-        typedefs={name: printer.type_name(ctype)
-                  for name, ctype in registry.typedefs.items()},
-        enum_constants=dict(registry.enum_constants),
-        structs={key: (s.complete,
-                       printer.print_type_definition(s) if s.complete else None)
-                 for key, s in registry.structs.items()},
-        enums={key: (e.complete,
-                     printer.print_type_definition(e) if e.complete else None)
-               for key, e in registry.enums.items()},
-        anon_counter=registry._anon_counter,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Pass one: the speculative worker parse
-# ---------------------------------------------------------------------------
-
-def _layout_sensitive(ctype: CType) -> bool:
-    """Whether ``sizeof(ctype)`` depends on struct/enum layout."""
-    if isinstance(ctype, CNamed):
-        return _layout_sensitive(ctype.underlying)
-    if isinstance(ctype, (CStruct, CEnum)):
-        return True
-    if isinstance(ctype, CArray):
-        return _layout_sensitive(ctype.element)
-    if isinstance(ctype, CFunc):
-        return True
-    return False  # void/int/float/pointer sizes are fixed
-
-
-def _sizeof_hazard_functions(unit: ast.TranslationUnit) -> set[str]:
-    """Functions whose facts could observe a layout a later TU completes."""
-    hazardous: set[str] = set()
-    for decl in unit.decls:
-        if not isinstance(decl, ast.FuncDef):
-            continue
-        for node in walk(decl):
-            if (isinstance(node, ast.SizeofType)
-                    and _layout_sensitive(node.of_type)):
-                hazardous.add(decl.name)
-                break
-    return hazardous
-
-
-def _speculative_parse(corpus_file: CorpusFile, seed_registry: TypeRegistry,
-                       predicted_macros: dict[str, str],
-                       speculate_facts: bool):
-    """Parse one TU against private copies of the seed state.
-
-    Returns ``(unit, effects, facts)``; raises ``MiniCError`` on parse
-    failure (the caller falls back to a canonical serial parse, which
-    reproduces the error semantics exactly).  Deliberately does *not*
-    touch ``PARSE_COUNTS``: only the canonical merge counts the file.
-    """
-    snap = copy.deepcopy(seed_registry)
-    registry = RecordingTypeRegistry(
-        structs=snap.structs, enums=snap.enums, typedefs=snap.typedefs,
-        enum_constants=snap.enum_constants, _anon_counter=snap._anon_counter)
-    preprocessor = RecordingPreprocessor(predicted_macros)
-    text = preprocessor.process(corpus_file.source, corpus_file.filename)
-    tokens = tokenize(text, corpus_file.filename)
-    unit = Parser(tokens, corpus_file.filename, registry).parse_translation_unit()
-
-    effects = ParseEffects(
-        macro_reads=set(preprocessor.macro_reads),
-        macro_sets={name: preprocessor.defines[name]
-                    for name in preprocessor.macro_writes
-                    if name in preprocessor.defines},
-        macro_dels={name for name in preprocessor.macro_writes
-                    if name not in preprocessor.defines},
-        typedef_reads=set(registry.typedef_reads),
-        typedef_writes=set(registry.typedef_writes),
-        typedef_defs={name: registry.typedefs[name]
-                      for name in registry.typedef_writes},
-        enum_constant_reads=set(registry.enum_constant_reads),
-        enum_constant_writes=set(registry.enum_constant_writes),
-        enum_constant_defs={name: registry.enum_constants[name]
-                            for name in registry.enum_constant_writes},
-        struct_refs=set(registry.struct_refs),
-        struct_created={key for key in registry.structs
-                        if key not in seed_registry.structs},
-        struct_completed={
-            key: struct for key, struct in registry.structs.items()
-            if struct.complete and not (
-                key in seed_registry.structs
-                and seed_registry.structs[key].complete)},
-        enum_refs=set(registry.enum_refs),
-        enum_created={key for key in registry.enums
-                      if key not in seed_registry.enums},
-        enum_completed={
-            key: enum for key, enum in registry.enums.items()
-            if enum.complete and not (
-                key in seed_registry.enums
-                and seed_registry.enums[key].complete)},
-        anon_tags=registry.anon_tags,
-    )
-
-    facts: dict[str, Any] = {}
-    if speculate_facts:
-        hazardous = _sizeof_hazard_functions(unit)
-        for decl in unit.decls:
-            if isinstance(decl, ast.FuncDef) and decl.name not in hazardous:
-                try:
-                    facts[decl.name] = facts_of(decl)
-                except Exception:
-                    pass  # solved for real in the consts phase instead
-    return unit, effects, facts
-
-
-def _parse_worker(task_queue, result_queue, files, seed_registry,
-                  predicted, speculate_facts) -> None:
-    """Worker loop: pull TU indices, push ``(index, status, payload)``.
-
-    The ``(unit, effects, facts)`` tuple is pickled as one object, so the
-    struct/enum/typedef objects shared between the unit's AST and the
-    effect delta stay shared after the parent unpickles them — the remap
-    in pass two relies on that.
-    """
-    while True:
-        index = task_queue.get()
-        if index is None:
-            return
-        try:
-            payload = _speculative_parse(
-                files[index], seed_registry, predicted[index], speculate_facts)
-            result_queue.put((index, "ok", payload))
-        except MiniCError:
-            result_queue.put((index, "error", None))
-        except Exception:  # never wedge the replay loop on a worker bug
-            result_queue.put((index, "error", None))
-
-
-# ---------------------------------------------------------------------------
-# Pass two: validation, remap and adoption
-# ---------------------------------------------------------------------------
-
-def _validate_effects(effects: ParseEffects, seed_view: _SeedView,
-                      registry: TypeRegistry,
-                      canonical_defines: dict[str, str],
-                      predicted: Optional[dict[str, str]],
-                      printer: PrettyPrinter,
-                      render_cache: dict[str, str]) -> Optional[str]:
-    """Whether the speculative observations match the canonical state.
-
-    Returns ``None`` when the TU can be adopted, else a human-readable
-    divergence reason (the TU is then reparsed serially).  Write sets are
-    validated like reads: a typedef/enum-constant (re)definition parses
-    differently depending on whether the name was already a type name, so
-    its pre-state must match too.  Macro writes need no pre-state check —
-    ``#define`` overwrites unconditionally.
-    """
-    for name in effects.macro_reads:
-        if (predicted or {}).get(name) != canonical_defines.get(name):
-            return f"macro {name!r} diverged"
-
-    for name in effects.typedef_reads | effects.typedef_writes:
-        current = None
-        if name in registry.typedefs:
-            current = render_cache.get(name)
-            if current is None:
-                current = printer.type_name(registry.typedefs[name])
-                render_cache[name] = current
-        if seed_view.typedefs.get(name) != current:
-            return f"typedef {name!r} diverged"
-
-    for name in effects.enum_constant_reads | effects.enum_constant_writes:
-        if (seed_view.enum_constants.get(name)
-                != registry.enum_constants.get(name)):
-            return f"enum constant {name!r} diverged"
-
-    for key in effects.struct_refs:
-        canonical = registry.structs.get(key)
-        if key in effects.struct_completed:
-            if canonical is not None and canonical.complete:
-                # A serial parse would raise a redefinition error here;
-                # fall back so the error (or tolerant skip) is reproduced.
-                return f"{key} completed concurrently"
-            continue
-        if key in effects.struct_created:
-            if canonical is not None and canonical.complete:
-                # Worker observed the tag as incomplete; serial would see
-                # the completed layout (sizeof could differ).
-                return f"{key} completed before reference"
-            continue
-        state = None
-        if canonical is not None:
-            state = (canonical.complete,
-                     printer.print_type_definition(canonical)
-                     if canonical.complete else None)
-        if seed_view.structs.get(key) != state:
-            return f"{key} diverged"
-
-    for key in effects.enum_refs:
-        canonical = registry.enums.get(key)
-        if key in effects.enum_completed:
-            if canonical is not None and canonical.complete:
-                return f"enum {key} completed concurrently"
-            continue
-        if key in effects.enum_created:
-            if canonical is not None and canonical.complete:
-                return f"enum {key} completed before reference"
-            continue
-        state = None
-        if canonical is not None:
-            state = (canonical.complete,
-                     printer.print_type_definition(canonical)
-                     if canonical.complete else None)
-        if seed_view.enums.get(key) != state:
-            return f"enum {key} diverged"
-
-    if effects.anon_tags and registry._anon_counter != seed_view.anon_counter:
-        return "anonymous tag counter diverged"
-    return None
-
-
-def _remap_type(ctype: Optional[CType], registry: TypeRegistry,
-                memo: dict[int, CType]) -> Optional[CType]:
-    """Rewrite a worker-local type graph onto the canonical registry.
-
-    Struct/enum objects are swapped for the canonical object under the
-    same key (installing the worker's completion when the canonical tag is
-    still incomplete); compound types are mutated in place and memoized by
-    ``id`` so shared subtrees — and cycles through struct fields — stay
-    shared, exactly as a serial parse would have built them.
-    """
-    if ctype is None or not isinstance(ctype, CType):
-        return ctype
-    mapped = memo.get(id(ctype))
-    if mapped is not None:
-        return mapped
-    if isinstance(ctype, CStruct):
-        key = ("union " if ctype.is_union else "struct ") + ctype.tag
-        canonical = registry.structs.get(key)
-        if canonical is None:
-            canonical = CStruct(tag=ctype.tag, is_union=ctype.is_union)
-            registry.structs[key] = canonical
-        memo[id(ctype)] = canonical
-        if ctype is not canonical and ctype.complete and not canonical.complete:
-            for member in ctype.fields:
-                member.type = _remap_type(member.type, registry, memo)
-            canonical.fields = ctype.fields
-            canonical.annotations = ctype.annotations
-            canonical.complete = True
-            canonical._size = ctype._size
-            canonical._align = ctype._align
-        return canonical
-    if isinstance(ctype, CEnum):
-        canonical = registry.enums.get(ctype.tag)
-        if canonical is None:
-            canonical = CEnum(tag=ctype.tag)
-            registry.enums[ctype.tag] = canonical
-        memo[id(ctype)] = canonical
-        if ctype is not canonical and ctype.complete and not canonical.complete:
-            canonical.members = dict(ctype.members)
-            canonical.complete = True
-        return canonical
-    memo[id(ctype)] = ctype
-    if isinstance(ctype, CPointer):
-        ctype.target = _remap_type(ctype.target, registry, memo)
-    elif isinstance(ctype, CArray):
-        ctype.element = _remap_type(ctype.element, registry, memo)
-    elif isinstance(ctype, CFunc):
-        ctype.return_type = _remap_type(ctype.return_type, registry, memo)
-        for param in ctype.params:
-            param.type = _remap_type(param.type, registry, memo)
-    elif isinstance(ctype, CNamed):
-        ctype.underlying = _remap_type(ctype.underlying, registry, memo)
-    return ctype
-
-
-def _adopt(unit: ast.TranslationUnit, effects: ParseEffects,
-           registry: TypeRegistry, canonical_defines: dict[str, str],
-           render_cache: dict[str, str]) -> None:
-    """Apply a validated TU's effect delta to the canonical state."""
-    memo: dict[int, CType] = {}
-    for node in walk(unit):
-        for attr in _TYPE_ATTRS:
-            ctype = getattr(node, attr, None)
-            if isinstance(ctype, CType):
-                setattr(node, attr, _remap_type(ctype, registry, memo))
-    for name, ctype in effects.typedef_defs.items():
-        registry.typedefs[name] = _remap_type(ctype, registry, memo)
-        render_cache.pop(name, None)
-    for name, value in effects.enum_constant_defs.items():
-        registry.enum_constants[name] = value
-    registry._anon_counter += effects.anon_tags
-    for name, value in effects.macro_sets.items():
-        canonical_defines[name] = value
-    for name in effects.macro_dels:
-        canonical_defines.pop(name, None)
-
-
-# ---------------------------------------------------------------------------
-# The orchestrator
-# ---------------------------------------------------------------------------
-
-def _resolve_parse_mode(mode: Optional[str], jobs: int, units: int) -> str:
-    if mode is not None:
-        return mode
-    if jobs >= 2 and units >= 3:
-        if fork_available() and usable_cpus() >= 2:
-            return "fork"
-        return "inline"
-    return "serial"
-
-
-def parse_corpus_parallel(
-    files: tuple[CorpusFile, ...],
-    defines: dict[str, str] | None = None,
-    jobs: int = 2,
-    tolerant: bool = False,
-    mode: Optional[str] = None,
-    speculate_facts: bool = True,
-) -> ParallelParseResult:
-    """Two-pass speculative parallel parse of ``files``.
-
-    Byte-identical with :func:`parse_corpus` (strict) or
-    :func:`parse_corpus_tolerant` (``tolerant=True``) by construction:
-    every adopted TU validated its full read set against the canonical
-    state, and every other TU *is* a serial parse.  ``mode`` forces the
-    worker pool flavour ("fork", "inline", or "serial" to bypass
-    speculation entirely); by default fork is used when the host allows.
-    """
-    started = time.perf_counter()
-    parse_mode = _resolve_parse_mode(mode, jobs, len(files))
-    if parse_mode == "serial" or len(files) < 3:
-        stats = ParallelParseStats(mode="serial", jobs=1, units=len(files))
-        if tolerant:
-            program, diagnostics = parse_corpus_tolerant(files, defines)
-        else:
-            program, diagnostics = parse_corpus(files, defines), ()
-        stats.wall_seconds = time.perf_counter() - started
-        return ParallelParseResult(program=program, diagnostics=tuple(diagnostics),
-                                   facts={}, stats=stats)
-
-    stats = ParallelParseStats(mode=parse_mode, jobs=max(1, jobs),
-                               units=len(files))
-    registry = TypeRegistry()
-    preprocessor = Preprocessor(defines)
-    program = Program(registry=registry)
-    diagnostics: list[ParseDiagnostic] = []
-    linked: list[ast.TranslationUnit] = []
-
-    def link_unit(unit: ast.TranslationUnit, corpus_file: CorpusFile) -> None:
-        nonlocal program
-        if tolerant:
-            try:
-                program.add_unit(unit)
-                linked.append(unit)
-            except MiniCError as error:
-                diagnostics.append(ParseDiagnostic(
-                    filename=corpus_file.filename,
-                    kind=_diagnostic_kind(error),
-                    message=error.message,
-                    location=error.location))
-                if len(program.units) != len(linked):
-                    program = Program(registry=registry)
-                    for good in linked:
-                        program.add_unit(good)
-        else:
-            program.add_unit(unit)
-            linked.append(unit)
-
-    def serial_parse(corpus_file: CorpusFile) -> Optional[ast.TranslationUnit]:
-        nonlocal program
-        if tolerant:
-            try:
-                unit = _parse_file(corpus_file, registry, preprocessor)
-            except MiniCError as error:
-                diagnostics.append(ParseDiagnostic(
-                    filename=corpus_file.filename,
-                    kind=_diagnostic_kind(error),
-                    message=error.message,
-                    location=error.location))
-                return None
-            link_unit(unit, corpus_file)
-            return unit
-        unit = _parse_file(corpus_file, registry, preprocessor)
-        link_unit(unit, corpus_file)
-        return unit
-
-    # The seed: TU 0 parsed serially in the parent.
-    serial_parse(files[0])
-
-    # Exact macro prediction: replay only the directives of TUs 1..i-1 on
-    # top of the post-seed table.  A preprocessor error mid-file leaves the
-    # same partial mutations a serial parse would, so later predictions
-    # stay exact even across broken TUs.
-    prescan_started = time.perf_counter()
-    scan = Preprocessor(dict(preprocessor.defines))
-    predicted: dict[int, dict[str, str]] = {}
-    for index in range(1, len(files)):
-        predicted[index] = dict(scan.defines)
-        if index + 1 < len(files):
-            try:
-                scan.scan_directives(files[index].source,
-                                     files[index].filename)
-            except MiniCError:
-                pass
-    stats.prescan_seconds = time.perf_counter() - prescan_started
-
-    printer = PrettyPrinter()
-    seed_view = _registry_view(registry, printer)
-    render_cache: dict[str, str] = {}
-    spec_facts: dict[str, Any] = {}
-    indices = list(range(1, len(files)))
-
-    results: dict[int, tuple[str, Any]] = {}
-    workers: list = []
-    if parse_mode == "fork":
-        context = multiprocessing.get_context("fork")
-        task_queue = context.SimpleQueue()
-        result_queue = context.Queue()
-        for index in indices:
-            task_queue.put(index)
-        pool = max(1, min(jobs, len(indices)))
-        for _ in range(pool):
-            task_queue.put(None)
-        for _ in range(pool):
-            process = context.Process(
-                target=_parse_worker,
-                args=(task_queue, result_queue, files, registry, predicted,
-                      speculate_facts),
-                daemon=True)
-            process.start()
-            workers.append(process)
-
-        def next_result(index: int) -> tuple[str, Any]:
-            while index not in results:
-                try:
-                    got, status, payload = result_queue.get(
-                        timeout=_POLL_SECONDS)
-                    results[got] = (status, payload)
-                except _queue.Empty:
-                    if not any(worker.is_alive() for worker in workers):
-                        for missing in indices:
-                            results.setdefault(missing, ("error", None))
-            return results.pop(index)
-    else:
-        # The inline pool must speculate against the true post-seed state,
-        # not the live registry pass two is mutating, so fork and inline
-        # modes make identical adopt/fallback decisions.
-        seed_template = copy.deepcopy(registry)
-
-        def next_result(index: int) -> tuple[str, Any]:
-            try:
-                payload = _speculative_parse(
-                    files[index], seed_template, predicted[index],
-                    speculate_facts)
-                return "ok", payload
-            except MiniCError:
-                return "error", None
-
-    try:
-        for index in indices:
-            stats.speculated += 1
-            status, payload = next_result(index)
-            corpus_file = files[index]
-            if status != "ok":
-                stats.worker_failures += 1
-                stats.fallbacks += 1
-                serial_parse(corpus_file)
-                continue
-            unit, effects, facts = payload
-            reason = _validate_effects(
-                effects, seed_view, registry, preprocessor.defines,
-                predicted.get(index), printer, render_cache)
-            if reason is not None:
-                stats.fallbacks += 1
-                serial_parse(corpus_file)
-                continue
-            _adopt(unit, effects, registry, preprocessor.defines, render_cache)
-            PARSE_COUNTS[corpus_file.filename] += 1
-            stats.adopted += 1
-            before = len(program.units)
-            link_unit(unit, corpus_file)
-            if len(program.units) > before:
-                spec_facts.update(facts)
-    finally:
-        for worker in workers:
-            if worker.is_alive():
-                worker.terminate()
-        for worker in workers:
-            worker.join(timeout=5.0)
-
-    program._corpus_preprocessor = preprocessor  # type: ignore[attr-defined]
-    stats.facts_speculated = len(spec_facts)
-    stats.wall_seconds = time.perf_counter() - started
-    return ParallelParseResult(program=program, diagnostics=tuple(diagnostics),
-                               facts=spec_facts, stats=stats)
+parse_corpus_parallel = parse_corpus

@@ -26,6 +26,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..annotations.attrs import (
+    DEPUTY_KINDS,
     KEYWORD_TO_KIND,
     NULLARY_KINDS,
     Annotation,
@@ -402,7 +403,8 @@ class Parser:
                 break
             _storage, base = self._parse_declaration_specifiers()
             name, ctype, annotations = self._parse_declarator(base, abstract=False)
-            ctype = _decay_parameter_type(ctype)
+            ctype = _fold_declarator_annotations(_decay_parameter_type(ctype),
+                                                 annotations)
             params.append(CParam(name=name, type=ctype, annotations=annotations))
             if not self._accept_punct(","):
                 break
@@ -561,10 +563,12 @@ class Parser:
             init = None
             if self._accept_punct("="):
                 init = self._parse_initializer()
-            decl = ast.Declaration(name=name, type=ctype, storage=storage,
-                                   init=init, annotations=annotations, location=loc)
             if storage == "typedef":
                 self.registry.define_typedef(name, CNamed(name=name, underlying=ctype))
+            else:
+                ctype = _fold_declarator_annotations(ctype, annotations)
+            decl = ast.Declaration(name=name, type=ctype, storage=storage,
+                                   init=init, annotations=annotations, location=loc)
             decls.append(ast.DeclStmt(decl=decl, location=loc))
             if self._accept_punct(","):
                 continue
@@ -891,6 +895,32 @@ def _resolve_suffixes(ctype: CType) -> CType:
             params, varargs = payload
             result = CFunc(return_type=result, params=params, varargs=varargs)
     return result
+
+
+def _fold_declarator_annotations(ctype: CType,
+                                 annotations: AnnotationSet) -> CType:
+    """Fold a declarator's trailing Deputy annotations into its pointer type.
+
+    ``char *buf count(n)`` declares what ``char * count(n) buf`` does, so a
+    parameter's or local's trailing annotations are copied onto its pointer
+    type here, once, before any analysis reads the type.  The result is a
+    new type: the declared one may be shared with other declarators (a
+    typedef's pointer, say), so it is never modified.
+    """
+    if isinstance(ctype, CNamed):
+        underlying = _fold_declarator_annotations(ctype.underlying, annotations)
+        if underlying is ctype.underlying:
+            return ctype
+        return CNamed(name=ctype.name, underlying=underlying)
+    if not isinstance(ctype, CPointer):
+        return ctype
+    folded = ctype.annotations.copy()
+    for annotation in annotations:
+        if annotation.kind in DEPUTY_KINDS and not folded.has(annotation.kind):
+            folded.add(annotation)
+    if len(folded) == len(ctype.annotations):
+        return ctype
+    return CPointer(target=ctype.target, annotations=folded)
 
 
 def _decay_parameter_type(ctype: CType) -> CType:

@@ -130,20 +130,7 @@ class Preprocessor:
     def undefine(self, name: str) -> None:
         self.defines.pop(name, None)
 
-    def scan_directives(self, text: str, filename: str = "<unknown>") -> None:
-        """Replay only the preprocessor directives of ``text``.
-
-        Mutates ``self.defines`` exactly as :meth:`process` would — same
-        loop, same conditional stack — but skips macro expansion of
-        ordinary lines.  The parallel parse front-end uses this to predict
-        each TU's pre-parse macro table without paying for expansion:
-        ``#ifdef`` only consults defined-ness and ``#define``/``#undef``
-        never expand their payload, so the directive-only replay is exact.
-        """
-        self.process(text, filename, expand=False)
-
-    def process(self, text: str, filename: str = "<unknown>", *,
-                expand: bool = True) -> str:
+    def process(self, text: str, filename: str = "<unknown>") -> str:
         """Expand macros and resolve conditionals in ``text``."""
         text = strip_comments(text, filename)
         out_lines: list[str] = []
@@ -199,7 +186,7 @@ class Preprocessor:
                 continue
             if raw.lstrip().startswith("#"):
                 raise LexError(f"unsupported preprocessor directive: {raw.strip()}", loc)
-            out_lines.append(self._expand(raw) if expand else "")
+            out_lines.append(self._expand(raw))
         if active_stack:
             raise LexError("unterminated #ifdef", SourceLocation(filename, len(out_lines), 1))
         return "\n".join(out_lines) + "\n"
@@ -218,68 +205,6 @@ class Preprocessor:
                 return new
             line = new
         return line
-
-
-class _RecordingDefines(dict):
-    """Macro table that records which names a TU's expansion *observed*.
-
-    A name counts as read when ``#ifdef`` tests its defined-ness or when
-    :meth:`Preprocessor._expand` consults it during word substitution —
-    every identifier in the TU is such a read, because expansion depends on
-    each word's absence from the table just as much as on its presence.
-    Names the TU itself (re)defined first are excluded: those reads observe
-    the TU's own state, which is the same under any interleaving.
-    """
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.reads: set[str] = set()
-        self.writes: set[str] = set()
-
-    def __contains__(self, name: object) -> bool:
-        if name not in self.writes:
-            self.reads.add(name)  # type: ignore[arg-type]
-        return super().__contains__(name)
-
-    def get(self, name, default=None):
-        if name not in self.writes:
-            self.reads.add(name)
-        return super().get(name, default)
-
-    def __setitem__(self, name, value) -> None:
-        self.writes.add(name)
-        super().__setitem__(name, value)
-
-    def pop(self, name, *args):
-        self.writes.add(name)
-        return super().pop(name, *args)
-
-    def __bool__(self) -> bool:
-        # _expand early-outs on an empty table; that early-out would hide
-        # the fact that expansion read (the absence of) every word on the
-        # line.  Forcing truthiness keeps the read set complete.
-        return True
-
-
-class RecordingPreprocessor(Preprocessor):
-    """A :class:`Preprocessor` whose macro reads/writes are captured.
-
-    Used by the speculative parallel parse workers: the recorded read set
-    is validated against the canonical macro table during the replay pass,
-    and the recorded writes are the TU's macro effect delta.
-    """
-
-    def __init__(self, defines: dict[str, str] | None = None) -> None:
-        super().__init__(defines)
-        self.defines = _RecordingDefines(self.defines)
-
-    @property
-    def macro_reads(self) -> set[str]:
-        return self.defines.reads
-
-    @property
-    def macro_writes(self) -> set[str]:
-        return self.defines.writes
 
 
 def preprocess(text: str, filename: str = "<unknown>",

@@ -66,71 +66,6 @@ class TypeRegistry:
 
 
 @dataclass
-class RecordingTypeRegistry(TypeRegistry):
-    """A :class:`TypeRegistry` that records what a parse *observed*.
-
-    The speculative parallel parse runs each TU against a private copy of
-    the seed registry.  Every registry access the parser makes goes through
-    the methods below, so overriding them captures the TU's full read set
-    (typedef and enum-constant lookups, struct/enum tag references) and its
-    write set (typedef/enum-constant definitions, anonymous-tag
-    allocations).  The replay pass validates the reads against the
-    canonical registry and applies the writes as the TU's effect delta.
-
-    Reads of names this TU itself defined first are excluded — those
-    observe the TU's own state, which is interleaving-independent.
-    """
-
-    typedef_reads: set[str] = field(default_factory=set)
-    typedef_writes: set[str] = field(default_factory=set)
-    enum_constant_reads: set[str] = field(default_factory=set)
-    enum_constant_writes: set[str] = field(default_factory=set)
-    struct_refs: set[str] = field(default_factory=set)
-    enum_refs: set[str] = field(default_factory=set)
-    anon_tags: int = 0
-
-    def struct_tag(self, tag: str, is_union: bool = False) -> CStruct:
-        self.struct_refs.add(("union " if is_union else "struct ") + tag)
-        return super().struct_tag(tag, is_union)
-
-    def enum_tag(self, tag: str) -> CEnum:
-        self.enum_refs.add(tag)
-        return super().enum_tag(tag)
-
-    def anonymous_tag(self, prefix: str) -> str:
-        self.anon_tags += 1
-        return super().anonymous_tag(prefix)
-
-    def define_typedef(self, name: str, ctype: CType) -> None:
-        self.typedef_writes.add(name)
-        super().define_typedef(name, ctype)
-
-    def is_typedef(self, name: str) -> bool:
-        if name not in self.typedef_writes:
-            self.typedef_reads.add(name)
-        return super().is_typedef(name)
-
-    def typedef(self, name: str) -> CType:
-        if name not in self.typedef_writes:
-            self.typedef_reads.add(name)
-        return super().typedef(name)
-
-    def define_enum_constant(self, name: str, value: int) -> None:
-        self.enum_constant_writes.add(name)
-        super().define_enum_constant(name, value)
-
-    def is_enum_constant(self, name: str) -> bool:
-        if name not in self.enum_constant_writes:
-            self.enum_constant_reads.add(name)
-        return super().is_enum_constant(name)
-
-    def enum_constant(self, name: str) -> int:
-        if name not in self.enum_constant_writes:
-            self.enum_constant_reads.add(name)
-        return super().enum_constant(name)
-
-
-@dataclass
 class Symbol:
     """A named program entity bound in some scope."""
 

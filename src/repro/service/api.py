@@ -5,7 +5,10 @@ Endpoints (all JSON, UTF-8, sorted keys):
 * ``GET /health`` — liveness; 503 with ``{"status": "starting"}`` until the
   first analysis pass has published a snapshot, 200 afterwards.  While no
   pass has succeeded and one has raised, the 503 reads
-  ``{"status": "failed"}`` with ``failed_passes`` and ``last_error``.
+  ``{"status": "failed"}`` with ``failed_passes`` and ``last_error``.  When
+  the newest pass raised while an older snapshot still serves, the 200
+  reads ``{"status": "degraded"}`` with the same two fields; the next pass
+  that succeeds returns it to ``ok``.
 * ``GET /findings`` — every finding of the current snapshot, batch-identical
   with ``repro-engine run --json``; ``?checker=`` and ``?function=`` filter.
   ``?since=<revision>`` switches to delta form: ``added``/``removed``
@@ -118,14 +121,19 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
     # -- endpoint bodies ----------------------------------------------------
 
     def _health(self) -> None:
-        snapshot = self.service.snapshot
+        service = self.service
+        snapshot = service.snapshot
         if snapshot is None:
             self._unavailable()
             return
-        self._reply(200, {"status": "ok",
-                          "revision": snapshot.revision,
-                          "passes": self.service.passes,
-                          "uptime_seconds": round(self.service.uptime(), 3)})
+        payload = {"status": service.status(),
+                   "revision": snapshot.revision,
+                   "passes": service.passes,
+                   "uptime_seconds": round(service.uptime(), 3)}
+        if payload["status"] == "degraded":
+            payload.update(failed_passes=service.failed_passes,
+                           last_error=service.last_error)
+        self._reply(200, payload)
 
     def _findings(self, query: dict) -> None:
         snapshot = self.service.snapshot

@@ -12,8 +12,9 @@ on ``POST /analyze``.
 
 A pass that raises is reported, not lost: the service counts it
 (``failed_passes``), keeps its type and message (``last_error``) and keeps
-serving the last snapshot; the caller that ran it — ``POST /analyze``, the
-watcher, the initial pass — gets the exception or logs it.
+serving the last snapshot, with its status ``degraded`` until a pass
+succeeds again; the caller that ran it — ``POST /analyze``, the watcher,
+the initial pass — gets the exception or logs it.
 """
 
 from __future__ import annotations
@@ -237,11 +238,21 @@ class AnalysisService:
     # -- reporting ----------------------------------------------------------
 
     def status(self) -> str:
-        """``ok`` once a pass published a snapshot; before that ``failed``
-        if a pass raised, else ``starting``."""
-        if self.snapshot is not None:
-            return "ok"
-        return "failed" if self.last_error is not None else "starting"
+        """``ok`` while the newest pass published the serving snapshot;
+        ``degraded`` when a pass attempted after it raised; before any
+        snapshot, ``failed`` if a pass raised, else ``starting``.
+
+        A failed attempt keeps the analyzer revision it reached, which is
+        at least the serving snapshot's, and every later pass that
+        publishes numbers its snapshot above it.
+        """
+        snapshot = self.snapshot
+        if snapshot is None:
+            return "failed" if self.last_error is not None else "starting"
+        if (self.last_error is not None
+                and self.last_error["revision"] >= snapshot.revision):
+            return "degraded"
+        return "ok"
 
     def stats_payload(self) -> dict:
         snapshot = self.snapshot

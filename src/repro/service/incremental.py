@@ -89,7 +89,7 @@ from ..engine.analyses import (
 from ..engine.artifacts import SharedArtifacts, unit_function_map
 from ..engine.core import EngineReport, summary_stats
 from ..blockstop.runtime_checks import RuntimeCheckSet
-from ..kernel.build import PARSE_COUNTS, ParseDiagnostic, _diagnostic_kind
+from ..kernel.build import PARSE_COUNTS, ParseDiagnostic, link_tolerant
 from ..kernel.corpus import KERNEL_FILES, CorpusFile
 from ..machine.program import Program
 from ..minic import ast_nodes as ast
@@ -565,9 +565,7 @@ class IncrementalAnalyzer:
             unit = self._parse_source(corpus_file)
             stats.parsed_units += 1
         except MiniCError as error:
-            diagnostic = ParseDiagnostic(
-                filename=corpus_file.filename, kind=_diagnostic_kind(error),
-                message=error.message, location=error.location)
+            diagnostic = ParseDiagnostic.of(corpus_file.filename, error)
             # Keep serving the last good parse: scrub the failed attempt,
             # then re-parse the last good source to re-complete the types
             # the rollback undid.
@@ -607,10 +605,7 @@ class IncrementalAnalyzer:
                 unit = self._parse_source(corpus_file)
                 stats.parsed_units += 1
             except MiniCError as error:
-                diagnostic = ParseDiagnostic(
-                    filename=corpus_file.filename,
-                    kind=_diagnostic_kind(error),
-                    message=error.message, location=error.location)
+                diagnostic = ParseDiagnostic.of(corpus_file.filename, error)
                 self._undo_attempt(pre)
                 record = self._parse_last_good(pre, corpus_file, stats)
                 if record is None:
@@ -666,27 +661,11 @@ class IncrementalAnalyzer:
     def _link(self) -> tuple[Program, tuple[ParseDiagnostic, ...]]:
         """Link the current units, isolating link-time errors per unit
         exactly like :func:`repro.kernel.build.parse_corpus_tolerant`."""
-        program = Program(registry=self._type_registry)
-        diagnostics: list[ParseDiagnostic] = []
-        linked: list[ast.TranslationUnit] = []
-        for record in self._records:
-            if record.diagnostic is not None:
-                diagnostics.append(record.diagnostic)
-            if record.unit is None:
-                continue
-            try:
-                program.add_unit(record.unit)
-                linked.append(record.unit)
-            except MiniCError as error:
-                diagnostics.append(ParseDiagnostic(
-                    filename=record.filename, kind=_diagnostic_kind(error),
-                    message=error.message, location=error.location))
-                if len(program.units) != len(linked):
-                    program = Program(registry=self._type_registry)
-                    for good in linked:
-                        program.add_unit(good)
+        program, diagnostics = link_tolerant(
+            ((record.unit, record.diagnostic) for record in self._records),
+            self._type_registry)
         program._corpus_preprocessor = self._preprocessor  # type: ignore[attr-defined]
-        return program, tuple(diagnostics)
+        return program, diagnostics
 
     # -- fingerprints ---------------------------------------------------------
 
@@ -719,12 +698,8 @@ class IncrementalAnalyzer:
         prototypes' annotations into later ones, but linking is a function
         of the ordered renders, so they still determine the linked result.
 
-        Building a :class:`TypeEnv` per function *first* is load-bearing:
-        its construction canonically absorbs declarator-trailing Deputy
-        annotations into the pointer types (idempotently), so rendering
-        before it would hash a pre-canonical AST on the first pass and the
-        canonical one ever after.  The envs are returned for reuse — the
-        points-to pass and the deputy checker consume the same entries.
+        The type environments are returned for reuse — the points-to pass
+        and the deputy checker consume the same entries.
         """
         printer = self._printer
         renders = {id(record.unit): record.decl_render

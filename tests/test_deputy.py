@@ -12,8 +12,12 @@ from repro.deputy import (
     pointer_facts,
 )
 from repro.deputy import runtime as deputy_runtime
+from repro.deputy.typesystem import TypeEnv
+from repro.engine import AnalysisEngine
+from repro.kernel.corpus import CorpusFile
 from repro.machine import CheckFailure, Interpreter, link_units
 from repro.minic import parse_source, render_unit
+from repro.service.incremental import IncrementalAnalyzer
 
 
 def build(source):
@@ -66,6 +70,56 @@ class TestPointerFacts:
         facts = pointer_facts(program.globals["table"].type)
         assert facts.kind is PointerKind.COUNT
         assert facts.nonnull
+
+    def test_trailing_annotation_is_folded_at_parse(self):
+        program = build("int f(char *buf count(n), unsigned int n);\n"
+                        "int g(void) { char *p nonnull = 0; return 0; }")
+        assert pointer_facts(
+            program.function_type("f").params[0].type).kind is PointerKind.COUNT
+        local = program.syntax("g").declarations[0]
+        assert pointer_facts(local.type).nonnull
+
+    def test_fold_never_writes_through_a_typedef(self):
+        program = build("typedef char *str_t;\n"
+                        "int f(str_t s count(4)) { return s[0]; }\n"
+                        "int g(str_t t) { return t[0]; }")
+        for name in ("f", "g"):
+            TypeEnv(program, program.functions[name])
+        kinds = [pointer_facts(program.function_type(name).params[0].type).kind
+                 for name in ("f", "g")]
+        assert kinds == [PointerKind.COUNT, PointerKind.SAFE]
+
+
+#: A callee whose buffer bound trails the declarator, and a caller in
+#: another unit that passes a shorter buffer.
+FILL_LIB = CorpusFile("lib.c", """
+int fill(char *buf count(n), unsigned int n) {
+    unsigned int i;
+    for (i = 0; i < n; i++) buf[i] = 0;
+    return 0;
+}
+""")
+FILL_USER = CorpusFile("user.c", """
+int fill(char *buf count(n), unsigned int n);
+int caller(char *p count(8)) { return fill(p, 16); }
+""")
+
+
+class TestCallContractAcrossUnits:
+    """A caller's call-contract check reads the callee's parameter types,
+    which are the same whatever order the units, or the checks, run in."""
+
+    @pytest.mark.parametrize("files", [(FILL_LIB, FILL_USER), (FILL_USER, FILL_LIB)],
+                             ids=["lib-first", "user-first"])
+    @pytest.mark.parametrize("path", ["serial", "jobs2", "incremental"])
+    def test_obligations_do_not_depend_on_unit_order(self, files, path):
+        if path == "incremental":
+            report = IncrementalAnalyzer(files=files).analyze()
+        else:
+            report = AnalysisEngine(files=files).run(
+                analyses="deputy", jobs=2 if path == "jobs2" else 1)
+        metrics = report.analyses["deputy"].metrics
+        assert (metrics["obligations_total"], metrics["obligations_runtime"]) == (2, 1)
 
 
 class TestStaticChecking:

@@ -15,6 +15,7 @@ from repro.engine import AnalysisEngine, ArtifactCache, EngineReport
 from repro.engine.cli import main as cli_main
 from repro.kernel import build as kernel_build
 from repro.kernel.corpus import KERNEL_FILES, CorpusFile
+from repro.minic.pretty import render_unit
 
 
 @pytest.fixture(scope="module")
@@ -237,12 +238,12 @@ class TestParallel:
         assert normalized_report(report) == normalized_report(engine_report)
 
     def test_worker_count_shared_by_parse_and_executor(self, monkeypatch):
-        """One clamp for both pools: jobs=8 on 2 usable CPUs forks 2 + 2."""
+        """One pool: jobs=8 on 2 usable CPUs forks 2 executor workers, and
+        the parse, which runs in the parent, forks none."""
         import multiprocessing.process
 
         from repro.engine import core
         from repro.engine.scheduler import fork_available
-        from repro.kernel import parallel
 
         if not fork_available():
             pytest.skip("fork start method unavailable")
@@ -254,14 +255,12 @@ class TestParallel:
             return start(process)
 
         monkeypatch.setattr(core, "usable_cpus", lambda: 2)
-        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
         monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
                             counting_start)
         report = AnalysisEngine().run(analyses="stackcheck", jobs=8)
-        assert report.perf["parse"]["jobs"] == 2
-        assert report.perf["scheduler"]["jobs"] == 2
-        assert report.jobs == 2
-        assert sorted(targets) == ["_parse_worker"] * 2 + ["_worker_loop"] * 2
+        assert report.jobs == report.perf["scheduler"]["jobs"] == 2
+        assert "parse" not in report.perf
+        assert targets == ["_worker_loop"] * 2
 
     def test_jobs_one_stays_serial(self, engine_report):
         assert not engine_report.parallel
@@ -288,6 +287,88 @@ class TestParallel:
             assert cli_main(["report", str(path), "--format", "text"]) == 0
             renders.append(capsys.readouterr().out.encode())
         assert renders[0] == renders[1]
+
+
+# ---------------------------------------------------------------------------
+# One parse front end: the shared tables cross unit boundaries in order
+# ---------------------------------------------------------------------------
+
+PKT_FWD = CorpusFile("pkt/fwd.c", """
+struct pkt;
+struct pkt *alloc_pkt(void);
+int fwd(struct pkt *p) { return p != (struct pkt *)0; }
+""")
+PKT_COMPLETE = CorpusFile("pkt/complete.c", """
+struct pkt { int len; int cap; };
+int length(struct pkt *p) { return p->len; }
+""")
+
+#: (files, tolerant, what the last unit's rendering must show).
+FRONT_END_CORPORA = [
+    pytest.param(
+        (CorpusFile("shadow/base.c", "#define WIDTH 4\n"
+                                     "int base(void) { return WIDTH; }\n"),
+         CorpusFile("shadow/mid.c", "#undef WIDTH\n#define WIDTH 8\n"
+                                    "int mid(void) { return WIDTH; }\n"),
+         CorpusFile("shadow/reader.c", "int reader(void) { return WIDTH; }\n")),
+        False, "return 8;", id="macro-shadowing"),
+    pytest.param(
+        (PKT_FWD, PKT_COMPLETE,
+         CorpusFile("pkt/user.c", "int use(struct pkt *p) { return p->cap; }\n")),
+        False, "p->cap", id="struct-completion"),
+    pytest.param(
+        (PKT_FWD, PKT_COMPLETE,
+         CorpusFile("pkt/szuser.c",
+                    "int size_of_pkt(void) { return sizeof(struct pkt); }\n")),
+        False, "sizeof(struct pkt)", id="struct-completion-sizeof"),
+    pytest.param(
+        (CorpusFile("conf/lib.c", "int lib(void) { return 1; }\n"),
+         CorpusFile("conf/def.c", "typedef int u32;\n"
+                                  "u32 make(void) { return 0; }\n"),
+         CorpusFile("conf/use.c", "u32 consume(void) { return 9; }\n")),
+        False, "u32 consume(void)", id="typedef-mid-corpus"),
+    pytest.param(
+        (CorpusFile("conf2/lib.c", "int lib(void) { return 1; }\n"),
+         CorpusFile("conf2/def.c", "enum mode { MODE_A = 5, MODE_B = 7 };\n"
+                                   "int pick(void) { return MODE_A; }\n"),
+         CorpusFile("conf2/use.c", "int choose(void) { return MODE_B; }\n")),
+        False, "return 7;", id="enum-constant"),
+    pytest.param(
+        (KERNEL_FILES[0],
+         CorpusFile("conf3/broken.c", "int oops(void) { return }\n"),
+         CorpusFile("conf3/ok.c", "int fine(void) { return 2; }\n")),
+        True, "return 2;", id="broken-unit-tolerant"),
+]
+
+
+class TestOneFrontEnd:
+    """Serial and parallel runs parse through the same front end, so the
+    macro, typedef, struct and enum tables each unit sees are the ones
+    the units before it left."""
+
+    @pytest.mark.parametrize("files,tolerant,shown", FRONT_END_CORPORA)
+    def test_serial_and_parallel_reports_equal(self, files, tolerant, shown):
+        reports = []
+        for jobs in (1, 2):
+            engine = AnalysisEngine(files=files, tolerant=tolerant)
+            reports.append(normalized_report(engine.run(analyses="all", jobs=jobs)))
+            assert shown in render_unit(engine.program().units[-1])
+        assert reports[0] == reports[1]
+        if tolerant:
+            findings = reports[0]["analyses"]["diagnostics"]["findings"]
+            assert [f["file"] for f in findings] == ["conf3/broken.c"]
+
+    def test_strict_mode_raises_the_same_error_on_both_paths(self):
+        from repro.minic.errors import MiniCError
+
+        files = (KERNEL_FILES[0],
+                 CorpusFile("conf4/broken.c", "int oops(void) { return }\n"))
+        errors = []
+        for jobs in (1, 2):
+            with pytest.raises(MiniCError) as raised:
+                AnalysisEngine(files=files).run(analyses="all", jobs=jobs)
+            errors.append((type(raised.value), str(raised.value)))
+        assert errors[0] == errors[1]
 
 
 # ---------------------------------------------------------------------------

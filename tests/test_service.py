@@ -992,15 +992,19 @@ class TestFailingPass:
                                         "message": "injected shard failure"}
             assert calls
 
-            # The last good snapshot keeps serving; the failure is counted.
+            # The last good snapshot keeps serving; the failure is counted
+            # and the service reads degraded until a pass succeeds.
             status, stats = request("/stats")
             assert status == 200
-            assert stats["status"] == "ok"
+            assert stats["status"] == "degraded"
             assert stats["revision"] == revision
             assert stats["failed_passes"] == 1
             assert stats["last_error"]["type"] == "RuntimeError"
             assert stats["last_error"]["message"] == "injected shard failure"
-            assert request("/health")[0] == 200
+            status, health = request("/health")
+            assert (status, health["status"]) == (200, "degraded")
+            assert health["failed_passes"] == 1
+            assert health["last_error"] == stats["last_error"]
 
             status, payload = request("/analyze", method="POST")
             assert status == 200
@@ -1009,7 +1013,11 @@ class TestFailingPass:
             assert status == 200
             assert served["findings"] == _cold_findings(
                 load_corpus_dir(tmp_path))
-            assert request("/stats")[1]["failed_passes"] == 1
+            status, stats = request("/stats")
+            assert (stats["status"], stats["failed_passes"]) == ("ok", 1)
+            status, health = request("/health")
+            assert (status, health["status"]) == (200, "ok")
+            assert "last_error" not in health
         finally:
             server.shutdown()
             server.server_close()
@@ -1123,4 +1131,4 @@ class TestFailingPass:
              ("queued pass failed", None)], key=str)
         assert len(calls) == 2
         assert service.failed_passes == 1
-        assert service.status() == "ok"
+        assert service.status() == "degraded"

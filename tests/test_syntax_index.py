@@ -412,19 +412,6 @@ def _ccount_outcome(program, result):
             len(result.typeinfo.layouts))
 
 
-def _fold_declarator_annotations(program):
-    """Build every function's ``TypeEnv`` once.
-
-    Building one folds the declarator annotations of its parameters and
-    locals into their pointer types, in the shared program
-    (``_absorb_declarator_annotations``: an idempotent normalization that
-    predates path copying and changes how those declarations render), so
-    the tests below take their "before" after it.
-    """
-    for func in program.functions.values():
-        TypeEnv(program, func)
-
-
 def _untouched_state(program):
     """Every unit's rendering and every function's syntax record."""
     return (_renders(program),
@@ -477,7 +464,6 @@ class TestRewriteWithoutCopying:
 
     def test_instrumenting_a_function_never_touches_it(self):
         program = parse_corpus(KERNEL_FILES)
-        _fold_declarator_annotations(program)
         instrumenter = ccount_instrument.CCountInstrumenter(program)
         printer = PrettyPrinter()
         twins = 0
@@ -497,23 +483,17 @@ class TestRewriteWithoutCopying:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_engine_run_leaves_the_shared_program_untouched(self, jobs):
         engine = AnalysisEngine()
-        program = engine.program(jobs=jobs)
-        _fold_declarator_annotations(program)
+        program = engine.program()
         state = _untouched_state(program)
         engine.run(jobs=jobs)
-        assert engine.program(jobs=jobs) is program
+        assert engine.program() is program
         _assert_untouched(program, state)
 
     def test_incremental_passes_leave_the_program_untouched(self):
-        def folded_parse(files):
-            program = parse_corpus(files)
-            _fold_declarator_annotations(program)
-            return program
-
         analyzer = IncrementalAnalyzer(files=KERNEL_FILES)
         analyzer.analyze()
         program = analyzer.artifacts.program
-        assert _renders(program) == _renders(folded_parse(KERNEL_FILES))
+        assert _renders(program) == _renders(parse_corpus(KERNEL_FILES))
         records = {name: program.syntax(name) for name in program.functions}
 
         # The touched unit has pointer writes, so its CCount shard rewrites.
@@ -523,9 +503,9 @@ class TestRewriteWithoutCopying:
                    ) + KERNEL_FILES[1:]
         analyzer.analyze(touched)
         assert analyzer.last_stats.shards_rerun_by_analysis["ccount"] == 1
-        assert _renders(program) == _renders(folded_parse(KERNEL_FILES))
+        assert _renders(program) == _renders(parse_corpus(KERNEL_FILES))
         current = analyzer.artifacts.program
-        assert _renders(current) == _renders(folded_parse(touched))
+        assert _renders(current) == _renders(parse_corpus(touched))
         rerun = set(analyzer.artifacts.unit_functions[target.filename])
         per_function = ccount_instrument.instrument_program(
             parse_corpus(KERNEL_FILES)).per_function
