@@ -8,19 +8,24 @@ real subprocess, and checks the full loop:
 2. `/findings` matches `repro-engine run` byte-for-byte;
 3. an on-disk edit is picked up by the watcher and re-analyzed
    *incrementally* (no full re-parse, SCCs reused);
-4. a body edit to `spin_lock_init`, which 9 other units call, dirties
-   its callers' SCCs but re-runs Deputy in its own unit only, rebuilds
+4. a body edit to `spin_lock_init`, which 9 other units call, leaves its
+   summary unchanged, so it re-solves one SCC and re-runs Deputy,
+   errcheck and lockcheck in its own unit only (early cutoff), rebuilds
    neither the call graph, the points-to sets nor the condensation, and
    the served findings match `repro-engine run` over the edited corpus;
-5. a *restarted* serve over the unchanged corpus warm-starts from the
+5. a local array added to `spin_lock_init` moves its summary (its stack
+   frame), so every caller in the other units re-solves, and the served
+   findings match `repro-engine run`;
+6. a *restarted* serve over the unchanged corpus warm-starts from the
    persistent store: its first pass re-solves 0 SCCs and serves findings
    byte-identical to the pre-restart snapshot, and a `POST /analyze` with
    no edit then re-parses nothing, re-runs no shard and rebuilds no
    corpus-wide artifact (`last_pass.rebuilt_artifacts == []`);
-6. a serve restarted after `spin_lock_init` was edited again while it was
-   down mixes store hits with dirty SCCs in its first pass, re-runs Deputy
-   in one unit, and serves findings equal to `repro-engine run` over the
-   edited corpus.
+7. a serve restarted after `spin_lock_init` was edited again while it was
+   down, in a way that keeps its summary, re-solves that one SCC against
+   components it reads back from the store, re-runs Deputy, errcheck and
+   lockcheck in one unit, and serves findings equal to `repro-engine run`
+   over the edited corpus.
 
 Exit status 0 on success; any failure prints the reason and exits 1.
 Run from a source checkout: `python scripts/daemon_smoke.py`.
@@ -29,6 +34,7 @@ Run from a source checkout: `python scripts/daemon_smoke.py`.
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
 import tempfile
@@ -39,6 +45,9 @@ from pathlib import Path
 
 STARTUP_BUDGET_SECONDS = 120
 EDIT_BUDGET_SECONDS = 60
+
+#: A corpus function definition: its header on one line, ``{`` on the next.
+DEFINITION = re.compile(r"^\w[^\n;]*?\b(\w+)\([^\n;]*\)[^\n;]*\n\{", re.M)
 
 
 def fail(message: str) -> None:
@@ -144,6 +153,31 @@ def bump_literal(path: Path, function: str, literal: str, new: str) -> None:
     path.write_text(source[:at] + new + source[at + len(literal):])
 
 
+def callers_elsewhere(corpus: Path, callee: str, home: Path) -> set[str]:
+    """The functions outside ``home`` whose bodies call ``callee``."""
+    callers = set()
+    for path in corpus.rglob("*.c"):
+        if path == home:
+            continue
+        source = path.read_text()
+        for match in DEFINITION.finditer(source):
+            body = source[match.end():source.index("\n}\n", match.end())]
+            if re.search(rf"\b{callee}\(", body):
+                callers.add(match.group(1))
+    return callers
+
+
+def require_one_unit(last: dict, what: str) -> None:
+    """An edit that moved no summary and no signature re-solves one SCC
+    and re-runs the shards that read other functions in its unit alone."""
+    reruns = last["shards_rerun_by_analysis"]
+    if last["dirty_sccs"] != 1:
+        fail(f"{what} re-solved {last['dirty_sccs']} SCCs, not 1")
+    for analysis in ("deputy", "errcheck", "lockcheck"):
+        if reruns[analysis] != 1:
+            fail(f"{what} re-ran {reruns[analysis]} {analysis} shards, not 1")
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory(prefix="repro-daemon-smoke-") as tmp:
         corpus = Path(tmp) / "corpus"
@@ -183,18 +217,17 @@ def main() -> None:
             if last["sccs_reused"] == 0:
                 fail("edit pass reused no SCC summaries")
 
-            # A body edit to a widely called function keeps its signature:
-            # its callers' SCCs re-solve, but Deputy, which reads other
-            # functions only through their signatures, re-runs one unit.
-            bump_literal(corpus / "lib" / "kernel_lib.c", "spin_lock_init",
-                         "-1", "-2")
+            # A body edit to a widely called function that keeps its
+            # summary and its signature: no caller reads anything that
+            # moved, so one SCC re-solves and one unit's shards re-run.
+            lib = corpus / "lib" / "kernel_lib.c"
+            bump_literal(lib, "spin_lock_init", "-1", "-2")
             last = wait_for_pass(port, 3, "the watcher to pick up the body edit")
-            deputy_reruns = last["shards_rerun_by_analysis"]["deputy"]
             print("body-edit pass: "
                   f"full_reparse={last['full_reparse']} "
                   f"dirty_sccs={last['dirty_sccs']} "
                   f"shards_rerun={last['shards_rerun']} "
-                  f"deputy_reruns={deputy_reruns} "
+                  f"reruns={last['shards_rerun_by_analysis']} "
                   f"rebuilt={last['rebuilt_artifacts']}")
             if last["full_reparse"]:
                 fail("body-edit pass fell back to a full re-parse")
@@ -202,17 +235,41 @@ def main() -> None:
                 last["rebuilt_artifacts"])
             if graph_rebuilt:
                 fail(f"body edit rebuilt {sorted(graph_rebuilt)}")
-            if last["dirty_sccs"] <= 1:
-                fail("body edit dirtied no caller SCCs "
-                     f"(dirty_sccs={last['dirty_sccs']})")
-            if deputy_reruns != 1:
-                fail(f"body edit re-ran {deputy_reruns} Deputy shards, not 1")
+            require_one_unit(last, "body edit")
+            if last["summaries_changed"] != 0:
+                fail(f"body edit moved {last['summaries_changed']} summaries")
             status, served = get(port, "/findings")
             if status != 200:
                 fail(f"/findings (body edit) returned {status}")
             if sorted_findings(served["findings"]) != batch_findings(corpus):
                 fail("body-edit findings differ from `repro-engine run`")
             print(f"body-edit findings: {served['count']} (matches batch run)")
+
+            # A bigger stack frame moves spin_lock_init's summary, which
+            # every caller's fixpoint reads: each of them re-solves.
+            callers = callers_elsewhere(corpus, "spin_lock_init", lib)
+            bump_literal(lib, "spin_lock_init", "lock->locked = 0;",
+                         "char pad[64];\n    lock->locked = 0;")
+            last = wait_for_pass(port, 4, "the watcher to pick up the "
+                                 "summary-moving edit")
+            print("summary-moving pass: "
+                  f"dirty_sccs={last['dirty_sccs']} "
+                  f"summaries_changed={last['summaries_changed']} "
+                  f"callers={len(callers)}")
+            if not callers:
+                fail("found no caller of spin_lock_init outside its unit")
+            missed = callers - set(last["dirty_functions"])
+            if missed:
+                fail(f"summary-moving edit left callers clean: {sorted(missed)}")
+            if last["summaries_changed"] == 0:
+                fail("summary-moving edit moved no summary")
+            status, served = get(port, "/findings")
+            if status != 200:
+                fail(f"/findings (summary-moving edit) returned {status}")
+            if sorted_findings(served["findings"]) != batch_findings(corpus):
+                fail("summary-moving findings differ from `repro-engine run`")
+            print(f"summary-moving findings: {served['count']} "
+                  "(matches batch run)")
 
             status, pre_restart = get(port, "/findings")
             if status != 200:
@@ -269,10 +326,10 @@ def main() -> None:
             stop_serve(proc)
 
         # Edit while serve is down, to a literal the store has never held:
-        # the restart's first pass solves the dirty SCCs against clean
-        # components it reads back from the store.
-        bump_literal(corpus / "lib" / "kernel_lib.c", "spin_lock_init",
-                     "-2", "-3")
+        # the restart's first pass solves the one dirty SCC against clean
+        # components it reads back from the store, and its summary keeps
+        # every caller's key.
+        bump_literal(lib, "spin_lock_init", "-2", "-3")
         proc, port = start_serve(corpus, store)
         try:
             wait_healthy(proc, port)
@@ -280,19 +337,13 @@ def main() -> None:
             if status != 200:
                 fail(f"/stats (offline-edit restart) returned {status}")
             last = stats["last_pass"]
-            deputy_reruns = last["shards_rerun_by_analysis"]["deputy"]
             print("offline-edit restart pass: "
                   f"dirty_sccs={last['dirty_sccs']} "
                   f"store_hits={last['store_hits']} "
-                  f"deputy_reruns={deputy_reruns}")
-            if last["dirty_sccs"] <= 1:
-                fail("offline edit dirtied no caller SCCs "
-                     f"(dirty_sccs={last['dirty_sccs']})")
+                  f"reruns={last['shards_rerun_by_analysis']}")
             if last["store_hits"] == 0:
                 fail("offline-edit restart never hit the persistent store")
-            if deputy_reruns != 1:
-                fail(f"offline edit re-ran {deputy_reruns} Deputy shards, "
-                     "not 1")
+            require_one_unit(last, "offline-edit restart")
             status, served = get(port, "/findings")
             if status != 200:
                 fail(f"/findings (offline-edit restart) returned {status}")

@@ -11,10 +11,11 @@ per function:
 * recursive components (self loops, mutual recursion, cycles closed through
   a function pointer) iterate to a lattice fixpoint, with a divergence
   guard mirroring the intraprocedural solver's;
-* a component's result depends only on its callee components' — so the
-  incremental analyzer can reuse clean components and re-solve only dirty
-  ones, and every path, serial or parallel, batch or incremental, solves
-  in one process in the same wave order and gets byte-identical summaries.
+* a component's result depends only on its members, the globals, and its
+  callees' summaries and header annotations — so the incremental analyzer
+  can reuse clean components and re-solve only those whose inputs moved,
+  and every path, serial or parallel, batch or incremental, solves in one
+  process in the same wave order and gets byte-identical summaries.
 
 One SCC-ordered sweep with memoized summaries replaces re-running every
 checker to global convergence — few, cheap passes to the whole-program
@@ -196,47 +197,69 @@ def callgraph_fingerprint(graph: "CallGraph") -> str:
     return digest.hexdigest()[:32]
 
 
+def scc_local_key(
+    scc: tuple[str, ...],
+    graph: "CallGraph",
+    body_hashes: dict[str, str],
+    indirect: dict[str, "set[str] | frozenset[str]"],
+    globals_fp: str = "",
+) -> str:
+    """One component's local key: ``globals_fp`` plus each member's body
+    hash, sorted out-edges and sorted indirect callees (see
+    :func:`scc_fingerprints`)."""
+    digest = hashlib.sha256()
+    digest.update(globals_fp.encode())
+    for name in scc:
+        digest.update(b"|")
+        digest.update(name.encode())
+        digest.update(b"=")
+        digest.update(body_hashes.get(name, f"undef:{name}").encode())
+        for callee in sorted(graph.edges.get(name, ())):
+            digest.update(b",")
+            digest.update(callee.encode())
+        for callee in sorted(indirect.get(name, ())):
+            digest.update(b"*")
+            digest.update(callee.encode())
+    return digest.hexdigest()[:32]
+
+
 def scc_fingerprints(
     condensation: Condensation,
     graph: "CallGraph",
     body_hashes: dict[str, str],
     globals_fp: str = "",
 ) -> list[str]:
-    """One Merkle-style cache key per SCC, in condensation order.
+    """One *local* cache key per SCC, in condensation order.
 
-    ``key(scc) = H(globals_fp, members with body hash and out-edges,
-    callee-SCC keys)`` — because the condensation is reverse-topological,
-    each key transitively covers every function body, annotation and call
-    edge the component's fixpoint can observe:
+    ``key(scc) = H(globals_fp, members with body hash, out-edges and
+    indirect callees)`` covers everything the component's fixpoint reads
+    from inside it:
 
     * a member's *body* (its direct calls included) via ``body_hashes``;
     * its full resolved out-edge list, so a points-to change that adds or
       drops an edge — even one landing back inside the same component —
       changes the key;
-    * everything reachable below, via the callee components' keys;
-    * prototypes, annotations, defines and analysis parameters via
-      ``globals_fp`` (the caller folds those in).
+    * which of those edges its indirect calls resolve to (the summary
+      context's ``resolved_indirect``), so a points-to change that makes an
+      existing direct edge indirect as well changes the key too;
+    * prototypes, annotations, defines, type layouts and analysis
+      parameters via ``globals_fp`` (the caller folds those in).
+
+    What the fixpoint reads about an out-of-component callee — its summary,
+    and the ``blocking``/``blocking_if_wait``/``errcodes`` annotations of
+    its header — is not here: the incremental analyzer completes each key
+    with those once the callees are solved, so a body edit that leaves its
+    function's summary unchanged re-keys no caller (early cutoff).
 
     Functions without a definition hash as ``undef:<name>``; their
     observable behavior is annotation-only, which ``globals_fp`` covers.
     """
-    keys: list[str] = []
-    for index, scc in enumerate(condensation.sccs):
-        digest = hashlib.sha256()
-        digest.update(globals_fp.encode())
-        for name in scc:
-            digest.update(b"|")
-            digest.update(name.encode())
-            digest.update(b"=")
-            digest.update(body_hashes.get(name, f"undef:{name}").encode())
-            for callee in sorted(graph.edges.get(name, ())):
-                digest.update(b",")
-                digest.update(callee.encode())
-        for dep in condensation.scc_callees.get(index, ()):
-            digest.update(b"^")
-            digest.update(keys[dep].encode())
-        keys.append(digest.hexdigest()[:32])
-    return keys
+    indirect: dict[str, set[str]] = {}
+    for site in graph.call_sites:
+        if site.indirect:
+            indirect.setdefault(site.caller, set()).add(site.callee)
+    return [scc_local_key(scc, graph, body_hashes, indirect, globals_fp)
+            for scc in condensation.sccs]
 
 
 # ---------------------------------------------------------------------------

@@ -113,8 +113,12 @@ class ShardReads(Enum):
     an edit elsewhere re-runs the shard only when what it reads moved.
     """
 
-    #: The Merkle SCC keys of the unit's functions, which cover every
-    #: transitive callee's body: summaries, blocking facts, error returns.
+    #: The SCC keys of the unit's functions.  Each covers its members'
+    #: bodies plus the summary and the header annotations of every callee
+    #: outside the component: all a shard reads through
+    #: ``summaries.get(callee)``, since a called name is always a call-graph
+    #: out-edge.  So a callee's body edit that keeps its summary and header
+    #: re-runs no caller's shard.
     CALLEE_SCC_KEYS = auto()
     #: Only the signatures (``Program.function_type``) of the names the
     #: unit's bodies reference.
@@ -263,8 +267,9 @@ class ErrcheckAnalysis(EngineAnalysis):
 
     def shard_salt(self, artifacts):
         # The whole error-returning set reaches every shard; callee SCC keys
-        # already cover the members a unit actually calls, but keying on the
-        # full set keeps the cache sound against any use of the rest.
+        # already cover the summaries of the functions a unit calls, but
+        # keying on the full set keeps the cache sound against any use of
+        # the rest.
         joined = ",".join(sorted(artifacts.error_returning))
         return hashlib.sha256(joined.encode()).hexdigest()[:32]
 

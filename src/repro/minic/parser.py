@@ -169,6 +169,8 @@ class Parser:
             init = None
             if self._accept_punct("="):
                 init = self._parse_initializer()
+            if storage != "typedef" and not isinstance(ctype, CFunc):
+                ctype = _fold_declarator_annotations(ctype, annotations)
             decl = ast.Declaration(name=name, type=ctype, storage=storage,
                                    init=init, annotations=annotations, location=loc)
             if storage == "typedef":
@@ -280,7 +282,9 @@ class Parser:
             return fields
         while True:
             name, ctype, annotations = self._parse_declarator(base_type)
-            fields.append(CField(name=name, type=ctype, annotations=annotations))
+            fields.append(CField(
+                name=name, type=_fold_declarator_annotations(ctype, annotations),
+                annotations=annotations))
             if self._accept_punct(","):
                 continue
             self._expect_punct(";")
@@ -902,10 +906,11 @@ def _fold_declarator_annotations(ctype: CType,
     """Fold a declarator's trailing Deputy annotations into its pointer type.
 
     ``char *buf count(n)`` declares what ``char * count(n) buf`` does, so a
-    parameter's or local's trailing annotations are copied onto its pointer
-    type here, once, before any analysis reads the type.  The result is a
-    new type: the declared one may be shared with other declarators (a
-    typedef's pointer, say), so it is never modified.
+    parameter's, local's, global's or struct field's trailing annotations
+    are copied onto its pointer type here, once, before any analysis reads
+    the type.  The result is a new type: the declared one may be shared
+    with other declarators (a typedef's pointer, say), so it is never
+    modified.
     """
     if isinstance(ctype, CNamed):
         underlying = _fold_declarator_annotations(ctype.underlying, annotations)

@@ -11,20 +11,27 @@ at the granularity the dependency structure actually has:
   those tables across files, so re-parsing one file in the middle of the
   sequence needs the tables rolled back to that point and verified after);
 * **constant facts** per function, keyed on the function's rendered body;
-* **summaries** per call-graph SCC, under Merkle-style keys
-  (:func:`repro.dataflow.interproc.scc_fingerprints`) that fold each
-  member's body hash, its resolved out-edges and every callee component's
-  key — so editing one function dirties exactly its component and the
-  components that (transitively) call it.  One wave loop, in this process,
+* **summaries** per call-graph SCC, keyed on what the component's
+  fixpoint reads: a *local* key
+  (:func:`repro.dataflow.interproc.scc_fingerprints`: the globals, each
+  member's body hash, resolved out-edges and indirect callees) completed,
+  once the callees are solved, with ``name:summary_hash:sig_hash`` of
+  every out-of-component callee — its summary, and the header annotations
+  the summary context reads.  So editing one function re-solves its component, and a caller
+  only when the edited function's summary or header moved (early cutoff,
+  as in *Build Systems à la Carte*).  One wave loop, in this process,
   takes each component from memory, else from the persistent store, else
-  from a fresh fixpoint;
+  from a fresh fixpoint; over the last pass's condensation a component
+  whose local key and callees did not move keeps the last pass's key
+  without hashing anything;
 * **checker shards** per (analysis, translation unit), keyed on the unit's
   function bodies plus exactly what the analysis declares its shard reads
   about functions outside the unit (:class:`~repro.engine.analyses.ShardReads`):
-  the functions' SCC keys, which fold in every callee's, for errcheck and
-  lockcheck; the signature hash of every name the bodies reference for
-  Deputy; nothing for CCount.  So a body edit that keeps its function's
-  signature re-runs Deputy only in the edited unit;
+  the functions' SCC keys, which cover their callees' summaries and
+  headers, for errcheck and lockcheck; the signature hash of every name
+  the bodies reference for Deputy; nothing for CCount.  So a body edit that
+  keeps its function's summary and signature re-runs errcheck, lockcheck
+  and Deputy only in the edited unit;
 * **corpus-wide artifacts** — the call graph with points-to, the
   condensation, the IRQ handlers, the annotations map, the summary
   context, and the blocking and error-return sets — are the last pass's
@@ -75,9 +82,10 @@ from ..dataflow.interproc import (
     callgraph_fingerprint,
     condense_callgraph,
     scc_fingerprints,
+    scc_local_key,
     solve_scc,
 )
-from ..dataflow.summaries import SummaryContext, build_context
+from ..dataflow.summaries import FunctionSummary, SummaryContext, build_context
 from ..deputy.checker import DeputyOptions
 from ..deputy.typesystem import TypeEnv
 from ..engine.analyses import (
@@ -105,6 +113,12 @@ from ..minic.visitor import walk
 
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:32]
+
+
+def _summary_hash(summary: FunctionSummary) -> str:
+    """A summary's content hash, equal across processes (``hash()`` is
+    salted per process, and store keys fold these in)."""
+    return _sha(repr(summary))
 
 
 def _content_key(corpus_file: CorpusFile) -> str:
@@ -265,7 +279,35 @@ class _PassState:
     #: The summary context, re-created with each pass's program and facts.
     context: SummaryContext
     callgraph_fp: str
+    #: Per condensation index: each SCC's local key
+    #: (:func:`scc_fingerprints`) and its key completed with its callees'
+    #: summary and signature hashes (the memo's keys).
+    local_keys: list[str]
     scc_keys: list[str]
+    #: function name -> hash of its summary (:func:`_summary_hash`).
+    summary_hashes: dict[str, str]
+
+
+def _complete_key(local_key: str, scc: tuple[str, ...], graph,
+                  hashes: dict[str, str],
+                  records: dict[str, _FunctionRecord]) -> str:
+    """An SCC's key: its local key plus ``name:summary_hash:sig_hash`` of
+    every out-of-component callee, sorted.  That is all its fixpoint reads
+    about a callee: the summary, through ``lookup``, and the ``blocking``,
+    ``blocking_if_wait`` and ``errcodes`` annotations of its header,
+    through the summary context's seed sets.  A callee without a
+    definition has no header of its own (its prototypes are in the
+    globals, which the local key covers)."""
+    members = set(scc)
+    callees = sorted({callee for name in scc
+                      for callee in graph.edges.get(name, ())
+                      if callee not in members})
+    parts = [local_key]
+    for callee in callees:
+        record = records.get(callee)
+        parts.append(f"{callee}:{hashes[callee]}:"
+                     f"{record.sig_hash if record is not None else ''}")
+    return _sha("\x00".join(parts))
 
 
 @dataclass
@@ -283,6 +325,10 @@ class IncrementalStats:
     dirty_sccs: int = 0
     sccs_reused: int = 0
     dirty_functions: list[str] = field(default_factory=list)
+    #: Functions whose summary differs from the last completed pass's (new
+    #: ones included; every function on a cold pass): the witness for early
+    #: cutoff, since only a moved summary re-keys its callers.
+    summaries_changed: int = 0
     shards_rerun: int = 0
     #: ``shards_rerun`` split by analysis: every registered name, 0 allowed.
     shards_rerun_by_analysis: dict[str, int] = field(default_factory=dict)
@@ -314,6 +360,7 @@ class IncrementalStats:
             "dirty_sccs": self.dirty_sccs,
             "sccs_reused": self.sccs_reused,
             "dirty_functions": list(self.dirty_functions),
+            "summaries_changed": self.summaries_changed,
             "shards_rerun": self.shards_rerun,
             "shards_rerun_by_analysis": dict(self.shards_rerun_by_analysis),
             "shards_reused": self.shards_reused,
@@ -362,8 +409,9 @@ class IncrementalAnalyzer:
         #: function name -> ((body hash, globals fp, domains), its store
         #: key, facts | None)
         self._consts_store: dict[str, tuple[tuple[str, str, str], str, object]] = {}
-        #: SCC Merkle key -> solved {name: FunctionSummary} for the component
-        self._scc_store: dict[str, dict] = {}
+        #: SCC key -> the component's solved {name: FunctionSummary} and
+        #: {name: summary hash}
+        self._scc_store: dict[str, tuple[dict, dict]] = {}
         #: shard key -> run_shard payload dict
         self._shard_store: dict[str, dict] = {}
         #: The last completed pass's derived state, its function records
@@ -796,57 +844,135 @@ class IncrementalAnalyzer:
             stats.store_writes += len(disk_writes)
         return consts, store
 
+    def _rekey(self, records: dict[str, _FunctionRecord], graph,
+               condensation, context: SummaryContext,
+               globals_fp: str) -> tuple[list[str], set[int]]:
+        """Local SCC keys over the last pass's condensation and globals.
+
+        Only the components of functions whose body or resolved indirect
+        callees moved are re-keyed.  Returns the keys and the components
+        whose key the wave loop must complete afresh: those re-keyed here,
+        and the callers of a function whose header moved.  Every other
+        component keeps the last pass's key unless a callee's summary moves
+        during the loop.
+        """
+        last = self._last
+        old = last.records
+        edited = [name for name, record in records.items()
+                  if name not in old or old[name].sem_hash != record.sem_hash]
+        edited += [name for name in old if name not in records]
+        indirect = context.resolved_indirect
+        old_indirect = last.context.resolved_indirect
+        rekeyed = set(edited)
+        if indirect is not old_indirect:
+            rekeyed.update(name for name in indirect.keys() | old_indirect.keys()
+                           if indirect.get(name) != old_indirect.get(name))
+        stale: set[int] = set()
+        local_keys = list(last.local_keys)
+        scc_of = condensation.scc_of
+        for index in {scc_of[name] for name in rekeyed if name in scc_of}:
+            scc = condensation.sccs[index]
+            local_keys[index] = scc_local_key(
+                scc, graph, {name: records[name].sem_hash
+                             for name in scc if name in records},
+                indirect, globals_fp)
+            stale.add(index)
+        for name in edited:
+            record, previous = records.get(name), old.get(name)
+            if (record.sig_hash if record is not None else None) != (
+                    previous.sig_hash if previous is not None else None):
+                stale.update(scc_of[caller]
+                             for caller in graph.reverse_edges.get(name, ()))
+        return local_keys, stale
+
     def _solve_summaries(self, graph, condensation, context: SummaryContext,
-                         scc_keys: list[str], stats: IncrementalStats):
+                         local_keys: list[str], stale: set[int] | None,
+                         records: dict[str, _FunctionRecord],
+                         stats: IncrementalStats):
         """Bottom-up solve reusing clean components from the SCC stores.
 
         Mirrors :func:`repro.dataflow.interproc.solve_summaries` wave
         order exactly (dict iteration order is observable downstream).
+        Each component's key is its local key completed with its callees'
+        summary and signature hashes (:func:`_complete_key`), which the
+        earlier waves have just produced.  With ``stale`` (from
+        :meth:`_rekey`), a component outside it keeps the last pass's key
+        unhashed; a component whose summary hash moved adds its callers to
+        it; and an empty one returns the last pass's solve whole.  Without
+        ``stale``, every key is completed.
+
         Each component comes from memory, else from the persistent store,
         else from :func:`solve_scc`: a dirty component starts at lattice
         bottom with its callees' summaries supplied, so the result is the
-        batch least fixpoint.  Returns the summaries, the memo for the next
-        pass, and the members of every component not served from memory
-        (whose summaries may differ from the last pass's).
+        batch least fixpoint, and only its summaries are hashed.  Returns
+        the summaries, their hashes, the keys, the memo for the next pass,
+        and the functions whose summary hash differs from the last completed
+        pass's.
         """
+        last = self._last
+        if stale is not None and not stale:
+            # No component's key can move, so the last pass's solve stands.
+            stats.sccs_reused = len(condensation.sccs)
+            if self.store is not None:
+                self.store.touch("scc", last.scc_keys)
+            return (last.artifacts.summaries, last.summary_hashes,
+                    last.scc_keys, self._scc_store, [])
+        last_keys = last.scc_keys if stale is not None else []
+        last_hashes = last.summary_hashes if last is not None else {}
         memo = self._scc_store
+        scc_of = condensation.scc_of
         solved: dict = {}
-        store: dict[str, dict] = {}
+        hashes: dict[str, str] = {}
+        keys: list[str] = [""] * len(condensation.sccs)
+        store: dict[str, tuple[dict, dict]] = {}
         dirty: list[str] = []
-        fetched: list[str] = []
-        disk_writes: dict[str, dict] = {}
+        moved: list[str] = []
+        disk_writes: list[tuple[str, tuple[dict, dict]]] = []
         live: list[str] = []
         for wave in condensation.waves:
             for index in wave:
                 scc = condensation.sccs[index]
-                key = scc_keys[index]
-                component = memo.get(key)
-                if component is not None:
+                if stale is None or index in stale:
+                    key = _complete_key(local_keys[index], scc, graph,
+                                        hashes, records)
+                else:
+                    key = last_keys[index]
+                keys[index] = key
+                entry = memo.get(key)
+                if entry is not None:
                     stats.sccs_reused += 1
                     live.append(key)
                 else:
-                    fetched.extend(scc)
-                    wrapped = (self.store.get("scc", key)
-                               if self.store is not None else None)
-                    if wrapped is not None:
-                        component = wrapped[0]
+                    entry = (self.store.get("scc", key)
+                             if self.store is not None else None)
+                    if entry is not None:
                         stats.sccs_reused += 1
                         stats.store_hits += 1
                     else:
                         component = solve_scc(scc, context, graph, solved)
+                        entry = (component,
+                                 {name: _summary_hash(summary)
+                                  for name, summary in component.items()})
                         dirty.extend(scc)
-                        disk_writes[key] = component
-                store[key] = component
-                solved.update(component)
+                        disk_writes.append((key, entry))
+                    for name, digest in entry[1].items():
+                        if last_hashes.get(name) != digest:
+                            moved.append(name)
+                            if stale is not None:
+                                stale.update(
+                                    scc_of[caller] for caller
+                                    in graph.reverse_edges.get(name, ()))
+                store[key] = entry
+                solved.update(entry[0])
+                hashes.update(entry[1])
         stats.dirty_sccs = len(condensation.sccs) - stats.sccs_reused
         stats.dirty_functions = sorted(dirty)
+        stats.summaries_changed = len(moved)
         if self.store is not None:
-            self.store.put_many(
-                "scc", [(key, (component,))
-                        for key, component in disk_writes.items()])
+            self.store.put_many("scc", disk_writes)
             self.store.touch("scc", live)
             stats.store_writes += len(disk_writes)
-        return solved, store, fetched
+        return solved, hashes, keys, store, moved
 
     @staticmethod
     def _shard_key(name: str, filename: str, functions: list[str],
@@ -1009,13 +1135,6 @@ class IncrementalAnalyzer:
             condensation = condense_callgraph(graph)
             callgraph_fp = callgraph_fingerprint(graph)
             rebuilt.append("condensation")
-        if bodies_same and condensation is last.artifacts.condensation:
-            scc_keys = last.scc_keys
-        else:
-            scc_keys = scc_fingerprints(
-                condensation, graph,
-                {name: record.sem_hash for name, record in records.items()},
-                globals_fp)
         # The context's seed sets and resolved indirect callees read the
         # annotations and the graph; its program and facts are this pass's.
         if structure_same:
@@ -1024,11 +1143,26 @@ class IncrementalAnalyzer:
         else:
             context = build_context(program, graph, consts=consts)
             rebuilt.append("summary_context")
-        summaries, scc_store, fetched = self._solve_summaries(
-            graph, condensation, context, scc_keys, stats)
-        if structure_same and all(
-                summaries[name] == last.artifacts.summaries.get(name)
-                for name in fetched):
+        # A local SCC key reads the globals and its members' bodies,
+        # out-edges and indirect callees, so over the last pass's
+        # condensation and globals only the components of functions where
+        # those moved are re-keyed.
+        if bodies_same and condensation is last.artifacts.condensation:
+            local_keys, stale = last.local_keys, set()
+        elif (last is not None and condensation is last.artifacts.condensation
+                and last.globals_fp == globals_fp):
+            local_keys, stale = self._rekey(records, graph, condensation,
+                                            context, globals_fp)
+        else:
+            local_keys = scc_fingerprints(
+                condensation, graph,
+                {name: record.sem_hash for name, record in records.items()},
+                globals_fp)
+            stale = None
+        summaries, summary_hashes, scc_keys, scc_store, moved = (
+            self._solve_summaries(graph, condensation, context, local_keys,
+                                  stale, records, stats))
+        if structure_same and not moved:
             blocking = last.artifacts.blocking
             error_returning = last.artifacts.error_returning
         else:
@@ -1081,7 +1215,9 @@ class IncrementalAnalyzer:
         self._shard_store = shard_store
         self._last = _PassState(
             globals_fp=globals_fp, records=records, artifacts=artifacts,
-            context=context, callgraph_fp=callgraph_fp, scc_keys=scc_keys)
+            context=context, callgraph_fp=callgraph_fp,
+            local_keys=local_keys, scc_keys=scc_keys,
+            summary_hashes=summary_hashes)
         self.artifacts = artifacts
         stats.elapsed_seconds = time.perf_counter() - start
         report.elapsed_seconds = stats.elapsed_seconds

@@ -89,6 +89,43 @@ class TestPointerFacts:
                  for name in ("f", "g")]
         assert kinds == [PointerKind.COUNT, PointerKind.SAFE]
 
+    @pytest.mark.parametrize("trailing, prefix", [
+        ("char *gbuf count(4);\nint f(void) { return gbuf[1]; }",
+         "char * count(4) gbuf;\nint f(void) { return gbuf[1]; }"),
+        ("struct s { char *buf count(4); };\n"
+         "int f(struct s *p) { return p->buf[1]; }",
+         "struct s { char * count(4) buf; };\n"
+         "int f(struct s *p) { return p->buf[1]; }"),
+    ], ids=["global", "field"])
+    def test_trailing_and_prefix_spellings_check_alike(self, trailing, prefix):
+        def obligations(source):
+            report = AnalysisEngine(files=(CorpusFile("a.c", source),)).run(
+                analyses="deputy")
+            metrics = report.analyses["deputy"].metrics
+            return (metrics["obligations_total"],
+                    metrics["obligations_static"],
+                    metrics["obligations_runtime"])
+
+        counts = obligations(trailing)
+        assert counts == obligations(prefix)
+        # The bound is known, so the index is discharged statically.
+        assert counts[1] >= 1
+
+    def test_field_fold_never_writes_through_a_typedef(self):
+        program = build("typedef char *str_t;\n"
+                        "struct s { str_t bounded count(4); str_t plain; };\n"
+                        "struct s gs;\n"
+                        "str_t gbounded count(2);\n"
+                        "str_t gplain;")
+        struct = program.globals["gs"].type.strip()
+        kinds = {f.name: pointer_facts(f.type).kind for f in struct.fields}
+        assert kinds == {"bounded": PointerKind.COUNT,
+                         "plain": PointerKind.SAFE}
+        assert pointer_facts(program.globals["gbounded"].type).kind is (
+            PointerKind.COUNT)
+        assert pointer_facts(program.globals["gplain"].type).kind is (
+            PointerKind.SAFE)
+
 
 #: A callee whose buffer bound trails the declarator, and a caller in
 #: another unit that passes a shorter buffer.

@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import gc
 import json
+import sqlite3
 import threading
 import time
 import urllib.error
@@ -33,6 +34,7 @@ from repro.service import (
     export_corpus,
     load_corpus_dir,
 )
+from repro.service import incremental
 from repro.service.api import make_server
 from repro.service.store import PersistentStore
 
@@ -203,7 +205,7 @@ class TestInvalidation:
         assert not PARSE_COUNTS and not SCC_SOLVE_COUNTS
         assert report.summary_stats["cache_hit"] is True
 
-    def test_body_edit_resolves_only_transitive_callers(self):
+    def test_body_edit_that_keeps_the_summary_resolves_one_scc(self):
         analyzer = IncrementalAnalyzer(files=CHAIN_FILES)
         analyzer.analyze()
         edited = edit(CHAIN_FILES, "lib.c", "return 0;", "return 1;")
@@ -212,22 +214,23 @@ class TestInvalidation:
         stats = analyzer.last_stats
 
         # Work stays confined: one unit re-parsed in place, and only the
-        # edited function plus its transitive callers re-solve.
+        # edited function re-solves.  Its summary comes out unchanged, so
+        # no caller's key moves (early cutoff).
         assert stats.full_reparse is False
         assert dict(PARSE_COUNTS) == {"lib.c": 1}
         resolved = {name for scc in SCC_SOLVE_COUNTS for name in scc}
-        assert resolved == {"leaf", "mid", "top"}
+        assert resolved == {"leaf"}
         assert set(CONST_SOLVE_COUNTS) <= {"leaf"}
         assert stats.consts_solved == 1
-        assert stats.dirty_sccs == 3
-        assert "lone" not in resolved
-        # leaf keeps its signature, so no other unit's Deputy shard reads
-        # anything that moved; the one re-run is lib.c's own.  errcheck
-        # and lockcheck read callee summaries: every unit on the chain.
+        assert stats.dirty_sccs == 1
+        assert stats.summaries_changed == 0
+        # leaf keeps its signature and its summary, so no other unit's
+        # shard reads anything that moved: each per-unit analysis re-runs
+        # lib.c's shard alone.
         assert stats.shards_rerun_by_analysis == {
-            "deputy": 1, "blockstop": 1, "errcheck": 3, "lockcheck": 3,
+            "deputy": 1, "blockstop": 1, "errcheck": 1, "lockcheck": 1,
             "stackcheck": 1, "ccount": 1}
-        assert stats.shards_rerun == 10
+        assert stats.shards_rerun == 6
 
         # The answer stays exact: byte-identical to analyzing the edited
         # corpus from scratch.
@@ -321,6 +324,288 @@ class TestInvalidation:
         # shard key can collide between the two configurations.
         assert plain._scc_store.keys().isdisjoint(defined._scc_store.keys())
         assert plain._shard_store.keys().isdisjoint(defined._shard_store.keys())
+
+
+# ---------------------------------------------------------------------------
+# Early cutoff: a caller re-solves only when what its fixpoint reads about a
+# callee moved — the callee's summary or its header annotations.  `relay`
+# propagates everything `leaf` summarizes (its error returns, the lock it
+# leaves held, whether it blocks, its stack depth) and passes a GFP_WAIT
+# flag, so every edit below moves `relay`'s summary and `top`'s; `top`
+# calls `relay` with interrupts off and discards its result, so each moved
+# summary changes a finding or a metric.  `watcher` calls `bystander` and
+# `schedule`, so no edit adds a node to the call graph.
+# ---------------------------------------------------------------------------
+
+CUTOFF_LIB = """
+void spin_lock(int *lock);
+void spin_unlock(int *lock);
+void schedule(void) blocking;
+static int dev_lock;
+int leaf(unsigned int flags) {
+    char pad[8];
+    pad[0] = 0;
+    spin_lock(&dev_lock);
+    spin_unlock(&dev_lock);
+    return 0;
+}
+int bystander(void) {
+    return 7;
+}
+"""
+
+CUTOFF_MID = """
+int leaf(unsigned int flags);
+int relay(void) {
+    return leaf(16);
+}
+"""
+
+CUTOFF_TOP = """
+void local_irq_disable(void);
+void local_irq_enable(void);
+int relay(void);
+int top(void) {
+    local_irq_disable();
+    relay();
+    local_irq_enable();
+    return 0;
+}
+"""
+
+CUTOFF_OTHER = """
+void schedule(void) blocking;
+int bystander(void);
+int watcher(void) {
+    schedule();
+    return bystander() + 1;
+}
+"""
+
+CUTOFF_FILES = (CorpusFile("lib.c", CUTOFF_LIB),
+                CorpusFile("mid.c", CUTOFF_MID),
+                CorpusFile("top.c", CUTOFF_TOP),
+                CorpusFile("other.c", CUTOFF_OTHER))
+
+#: leaf returns with dev_lock held on some paths.
+LOCK_LEFT_HELD = ("    spin_unlock(&dev_lock);\n",
+                  "    if (flags > 100)\n        spin_unlock(&dev_lock);\n")
+
+#: (label, edit to lib.c, functions whose summary moves, errcheck shards
+#: re-run: every unit's when the error-returning set, its salt, moved).
+SUMMARY_MOVING_EDITS = [
+    ("error return", ("return 0;", "return -5;"), {"leaf", "relay"}, 4),
+    ("lock left held", LOCK_LEFT_HELD, {"leaf", "relay", "top"}, 3),
+    ("new blocking call", ("    pad[0] = 0;\n",
+                           "    pad[0] = 0;\n    schedule();\n"),
+     {"leaf", "relay", "top"}, 3),
+    # leaf's own summary stays; relay reads the annotation through the
+    # summary context's seed sets, not through leaf's summary.
+    ("blocking_if_wait header", ("int leaf(unsigned int flags) {",
+                                 "int leaf(unsigned int flags) "
+                                 "blocking_if_wait {"),
+     {"relay", "top"}, 3),
+    ("bigger local array", ("char pad[8];", "char pad[64];"),
+     {"leaf", "relay", "top"}, 3),
+]
+
+
+#: `m`'s indirect call resolves, by type, to every address-taken
+#: `void (void)` function, and `m` already has an edge to `g` from a call
+#: in a dead arm.  Storing `g` in the table makes the indirect call reach
+#: `g`, which blocks, without adding an edge to the call graph.
+INDIRECT_LIB = """
+void schedule(void) blocking;
+struct ops { void (*run)(void); };
+static struct ops table;
+void g(void) {
+    schedule();
+}
+void quiet(void) {
+}
+void setup(void) {
+    table.run = quiet;
+}
+"""
+
+INDIRECT_USER = """
+void g(void);
+void local_irq_disable(void);
+void local_irq_enable(void);
+extern struct ops table;
+void m(void) {
+    if (0) {
+        g();
+    }
+    table.run();
+}
+void top(void) {
+    local_irq_disable();
+    m();
+    local_irq_enable();
+}
+"""
+
+
+class TestEarlyCutoff:
+    @pytest.mark.parametrize("change, moved, errcheck_reruns",
+                             [case[1:] for case in SUMMARY_MOVING_EDITS],
+                             ids=[case[0] for case in SUMMARY_MOVING_EDITS])
+    def test_summary_moving_edit_resolves_its_callers(self, change, moved,
+                                                      errcheck_reruns):
+        analyzer = IncrementalAnalyzer(files=CUTOFF_FILES)
+        before = analyzer.analyze()
+        edited = edit(CUTOFF_FILES, "lib.c", *change)
+        reset_counters()
+        report = analyzer.analyze(edited)
+        stats = analyzer.last_stats
+        assert stats.full_reparse is False
+        # leaf re-solves for its edit, relay because leaf's summary or
+        # header moved, top because relay's summary did; the bystanders
+        # keep theirs.
+        resolved = {name for scc in SCC_SOLVE_COUNTS for name in scc}
+        assert resolved == {"leaf", "relay", "top"}
+        assert stats.dirty_sccs == 3
+        assert stats.summaries_changed == len(moved)
+        # Each caller's unit re-runs the shards that read callee
+        # summaries; other.c's do not.
+        assert stats.shards_rerun_by_analysis["lockcheck"] == 3
+        assert stats.shards_rerun_by_analysis["errcheck"] == errcheck_reruns
+        # The moved summaries show in the report, so a caller served stale
+        # would not match a cold analysis.
+        assert normalized(report)["analyses"] != normalized(before)["analyses"]
+        assert_matches_cold(report, edited)
+
+    def test_points_to_change_on_an_existing_edge_resolves_the_caller(self):
+        files = (CorpusFile("lib.c", INDIRECT_LIB),
+                 CorpusFile("user.c", INDIRECT_USER))
+        analyzer = IncrementalAnalyzer(files=files)
+        analyzer.analyze()
+        edges = analyzer.artifacts.graph.edges["m"]
+        edited = edit(files, "lib.c", "    table.run = quiet;\n",
+                      "    table.run = quiet;\n    table.run = g;\n")
+        report = analyzer.analyze(edited)
+        # The edge set, so the condensation, is the last pass's; `m`'s key
+        # moved with its resolved indirect callees.
+        assert "condensation" not in analyzer.last_stats.rebuilt_artifacts
+        assert analyzer.artifacts.graph.edges["m"] == edges
+        assert "m" in analyzer.last_stats.dirty_functions
+        assert analyzer.artifacts.summaries["m"].may_block
+        assert_matches_cold(report, edited)
+
+    def test_moved_summaries_are_exactly_the_changed_ones(self):
+        analyzer = IncrementalAnalyzer(files=CUTOFF_FILES)
+        analyzer.analyze()
+        assert analyzer.last_stats.summaries_changed == len(
+            analyzer.artifacts.summaries)
+        for _, change, moved, _ in SUMMARY_MOVING_EDITS:
+            # The edit, then its revert: each pass counts the functions
+            # whose summary differs from the pass before, new ones included.
+            for files in (edit(CUTOFF_FILES, "lib.c", *change), CUTOFF_FILES):
+                previous = dict(analyzer.artifacts.summaries)
+                analyzer.analyze(files)
+                current = analyzer.artifacts.summaries
+                changed = {name for name in current
+                           if current[name] != previous.get(name)}
+                assert changed == moved
+                assert analyzer.last_stats.summaries_changed == len(moved)
+
+    def test_noop_pass_computes_no_key_and_no_summary_hash(self, monkeypatch):
+        analyzer = IncrementalAnalyzer(files=CUTOFF_FILES)
+        analyzer.analyze()
+        calls = []
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return function(*args, **kwargs)
+            return wrapper
+
+        for name in ("scc_fingerprints", "scc_local_key", "_complete_key",
+                     "_summary_hash"):
+            monkeypatch.setattr(incremental, name,
+                                counted(name, getattr(incremental, name)))
+        analyzer.analyze(CUTOFF_FILES)
+        assert calls == []
+        assert analyzer.last_stats.summaries_changed == 0
+
+        # A body edit that keeps leaf's summary re-keys and re-hashes
+        # leaf's component alone.
+        analyzer.analyze(edit(CUTOFF_FILES, "lib.c", "pad[0] = 0;",
+                              "pad[0] = 1;"))
+        assert sorted(calls) == ["_complete_key", "_summary_hash",
+                                 "scc_local_key"]
+        stats = analyzer.last_stats
+        assert (stats.dirty_sccs, stats.summaries_changed) == (1, 0)
+
+    def test_restart_after_offline_summary_moving_edit(self, tmp_path):
+        store = PersistentStore(tmp_path)
+        IncrementalAnalyzer(files=CUTOFF_FILES, store=store).analyze()
+        store.close()
+        edited = edit(CUTOFF_FILES, "lib.c", *LOCK_LEFT_HELD)
+        store = PersistentStore(tmp_path)
+        warm = IncrementalAnalyzer(files=edited, store=store)
+        reset_counters()
+        report = warm.analyze()
+        stats = warm.last_stats
+        # Keys are built bottom-up from the stored rows: leaf's moved with
+        # its body, relay's and top's with leaf's and relay's summaries;
+        # the bystanders' match their rows.
+        resolved = {name for scc in SCC_SOLVE_COUNTS for name in scc}
+        assert resolved == {"leaf", "relay", "top"}
+        assert stats.dirty_sccs == 3
+        assert stats.store_hits > 0
+        assert_matches_cold(report, edited)
+        store.close()
+
+    def test_store_failing_mid_wave_fails_the_pass_and_commits_nothing(
+            self, tmp_path, monkeypatch):
+        service = AnalysisService(files=CUTOFF_FILES, store_dir=tmp_path)
+        server, request = _serve(service)
+        try:
+            service.request_reconcile()
+            analyzer = service.analyzer
+            last, memo = analyzer._last, analyzer._scc_store
+            rows = service.store.entry_count("scc")
+            get = service.store.get
+            scc_gets = []
+
+            def failing_get(space, key):
+                if space == "scc":
+                    scc_gets.append(key)
+                    if len(scc_gets) == 2:
+                        raise sqlite3.OperationalError("disk I/O error")
+                return get(space, key)
+
+            monkeypatch.setattr(service.store, "get", failing_get)
+            edited = edit(CUTOFF_FILES, "lib.c", *LOCK_LEFT_HELD)
+            analyzer.files = edited
+            reset_counters()
+            with pytest.raises(sqlite3.OperationalError):
+                service.request_reconcile()
+            # The wave loop had solved leaf and was keying relay.
+            assert {name for scc in SCC_SOLVE_COUNTS for name in scc} == {
+                "leaf"}
+            assert service.failed_passes == 1
+            status, health = request("/health")
+            assert (status, health["status"]) == (200, "degraded")
+            assert health["last_error"]["type"] == "OperationalError"
+            # Nothing of the failed pass is committed: no memo, no key, no
+            # summary hash, no store row.
+            assert analyzer._last is last
+            assert analyzer._scc_store is memo
+            assert service.store.entry_count("scc") == rows
+
+            monkeypatch.setattr(service.store, "get", get)
+            snapshot, _ = service.request_reconcile()
+            assert service.status() == "ok"
+            assert snapshot.stats.dirty_sccs == 3
+            assert_matches_cold(snapshot.report, edited)
+        finally:
+            server.shutdown()
+            server.server_close()
+            service.stop()
+            service.store.close()
 
 
 # ---------------------------------------------------------------------------
@@ -809,6 +1094,7 @@ class TestHTTPAPI:
         assert service.passes == before + 1
         # Nothing changed between passes, so the forced pass reused it all.
         assert payload["stats"]["dirty_sccs"] == 0
+        assert payload["stats"]["summaries_changed"] == 0
 
         status, payload = request("/stats")
         assert status == 200
@@ -943,7 +1229,7 @@ class TestServiceWatchesDirectory:
             snapshot = service.snapshot
             assert snapshot.revision == 2
             assert snapshot.stats.full_reparse is False
-            assert snapshot.stats.dirty_sccs == 3
+            assert snapshot.stats.dirty_sccs == 1
         finally:
             service.stop()
 
