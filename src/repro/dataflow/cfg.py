@@ -25,16 +25,27 @@ dropping them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from ..minic import ast_nodes as ast
-from ..minic.visitor import initializer_expressions
+from ..minic.visitor import initializer_expressions, walk
 
 #: Element kinds: how the expression is consumed by the block.
 EXPR = "expr"
 DECL = "decl"
 COND = "cond"
 RETURN = "return"
+
+
+def expr_has_side_effects(expr: ast.Expr) -> bool:
+    """Whether ``expr`` contains an assignment or an increment/decrement."""
+    for node in walk(expr):
+        if isinstance(node, ast.Assign):
+            return True
+        if isinstance(node, (ast.Postfix, ast.Unary)) and node.op in ("++", "--"):
+            return True
+    return False
 
 
 @dataclass(frozen=True)
@@ -51,6 +62,16 @@ class Element:
     expr: Optional[ast.Expr]
     stmt: ast.Stmt
     decl: Optional[ast.Declaration] = None
+
+    @cached_property
+    def has_side_effects(self) -> bool:
+        """Whether ``expr`` assigns or increments (:func:`expr_has_side_effects`).
+
+        Walked once per element and kept for the CFG's lifetime: the product
+        solve reads it to skip elements no transfer can move, and every
+        domain's edge refinement reads it for the block's condition.
+        """
+        return self.expr is not None and expr_has_side_effects(self.expr)
 
 
 @dataclass(frozen=True)

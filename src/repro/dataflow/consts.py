@@ -53,8 +53,9 @@ from typing import Mapping, Optional
 
 from ..minic import ast_nodes as ast
 from ..minic.syntax import FunctionSyntax, index_function
-from ..minic.visitor import iter_child_nodes, walk
+from ..minic.visitor import iter_child_nodes
 from .cfg import CFG, BasicBlock, Edge
+from .cfg import expr_has_side_effects as _has_side_effects
 from .solver import INFEASIBLE
 
 #: A constant environment: trackable name -> known integer value.  Absence
@@ -240,16 +241,6 @@ def trackable_names(func: ast.FuncDef, syntax: Optional[FunctionSyntax] = None) 
     return frozenset(names - escaped)
 
 
-def _has_side_effects(expr: ast.Expr) -> bool:
-    """Whether ``expr`` contains an assignment or an increment/decrement."""
-    for node in walk(expr):
-        if isinstance(node, ast.Assign):
-            return True
-        if isinstance(node, (ast.Postfix, ast.Unary)) and node.op in ("++", "--"):
-            return True
-    return False
-
-
 def transfer_expr(env: ConstEnv, expr: Optional[ast.Expr], safe: frozenset[str]) -> ConstEnv:
     """Apply the assignment effects of ``expr`` to ``env`` (copy-on-write).
 
@@ -354,6 +345,13 @@ def condition_facts(
     """
     if _has_side_effects(cond):
         return ()
+    return _condition_facts(cond, branch_true, env, safe)
+
+
+def _condition_facts(
+    cond: ast.Expr, branch_true: bool, env: Mapping[str, int], safe: frozenset[str]
+) -> "EdgeFacts | object":
+    """:func:`condition_facts` for a condition known to have no side effects."""
     value = eval_const(cond, env)
     if value is not None and bool(value) != branch_true:
         return INFEASIBLE
@@ -433,18 +431,23 @@ def _switch_edge_case(
 def _refine_edge(
     block: BasicBlock, pos: int, edge: Edge, env: ConstEnv, safe: frozenset[str]
 ) -> "EdgeFacts | object":
-    """Facts (or INFEASIBLE) for one outgoing edge given the block's out-env."""
+    """Facts (or INFEASIBLE) for one outgoing edge given the block's out-env.
+
+    A condition with side effects contributes nothing (see
+    :func:`condition_facts`); the element's cached flag answers that without
+    walking the condition again.
+    """
     element = block.condition_element()
-    if element is None or element.expr is None:
+    if element is None or element.expr is None or element.has_side_effects:
         return ()
     cond = element.expr
     stmt = element.stmt
     if isinstance(stmt, ast.Switch):
         return _refine_switch_edge(stmt, pos, edge, cond, env, safe)
     if edge.label == "true":
-        return condition_facts(cond, True, env, safe)
+        return _condition_facts(cond, True, env, safe)
     if edge.label == "false":
-        return condition_facts(cond, False, env, safe)
+        return _condition_facts(cond, False, env, safe)
     return ()
 
 
@@ -452,7 +455,7 @@ def _refine_switch_edge(
     stmt: ast.Switch, pos: int, edge: Edge, scrutinee: ast.Expr, env: ConstEnv, safe: frozenset[str]
 ) -> "EdgeFacts | object":
     mapped = _switch_edge_case(stmt, pos, edge)
-    if mapped is None or _has_side_effects(scrutinee):
+    if mapped is None:
         return ()
     is_default, case_value = mapped
     value = eval_const(scrutinee, env)

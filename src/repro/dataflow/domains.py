@@ -18,7 +18,11 @@ optimizer.  This module is the API seam that makes domains *pluggable*:
   widening per domain once a block's input churns, a bounded narrowing
   sweep to claw back over-widened bounds, then a recording pass that
   freezes per-domain environments and attributes each infeasible edge to
-  the *first* domain (in registry order) that proves it dead.
+  the *first* domain (in registry order) that proves it dead.  A block
+  transfer steps only the elements that can move a state
+  (:func:`moves_state`), and the three phases share one block transfer per
+  distinct input tuple and one edge refinement per distinct out-state
+  tuple.
 * :class:`FunctionFacts` — the cacheable artifact, a drop-in for
   ``FunctionConsts`` everywhere (`.reachable`/`.prunes`/`.infeasible`/
   ``.in_envs``/``.edge_facts`` keep their exact meaning; the interval
@@ -44,7 +48,7 @@ from typing import TYPE_CHECKING, Any, Mapping, Optional, Protocol
 
 from ..minic import ast_nodes as ast
 from ..minic.syntax import FunctionSyntax, index_function
-from .cfg import CFG, BasicBlock, Edge, build_cfg
+from .cfg import CFG, BasicBlock, Edge, Element, build_cfg
 from .consts import (
     CONST_SOLVE_COUNTS,
     ConstDomain,
@@ -66,6 +70,7 @@ __all__ = [
     "FunctionFacts",
     "domain_fingerprint",
     "facts_of",
+    "moves_state",
     "refined_edges",
     "solve_function_facts",
     "solve_program_facts",
@@ -91,7 +96,13 @@ class AbstractDomain(Protocol):
 
     def transfer(self, element, state: Any, product: Mapping[str, Any]) -> Any:
         """The state after one CFG element; ``product`` maps domain name to
-        that domain's state *before* the element (the reduction input)."""
+        that domain's state *before* the element (the reduction input).
+
+        Identity rule: for an element that has no assignment and no
+        increment or decrement, and that initializes no trackable declared
+        name (one :func:`moves_state` rejects), the result must equal
+        ``state``.  The product solve skips such elements.
+        """
         ...
 
     def join(self, a: Any, b: Any) -> Any: ...
@@ -126,6 +137,15 @@ DEFAULT_DOMAINS: tuple[str, ...] = ("consts", "intervals", "octagons")
 
 #: Bounded decreasing iteration after the widened fixpoint.
 NARROW_ROUNDS = 2
+
+
+def moves_state(element: Element, safe: frozenset[str]) -> bool:
+    """Whether ``element`` may move a state under the identity rule.
+
+    Only an assignment, an increment or decrement, or a declaration binding
+    a trackable (``safe``) name can; see :meth:`AbstractDomain.transfer`.
+    """
+    return element.has_side_effects or (element.decl is not None and element.decl.name in safe)
 
 
 def domain_fingerprint(domains: tuple[str, ...] = DEFAULT_DOMAINS) -> str:
@@ -179,18 +199,34 @@ def solve_function_facts(
     Counts against ``CONST_SOLVE_COUNTS`` — the facts solve *is* the consts
     solve, grown a component — so the incremental-invalidation tests keep
     measuring exactly the work the service avoids.
+
+    The three phases share their work through two memos.  A block's
+    transfer is kept with the input tuple it was computed from, and an
+    edge's refinement with the out-state tuple it refined; a call with that
+    very tuple (compared by identity, as states are unhashable dicts) reuses
+    the result.  A block transfer steps only the elements
+    :func:`moves_state` admits, so a block without one returns its input.
     """
     CONST_SOLVE_COUNTS[func.name] += 1
     cfg = cfg or build_cfg(func)
     safe = trackable_names(func, syntax)
     insts = [DOMAIN_REGISTRY[name](func, cfg, safe) for name in domains]
+    effects = [[e for e in block.elements if moves_state(e, safe)] for block in cfg.blocks]
+    # Per block: (input tuple, output tuple) of its last transfer.
+    block_memo: list[Optional[tuple]] = [None] * len(cfg.blocks)
+    # Per block and successor: (out-state tuple, outcome, refuting domain).
+    edge_memo: list[list[Optional[tuple]]] = [[None] * len(b.succs) for b in cfg.blocks]
 
     def transfer(block: BasicBlock, states: tuple) -> tuple:
-        current = list(states)
-        for element in block.elements:
+        memo = block_memo[block.index]
+        if memo is not None and memo[0] is states:
+            return memo[1]
+        current = states
+        for element in effects[block.index]:
             snapshot = {d.name: s for d, s in zip(insts, current)}
-            current = [d.transfer(element, s, snapshot) for d, s in zip(insts, current)]
-        return tuple(current)
+            current = tuple(d.transfer(element, s, snapshot) for d, s in zip(insts, current))
+        block_memo[block.index] = (states, current)
+        return current
 
     def join(a: tuple, b: tuple) -> tuple:
         return tuple(d.join(x, y) for d, x, y in zip(insts, a, b))
@@ -198,20 +234,31 @@ def solve_function_facts(
     def widen(old: tuple, new: tuple) -> tuple:
         return tuple(d.widen(x, y) for d, x, y in zip(insts, old, new))
 
-    def refine(block: BasicBlock, pos: int, edge: Edge, states: tuple):
+    def edge_outcome(block: BasicBlock, pos: int, edge: Edge, states: tuple) -> tuple:
+        """``(states, refined tuple or INFEASIBLE, refuting domain or None)``."""
+        memo = edge_memo[block.index][pos]
+        if memo is not None and memo[0] is states:
+            return memo
         snapshot = {d.name: s for d, s in zip(insts, states)}
         refined = []
         for d, s in zip(insts, states):
             outcome = d.refine_edge(block, pos, edge, s, snapshot)
             if outcome is INFEASIBLE:
-                return INFEASIBLE
+                memo = (states, INFEASIBLE, d.name)
+                break
             refined.append(outcome)
-        return tuple(refined)
+        else:
+            memo = (states, tuple(refined), None)
+        edge_memo[block.index][pos] = memo
+        return memo
+
+    def refine(block: BasicBlock, pos: int, edge: Edge, states: tuple):
+        return edge_outcome(block, pos, edge, states)[1]
 
     entry = tuple(d.initial() for d in insts)
     in_states = solve_forward(cfg, transfer, join, entry, edge_refine=refine, widen=widen)
     _narrow(cfg, insts, transfer, join, refine, in_states)
-    return _record(cfg, domains, insts, transfer, in_states)
+    return _record(cfg, domains, insts, transfer, edge_outcome, in_states)
 
 
 def _narrow(cfg, insts, transfer, join, refine, in_states) -> None:
@@ -224,6 +271,10 @@ def _narrow(cfg, insts, transfer, join, refine, in_states) -> None:
     fixpoint.  Reachability is never revised downward here: a block with no
     currently-feasible predecessor keeps its state rather than dropping to
     ⊥ mid-sweep.
+
+    ``transfer`` and ``refine`` are the solve's memoized closures: a
+    predecessor whose input did not narrow since its last transfer costs a
+    lookup per out-edge, not a transfer and a refinement.
     """
     preds: list[list[tuple[int, int, Edge]]] = [[] for _ in cfg.blocks]
     for block in cfg.blocks:
@@ -257,8 +308,15 @@ def _narrow(cfg, insts, transfer, join, refine, in_states) -> None:
             break
 
 
-def _record(cfg, domains, insts, transfer, in_states) -> FunctionFacts:
-    """Freeze the solved states and attribute every pruned edge."""
+def _record(cfg, domains, insts, transfer, edge_outcome, in_states) -> FunctionFacts:
+    """Freeze the solved states and attribute every pruned edge.
+
+    Out-states and edge outcomes come from the solve's memos, so a block
+    whose input the last narrowing round left alone is not transferred
+    again, and an edge's pruning attribution (the first refuting domain) and
+    octagon refinement are read from its cached outcome.  Only the constant
+    component's ``edge_facts`` still runs per feasible edge.
+    """
     result = FunctionFacts(
         function=cfg.function, domains=tuple(domains), block_count=len(cfg.blocks)
     )
@@ -284,17 +342,8 @@ def _record(cfg, domains, insts, transfer, in_states) -> FunctionFacts:
             if frozen:
                 result.octagon_envs[block.index] = frozen
         out_states = transfer(block, states)
-        snapshot = {d.name: s for d, s in zip(insts, out_states)}
         for pos, edge in enumerate(block.succs):
-            pruned_by = None
-            oct_refined = None
-            for d, s in zip(insts, out_states):
-                outcome = d.refine_edge(block, pos, edge, s, snapshot)
-                if outcome is INFEASIBLE:
-                    pruned_by = d.name
-                    break
-                if d.name == "octagons":
-                    oct_refined = outcome
+            _, refined, pruned_by = edge_outcome(block, pos, edge, out_states)
             if pruned_by is not None:
                 infeasible.add((block.index, pos))
                 if pruned_by == "intervals":
@@ -306,11 +355,11 @@ def _record(cfg, domains, insts, transfer, in_states) -> FunctionFacts:
                 facts = insts[const_slot].edge_facts(block, pos, edge, out_states[const_slot])
                 if facts and facts is not INFEASIBLE:
                     result.edge_facts[(block.index, pos)] = facts
-            if octagon_slot is not None and oct_refined is not None:
+            if octagon_slot is not None:
                 out_env = out_states[octagon_slot]
                 delta = {
                     key: bound
-                    for key, bound in oct_refined.items()
+                    for key, bound in refined[octagon_slot].items()
                     if out_env.get(key) is None or bound < out_env[key]
                 }
                 if delta:

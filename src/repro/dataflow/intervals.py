@@ -399,6 +399,17 @@ def interval_condition_facts(
     """
     if _has_side_effects(cond):
         return {}
+    return _interval_condition_facts(cond, branch_true, env, consts, safe)
+
+
+def _interval_condition_facts(
+    cond: ast.Expr,
+    branch_true: bool,
+    env: Mapping[str, Interval],
+    consts: Mapping[str, int],
+    safe: frozenset[str],
+) -> "dict[str, Interval] | object":
+    """:func:`interval_condition_facts` for a condition without side effects."""
     truth = _truth(eval_interval(cond, env, consts))
     if truth is not None and truth != branch_true:
         return INFEASIBLE
@@ -543,7 +554,7 @@ class IntervalDomain:
 
     def refine_edge(self, block, pos: int, edge, state: IntervalEnv, product):
         element = block.condition_element()
-        if element is None or element.expr is None:
+        if element is None or element.expr is None or element.has_side_effects:
             return state
         if edge.label == "true":
             branch_true = True
@@ -551,7 +562,7 @@ class IntervalDomain:
             branch_true = False
         else:
             return state  # switch dispatch stays the constant component's job
-        facts = interval_condition_facts(
+        facts = _interval_condition_facts(
             element.expr, branch_true, state, self._consts(product), self.safe
         )
         if facts is INFEASIBLE:

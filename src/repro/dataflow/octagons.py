@@ -451,6 +451,17 @@ def octagon_condition_facts(cond: ast.Expr, branch_true: bool,
     """
     if _has_side_effects(cond):
         return env
+    return _octagon_condition_facts(cond, branch_true, env, consts, safe)
+
+
+def _octagon_condition_facts(
+    cond: ast.Expr,
+    branch_true: bool,
+    env: Mapping[OctKey, int],
+    consts: Mapping[str, int],
+    safe: frozenset[str],
+) -> "OctEnv | object":
+    """:func:`octagon_condition_facts` for a condition without side effects."""
     pending: OctEnv = {}
     if _comparison_constraints(cond, branch_true, env, consts, safe, pending):
         return INFEASIBLE
@@ -521,7 +532,7 @@ class OctagonDomain:
 
     def refine_edge(self, block, pos: int, edge, state: OctEnv, product):
         element = block.condition_element()
-        if element is None or element.expr is None:
+        if element is None or element.expr is None or element.has_side_effects:
             return state
         if edge.label == "true":
             branch_true = True
@@ -529,8 +540,9 @@ class OctagonDomain:
             branch_true = False
         else:
             return state  # switch dispatch stays the constant component's job
-        facts = octagon_condition_facts(
-            element.expr, branch_true, state, self._consts(product), self.safe)
+        facts = _octagon_condition_facts(
+            element.expr, branch_true, state, self._consts(product), self.safe
+        )
         if facts is INFEASIBLE:
             return INFEASIBLE
         return facts

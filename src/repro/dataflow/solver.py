@@ -73,8 +73,9 @@ def solve_forward(
     The result is indexed by block index; ``None`` marks blocks no path
     reaches — whether because no edge leads there at all or because every
     edge leading there was refined away as infeasible.  Output states are
-    recomputed on demand by re-applying ``transfer`` (see
-    :func:`iter_elements` for the recording pass).
+    not kept: a caller re-applies ``transfer`` (see :func:`reachable_blocks`
+    for the recording pass), or memoizes its ``transfer`` on the input
+    state, as the product solve of :mod:`repro.dataflow.domains` does.
 
     ``widen``, when supplied, replaces the join for a target block once its
     input state has already changed ``widen_delay`` times — the delay lets

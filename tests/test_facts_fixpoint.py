@@ -1,0 +1,453 @@
+"""The consts × intervals × octagons product fixpoint: same facts, less work.
+
+``solve_function_facts`` skips elements no transfer can move and shares one
+block transfer per input tuple and one edge refinement per out-state tuple
+between the worklist solve, the narrowing rounds and the recording pass.
+These tests pin that down three ways:
+
+* against a test-local copy of the algorithm without those shortcuts (it
+  transfers every element, re-transfers in narrowing, and refines per
+  domain again while recording), every function's facts are equal, field by
+  field, on the seed corpus, two synthetic corpora and a file of shapes they
+  lack, under the full product and the two prefixes the benchmark solves;
+* every registered domain keeps the identity rule the skip relies on;
+* the work counts (transfers and edge refinements per domain, side-effect
+  walks per condition) stay under bounds, and repeat exactly.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+
+import pytest
+
+from repro.dataflow import cfg as cfg_module
+from repro.dataflow import consts as consts_module
+from repro.dataflow import domains as domains_module
+from repro.dataflow import intervals as intervals_module
+from repro.dataflow import octagons as octagons_module
+from repro.dataflow.cfg import build_cfg
+from repro.dataflow.consts import (
+    CONST_SOLVE_COUNTS,
+    reset_const_solve_counts,
+    trackable_names,
+)
+from repro.dataflow.domains import (
+    DEFAULT_DOMAINS,
+    DOMAIN_REGISTRY,
+    NARROW_ROUNDS,
+    FunctionFacts,
+    moves_state,
+    solve_function_facts,
+    solve_program_facts,
+)
+from repro.dataflow.solver import INFEASIBLE, solve_forward
+from repro.kernel.build import parse_corpus
+from repro.kernel.corpus import KERNEL_FILES, CorpusFile
+from repro.kernel.synth import generate_corpus
+from repro.minic import ast_nodes as ast
+
+#: The domain tuples every engine path and the benchmark's per-domain split
+#: solve: the full product and its two prefixes.
+DOMAIN_SETS = (DEFAULT_DOMAINS, ("consts",), ("consts", "intervals"))
+
+#: Shapes the kernel corpora lack: pruning only intervals or only octagons
+#: prove, conditions with side effects or a comma, switch dispatch, and a
+#: widened loop whose bound the narrowing rounds refill.
+SHAPES = """
+int f(int x);
+int interval_only(int n) {
+    int i;
+    int s = 0;
+    for (i = 0; i < n; i++) {
+        if (i < 0) s = s + 1;
+        s += i;
+    }
+    return s;
+}
+int octagon_only(int a, int b) {
+    if (a < b) {
+        if (b < a) return 1;
+        if (a == b) return 2;
+    }
+    return 0;
+}
+int relate(int n) {
+    int limit = n - 1;
+    int k;
+    for (k = 0; k < limit; k++) f(k);
+    return limit;
+}
+int effects(int x) {
+    int mode = 2;
+    switch (mode) {
+    case 1: x = 1; break;
+    case 2: x = 2; break;
+    default: x = 3;
+    }
+    while (x++ < 10) f(x);
+    if ((f(x), x > 3)) f(0);
+    if (x = 0) f(1);
+    return x;
+}
+int dead(int x) {
+    if (0) { x = 5; }
+    do { x--; } while (0);
+    return x;
+}
+int narrowed(void) {
+    int j = 0;
+    while (j < 100) j++;
+    if (j > 100) return 1;
+    return j;
+}
+"""
+
+CORPORA = {
+    "seed": lambda: KERNEL_FILES,
+    "synth-2-3": lambda: generate_corpus(2, 3),
+    "synth-2-11": lambda: generate_corpus(2, 11),
+    "shapes": lambda: (CorpusFile("shapes.c", SHAPES),),
+}
+
+
+@pytest.fixture(scope="module")
+def programs():
+    return {name: parse_corpus(files()) for name, files in CORPORA.items()}
+
+
+def _branchy(program):
+    return [(name, func) for name, func in program.functions_subset()
+            if program.syntax(name).has_branches]
+
+
+# ---------------------------------------------------------------------------
+# The reference: the product solve without skipping or memoization
+# ---------------------------------------------------------------------------
+
+def reference_solve(func, domains, syntax) -> FunctionFacts:
+    """Solve ``func``'s product facts the plain way (the reference)."""
+    cfg = build_cfg(func)
+    safe = trackable_names(func, syntax)
+    insts = [DOMAIN_REGISTRY[name](func, cfg, safe) for name in domains]
+
+    def transfer(block, states):
+        current = list(states)
+        for element in block.elements:
+            snapshot = {d.name: s for d, s in zip(insts, current)}
+            current = [d.transfer(element, s, snapshot) for d, s in zip(insts, current)]
+        return tuple(current)
+
+    def join(a, b):
+        return tuple(d.join(x, y) for d, x, y in zip(insts, a, b))
+
+    def widen(old, new):
+        return tuple(d.widen(x, y) for d, x, y in zip(insts, old, new))
+
+    def refine(block, pos, edge, states):
+        snapshot = {d.name: s for d, s in zip(insts, states)}
+        refined = []
+        for d, s in zip(insts, states):
+            outcome = d.refine_edge(block, pos, edge, s, snapshot)
+            if outcome is INFEASIBLE:
+                return INFEASIBLE
+            refined.append(outcome)
+        return tuple(refined)
+
+    entry = tuple(d.initial() for d in insts)
+    in_states = solve_forward(cfg, transfer, join, entry, edge_refine=refine, widen=widen)
+    _reference_narrow(cfg, insts, transfer, join, refine, in_states)
+    return _reference_record(cfg, domains, insts, transfer, in_states)
+
+
+def _reference_narrow(cfg, insts, transfer, join, refine, in_states) -> None:
+    preds = [[] for _ in cfg.blocks]
+    for block in cfg.blocks:
+        for pos, edge in enumerate(block.succs):
+            preds[edge.target].append((block.index, pos, edge))
+    for _ in range(NARROW_ROUNDS):
+        changed = False
+        for block in cfg.blocks:
+            index = block.index
+            if index == cfg.entry or in_states[index] is None:
+                continue
+            merged = None
+            for pred_index, pos, edge in preds[index]:
+                pred_state = in_states[pred_index]
+                if pred_state is None:
+                    continue
+                out_state = transfer(cfg.blocks[pred_index], pred_state)
+                refined = refine(cfg.blocks[pred_index], pos, edge, out_state)
+                if refined is INFEASIBLE:
+                    continue
+                merged = refined if merged is None else join(merged, refined)
+            if merged is None:
+                continue
+            narrowed = tuple(
+                d.narrow(old, new) for d, old, new in zip(insts, in_states[index], merged))
+            if narrowed != in_states[index]:
+                in_states[index] = narrowed
+                changed = True
+        if not changed:
+            break
+
+
+def _reference_record(cfg, domains, insts, transfer, in_states) -> FunctionFacts:
+    result = FunctionFacts(
+        function=cfg.function, domains=tuple(domains), block_count=len(cfg.blocks))
+    by_name = {d.name: i for i, d in enumerate(insts)}
+    const_slot = by_name.get("consts")
+    interval_slot = by_name.get("intervals")
+    octagon_slot = by_name.get("octagons")
+    infeasible, interval_pruned, octagon_pruned = set(), set(), set()
+    for block in cfg.blocks:
+        states = in_states[block.index]
+        if states is None:
+            continue
+        if const_slot is not None:
+            result.in_envs[block.index] = insts[const_slot].freeze(states[const_slot])
+        if interval_slot is not None:
+            frozen = insts[interval_slot].freeze(states[interval_slot])
+            if frozen:
+                result.interval_envs[block.index] = frozen
+        if octagon_slot is not None:
+            frozen = insts[octagon_slot].freeze(states[octagon_slot])
+            if frozen:
+                result.octagon_envs[block.index] = frozen
+        out_states = transfer(block, states)
+        snapshot = {d.name: s for d, s in zip(insts, out_states)}
+        for pos, edge in enumerate(block.succs):
+            pruned_by = None
+            oct_refined = None
+            for d, s in zip(insts, out_states):
+                outcome = d.refine_edge(block, pos, edge, s, snapshot)
+                if outcome is INFEASIBLE:
+                    pruned_by = d.name
+                    break
+                if d.name == "octagons":
+                    oct_refined = outcome
+            if pruned_by is not None:
+                infeasible.add((block.index, pos))
+                if pruned_by == "intervals":
+                    interval_pruned.add((block.index, pos))
+                elif pruned_by == "octagons":
+                    octagon_pruned.add((block.index, pos))
+                continue
+            if const_slot is not None:
+                facts = insts[const_slot].edge_facts(block, pos, edge, out_states[const_slot])
+                if facts and facts is not INFEASIBLE:
+                    result.edge_facts[(block.index, pos)] = facts
+            if octagon_slot is not None and oct_refined is not None:
+                out_env = out_states[octagon_slot]
+                delta = {key: bound for key, bound in oct_refined.items()
+                         if out_env.get(key) is None or bound < out_env[key]}
+                if delta:
+                    result.octagon_edge_facts[(block.index, pos)] = tuple(
+                        sorted((a, b, c) for (a, b), c in delta.items()))
+    result.infeasible = frozenset(infeasible)
+    result.interval_pruned = frozenset(interval_pruned)
+    result.octagon_pruned = frozenset(octagon_pruned)
+    return result
+
+
+class TestMatchesReference:
+    @pytest.mark.parametrize("domains", DOMAIN_SETS, ids="+".join)
+    @pytest.mark.parametrize("corpus", sorted(CORPORA))
+    def test_every_function_has_the_reference_facts(self, programs, corpus, domains):
+        program = programs[corpus]
+        functions = _branchy(program)
+        assert functions
+        for name, func in functions:
+            syntax = program.syntax(name)
+            solved = solve_function_facts(func, None, domains, syntax)
+            expected = reference_solve(func, domains, syntax)
+            assert solved == expected, name
+            # Equal dicts may still differ in order; persisted artifacts
+            # are compared byte for byte, so the order must hold too.
+            assert repr(solved) == repr(expected), name
+
+    def test_the_reference_prunes_and_relates(self, programs):
+        # The comparison is only as strong as what the corpora exercise:
+        # each component must prune or relate somewhere.
+        facts = [reference_solve(func, DEFAULT_DOMAINS, program.syntax(name))
+                 for program in programs.values() for name, func in _branchy(program)]
+        assert any(f.octagon_pruned for f in facts)
+        assert any(f.infeasible - f.interval_pruned - f.octagon_pruned for f in facts)
+        assert any(f.interval_pruned for f in facts)
+        assert any(f.octagon_envs for f in facts)
+        assert any(f.edge_facts for f in facts)
+        assert any(f.octagon_edge_facts for f in facts)
+
+    def test_one_const_solve_per_function(self, programs):
+        program = programs["seed"]
+        reset_const_solve_counts()
+        solve_program_facts(program)
+        assert CONST_SOLVE_COUNTS == Counter(name for name, _ in _branchy(program))
+
+
+# ---------------------------------------------------------------------------
+# The identity rule of AbstractDomain.transfer
+# ---------------------------------------------------------------------------
+
+def _identity_check(program) -> tuple[int, list[tuple[str, str, str]]]:
+    """Step every registered domain through every reachable block from its
+    solved input state.  Returns how many elements :func:`moves_state`
+    rejected, and ``(function, domain, element kind)`` wherever one of them
+    changed a domain's state."""
+    names = tuple(DOMAIN_REGISTRY)
+    checked = 0
+    violations = []
+    for fname, func in _branchy(program):
+        captured = {}
+        record = domains_module._record
+
+        def capture(cfg, domains, insts, transfer, edge_outcome, in_states):
+            captured.update(insts=insts, in_states=list(in_states))
+            return record(cfg, domains, insts, transfer, edge_outcome, in_states)
+
+        cfg = build_cfg(func)
+        safe = trackable_names(func, program.syntax(fname))
+        domains_module._record = capture
+        try:
+            solve_function_facts(func, cfg, names, program.syntax(fname))
+        finally:
+            domains_module._record = record
+        insts = captured["insts"]
+        for block in cfg.blocks:
+            current = captured["in_states"][block.index]
+            if current is None:
+                continue
+            for element in block.elements:
+                snapshot = {d.name: s for d, s in zip(insts, current)}
+                after = tuple(d.transfer(element, s, snapshot) for d, s in zip(insts, current))
+                if not moves_state(element, safe):
+                    checked += 1
+                    violations.extend(
+                        (fname, d.name, element.kind)
+                        for d, before, now in zip(insts, current, after) if now != before)
+                current = after
+    return checked, violations
+
+
+class _CallSeen:
+    """A domain that breaks the identity rule: a call moves its state."""
+
+    name = "call_seen"
+
+    def __init__(self, func, cfg, safe):
+        pass
+
+    def bottom(self):
+        return None
+
+    def initial(self):
+        return False
+
+    def transfer(self, element, state, product):
+        return state or isinstance(element.expr, ast.Call)
+
+    def join(self, a, b):
+        return a or b
+
+    widen = join
+
+    def narrow(self, old, new):
+        return old
+
+    def refine_edge(self, block, pos, edge, state, product):
+        return state
+
+    def freeze(self, state):
+        return state
+
+
+class TestIdentityRule:
+    @pytest.mark.parametrize("corpus", ["seed", "shapes"])
+    def test_every_registered_domain_keeps_skipped_elements_fixed(self, programs, corpus):
+        checked, violations = _identity_check(programs[corpus])
+        assert checked > 10  # the rule is exercised, not vacuous
+        assert violations == []
+
+    def test_a_domain_breaking_the_rule_is_caught(self, programs, monkeypatch):
+        monkeypatch.setitem(DOMAIN_REGISTRY, "call_seen", _CallSeen)
+        _, violations = _identity_check(programs["seed"])
+        assert violations
+        assert {domain for _, domain, _ in violations} == {"call_seen"}
+
+
+# ---------------------------------------------------------------------------
+# Deterministic work counts: evaluations of the transfer per solve
+# ---------------------------------------------------------------------------
+
+def _counting(cls, counts: Counter):
+    """``cls`` with its ``transfer`` and ``refine_edge`` calls counted."""
+
+    class Counting(cls):
+        def transfer(self, element, state, product):
+            counts[self.name, "transfer"] += 1
+            return super().transfer(element, state, product)
+
+        def refine_edge(self, block, pos, edge, state, product):
+            counts[self.name, "refine_edge"] += 1
+            return super().refine_edge(block, pos, edge, state, product)
+
+    return Counting
+
+
+@pytest.fixture
+def work(monkeypatch):
+    """Swap counting subclasses into the registry; count per domain."""
+    counts: Counter = Counter()
+    for key, cls in list(DOMAIN_REGISTRY.items()):
+        monkeypatch.setitem(DOMAIN_REGISTRY, key, _counting(cls, counts))
+    return counts
+
+
+class TestWorkCounts:
+    def test_seed_corpus_transfers_and_refinements(self, programs, work):
+        solve_program_facts(programs["seed"])
+        for name in DEFAULT_DOMAINS:
+            # Without skipping and memoization: 4,635 transfers per domain.
+            assert work[name, "transfer"] <= 1_100, name
+            # Without the edge memo: about 3,573 (consts), 3,543 (intervals)
+            # and 3,503 (octagons) refinements.
+            assert work[name, "refine_edge"] <= 1_900, name
+        first = Counter(work)
+        work.clear()
+        solve_program_facts(programs["seed"])
+        assert work == first  # counts repeat exactly
+
+    def test_effect_free_branches_transfer_nothing(self, work):
+        program = parse_corpus((CorpusFile("pick.c", """
+        int f(int x);
+        int g(int x);
+        void pick(int x) { if (x > 0) f(x); else g(x); }
+        """),))
+        facts = solve_function_facts(program.functions["pick"])
+        assert facts.reachable
+        assert all(work[name, "transfer"] == 0 for name in DEFAULT_DOMAINS)
+        assert all(work[name, "refine_edge"] > 0 for name in DEFAULT_DOMAINS)
+
+    def test_each_condition_is_walked_once_per_solve(self, programs, monkeypatch):
+        walks: Counter = Counter()
+        walker = cfg_module.expr_has_side_effects
+
+        def counting(expr):
+            walks[id(expr)] += 1
+            return walker(expr)
+
+        monkeypatch.setattr(cfg_module, "expr_has_side_effects", counting)
+        for module in (consts_module, intervals_module, octagons_module):
+            monkeypatch.setattr(module, "_has_side_effects", counting)
+        program = programs["seed"]
+        conditions = 0
+        for name, func in _branchy(program):
+            cfg = build_cfg(func)
+            walks.clear()
+            solve_function_facts(func, cfg, DEFAULT_DOMAINS, program.syntax(name))
+            for block in cfg.blocks:
+                element = block.condition_element()
+                if element is not None and element.expr is not None:
+                    conditions += 1
+                    assert walks[id(element.expr)] <= 1, name
+        assert conditions > 200

@@ -1309,6 +1309,50 @@ class TestFailingPass:
             server.server_close()
             service.stop()
 
+    def test_vanished_corpus_file_answers_500_until_restored(self, tmp_path):
+        export_corpus(tmp_path, CHAIN_FILES)
+        service = AnalysisService(corpus_dir=tmp_path)
+        server, request = _serve(service)
+        try:
+            service.reconcile()
+            revision = service.snapshot.revision
+            status, before = request("/findings")
+            assert status == 200
+            # The manifest still lists mid.c, so reading the corpus fails.
+            (tmp_path / "mid.c").unlink()
+
+            status, payload = request("/analyze", method="POST")
+            assert status == 500
+            assert payload["status"] == "failed"
+            assert payload["error"]["type"] == "FileNotFoundError"
+            assert "mid.c" in payload["error"]["message"]
+
+            status, stats = request("/stats")
+            assert (status, stats["status"], stats["failed_passes"]) == (
+                200, "degraded", 1)
+            assert stats["revision"] == revision
+            assert stats["last_error"]["type"] == "FileNotFoundError"
+            status, health = request("/health")
+            assert (status, health["status"]) == (200, "degraded")
+            assert health["last_error"] == stats["last_error"]
+            status, served = request("/findings")
+            assert status == 200
+            assert served == before
+
+            (tmp_path / "mid.c").write_text(CHAIN_MID)
+            status, payload = request("/analyze", method="POST")
+            assert (status, payload["status"]) == (200, "ok")
+            status, served = request("/findings")
+            assert served["revision"] > revision
+            assert served["findings"] == _cold_findings(CHAIN_FILES)
+            status, health = request("/health")
+            assert (status, health["status"]) == (200, "ok")
+            assert request("/stats")[1]["failed_passes"] == 1
+        finally:
+            server.shutdown()
+            server.server_close()
+            service.stop()
+
     def test_failing_initial_pass_reports_failed_health(self, monkeypatch):
         service = AnalysisService(files=CHAIN_FILES)
         server, request = _serve(service)
