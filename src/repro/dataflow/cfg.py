@@ -101,6 +101,24 @@ class BasicBlock:
             return self.elements[-1]
         return None
 
+    def branch(self, edge: Edge) -> "tuple[Element, Optional[bool]] | None":
+        """The condition ``edge`` leaves this block on, and the truth it takes.
+
+        ``None`` when the block has no condition, or when the condition
+        assigns or increments: the tested value and the value after the
+        condition ran can differ (``if (x++)``), so no edge fact is sound.
+        The truth is ``None`` on an edge without a ``"true"``/``"false"``
+        label (``switch`` dispatch).
+        """
+        element = self.condition_element()
+        if element is None or element.expr is None or element.has_side_effects:
+            return None
+        return element, _EDGE_TRUTH.get(edge.label)
+
+
+#: The truth a labelled branch edge takes.
+_EDGE_TRUTH = {"true": True, "false": False}
+
 
 @dataclass
 class CFG:

@@ -19,6 +19,12 @@ preprocessor folds object-like macros before parsing, so a folded name
 arrives here as the literal it expands to, and locals *initialized from*
 folded names (``int want = -EINVAL;``) are carried by the environment.
 
+The transfer itself lives in :class:`repro.dataflow.domains.ProductWalk`:
+one walk of C evaluation order per CFG element for the whole product,
+which calls :class:`ConstDomain`'s ``assign`` and ``step`` hooks at each
+write of a trackable name.  This module keeps those atomic effects and the
+folding they use.
+
 On top of the per-block solve, CFG **edges** are refined:
 
 * the branch edges of ``if``/``while``/``do``/``for`` conditions gain
@@ -30,6 +36,8 @@ On top of the per-block solve, CFG **edges** are refined:
   edge of ``switch (1)``) is marked **infeasible**: the solver never
   propagates state across it, so the dead arm stays at ⊥ and its effects
   never reach the merge.
+Every branch refinement reads a condition through
+:func:`branch_literals` and :func:`comparison`.
 
 Client lattices (lockcheck's multiset, blockstop's disable depth, errcheck's
 pending obligations, the summary sweep) consume the result as a *reduced
@@ -49,11 +57,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 from ..minic import ast_nodes as ast
 from ..minic.syntax import FunctionSyntax, index_function
-from ..minic.visitor import iter_child_nodes
 from .cfg import CFG, BasicBlock, Edge
 from .cfg import expr_has_side_effects as _has_side_effects
 from .solver import INFEASIBLE
@@ -201,7 +208,7 @@ def _fold_binary(op: str, left: int, right: int) -> Optional[int]:
 
 
 # ---------------------------------------------------------------------------
-# Trackable names and the environment transfer
+# Trackable names
 # ---------------------------------------------------------------------------
 
 
@@ -241,67 +248,6 @@ def trackable_names(func: ast.FuncDef, syntax: Optional[FunctionSyntax] = None) 
     return frozenset(names - escaped)
 
 
-def transfer_expr(env: ConstEnv, expr: Optional[ast.Expr], safe: frozenset[str]) -> ConstEnv:
-    """Apply the assignment effects of ``expr`` to ``env`` (copy-on-write).
-
-    Only assignments and ``++``/``--`` on trackable names move the
-    environment; calls and pointer stores cannot touch trackable storage, so
-    they are no-ops by construction.  The recursion follows C evaluation
-    order, and — crucially for soundness — an assignment that only *may*
-    execute (the right operand of ``&&``/``||`` with an unknown left, either
-    arm of a ternary with an unknown condition) is joined with the
-    not-executed environment rather than applied unconditionally.
-    """
-    if expr is None:
-        return env
-    if isinstance(expr, ast.Assign):
-        env = transfer_expr(env, expr.value, safe)
-        if not isinstance(expr.target, ast.Ident):
-            return transfer_expr(env, expr.target, safe)
-        name = expr.target.name
-        if name not in safe:
-            return env
-        if expr.op == "=":
-            value = eval_const(expr.value, env)
-        else:
-            current = env.get(name)
-            rhs = eval_const(expr.value, env)
-            if current is None or rhs is None:
-                value = None
-            else:
-                value = _fold_binary(expr.op.rstrip("="), current, rhs)
-        return _bind(env, name, value)
-    if isinstance(expr, (ast.Postfix, ast.Unary)) and expr.op in ("++", "--"):
-        if isinstance(expr.operand, ast.Ident):
-            name = expr.operand.name
-            if name not in safe:
-                return env
-            current = env.get(name)
-            delta = 1 if expr.op == "++" else -1
-            return _bind(env, name, None if current is None else current + delta)
-        return transfer_expr(env, expr.operand, safe)
-    if isinstance(expr, ast.Binary) and expr.op in ("&&", "||"):
-        env = transfer_expr(env, expr.left, safe)
-        left = eval_const(expr.left, env)
-        if left is not None:
-            runs = (left != 0) if expr.op == "&&" else (left == 0)
-            return transfer_expr(env, expr.right, safe) if runs else env
-        return join_envs(env, transfer_expr(env, expr.right, safe))
-    if isinstance(expr, ast.Conditional):
-        env = transfer_expr(env, expr.cond, safe)
-        cond = eval_const(expr.cond, env)
-        if cond is not None:
-            taken = expr.then if cond else expr.otherwise
-            return transfer_expr(env, taken, safe)
-        then_env = transfer_expr(env, expr.then, safe)
-        else_env = transfer_expr(env, expr.otherwise, safe)
-        return join_envs(then_env, else_env)
-    for child in iter_child_nodes(expr):
-        if isinstance(child, ast.Expr):
-            env = transfer_expr(env, child, safe)
-    return env
-
-
 def _bind(env: ConstEnv, name: str, value: Optional[int]) -> ConstEnv:
     out = dict(env)
     if value is None:
@@ -309,20 +255,6 @@ def _bind(env: ConstEnv, name: str, value: Optional[int]) -> ConstEnv:
     else:
         out[name] = value
     return out
-
-
-def _transfer_element(env: ConstEnv, element, safe: frozenset[str]) -> ConstEnv:
-    env = transfer_expr(env, element.expr, safe)
-    decl = element.decl
-    if (
-        decl is not None
-        and decl.name in safe
-        and decl.init is not None
-        and not decl.init.is_list
-        and decl.init.expr is element.expr
-    ):
-        env = _bind(env, decl.name, eval_const(element.expr, env))
-    return env
 
 
 # ---------------------------------------------------------------------------
@@ -356,53 +288,72 @@ def _condition_facts(
     if value is not None and bool(value) != branch_true:
         return INFEASIBLE
     facts: dict[str, int] = {}
-    _truth_bindings(cond, branch_true, env, safe, facts)
+    for literal, truth in branch_literals(cond, branch_true):
+        if isinstance(literal, ast.Ident):
+            # ``if (x)``: the false edge knows x == 0 (true only bounds away
+            # from zero, which the lattice cannot represent).
+            if not truth and literal.name in safe:
+                facts[literal.name] = 0
+            continue
+        # Equality against a foldable value: the agreeing edge binds.
+        normalized = comparison(literal, truth)
+        if normalized is None or normalized[0] != "==":
+            continue
+        _, left, right = normalized
+        for ident_side, const_side in ((left, right), (right, left)):
+            target = _peel_casts(ident_side)
+            if isinstance(target, ast.Ident) and target.name in safe:
+                folded = eval_const(const_side, env)
+                if folded is not None:
+                    facts[target.name] = folded
     return tuple(sorted(facts.items()))
 
 
-def _truth_bindings(
-    cond: ast.Expr,
-    branch_true: bool,
-    env: Mapping[str, int],
-    safe: frozenset[str],
-    facts: dict[str, int],
-) -> None:
-    if isinstance(cond, ast.Cast):
-        _truth_bindings(cond.operand, branch_true, env, safe, facts)
-        return
-    if isinstance(cond, ast.Comma) and cond.exprs:
-        # The truth of a comma chain is the truth of its last expression
-        # (earlier positions cannot write trackable names here: conditions
-        # with assignments or increments never reach the binding pass).
-        _truth_bindings(cond.exprs[-1], branch_true, env, safe, facts)
-        return
-    if isinstance(cond, ast.Unary) and cond.op == "!":
-        _truth_bindings(cond.operand, not branch_true, env, safe, facts)
-        return
-    if isinstance(cond, ast.Ident):
-        # ``if (x)``: the false edge knows x == 0 (true only bounds away
-        # from zero, which the lattice cannot represent).
-        if not branch_true and cond.name in safe:
-            facts[cond.name] = 0
-        return
-    if isinstance(cond, ast.Binary):
-        if cond.op == "&&" and branch_true:
-            _truth_bindings(cond.left, True, env, safe, facts)
-            _truth_bindings(cond.right, True, env, safe, facts)
-            return
-        if cond.op == "||" and not branch_true:
-            _truth_bindings(cond.left, False, env, safe, facts)
-            _truth_bindings(cond.right, False, env, safe, facts)
-            return
-        # Equality against a foldable value: the agreeing edge binds.
-        if (cond.op == "==" and branch_true) or (cond.op == "!=" and not branch_true):
-            for ident_side, const_side in ((cond.left, cond.right), (cond.right, cond.left)):
-                target = _peel_casts(ident_side)
-                if isinstance(target, ast.Ident) and target.name in safe:
-                    value = eval_const(const_side, env)
-                    if value is not None:
-                        facts[target.name] = value
-        return
+#: Each comparison operator and the one that holds on its false edge.
+_NEGATED = {"<": ">=", "<=": ">", ">": "<=", ">=": "<", "==": "!=", "!=": "=="}
+
+
+def branch_literals(cond: ast.Expr, truth: bool) -> Iterator[tuple[ast.Expr, bool]]:
+    """The ``(literal, truth)`` pairs the ``truth`` edge of ``cond`` asserts.
+
+    Casts are peeled, a comma chain asserts its last operand (its earlier
+    operands write nothing: conditions with side effects never reach a
+    refinement), ``!`` flips the truth, and ``&&`` on the true edge or
+    ``||`` on the false edge asserts both operands, left first.  Every
+    branch refinement (the three domains and the Deputy region cache) reads
+    its facts from these literals; each keeps only how it reads one.
+    """
+    while True:
+        if isinstance(cond, ast.Cast):
+            cond = cond.operand
+        elif isinstance(cond, ast.Comma) and cond.exprs:
+            cond = cond.exprs[-1]
+        elif isinstance(cond, ast.Unary) and cond.op == "!":
+            cond, truth = cond.operand, not truth
+        else:
+            break
+    if isinstance(cond, ast.Binary) and cond.op == ("&&" if truth else "||"):
+        yield from branch_literals(cond.left, truth)
+        yield from branch_literals(cond.right, truth)
+    else:
+        yield cond, truth
+
+
+def comparison(literal: ast.Expr, truth: bool) -> "tuple[str, ast.Expr, ast.Expr] | None":
+    """``(op, left, right)`` for a comparison literal asserted with ``truth``.
+
+    ``op`` is one of ``<``, ``<=``, ``==`` and ``!=``: the false edge negates
+    the operator, and ``>``/``>=`` become ``<``/``<=`` with the operands
+    swapped.  ``None`` when ``literal`` is not a comparison.
+    """
+    if not isinstance(literal, ast.Binary) or literal.op not in _NEGATED:
+        return None
+    op = literal.op if truth else _NEGATED[literal.op]
+    if op == ">":
+        return "<", literal.right, literal.left
+    if op == ">=":
+        return "<=", literal.right, literal.left
+    return op, literal.left, literal.right
 
 
 def _peel_casts(expr: ast.Expr) -> ast.Expr:
@@ -411,55 +362,34 @@ def _peel_casts(expr: ast.Expr) -> ast.Expr:
     return expr
 
 
-def _switch_edge_case(
-    stmt: ast.Switch, pos: int, edge: Edge
-) -> "tuple[bool, Optional[ast.Expr]] | None":
-    """Map the ``pos``-th successor of a switch block to its case.
-
-    Returns ``(is_default, case_value_expr)``; ``None`` when the edge is not
-    a dispatch edge.  The CFG builder appends one edge per case in source
-    order, then a synthesized default edge when the switch has none.
-    """
-    if edge.label not in ("case", "default"):
-        return None
-    if pos < len(stmt.cases):
-        case = stmt.cases[pos]
-        return (case.value is None, case.value)
-    return (True, None)  # synthesized default edge
-
-
 def _refine_edge(
     block: BasicBlock, pos: int, edge: Edge, env: ConstEnv, safe: frozenset[str]
 ) -> "EdgeFacts | object":
-    """Facts (or INFEASIBLE) for one outgoing edge given the block's out-env.
-
-    A condition with side effects contributes nothing (see
-    :func:`condition_facts`); the element's cached flag answers that without
-    walking the condition again.
-    """
-    element = block.condition_element()
-    if element is None or element.expr is None or element.has_side_effects:
+    """Facts (or INFEASIBLE) for one outgoing edge given the block's out-env."""
+    branch = block.branch(edge)
+    if branch is None:
         return ()
-    cond = element.expr
-    stmt = element.stmt
-    if isinstance(stmt, ast.Switch):
-        return _refine_switch_edge(stmt, pos, edge, cond, env, safe)
-    if edge.label == "true":
-        return _condition_facts(cond, True, env, safe)
-    if edge.label == "false":
-        return _condition_facts(cond, False, env, safe)
-    return ()
+    element, truth = branch
+    if isinstance(element.stmt, ast.Switch):
+        return _refine_switch_edge(element.stmt, pos, edge, element.expr, env, safe)
+    if truth is None:
+        return ()
+    return _condition_facts(element.expr, truth, env, safe)
 
 
 def _refine_switch_edge(
     stmt: ast.Switch, pos: int, edge: Edge, scrutinee: ast.Expr, env: ConstEnv, safe: frozenset[str]
 ) -> "EdgeFacts | object":
-    mapped = _switch_edge_case(stmt, pos, edge)
-    if mapped is None:
+    """Facts (or INFEASIBLE) for the ``pos``-th dispatch edge of a switch.
+
+    The CFG builder appends one edge per case in source order, then a
+    synthesized default edge when the switch has none.
+    """
+    if edge.label not in ("case", "default"):
         return ()
-    is_default, case_value = mapped
+    case_value = stmt.cases[pos].value if pos < len(stmt.cases) else None
     value = eval_const(scrutinee, env)
-    if is_default:
+    if case_value is None:  # a default edge, written or synthesized
         if value is not None:
             # The default edge is dead when some (foldable) case matches.
             for case in stmt.cases:
@@ -524,12 +454,12 @@ class ConstDomain:
     """Constant propagation as an :class:`~repro.dataflow.domains.AbstractDomain`.
 
     The port of this module onto the pluggable-domain protocol: everything
-    above (folding, the evaluation-order-sound transfer, branch refinement,
-    switch dispatch) is reused verbatim; this class only adapts the
-    signatures.  The lattice is finite-height per function, so ``widen`` is
-    plain join and ``narrow`` keeps the fixpoint it already reached.  The
-    constant component never reads the product snapshot — it is the *base*
-    of the reduction, every other domain folds through it.
+    above (folding, branch refinement, switch dispatch) is reused verbatim;
+    ``assign`` folds a right-hand side and ``step`` moves a known value.
+    The lattice is finite-height per function, so ``widen`` is plain join
+    and ``narrow`` keeps the fixpoint it already reached.  The constant
+    component never reads ``product`` — it is the *base* of the reduction,
+    every other domain folds through it.
     """
 
     name = "consts"
@@ -543,8 +473,16 @@ class ConstDomain:
     def initial(self) -> ConstEnv:
         return {}
 
-    def transfer(self, element, state: ConstEnv, product) -> ConstEnv:
-        return _transfer_element(state, element, self.safe)
+    def assign(self, state: ConstEnv, name: str, op: str, value: ast.Expr, product) -> ConstEnv:
+        folded = eval_const(value, state)
+        if op != "=" and folded is not None:
+            current = state.get(name)
+            folded = None if current is None else _fold_binary(op.rstrip("="), current, folded)
+        return _bind(state, name, folded)
+
+    def step(self, state: ConstEnv, name: str, delta: int, product) -> ConstEnv:
+        current = state.get(name)
+        return _bind(state, name, None if current is None else current + delta)
 
     def join(self, a: ConstEnv, b: ConstEnv) -> ConstEnv:
         return join_envs(a, b)

@@ -8,18 +8,23 @@ every checker, the summaries, both artifact layers and the Deputy
 optimizer.  This module is the API seam that makes domains *pluggable*:
 
 * :class:`AbstractDomain` — the protocol a domain implements
-  (``bottom``/``initial``/``transfer``/``join``/``widen``/``narrow``/
-  ``refine_edge``/``freeze``).  A domain transfers **per CFG element** and
-  receives a *product snapshot* — the other domains' states before the
-  element — so components can reduce each other (intervals fold through the
-  constant environment) without a hand-written product transfer per pair.
+  (``bottom``/``initial``/``assign``/``step``/``join``/``widen``/``narrow``/
+  ``refine_edge``/``freeze``).  A domain supplies only its *atomic effects*:
+  what one write of a trackable name does to its state.  Each hook receives
+  the *product* — every domain's state at that point of the element — so
+  components can reduce each other (intervals fold through the constant
+  environment) without a hand-written product transfer per pair.
+* :class:`ProductWalk` — the product's transfer: one walk of C evaluation
+  order per CFG element that calls every domain's hook at each effect.  The
+  Deputy region cache runs the same walk over its constants and ranges, so
+  the solve and Deputy share one evaluation-order rule.
 * :func:`solve_function_facts` — the generic reduced-product fixpoint:
   one :func:`repro.dataflow.solver.solve_forward` run over tuple states,
   widening per domain once a block's input churns, a bounded narrowing
   sweep to claw back over-widened bounds, then a recording pass that
   freezes per-domain environments and attributes each infeasible edge to
   the *first* domain (in registry order) that proves it dead.  A block
-  transfer steps only the elements that can move a state
+  transfer walks only the elements that can move a state
   (:func:`moves_state`), and the three phases share one block transfer per
   distinct input tuple and one edge refinement per distinct out-state
   tuple.
@@ -44,15 +49,17 @@ misinterpreting them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Mapping, Optional, Protocol
+from typing import TYPE_CHECKING, Any, Mapping, Optional, Protocol, Sequence
 
 from ..minic import ast_nodes as ast
 from ..minic.syntax import FunctionSyntax, index_function
+from ..minic.visitor import iter_child_nodes
 from .cfg import CFG, BasicBlock, Edge, Element, build_cfg
 from .consts import (
     CONST_SOLVE_COUNTS,
     ConstDomain,
     FunctionConsts,
+    eval_const,
     refined_edges,
     trackable_names,
 )
@@ -68,6 +75,7 @@ __all__ = [
     "DEFAULT_DOMAINS",
     "DOMAIN_REGISTRY",
     "FunctionFacts",
+    "ProductWalk",
     "domain_fingerprint",
     "facts_of",
     "moves_state",
@@ -84,6 +92,12 @@ class AbstractDomain(Protocol):
     ``Domain(func, cfg, safe)`` where ``safe`` is the function's trackable
     name set.  States are opaque to the product solver; ``None`` (⊥) never
     reaches a domain — the solver holds bottom itself.
+
+    A domain has no transfer of its own: :class:`ProductWalk` steps each
+    element and calls ``assign`` or ``step`` at each write of a trackable
+    name.  An element :func:`moves_state` rejects writes none, so the walk
+    calls no hook for it and returns its input states: skipping such
+    elements is exact for every domain by construction.
     """
 
     name: str
@@ -94,15 +108,20 @@ class AbstractDomain(Protocol):
         """The state at function entry."""
         ...
 
-    def transfer(self, element, state: Any, product: Mapping[str, Any]) -> Any:
-        """The state after one CFG element; ``product`` maps domain name to
-        that domain's state *before* the element (the reduction input).
+    def assign(
+        self, state: Any, name: str, op: str, value: ast.Expr, product: Mapping[str, Any]
+    ) -> Any:
+        """The state after ``name op value`` on a trackable ``name``.
 
-        Identity rule: for an element that has no assignment and no
-        increment or decrement, and that initializes no trackable declared
-        name (one :func:`moves_state` rejects), the result must equal
-        ``state``.  The product solve skips such elements.
+        ``op`` is the assignment operator (``=``, ``+=``, ...); a trackable
+        declaration's initializer arrives as ``=``.  ``product`` maps each
+        domain name to its state just before this effect (the reduction
+        input).
         """
+        ...
+
+    def step(self, state: Any, name: str, delta: int, product: Mapping[str, Any]) -> Any:
+        """The state after ``++`` (``delta`` 1) or ``--`` (-1) on ``name``."""
         ...
 
     def join(self, a: Any, b: Any) -> Any: ...
@@ -140,12 +159,98 @@ NARROW_ROUNDS = 2
 
 
 def moves_state(element: Element, safe: frozenset[str]) -> bool:
-    """Whether ``element`` may move a state under the identity rule.
+    """Whether ``element`` may move a state.
 
     Only an assignment, an increment or decrement, or a declaration binding
-    a trackable (``safe``) name can; see :meth:`AbstractDomain.transfer`.
+    a trackable (``safe``) name can; :class:`ProductWalk` returns its input
+    states for every other element.
     """
     return element.has_side_effects or (element.decl is not None and element.decl.name in safe)
+
+
+class ProductWalk:
+    """The product transfer: one walk of C evaluation order per CFG element.
+
+    At each assignment, ``++``/``--`` or declaration that writes a trackable
+    (``safe``) name, every domain's ``assign`` or ``step`` hook runs with the
+    product's states as they stand at that point.  An operand that only may
+    run (the right side of ``&&``/``||``, the arms of ``?:``) is folded
+    under the current constants; when the fold is undecided, each domain
+    joins the state where it ran with the state where it did not.  States
+    are tuples in ``domains`` order; an expression that writes no trackable
+    name calls no hook and returns its input tuple itself.
+    """
+
+    def __init__(self, domains: Sequence[AbstractDomain], safe: frozenset[str]) -> None:
+        self.domains = tuple(domains)
+        self.names = tuple(d.name for d in self.domains)
+        self.safe = safe
+        self.const_slot = self.names.index("consts") if "consts" in self.names else None
+
+    def element(self, element: Element, states: tuple) -> tuple:
+        """The states after one CFG element."""
+        states = self.expr(element.expr, states)
+        decl = element.decl
+        if decl is not None and decl.name in self.safe and decl.init.expr is element.expr:
+            states = self._assign(states, decl.name, "=", element.expr)
+        return states
+
+    def expr(self, expr: Optional[ast.Expr], states: tuple) -> tuple:
+        """The states after evaluating ``expr``."""
+        if expr is None:
+            return states
+        if isinstance(expr, ast.Assign):
+            states = self.expr(expr.value, states)
+            target = expr.target
+            if not isinstance(target, ast.Ident):
+                return self.expr(target, states)
+            if target.name not in self.safe:
+                return states
+            return self._assign(states, target.name, expr.op, expr.value)
+        if isinstance(expr, (ast.Postfix, ast.Unary)) and expr.op in ("++", "--"):
+            operand = expr.operand
+            if not isinstance(operand, ast.Ident):
+                return self.expr(operand, states)
+            if operand.name not in self.safe:
+                return states
+            return self._step(states, operand.name, 1 if expr.op == "++" else -1)
+        if isinstance(expr, ast.Binary) and expr.op in ("&&", "||"):
+            states = self.expr(expr.left, states)
+            ran = self.expr(expr.right, states)
+            if ran is states:
+                return states
+            left = self._fold(expr.left, states)
+            if left is None:
+                return self._join(ran, states)
+            return ran if (left != 0) == (expr.op == "&&") else states
+        if isinstance(expr, ast.Conditional):
+            states = self.expr(expr.cond, states)
+            then = self.expr(expr.then, states)
+            otherwise = self.expr(expr.otherwise, states)
+            if then is otherwise:
+                return then  # neither arm writes a trackable name
+            cond = self._fold(expr.cond, states)
+            if cond is None:
+                return self._join(then, otherwise)
+            return then if cond else otherwise
+        for child in iter_child_nodes(expr):
+            if isinstance(child, ast.Expr):
+                states = self.expr(child, states)
+        return states
+
+    def _assign(self, states: tuple, name: str, op: str, value: ast.Expr) -> tuple:
+        product = dict(zip(self.names, states))
+        return tuple(d.assign(s, name, op, value, product) for d, s in zip(self.domains, states))
+
+    def _step(self, states: tuple, name: str, delta: int) -> tuple:
+        product = dict(zip(self.names, states))
+        return tuple(d.step(s, name, delta, product) for d, s in zip(self.domains, states))
+
+    def _fold(self, expr: ast.Expr, states: tuple) -> Optional[int]:
+        return eval_const(expr, states[self.const_slot] if self.const_slot is not None else {})
+
+    def _join(self, a: tuple, b: tuple) -> tuple:
+        return tuple(d.join(x, y) for d, x, y in zip(self.domains, a, b))
 
 
 def domain_fingerprint(domains: tuple[str, ...] = DEFAULT_DOMAINS) -> str:
@@ -180,9 +285,7 @@ class FunctionFacts(FunctionConsts):
     #: Per feasible edge: the relational constraints the branch adds beyond
     #: the source block's out-state (the ``cfg --format json`` dump reads
     #: this; empty deltas are absent).
-    octagon_edge_facts: dict[tuple[int, int], FrozenOctEnv] = field(
-        default_factory=dict
-    )
+    octagon_edge_facts: dict[tuple[int, int], FrozenOctEnv] = field(default_factory=dict)
 
 
 def solve_function_facts(
@@ -193,8 +296,8 @@ def solve_function_facts(
 ) -> FunctionFacts:
     """Run the reduced product of ``domains`` to fixpoint over one function.
 
-    One generic solve: tuple states, per-element product snapshots, widening
-    once a block's input has churned past the solver's delay, then
+    One generic solve: tuple states stepped by one :class:`ProductWalk`,
+    widening once a block's input has churned past the solver's delay, then
     :data:`NARROW_ROUNDS` of decreasing iteration, then the recording pass.
     Counts against ``CONST_SOLVE_COUNTS`` — the facts solve *is* the consts
     solve, grown a component — so the incremental-invalidation tests keep
@@ -204,13 +307,14 @@ def solve_function_facts(
     transfer is kept with the input tuple it was computed from, and an
     edge's refinement with the out-state tuple it refined; a call with that
     very tuple (compared by identity, as states are unhashable dicts) reuses
-    the result.  A block transfer steps only the elements
+    the result.  A block transfer walks only the elements
     :func:`moves_state` admits, so a block without one returns its input.
     """
     CONST_SOLVE_COUNTS[func.name] += 1
     cfg = cfg or build_cfg(func)
     safe = trackable_names(func, syntax)
     insts = [DOMAIN_REGISTRY[name](func, cfg, safe) for name in domains]
+    walk = ProductWalk(insts, safe)
     effects = [[e for e in block.elements if moves_state(e, safe)] for block in cfg.blocks]
     # Per block: (input tuple, output tuple) of its last transfer.
     block_memo: list[Optional[tuple]] = [None] * len(cfg.blocks)
@@ -223,8 +327,7 @@ def solve_function_facts(
             return memo[1]
         current = states
         for element in effects[block.index]:
-            snapshot = {d.name: s for d, s in zip(insts, current)}
-            current = tuple(d.transfer(element, s, snapshot) for d, s in zip(insts, current))
+            current = walk.element(element, current)
         block_memo[block.index] = (states, current)
         return current
 

@@ -36,12 +36,7 @@ from __future__ import annotations
 from typing import Mapping, Optional
 
 from ..minic import ast_nodes as ast
-from ..minic.visitor import iter_child_nodes
-from .consts import (
-    _has_side_effects,
-    _peel_casts,
-    eval_const,
-)
+from .consts import _has_side_effects, _peel_casts, branch_literals, comparison, eval_const
 from .solver import INFEASIBLE
 
 #: An interval: (lo, hi); ``None`` bounds are −∞ / +∞.  ⊤ is (None, None),
@@ -299,85 +294,6 @@ def eval_interval(
 
 
 # ---------------------------------------------------------------------------
-# The transfer function (assignment effects)
-# ---------------------------------------------------------------------------
-
-
-def _bind_interval(env: IntervalEnv, name: str, value: Interval) -> IntervalEnv:
-    out = dict(env)
-    if is_top(value):
-        out.pop(name, None)
-    else:
-        out[name] = value
-    return out
-
-
-def transfer_interval_expr(
-    env: IntervalEnv,
-    expr: Optional[ast.Expr],
-    safe: frozenset[str],
-    consts: Mapping[str, int],
-) -> IntervalEnv:
-    """Apply the assignment effects of ``expr`` to ``env`` (copy-on-write).
-
-    Mirrors :func:`repro.dataflow.consts.transfer_expr` structurally —
-    including the evaluation-order soundness rule that an assignment under
-    an undecided ``&&``/``||`` or ternary only *may* execute and therefore
-    joins with the not-executed environment.  ``consts`` is the constant
-    environment *before* ``expr`` (the reduction input for folding).
-    """
-    if expr is None:
-        return env
-    if isinstance(expr, ast.Assign):
-        env = transfer_interval_expr(env, expr.value, safe, consts)
-        if not isinstance(expr.target, ast.Ident):
-            return transfer_interval_expr(env, expr.target, safe, consts)
-        name = expr.target.name
-        if name not in safe:
-            return env
-        if expr.op == "=":
-            value = eval_interval(expr.value, env, consts)
-        elif expr.op in ("+=", "-="):
-            current = env.get(name, TOP)
-            rhs = eval_interval(expr.value, env, consts)
-            value = _add(current, rhs) if expr.op == "+=" else _sub(current, rhs)
-        else:
-            value = TOP
-        return _bind_interval(env, name, value)
-    if isinstance(expr, (ast.Postfix, ast.Unary)) and expr.op in ("++", "--"):
-        if isinstance(expr.operand, ast.Ident):
-            name = expr.operand.name
-            if name not in safe:
-                return env
-            delta: Interval = (1, 1) if expr.op == "++" else (-1, -1)
-            return _bind_interval(env, name, _add(env.get(name, TOP), delta))
-        return transfer_interval_expr(env, expr.operand, safe, consts)
-    if isinstance(expr, ast.Binary) and expr.op in ("&&", "||"):
-        env = transfer_interval_expr(env, expr.left, safe, consts)
-        left = eval_const(expr.left, consts)
-        if left is not None:
-            runs = (left != 0) if expr.op == "&&" else (left == 0)
-            if runs:
-                return transfer_interval_expr(env, expr.right, safe, consts)
-            return env
-        taken = transfer_interval_expr(env, expr.right, safe, consts)
-        return join_interval_envs(env, taken)
-    if isinstance(expr, ast.Conditional):
-        env = transfer_interval_expr(env, expr.cond, safe, consts)
-        cond = eval_const(expr.cond, consts)
-        if cond is not None:
-            taken = expr.then if cond else expr.otherwise
-            return transfer_interval_expr(env, taken, safe, consts)
-        then_env = transfer_interval_expr(env, expr.then, safe, consts)
-        else_env = transfer_interval_expr(env, expr.otherwise, safe, consts)
-        return join_interval_envs(then_env, else_env)
-    for child in iter_child_nodes(expr):
-        if isinstance(child, ast.Expr):
-            env = transfer_interval_expr(env, child, safe, consts)
-    return env
-
-
-# ---------------------------------------------------------------------------
 # Branch-edge refinement
 # ---------------------------------------------------------------------------
 
@@ -414,8 +330,9 @@ def _interval_condition_facts(
     if truth is not None and truth != branch_true:
         return INFEASIBLE
     facts: dict[str, Interval] = {}
-    if _interval_bindings(cond, branch_true, env, consts, safe, facts):
-        return INFEASIBLE
+    for literal, holds in branch_literals(cond, branch_true):
+        if _interval_literal(literal, holds, env, consts, safe, facts):
+            return INFEASIBLE
     return facts
 
 
@@ -442,51 +359,32 @@ def _refine_name(
     return False
 
 
-def _interval_bindings(
-    cond: ast.Expr,
-    branch_true: bool,
+def _interval_literal(
+    literal: ast.Expr,
+    truth: bool,
     env: Mapping[str, Interval],
     consts: Mapping[str, int],
     safe: frozenset[str],
     facts: dict[str, Interval],
 ) -> bool:
-    """Collect refinements into ``facts``; True means infeasible."""
-    cond = _peel_casts(cond)
-    if isinstance(cond, ast.Comma) and cond.exprs:
-        return _interval_bindings(cond.exprs[-1], branch_true, env, consts, safe, facts)
-    if isinstance(cond, ast.Unary) and cond.op == "!":
-        return _interval_bindings(cond.operand, not branch_true, env, consts, safe, facts)
-    if isinstance(cond, ast.Ident):
-        if not branch_true and cond.name in safe:
-            return _refine_name(cond.name, (0, 0), env, consts, facts)
+    """Meet ``facts`` with one branch literal; True means infeasible."""
+    if isinstance(literal, ast.Ident):
+        if not truth and literal.name in safe:
+            return _refine_name(literal.name, (0, 0), env, consts, facts)
         return False
-    if not isinstance(cond, ast.Binary):
-        return False
-    if (cond.op == "&&" and branch_true) or (cond.op == "||" and not branch_true):
-        if _interval_bindings(cond.left, branch_true, env, consts, safe, facts):
-            return True
-        return _interval_bindings(cond.right, branch_true, env, consts, safe, facts)
-    op = cond.op
-    if op not in ("<", "<=", ">", ">=", "==", "!="):
-        return False
-    if not branch_true:
-        negated = {"<": ">=", "<=": ">", ">": "<=", ">=": "<", "==": "!=", "!=": "=="}
-        op = negated[op]
-    left, right = _peel_casts(cond.left), _peel_casts(cond.right)
+    normalized = comparison(literal, truth)
+    if normalized is None or normalized[0] == "!=":
+        return False  # "anything but one value" is not convex
+    op, left, right = normalized
+    left, right = _peel_casts(left), _peel_casts(right)
     left_iv = eval_interval(left, env, consts)
     right_iv = eval_interval(right, env, consts)
-    if op == "!=":
-        return False  # "anything but one value" is not convex
     if op == "==":
         for target, other in ((left, right_iv), (right, left_iv)):
             if isinstance(target, ast.Ident) and target.name in safe:
                 if _refine_name(target.name, other, env, consts, facts):
                     return True
         return False
-    if op in (">", ">="):
-        left, right = right, left
-        left_iv, right_iv = right_iv, left_iv
-        op = "<" if op == ">" else "<="
     # Now  left OP right  with OP in {<, <=}.
     strict = 1 if op == "<" else 0
     if isinstance(left, ast.Ident) and left.name in safe:
@@ -505,12 +403,21 @@ def _interval_bindings(
 # ---------------------------------------------------------------------------
 
 
+def _bind_interval(env: IntervalEnv, name: str, value: Interval) -> IntervalEnv:
+    out = dict(env)
+    if is_top(value):
+        out.pop(name, None)
+    else:
+        out[name] = value
+    return out
+
+
 class IntervalDomain:
     """The interval component of the reduced product (``name = "intervals"``).
 
     Implements the :class:`repro.dataflow.domains.AbstractDomain` protocol.
-    The product snapshot handed to :meth:`transfer` / :meth:`refine_edge`
-    carries the constant component's environment, which every fold consults
+    The ``product`` handed to each hook carries the constant component's
+    environment as it stands at that point, which every fold consults
     first — the reduction that makes ``i = CONST + 1`` a singleton interval
     even when the interval env never tracked the operands.
     """
@@ -529,19 +436,22 @@ class IntervalDomain:
     def _consts(self, product: Mapping[str, object]) -> Mapping[str, int]:
         return product.get("consts") or {}
 
-    def transfer(self, element, state: IntervalEnv, product) -> IntervalEnv:
+    def assign(
+        self, state: IntervalEnv, name: str, op: str, value: ast.Expr, product
+    ) -> IntervalEnv:
         consts = self._consts(product)
-        env = transfer_interval_expr(state, element.expr, self.safe, consts)
-        decl = element.decl
-        if (
-            decl is not None
-            and decl.name in self.safe
-            and decl.init is not None
-            and not decl.init.is_list
-            and decl.init.expr is element.expr
-        ):
-            env = _bind_interval(env, decl.name, eval_interval(element.expr, env, consts))
-        return env
+        if op == "=":
+            bound = eval_interval(value, state, consts)
+        elif op in ("+=", "-="):
+            current = state.get(name, TOP)
+            rhs = eval_interval(value, state, consts)
+            bound = _add(current, rhs) if op == "+=" else _sub(current, rhs)
+        else:
+            bound = TOP
+        return _bind_interval(state, name, bound)
+
+    def step(self, state: IntervalEnv, name: str, delta: int, product) -> IntervalEnv:
+        return _bind_interval(state, name, _add(state.get(name, TOP), (delta, delta)))
 
     def join(self, a: IntervalEnv, b: IntervalEnv) -> IntervalEnv:
         return join_interval_envs(a, b)
@@ -553,17 +463,12 @@ class IntervalDomain:
         return narrow_interval_envs(old, new)
 
     def refine_edge(self, block, pos: int, edge, state: IntervalEnv, product):
-        element = block.condition_element()
-        if element is None or element.expr is None or element.has_side_effects:
-            return state
-        if edge.label == "true":
-            branch_true = True
-        elif edge.label == "false":
-            branch_true = False
-        else:
+        branch = block.branch(edge)
+        if branch is None or branch[1] is None:
             return state  # switch dispatch stays the constant component's job
+        element, truth = branch
         facts = _interval_condition_facts(
-            element.expr, branch_true, state, self._consts(product), self.safe
+            element.expr, truth, state, self._consts(product), self.safe
         )
         if facts is INFEASIBLE:
             return INFEASIBLE

@@ -14,8 +14,8 @@ stored under a canonical key (a constraint and its mirrored coherent twin
 ``val(bar b) - val(bar a) <= c`` are the same fact).  The environment maps
 canonical keys to the tightest known bound; absence means +∞, the whole-env
 ⊥ is the solver's ``None``.  Unary bounds (``x <= c``) are deliberately
-*not* stored — the interval component already tracks them, and the product
-snapshot hands each side the other's state, so the split costs no
+*not* stored — the interval component already tracks them, and each
+domain's hooks see the other components' states, so the split costs no
 precision a client actually queries.
 
 Closure is shortest-path tightening (Floyd–Warshall over the signed
@@ -46,8 +46,7 @@ from __future__ import annotations
 from typing import Mapping, Optional
 
 from ..minic import ast_nodes as ast
-from ..minic.visitor import iter_child_nodes
-from .consts import _has_side_effects, _peel_casts, eval_const
+from .consts import _has_side_effects, _peel_casts, branch_literals, comparison, eval_const
 from .solver import INFEASIBLE
 
 #: A signed variable: ``(name, sign)`` with value ``sign * name``.
@@ -99,16 +98,14 @@ def oct_tighten(env: OctEnv, a: SVar, b: SVar, c: int) -> None:
         env[key] = c
 
 
-def add_octagon_constraint(env: OctEnv, sx: int, x: str, sy: int, y: str,
-                           c: int) -> None:
+def add_octagon_constraint(env: OctEnv, sx: int, x: str, sy: int, y: str, c: int) -> None:
     """Record ``sx*x + sy*y <= c``; same-variable (unary) shapes are skipped."""
     if x == y:
         return  # 0 <= c or 2x <= c: trivial or the interval component's job
     oct_tighten(env, (x, sx), (y, -sy), c)
 
 
-def entails_octagon(env: Mapping[OctKey, int], sx: int, x: str,
-                    sy: int, y: str, c: int) -> bool:
+def entails_octagon(env: Mapping[OctKey, int], sx: int, x: str, sy: int, y: str, c: int) -> bool:
     """Whether a (closed) environment entails ``sx*x + sy*y <= c``."""
     if x == y:
         return False
@@ -220,8 +217,7 @@ def forget_octagon(env: OctEnv, name: str) -> OctEnv:
     """Drop every constraint mentioning ``name`` (the variable was written)."""
     if not env:
         return env
-    return {key: c for key, c in env.items()
-            if key[0][0] != name and key[1][0] != name}
+    return {key: c for key, c in env.items() if key[0][0] != name and key[1][0] != name}
 
 
 def shift_octagon(env: OctEnv, name: str, delta: int) -> OctEnv:
@@ -253,12 +249,13 @@ def assign_octagon(env: OctEnv, x: str, sign: int, y: str, offset: int) -> OctEn
 
 
 # ---------------------------------------------------------------------------
-# Linear-form extraction and the transfer function
+# Linear-form extraction and the assignment effect
 # ---------------------------------------------------------------------------
 
 
-def linear_of(expr: Optional[ast.Expr], consts: Mapping[str, int],
-              safe: frozenset[str]) -> Optional[tuple[int, str, int]]:
+def linear_of(
+    expr: Optional[ast.Expr], consts: Mapping[str, int], safe: frozenset[str]
+) -> Optional[tuple[int, str, int]]:
     """Decompose ``expr`` as ``sign*name + offset`` over a trackable name.
 
     Returns ``(sign, name, offset)`` or ``None`` when the expression is not
@@ -300,10 +297,11 @@ def linear_of(expr: Optional[ast.Expr], consts: Mapping[str, int],
     return None
 
 
-def _bind_octagon(env: OctEnv, name: str, value: Optional[ast.Expr],
-                  safe: frozenset[str], consts: Mapping[str, int]) -> OctEnv:
+def _bind_octagon(
+    env: OctEnv, name: str, value: ast.Expr, safe: frozenset[str], consts: Mapping[str, int]
+) -> OctEnv:
     """The effect of ``name = value`` on the relational state."""
-    lin = linear_of(value, consts, safe) if value is not None else None
+    lin = linear_of(value, consts, safe)
     if lin is None:
         return forget_octagon(env, name)
     sign, source, offset = lin
@@ -314,108 +312,30 @@ def _bind_octagon(env: OctEnv, name: str, value: Optional[ast.Expr],
     return assign_octagon(env, name, sign, source, offset)
 
 
-def transfer_octagon_expr(env: OctEnv, expr: Optional[ast.Expr],
-                          safe: frozenset[str],
-                          consts: Mapping[str, int]) -> OctEnv:
-    """Apply the assignment effects of ``expr`` to ``env`` (copy-on-write).
-
-    Mirrors the constant/interval transfers structurally, including the
-    evaluation-order soundness rule: an assignment under an undecided
-    ``&&``/``||`` or ternary only *may* execute, so its outcome joins with
-    the not-executed environment.  Writes through memory and calls touch
-    nothing here — octagon variables are callee-immune by construction.
-    """
-    if expr is None:
-        return env
-    if isinstance(expr, ast.Assign):
-        env = transfer_octagon_expr(env, expr.value, safe, consts)
-        if not isinstance(expr.target, ast.Ident):
-            return transfer_octagon_expr(env, expr.target, safe, consts)
-        name = expr.target.name
-        if name not in safe:
-            return env
-        if expr.op == "=":
-            return _bind_octagon(env, name, expr.value, safe, consts)
-        if expr.op in ("+=", "-="):
-            delta = eval_const(expr.value, consts)
-            if delta is not None:
-                return shift_octagon(env, name,
-                                     delta if expr.op == "+=" else -delta)
-        return forget_octagon(env, name)
-    if isinstance(expr, (ast.Postfix, ast.Unary)) and expr.op in ("++", "--"):
-        if isinstance(expr.operand, ast.Ident):
-            name = expr.operand.name
-            if name not in safe:
-                return env
-            return shift_octagon(env, name, 1 if expr.op == "++" else -1)
-        return transfer_octagon_expr(env, expr.operand, safe, consts)
-    if isinstance(expr, ast.Binary) and expr.op in ("&&", "||"):
-        env = transfer_octagon_expr(env, expr.left, safe, consts)
-        left = eval_const(expr.left, consts)
-        if left is not None:
-            runs = (left != 0) if expr.op == "&&" else (left == 0)
-            if runs:
-                return transfer_octagon_expr(env, expr.right, safe, consts)
-            return env
-        taken = transfer_octagon_expr(env, expr.right, safe, consts)
-        return join_octagon_envs(env, taken)
-    if isinstance(expr, ast.Conditional):
-        env = transfer_octagon_expr(env, expr.cond, safe, consts)
-        cond = eval_const(expr.cond, consts)
-        if cond is not None:
-            taken = expr.then if cond else expr.otherwise
-            return transfer_octagon_expr(env, taken, safe, consts)
-        then_env = transfer_octagon_expr(env, expr.then, safe, consts)
-        else_env = transfer_octagon_expr(env, expr.otherwise, safe, consts)
-        return join_octagon_envs(then_env, else_env)
-    for child in iter_child_nodes(expr):
-        if isinstance(child, ast.Expr):
-            env = transfer_octagon_expr(env, child, safe, consts)
-    return env
-
-
 # ---------------------------------------------------------------------------
 # Branch-edge refinement
 # ---------------------------------------------------------------------------
 
-_NEGATED = {"<": ">=", "<=": ">", ">": "<=", ">=": "<", "==": "!=", "!=": "=="}
 
-
-def _comparison_constraints(cond: ast.Expr, branch_true: bool,
-                            env: Mapping[OctKey, int],
-                            consts: Mapping[str, int],
-                            safe: frozenset[str],
-                            pending: OctEnv) -> bool:
-    """Collect the constraints ``cond`` establishes; True means infeasible."""
-    cond = _peel_casts(cond)
-    if isinstance(cond, ast.Comma) and cond.exprs:
-        return _comparison_constraints(cond.exprs[-1], branch_true, env,
-                                       consts, safe, pending)
-    if isinstance(cond, ast.Unary) and cond.op == "!":
-        return _comparison_constraints(cond.operand, not branch_true, env,
-                                       consts, safe, pending)
-    if not isinstance(cond, ast.Binary):
+def _octagon_literal(
+    literal: ast.Expr,
+    truth: bool,
+    env: Mapping[OctKey, int],
+    consts: Mapping[str, int],
+    safe: frozenset[str],
+    pending: OctEnv,
+) -> bool:
+    """Collect the constraints one branch literal adds; True means infeasible."""
+    normalized = comparison(literal, truth)
+    if normalized is None:
         return False
-    if (cond.op == "&&" and branch_true) or (cond.op == "||" and not branch_true):
-        if _comparison_constraints(cond.left, branch_true, env, consts, safe,
-                                   pending):
-            return True
-        return _comparison_constraints(cond.right, branch_true, env, consts,
-                                       safe, pending)
-    op = cond.op
-    if op not in _NEGATED:
-        return False
-    if not branch_true:
-        op = _NEGATED[op]
-    left = linear_of(cond.left, consts, safe)
-    right = linear_of(cond.right, consts, safe)
+    op, left, right = normalized
+    left = linear_of(left, consts, safe)
+    right = linear_of(right, consts, safe)
     if left is None or right is None:
         return False
     s1, x, o1 = left
     s2, y, o2 = right
-    if op in (">", ">="):
-        op = "<" if op == ">" else "<="
-        (s1, x, o1), (s2, y, o2) = (s2, y, o2), (s1, x, o1)
     if op in ("<", "<="):
         strict = 1 if op == "<" else 0
         c = o2 - o1 - strict
@@ -433,14 +353,18 @@ def _comparison_constraints(cond: ast.Expr, branch_true: bool,
     # that entails the denied equality makes this edge dead.
     if x == y and s1 == s2:
         return o1 == o2
-    return (entails_octagon(env, s1, x, -s2, y, o2 - o1)
-            and entails_octagon(env, -s1, x, s2, y, o1 - o2))
+    if not entails_octagon(env, s1, x, -s2, y, o2 - o1):
+        return False
+    return entails_octagon(env, -s1, x, s2, y, o1 - o2)
 
 
-def octagon_condition_facts(cond: ast.Expr, branch_true: bool,
-                            env: Mapping[OctKey, int],
-                            consts: Mapping[str, int],
-                            safe: frozenset[str]) -> "OctEnv | object":
+def octagon_condition_facts(
+    cond: ast.Expr,
+    branch_true: bool,
+    env: Mapping[OctKey, int],
+    consts: Mapping[str, int],
+    safe: frozenset[str],
+) -> "OctEnv | object":
     """The refined (closed) environment ``branch_true`` of ``cond`` yields.
 
     Returns the input ``env`` unchanged when the condition contributes
@@ -463,8 +387,9 @@ def _octagon_condition_facts(
 ) -> "OctEnv | object":
     """:func:`octagon_condition_facts` for a condition without side effects."""
     pending: OctEnv = {}
-    if _comparison_constraints(cond, branch_true, env, consts, safe, pending):
-        return INFEASIBLE
+    for literal, truth in branch_literals(cond, branch_true):
+        if _octagon_literal(literal, truth, env, consts, safe, pending):
+            return INFEASIBLE
     if not pending:
         return env
     merged = dict(env)
@@ -487,10 +412,11 @@ class OctagonDomain:
     """The relational component of the reduced product (``name = "octagons"``).
 
     Implements the :class:`repro.dataflow.domains.AbstractDomain` protocol.
-    The product snapshot carries the constant component's environment, used
-    to fold offsets (``limit = n - K`` with ``K`` a known constant) and to
-    drop names the constant lattice already pins to a point — a singleton
-    needs no relational row, and excluding it keeps closure matrices small.
+    The ``product`` handed to each hook carries the constant component's
+    environment as it stands at that point, used to fold offsets
+    (``limit = n - K`` with ``K`` a known constant) and to drop names the
+    constant lattice already pins to a point — a singleton needs no
+    relational row, and excluding it keeps closure matrices small.
     """
 
     name = "octagons"
@@ -507,19 +433,18 @@ class OctagonDomain:
     def _consts(self, product: Mapping[str, object]) -> Mapping[str, int]:
         return product.get("consts") or {}
 
-    def transfer(self, element, state: OctEnv, product) -> OctEnv:
+    def assign(self, state: OctEnv, name: str, op: str, value: ast.Expr, product) -> OctEnv:
         consts = self._consts(product)
-        env = transfer_octagon_expr(state, element.expr, self.safe, consts)
-        decl = element.decl
-        if (
-            decl is not None
-            and decl.name in self.safe
-            and decl.init is not None
-            and not decl.init.is_list
-            and decl.init.expr is element.expr
-        ):
-            env = _bind_octagon(env, decl.name, element.expr, self.safe, consts)
-        return env
+        if op == "=":
+            return _bind_octagon(state, name, value, self.safe, consts)
+        if op in ("+=", "-="):
+            delta = eval_const(value, consts)
+            if delta is not None:
+                return shift_octagon(state, name, delta if op == "+=" else -delta)
+        return forget_octagon(state, name)
+
+    def step(self, state: OctEnv, name: str, delta: int, product) -> OctEnv:
+        return shift_octagon(state, name, delta)
 
     def join(self, a: OctEnv, b: OctEnv) -> OctEnv:
         return join_octagon_envs(a, b)
@@ -531,21 +456,13 @@ class OctagonDomain:
         return narrow_octagon_envs(old, new)
 
     def refine_edge(self, block, pos: int, edge, state: OctEnv, product):
-        element = block.condition_element()
-        if element is None or element.expr is None or element.has_side_effects:
-            return state
-        if edge.label == "true":
-            branch_true = True
-        elif edge.label == "false":
-            branch_true = False
-        else:
+        branch = block.branch(edge)
+        if branch is None or branch[1] is None:
             return state  # switch dispatch stays the constant component's job
-        facts = _octagon_condition_facts(
-            element.expr, branch_true, state, self._consts(product), self.safe
+        element, truth = branch
+        return _octagon_condition_facts(
+            element.expr, truth, state, self._consts(product), self.safe
         )
-        if facts is INFEASIBLE:
-            return INFEASIBLE
-        return facts
 
     def freeze(self, state: OctEnv) -> FrozenOctEnv:
         closed = close_octagon(state)

@@ -28,16 +28,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..dataflow.consts import (
+    ConstDomain,
     _has_side_effects,
+    branch_literals,
+    comparison,
     condition_facts,
     eval_const,
-    transfer_expr,
 )
+from ..dataflow.domains import ProductWalk
 from ..dataflow.intervals import (
+    IntervalDomain,
     eval_interval,
     interval_condition_facts,
     join_interval,
-    transfer_interval_expr,
 )
 from ..dataflow.octagons import (
     add_octagon_constraint,
@@ -250,29 +253,28 @@ class CheckCache:
         return eval_const(expr, self.consts)
 
     def note_effects(self, expr: ast.Expr) -> None:
-        """Learn/kill constant bindings from the assignments in ``expr``.
+        """Learn/kill constant and range bindings from the assignments in ``expr``.
 
-        Delegates to the dataflow layer's evaluation-order transfer
-        (:func:`repro.dataflow.consts.transfer_expr`) — one shared
-        semantics for both the CFG solve and this structural walk, including
-        the soundness-critical rule that an assignment under ``&&``/``||``
-        or a ternary arm only *may* execute and therefore joins instead of
-        binding.
+        Runs the CFG solve's transfer (:class:`repro.dataflow.domains.ProductWalk`)
+        over this region's ``(consts, ranges)`` pair — one evaluation-order
+        rule for both the solve and this structural walk.  Each assignment
+        sees both components as they stand at that point of ``expr``
+        (``i = i + 1`` reads the right-hand ``i`` before the write), and an
+        assignment under ``&&``/``||`` or a ternary arm only *may* execute,
+        so it joins instead of binding unless the current constants decide
+        the operand.
 
-        The interval transfer runs first, under the *pre*-update constant
-        bindings: ``i = i + 1`` must evaluate the right-hand ``i`` in the
-        state before the assignment, not after.  Relational learning also
-        runs under the pre-update constants: certain (not may-execute)
-        ``m = n``-shaped assignments bind an equality between atoms —
-        relations on the written names were already dropped by the caller's
-        invalidation pass, so learning never relates a value to itself.
+        Relational learning runs first, under the pre-update constants:
+        certain (not may-execute) ``m = n``-shaped assignments bind an
+        equality between atoms — relations on the written names were
+        already dropped by the caller's invalidation pass, so learning
+        never relates a value to itself.
         """
-        safe = self.safe_names or frozenset()
-        pre_consts = self.consts
         self._note_relations(expr)
-        self.ranges = dict(
-            transfer_interval_expr(self.ranges, expr, safe, pre_consts))
-        self.consts = dict(transfer_expr(pre_consts, expr, safe))
+        safe = self.safe_names or frozenset()
+        walk = ProductWalk((ConstDomain(None, None, safe), IntervalDomain(None, None, safe)), safe)
+        consts, ranges = walk.expr(expr, (self.consts, self.ranges))
+        self.consts, self.ranges = dict(consts), dict(ranges)
 
     def bind_decl(self, name: str, init: ast.Expr | None) -> None:
         """A declaration bound ``name``: learn its folded initializer.
@@ -460,7 +462,26 @@ class CheckCache:
         become directly queryable.
         """
         pending: list[tuple[int, str, int, str, int]] = []
-        self._comparison_atoms(cond, branch_true, pending)
+        for literal, truth in branch_literals(cond, branch_true):
+            normalized = comparison(literal, truth)
+            if normalized is None or normalized[0] == "!=":
+                continue
+            op, left, right = normalized
+            left = self._atom_of(left)
+            right = self._atom_of(right)
+            if left is None or right is None:
+                continue
+            (a1, o1, core1), (a2, o2, core2) = left, right
+            if a1 == a2:
+                continue
+            self._note_atom(a1, core1)
+            self._note_atom(a2, core2)
+            if op == "==":
+                pending.append((1, a1, -1, a2, o2 - o1))
+                pending.append((-1, a1, 1, a2, o1 - o2))
+            else:
+                strict = 1 if op == "<" else 0
+                pending.append((1, a1, -1, a2, o2 - o1 - strict))
         if not pending:
             return
         for s1, a1, s2, a2, c in pending:
@@ -468,48 +489,6 @@ class CheckCache:
         closed = close_octagon(self.relations)
         if closed is not None:
             self.relations = closed
-
-    def _comparison_atoms(
-        self, cond: ast.Expr, branch_true: bool,
-        pending: list[tuple[int, str, int, str, int]],
-    ) -> None:
-        cond = _strip_wrappers(cond)
-        if isinstance(cond, ast.Unary) and cond.op == "!":
-            self._comparison_atoms(cond.operand, not branch_true, pending)
-            return
-        if not isinstance(cond, ast.Binary):
-            return
-        if cond.op == "&&" and branch_true:
-            self._comparison_atoms(cond.left, True, pending)
-            self._comparison_atoms(cond.right, True, pending)
-            return
-        if cond.op == "||" and not branch_true:
-            self._comparison_atoms(cond.left, False, pending)
-            self._comparison_atoms(cond.right, False, pending)
-            return
-        if cond.op not in _NEGATED_COMPARISON:
-            return
-        op = cond.op if branch_true else _NEGATED_COMPARISON[cond.op]
-        if op == "!=":
-            return
-        left = self._atom_of(cond.left)
-        right = self._atom_of(cond.right)
-        if left is None or right is None:
-            return
-        if op in (">", ">="):
-            op = "<" if op == ">" else "<="
-            left, right = right, left
-        (a1, o1, core1), (a2, o2, core2) = left, right
-        if a1 == a2:
-            return
-        self._note_atom(a1, core1)
-        self._note_atom(a2, core2)
-        if op == "==":
-            pending.append((1, a1, -1, a2, o2 - o1))
-            pending.append((-1, a1, 1, a2, o1 - o2))
-        else:
-            strict = 1 if op == "<" else 0
-            pending.append((1, a1, -1, a2, o2 - o1 - strict))
 
 
 def _strip_wrappers(expr: ast.Expr) -> ast.Expr:
@@ -528,10 +507,6 @@ def _strip_wrappers(expr: ast.Expr) -> ast.Expr:
             expr = expr.exprs[-1]
         else:
             return expr
-
-
-_NEGATED_COMPARISON = {"<": ">=", "<=": ">", ">": "<=", ">=": "<",
-                       "==": "!=", "!=": "=="}
 
 
 def _reads_heap(check: ast.Expr) -> bool:

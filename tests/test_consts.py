@@ -14,12 +14,12 @@ from repro.blockstop.checker import run_blockstop
 from repro.dataflow import build_cfg, solve_summaries
 from repro.dataflow.cfg import COND
 from repro.dataflow.consts import (
+    ConstDomain,
     FunctionConsts,
     eval_const,
     trackable_names,
-    transfer_expr,
 )
-from repro.dataflow.domains import solve_function_facts, solve_program_facts
+from repro.dataflow.domains import ProductWalk, solve_function_facts, solve_program_facts
 from repro.deputy.checker import ObligationKind, ObligationStatus, check_program
 from repro.engine.cli import main as cli_main
 from repro.engine.core import AnalysisEngine
@@ -110,6 +110,12 @@ void f(int a, int b) {
 """
 
 
+def walk_consts(env, expression, safe):
+    """``env`` after ``expression``: the product walk over constants alone."""
+    (after,) = ProductWalk((ConstDomain(None, None, safe),), safe).expr(expression, (env,))
+    return after
+
+
 class TestTrackableNames:
     def test_safe_names(self):
         program = parse(TRANSFER_SRC)
@@ -121,32 +127,32 @@ class TestTrackableNames:
 
     def test_transfer_binds_and_kills(self):
         safe = frozenset({"x", "y"})
-        env = transfer_expr({}, expr("x = 3"), safe)
+        env = walk_consts({}, expr("x = 3"), safe)
         assert env == {"x": 3}
-        env = transfer_expr(env, expr("y = x + 1"), safe)
+        env = walk_consts(env, expr("y = x + 1"), safe)
         assert env == {"x": 3, "y": 4}
-        env = transfer_expr(env, expr("x = f()"), safe)
+        env = walk_consts(env, expr("x = f()"), safe)
         assert env == {"y": 4}            # unknown value kills the binding
-        env = transfer_expr(env, expr("y += 2"), safe)
+        env = walk_consts(env, expr("y += 2"), safe)
         assert env == {"y": 6}
-        env = transfer_expr(env, expr("y++"), safe)
+        env = walk_consts(env, expr("y++"), safe)
         assert env == {"y": 7}
 
     def test_assignment_under_short_circuit_joins_not_binds(self):
         """An assignment that only *may* execute must not bind its value."""
         safe = frozenset({"k"})
-        assert transfer_expr({"k": 0}, expr("flag && (k = 1)"), safe) == {}
-        assert transfer_expr({"k": 0}, expr("flag || (k = 1)"), safe) == {}
+        assert walk_consts({"k": 0}, expr("flag && (k = 1)"), safe) == {}
+        assert walk_consts({"k": 0}, expr("flag || (k = 1)"), safe) == {}
         # A decided left operand settles whether the right side runs.
-        assert transfer_expr({"k": 0}, expr("0 && (k = 1)"), safe) == {"k": 0}
-        assert transfer_expr({"k": 0}, expr("1 && (k = 1)"), safe) == {"k": 1}
-        assert transfer_expr({"k": 0}, expr("1 || (k = 1)"), safe) == {"k": 0}
+        assert walk_consts({"k": 0}, expr("0 && (k = 1)"), safe) == {"k": 0}
+        assert walk_consts({"k": 0}, expr("1 && (k = 1)"), safe) == {"k": 1}
+        assert walk_consts({"k": 0}, expr("1 || (k = 1)"), safe) == {"k": 0}
 
     def test_assignment_in_ternary_arms_joins(self):
         safe = frozenset({"k"})
-        assert transfer_expr({}, expr("flag ? (k = 1) : (k = 2)"), safe) == {}
-        assert transfer_expr({}, expr("flag ? (k = 1) : (k = 1)"), safe) == {"k": 1}
-        assert transfer_expr({}, expr("1 ? (k = 1) : (k = 2)"), safe) == {"k": 1}
+        assert walk_consts({}, expr("flag ? (k = 1) : (k = 2)"), safe) == {}
+        assert walk_consts({}, expr("flag ? (k = 1) : (k = 1)"), safe) == {"k": 1}
+        assert walk_consts({}, expr("1 ? (k = 1) : (k = 2)"), safe) == {"k": 1}
 
     def test_shadowed_names_are_not_trackable(self):
         program = parse(

@@ -6,12 +6,13 @@ between the worklist solve, the narrowing rounds and the recording pass.
 These tests pin that down three ways:
 
 * against a test-local copy of the algorithm without those shortcuts (it
-  transfers every element, re-transfers in narrowing, and refines per
-  domain again while recording), every function's facts are equal, field by
+  walks every element, re-transfers in narrowing, and refines per domain
+  again while recording), every function's facts are equal, field by
   field, on the seed corpus, two synthetic corpora and a file of shapes they
   lack, under the full product and the two prefixes the benchmark solves;
-* every registered domain keeps the identity rule the skip relies on;
-* the work counts (transfers and edge refinements per domain, side-effect
+* the product walk returns its input states for every element the skip
+  leaves out;
+* the work counts (walk steps, edge refinements per domain, side-effect
   walks per condition) stay under bounds, and repeat exactly.
 """
 
@@ -37,6 +38,7 @@ from repro.dataflow.domains import (
     DOMAIN_REGISTRY,
     NARROW_ROUNDS,
     FunctionFacts,
+    ProductWalk,
     moves_state,
     solve_function_facts,
     solve_program_facts,
@@ -45,7 +47,6 @@ from repro.dataflow.solver import INFEASIBLE, solve_forward
 from repro.kernel.build import parse_corpus
 from repro.kernel.corpus import KERNEL_FILES, CorpusFile
 from repro.kernel.synth import generate_corpus
-from repro.minic import ast_nodes as ast
 
 #: The domain tuples every engine path and the benchmark's per-domain split
 #: solve: the full product and its two prefixes.
@@ -130,13 +131,12 @@ def reference_solve(func, domains, syntax) -> FunctionFacts:
     cfg = build_cfg(func)
     safe = trackable_names(func, syntax)
     insts = [DOMAIN_REGISTRY[name](func, cfg, safe) for name in domains]
+    walk = ProductWalk(insts, safe)
 
     def transfer(block, states):
-        current = list(states)
         for element in block.elements:
-            snapshot = {d.name: s for d, s in zip(insts, current)}
-            current = [d.transfer(element, s, snapshot) for d, s in zip(insts, current)]
-        return tuple(current)
+            states = walk.element(element, states)
+        return states
 
     def join(a, b):
         return tuple(d.join(x, y) for d, x, y in zip(insts, a, b))
@@ -286,14 +286,14 @@ class TestMatchesReference:
 
 
 # ---------------------------------------------------------------------------
-# The identity rule of AbstractDomain.transfer
+# The identity rule: the walk leaves effect-free elements alone
 # ---------------------------------------------------------------------------
 
-def _identity_check(program) -> tuple[int, list[tuple[str, str, str]]]:
-    """Step every registered domain through every reachable block from its
-    solved input state.  Returns how many elements :func:`moves_state`
-    rejected, and ``(function, domain, element kind)`` wherever one of them
-    changed a domain's state."""
+def _identity_check(program) -> tuple[int, list[tuple[str, str]]]:
+    """Walk every element of every reachable block, every registered domain
+    in the product, from the block's solved input states.  Returns how many
+    elements :func:`moves_state` rejected, and ``(function, element kind)``
+    wherever the walk returned anything but its input tuple for one."""
     names = tuple(DOMAIN_REGISTRY)
     checked = 0
     violations = []
@@ -312,53 +312,19 @@ def _identity_check(program) -> tuple[int, list[tuple[str, str, str]]]:
             solve_function_facts(func, cfg, names, program.syntax(fname))
         finally:
             domains_module._record = record
-        insts = captured["insts"]
+        walk = ProductWalk(captured["insts"], safe)
         for block in cfg.blocks:
             current = captured["in_states"][block.index]
             if current is None:
                 continue
             for element in block.elements:
-                snapshot = {d.name: s for d, s in zip(insts, current)}
-                after = tuple(d.transfer(element, s, snapshot) for d, s in zip(insts, current))
+                after = walk.element(element, current)
                 if not moves_state(element, safe):
                     checked += 1
-                    violations.extend(
-                        (fname, d.name, element.kind)
-                        for d, before, now in zip(insts, current, after) if now != before)
+                    if after is not current:
+                        violations.append((fname, element.kind))
                 current = after
     return checked, violations
-
-
-class _CallSeen:
-    """A domain that breaks the identity rule: a call moves its state."""
-
-    name = "call_seen"
-
-    def __init__(self, func, cfg, safe):
-        pass
-
-    def bottom(self):
-        return None
-
-    def initial(self):
-        return False
-
-    def transfer(self, element, state, product):
-        return state or isinstance(element.expr, ast.Call)
-
-    def join(self, a, b):
-        return a or b
-
-    widen = join
-
-    def narrow(self, old, new):
-        return old
-
-    def refine_edge(self, block, pos, edge, state, product):
-        return state
-
-    def freeze(self, state):
-        return state
 
 
 class TestIdentityRule:
@@ -368,25 +334,15 @@ class TestIdentityRule:
         assert checked > 10  # the rule is exercised, not vacuous
         assert violations == []
 
-    def test_a_domain_breaking_the_rule_is_caught(self, programs, monkeypatch):
-        monkeypatch.setitem(DOMAIN_REGISTRY, "call_seen", _CallSeen)
-        _, violations = _identity_check(programs["seed"])
-        assert violations
-        assert {domain for _, domain, _ in violations} == {"call_seen"}
-
 
 # ---------------------------------------------------------------------------
 # Deterministic work counts: evaluations of the transfer per solve
 # ---------------------------------------------------------------------------
 
 def _counting(cls, counts: Counter):
-    """``cls`` with its ``transfer`` and ``refine_edge`` calls counted."""
+    """``cls`` with its ``refine_edge`` calls counted."""
 
     class Counting(cls):
-        def transfer(self, element, state, product):
-            counts[self.name, "transfer"] += 1
-            return super().transfer(element, state, product)
-
         def refine_edge(self, block, pos, edge, state, product):
             counts[self.name, "refine_edge"] += 1
             return super().refine_edge(block, pos, edge, state, product)
@@ -396,19 +352,26 @@ def _counting(cls, counts: Counter):
 
 @pytest.fixture
 def work(monkeypatch):
-    """Swap counting subclasses into the registry; count per domain."""
+    """Count walk steps, and edge refinements per domain."""
     counts: Counter = Counter()
     for key, cls in list(DOMAIN_REGISTRY.items()):
         monkeypatch.setitem(DOMAIN_REGISTRY, key, _counting(cls, counts))
+    step = ProductWalk.element
+
+    def counting_step(self, element, states):
+        counts["walk"] += 1
+        return step(self, element, states)
+
+    monkeypatch.setattr(ProductWalk, "element", counting_step)
     return counts
 
 
 class TestWorkCounts:
     def test_seed_corpus_transfers_and_refinements(self, programs, work):
         solve_program_facts(programs["seed"])
+        # Without skipping and memoization: 4,635 walk steps.
+        assert work["walk"] <= 1_100
         for name in DEFAULT_DOMAINS:
-            # Without skipping and memoization: 4,635 transfers per domain.
-            assert work[name, "transfer"] <= 1_100, name
             # Without the edge memo: about 3,573 (consts), 3,543 (intervals)
             # and 3,503 (octagons) refinements.
             assert work[name, "refine_edge"] <= 1_900, name
@@ -425,7 +388,7 @@ class TestWorkCounts:
         """),))
         facts = solve_function_facts(program.functions["pick"])
         assert facts.reachable
-        assert all(work[name, "transfer"] == 0 for name in DEFAULT_DOMAINS)
+        assert work["walk"] == 0
         assert all(work[name, "refine_edge"] > 0 for name in DEFAULT_DOMAINS)
 
     def test_each_condition_is_walked_once_per_solve(self, programs, monkeypatch):
