@@ -136,7 +136,13 @@ class AbstractDomain(Protocol):
         ...
 
     def refine_edge(self, block, pos: int, edge, state: Any, product: Mapping[str, Any]) -> Any:
-        """Refined state for one outgoing edge, or :data:`INFEASIBLE`."""
+        """Refined state for one outgoing edge, or :data:`INFEASIBLE`.
+
+        An edge without a usable condition (``block.branch(edge)`` is
+        ``None``: the block has no condition, or its condition assigns or
+        increments) must return ``state`` itself; the solve relies on that
+        and skips the call on such an edge.
+        """
         ...
 
     def freeze(self, state: Any) -> Any:
@@ -308,7 +314,9 @@ def solve_function_facts(
     edge's refinement with the out-state tuple it refined; a call with that
     very tuple (compared by identity, as states are unhashable dicts) reuses
     the result.  A block transfer walks only the elements
-    :func:`moves_state` admits, so a block without one returns its input.
+    :func:`moves_state` admits, so a block without one returns its input,
+    and an edge without a usable condition keeps its out-state tuple, so no
+    domain is asked to refine it.
     """
     CONST_SOLVE_COUNTS[func.name] += 1
     cfg = cfg or build_cfg(func)
@@ -341,6 +349,11 @@ def solve_function_facts(
         """``(states, refined tuple or INFEASIBLE, refuting domain or None)``."""
         memo = edge_memo[block.index][pos]
         if memo is not None and memo[0] is states:
+            return memo
+        if block.branch(edge) is None:
+            # No usable condition: every domain keeps its state.
+            memo = (states, states, None)
+            edge_memo[block.index][pos] = memo
             return memo
         snapshot = {d.name: s for d, s in zip(insts, states)}
         refined = []

@@ -29,17 +29,17 @@ from dataclasses import dataclass, field
 
 from ..dataflow.consts import (
     ConstDomain,
+    _condition_facts,
     _has_side_effects,
     branch_literals,
     comparison,
-    condition_facts,
     eval_const,
 )
 from ..dataflow.domains import ProductWalk
 from ..dataflow.intervals import (
     IntervalDomain,
+    _interval_condition_facts,
     eval_interval,
-    interval_condition_facts,
     join_interval,
 )
 from ..dataflow.octagons import (
@@ -189,7 +189,9 @@ class CheckCache:
         With ``cond`` supplied the copy is branch-refined: the arm's cache
         learns the condition facts its edge establishes (``if (k == 2)``
         binds ``k = 2`` in the then-arm), mirroring the CFG layer's
-        edge refinement inside the instrumenter's structural walk.
+        edge refinement inside the instrumenter's structural walk.  A
+        condition that assigns or increments refines nothing, as on the CFG
+        edge; it is walked for side effects once, here.
         """
         clone = CheckCache(enabled=self.enabled, safe_names=self.safe_names)
         clone._seen = {k: set(v) for k, v in self._seen.items()}
@@ -198,17 +200,16 @@ class CheckCache:
         clone.ranges = dict(self.ranges)
         clone.relations = dict(self.relations)
         clone._rel_atoms = dict(self._rel_atoms)
-        if cond is not None:
+        if cond is not None and not _has_side_effects(cond):
             safe = self.safe_names or frozenset()
-            facts = condition_facts(cond, branch_true, clone.consts, safe)
+            facts = _condition_facts(cond, branch_true, clone.consts, safe)
             if facts is not INFEASIBLE:
                 clone.consts.update(facts)
-            interval_facts = interval_condition_facts(
+            interval_facts = _interval_condition_facts(
                 cond, branch_true, clone.ranges, clone.consts, safe)
             if interval_facts is not INFEASIBLE:
                 clone.ranges.update(interval_facts)
-            if not _has_side_effects(cond):
-                clone._record_relations(cond, branch_true)
+            clone._record_relations(cond, branch_true)
         return clone
 
     def joined(self, other: "CheckCache") -> "CheckCache":

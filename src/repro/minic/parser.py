@@ -19,6 +19,15 @@ Supported constructs (everything the mini-kernel corpus needs):
   compound assignment and the comma operator;
 * annotations after ``*`` (``int * count(n) buf``), after a declarator
   (``void schedule(void) blocking;``) and ``trusted { ... }`` blocks.
+
+Binary operators are parsed by precedence climbing (Pratt, *Top down
+operator precedence*, 1973) over one table, :data:`_BINARY_PRECEDENCE`,
+which maps each of the 18 operators to its level, ``||`` loosest (0) and
+``*``/``/``/``%`` tightest (9).  One call parses an operand and then every
+operator that binds at least as tightly as its caller allows, so an operand
+costs one call rather than one per level.  All binary operators are
+left-associative, and a :class:`~repro.minic.ast_nodes.Binary` node is
+located at the start of its leftmost operand.
 """
 
 from __future__ import annotations
@@ -60,8 +69,31 @@ _TYPE_SPECIFIER_KEYWORDS = frozenset({
 })
 _STORAGE_KEYWORDS = frozenset({"static", "extern", "typedef", "register", "auto"})
 _QUALIFIER_KEYWORDS = frozenset({"const", "volatile", "inline"})
+#: Keywords that begin a declaration, and those that begin a type name.
+_DECLARATION_KEYWORDS = _TYPE_SPECIFIER_KEYWORDS | _STORAGE_KEYWORDS | _QUALIFIER_KEYWORDS
+_TYPE_NAME_KEYWORDS = _TYPE_SPECIFIER_KEYWORDS | _QUALIFIER_KEYWORDS
 
 _ASSIGN_OPS = frozenset({"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="})
+
+#: Binary operator -> precedence level; a higher level binds tighter.
+_BINARY_PRECEDENCE: dict[str, int] = {
+    "||": 0,
+    "&&": 1,
+    "|": 2,
+    "^": 3,
+    "&": 4,
+    "==": 5, "!=": 5,
+    "<": 6, ">": 6, "<=": 6, ">=": 6,
+    "<<": 7, ">>": 7,
+    "+": 8, "-": 8,
+    "*": 9, "/": 9, "%": 9,
+}
+
+#: The token kinds the parser tests most, read once: reading an enum member
+#: through its class costs about ten times a module global.
+_PUNCT = TokenKind.PUNCT
+_KEYWORD = TokenKind.KEYWORD
+_IDENT = TokenKind.IDENT
 
 
 class Parser:
@@ -77,6 +109,9 @@ class Parser:
     # -- token helpers -----------------------------------------------------
 
     def _peek(self, offset: int = 0) -> Token:
+        # ``pos`` never passes the EOF token that ends the list.
+        if not offset:
+            return self.tokens[self.pos]
         index = min(self.pos + offset, len(self.tokens) - 1)
         return self.tokens[index]
 
@@ -87,13 +122,16 @@ class Parser:
         return token
 
     def _check_punct(self, *texts: str) -> bool:
-        return self._peek().is_punct(*texts)
+        token = self.tokens[self.pos]
+        return token.kind is _PUNCT and token.text in texts
 
     def _check_keyword(self, *names: str) -> bool:
-        return self._peek().is_keyword(*names)
+        token = self.tokens[self.pos]
+        return token.kind is _KEYWORD and token.text in names
 
     def _accept_punct(self, *texts: str) -> Optional[Token]:
-        if self._check_punct(*texts):
+        token = self.tokens[self.pos]
+        if token.kind is _PUNCT and token.text in texts:
             return self._advance()
         return None
 
@@ -116,12 +154,12 @@ class Parser:
 
     def _expect_ident(self) -> Token:
         token = self._peek()
-        if token.kind is not TokenKind.IDENT:
+        if token.kind is not _IDENT:
             raise ParseError(f"expected identifier, found {token.text!r}", token.location)
         return self._advance()
 
     def _loc(self) -> SourceLocation:
-        return self._peek().location
+        return self.tokens[self.pos].location
 
     def _at_eof(self) -> bool:
         return self._peek().kind is TokenKind.EOF
@@ -140,10 +178,9 @@ class Parser:
 
     def _starts_declaration(self) -> bool:
         token = self._peek()
-        if token.kind is TokenKind.KEYWORD:
-            return token.text in (_TYPE_SPECIFIER_KEYWORDS | _STORAGE_KEYWORDS
-                                  | _QUALIFIER_KEYWORDS)
-        if token.kind is TokenKind.IDENT:
+        if token.kind is _KEYWORD:
+            return token.text in _DECLARATION_KEYWORDS
+        if token.kind is _IDENT:
             return self.registry.is_typedef(token.text)
         return False
 
@@ -194,54 +231,56 @@ class Parser:
         loc = self._loc()
 
         while True:
-            token = self._peek()
-            if token.is_keyword(*_STORAGE_KEYWORDS):
-                self._advance()
-                if token.text in ("typedef", "static", "extern"):
-                    storage = token.text
-                continue
-            if token.is_keyword(*_QUALIFIER_KEYWORDS):
-                self._advance()
-                continue
-            if token.is_keyword("unsigned"):
-                self._advance()
-                saw_unsigned = True
-                continue
-            if token.is_keyword("signed"):
-                self._advance()
-                saw_signed = True
-                continue
-            if token.is_keyword("void"):
-                self._advance()
-                base_type = CVoid()
-                continue
-            if token.is_keyword("float"):
-                self._advance()
-                base_type = CFloat(double=False)
-                continue
-            if token.is_keyword("double"):
-                self._advance()
-                base_type = CFloat(double=True)
-                continue
-            if token.is_keyword("_Bool"):
-                self._advance()
-                base_type = CInt("bool", signed=False)
-                continue
-            if token.is_keyword("char", "short", "int", "long"):
-                self._advance()
-                int_words.append(token.text)
-                continue
-            if token.is_keyword("struct", "union"):
-                base_type = self._parse_struct_or_union()
-                continue
-            if token.is_keyword("enum"):
-                base_type = self._parse_enum()
-                continue
-            if (token.kind is TokenKind.IDENT and self.registry.is_typedef(token.text)
+            token = self.tokens[self.pos]
+            kind, text = token.kind, token.text
+            if kind is _KEYWORD:
+                if text in _STORAGE_KEYWORDS:
+                    self._advance()
+                    if text in ("typedef", "static", "extern"):
+                        storage = text
+                    continue
+                if text in _QUALIFIER_KEYWORDS:
+                    self._advance()
+                    continue
+                if text == "unsigned":
+                    self._advance()
+                    saw_unsigned = True
+                    continue
+                if text == "signed":
+                    self._advance()
+                    saw_signed = True
+                    continue
+                if text == "void":
+                    self._advance()
+                    base_type = CVoid()
+                    continue
+                if text == "float":
+                    self._advance()
+                    base_type = CFloat(double=False)
+                    continue
+                if text == "double":
+                    self._advance()
+                    base_type = CFloat(double=True)
+                    continue
+                if text == "_Bool":
+                    self._advance()
+                    base_type = CInt("bool", signed=False)
+                    continue
+                if text in ("char", "short", "int", "long"):
+                    self._advance()
+                    int_words.append(text)
+                    continue
+                if text in ("struct", "union"):
+                    base_type = self._parse_struct_or_union()
+                    continue
+                if text == "enum":
+                    base_type = self._parse_enum()
+                    continue
+            elif (kind is _IDENT and self.registry.is_typedef(text)
                     and base_type is None and not int_words
                     and not saw_signed and not saw_unsigned):
                 self._advance()
-                base_type = self.registry.typedef(token.text)
+                base_type = self.registry.typedef(text)
                 continue
             break
 
@@ -257,7 +296,7 @@ class Parser:
     def _parse_struct_or_union(self) -> CStruct:
         keyword = self._advance()
         is_union = keyword.text == "union"
-        if self._peek().kind is TokenKind.IDENT:
+        if self._peek().kind is _IDENT:
             tag = self._advance().text
         else:
             tag = self.registry.anonymous_tag("union" if is_union else "struct")
@@ -293,7 +332,7 @@ class Parser:
 
     def _parse_enum(self) -> CEnum:
         self._expect_keyword("enum")
-        if self._peek().kind is TokenKind.IDENT:
+        if self._peek().kind is _IDENT:
             tag = self._advance().text
         else:
             tag = self.registry.anonymous_tag("enum")
@@ -347,7 +386,7 @@ class Parser:
             # declarators, a parameter list.  Disambiguate by the next token.
             nxt = self._peek(1)
             is_paren_declarator = nxt.is_punct("*") or (
-                nxt.kind is TokenKind.IDENT and not self.registry.is_typedef(nxt.text)
+                nxt.kind is _IDENT and not self.registry.is_typedef(nxt.text)
                 and nxt.text not in KEYWORD_TO_KIND)
             if is_paren_declarator:
                 self._advance()
@@ -361,7 +400,7 @@ class Parser:
                         depth -= 1
                     elif token.kind is TokenKind.EOF:
                         raise ParseError("unterminated declarator", token.location)
-        elif self._peek().kind is TokenKind.IDENT and not abstract:
+        elif self._peek().kind is _IDENT and not abstract:
             name = self._advance().text
 
         # Array and function suffixes apply to the declarator seen so far.
@@ -432,7 +471,7 @@ class Parser:
         annotations = AnnotationSet()
         while True:
             token = self._peek()
-            if token.kind is not TokenKind.IDENT or token.text not in KEYWORD_TO_KIND:
+            if token.kind is not _IDENT or token.text not in KEYWORD_TO_KIND:
                 return annotations
             kind = KEYWORD_TO_KIND[token.text]
             follower = self._peek(1)
@@ -466,7 +505,7 @@ class Parser:
             field_names: list[Optional[str]] = []
             while not self._check_punct("}"):
                 designator: Optional[str] = None
-                if self._check_punct(".") and self._peek(1).kind is TokenKind.IDENT:
+                if self._check_punct(".") and self._peek(1).kind is _IDENT:
                     self._advance()
                     designator = self._advance().text
                     self._expect_punct("=")
@@ -490,63 +529,69 @@ class Parser:
         return ast.Block(stmts=stmts, trusted=trusted, location=loc)
 
     def _parse_statement(self) -> ast.Stmt:
-        loc = self._loc()
-        token = self._peek()
+        token = self.tokens[self.pos]
+        loc = token.location
+        kind, text = token.kind, token.text
 
-        if token.is_ident("trusted") and self._peek(1).is_punct("{"):
-            self._advance()
-            return self._parse_block(trusted=True)
-        if self._check_punct("{"):
-            return self._parse_block()
-        if self._accept_punct(";"):
-            return ast.EmptyStmt(location=loc)
-        if token.is_keyword("if"):
-            return self._parse_if()
-        if token.is_keyword("while"):
-            return self._parse_while()
-        if token.is_keyword("do"):
-            return self._parse_do_while()
-        if token.is_keyword("for"):
-            return self._parse_for()
-        if token.is_keyword("switch"):
-            return self._parse_switch()
-        if token.is_keyword("break"):
-            self._advance()
-            self._expect_punct(";")
-            return ast.Break(location=loc)
-        if token.is_keyword("continue"):
-            self._advance()
-            self._expect_punct(";")
-            return ast.Continue(location=loc)
-        if token.is_keyword("return"):
-            self._advance()
-            value = None
-            if not self._check_punct(";"):
-                value = self._parse_expression()
-            self._expect_punct(";")
-            return ast.Return(value=value, location=loc)
-        if token.is_keyword("goto"):
-            self._advance()
-            label = self._expect_ident().text
-            self._expect_punct(";")
-            return ast.Goto(label=label, location=loc)
-        if token.is_keyword("asm"):
-            self._advance()
-            self._expect_punct("(")
-            text_token = self._advance()
-            text = str(text_token.value or "")
-            while not self._check_punct(")"):
+        if kind is _PUNCT:
+            if text == "{":
+                return self._parse_block()
+            if text == ";":
                 self._advance()
-            self._expect_punct(")")
-            self._expect_punct(";")
-            return ast.Asm(text=text, location=loc)
-        if token.kind is TokenKind.IDENT and self._peek(1).is_punct(":"):
-            name = self._advance().text
-            self._advance()
-            stmt = None
-            if not self._check_punct("}"):
-                stmt = self._parse_statement()
-            return ast.Label(name=name, stmt=stmt, location=loc)
+                return ast.EmptyStmt(location=loc)
+        elif kind is _KEYWORD:
+            if text == "if":
+                return self._parse_if()
+            if text == "while":
+                return self._parse_while()
+            if text == "do":
+                return self._parse_do_while()
+            if text == "for":
+                return self._parse_for()
+            if text == "switch":
+                return self._parse_switch()
+            if text == "break":
+                self._advance()
+                self._expect_punct(";")
+                return ast.Break(location=loc)
+            if text == "continue":
+                self._advance()
+                self._expect_punct(";")
+                return ast.Continue(location=loc)
+            if text == "return":
+                self._advance()
+                value = None
+                if not self._check_punct(";"):
+                    value = self._parse_expression()
+                self._expect_punct(";")
+                return ast.Return(value=value, location=loc)
+            if text == "goto":
+                self._advance()
+                label = self._expect_ident().text
+                self._expect_punct(";")
+                return ast.Goto(label=label, location=loc)
+            if text == "asm":
+                self._advance()
+                self._expect_punct("(")
+                text_token = self._advance()
+                asm_text = str(text_token.value or "")
+                while not self._check_punct(")"):
+                    self._advance()
+                self._expect_punct(")")
+                self._expect_punct(";")
+                return ast.Asm(text=asm_text, location=loc)
+        elif kind is _IDENT:
+            follower = self._peek(1)
+            if text == "trusted" and follower.is_punct("{"):
+                self._advance()
+                return self._parse_block(trusted=True)
+            if follower.is_punct(":"):
+                self._advance()
+                self._advance()
+                stmt = None
+                if not self._check_punct("}"):
+                    stmt = self._parse_statement()
+                return ast.Label(name=text, stmt=stmt, location=loc)
         if self._starts_declaration():
             decls = self._parse_local_declaration()
             if len(decls) == 1:
@@ -685,7 +730,7 @@ class Parser:
         loc = self._loc()
         left = self._parse_conditional_expression()
         token = self._peek()
-        if token.kind is TokenKind.PUNCT and token.text in _ASSIGN_OPS:
+        if token.kind is _PUNCT and token.text in _ASSIGN_OPS:
             self._advance()
             right = self._parse_assignment_expression()
             return ast.Assign(op=token.text, target=left, value=right, location=loc)
@@ -701,48 +746,40 @@ class Parser:
             return ast.Conditional(cond=cond, then=then, otherwise=otherwise, location=loc)
         return cond
 
-    _BINARY_LEVELS: tuple[tuple[str, ...], ...] = (
-        ("||",),
-        ("&&",),
-        ("|",),
-        ("^",),
-        ("&",),
-        ("==", "!="),
-        ("<", ">", "<=", ">="),
-        ("<<", ">>"),
-        ("+", "-"),
-        ("*", "/", "%"),
-    )
+    def _parse_binary_expression(self, min_level: int) -> ast.Expr:
+        """An operand followed by every operator of at least ``min_level``.
 
-    def _parse_binary_expression(self, level: int) -> ast.Expr:
-        if level >= len(self._BINARY_LEVELS):
-            return self._parse_cast_expression()
-        loc = self._loc()
-        left = self._parse_binary_expression(level + 1)
-        ops = self._BINARY_LEVELS[level]
+        Each operator's right operand takes only tighter operators, which
+        makes every level left-associative.  "&" and "*" in binary position
+        are always binary here; as prefixes they are unary.
+        """
+        tokens = self.tokens
+        loc = tokens[self.pos].location
+        left = self._parse_cast_expression()
         while True:
-            token = self._peek()
-            if token.kind is TokenKind.PUNCT and token.text in ops:
-                # "&" at the innermost levels can also begin a unary
-                # address-of, but in binary position it is always binary here.
-                self._advance()
-                right = self._parse_binary_expression(level + 1)
-                left = ast.Binary(op=token.text, left=left, right=right, location=loc)
-            else:
+            token = tokens[self.pos]
+            if token.kind is not _PUNCT:
                 return left
+            level = _BINARY_PRECEDENCE.get(token.text)
+            if level is None or level < min_level:
+                return left
+            self._advance()
+            right = self._parse_binary_expression(level + 1)
+            left = ast.Binary(op=token.text, left=left, right=right, location=loc)
 
     def _looks_like_type_name(self) -> bool:
         """After a '(' decide whether a type name (cast/sizeof) follows."""
         token = self._peek()
-        if token.kind is TokenKind.KEYWORD:
-            return token.text in _TYPE_SPECIFIER_KEYWORDS | _QUALIFIER_KEYWORDS
-        if token.kind is TokenKind.IDENT:
+        if token.kind is _KEYWORD:
+            return token.text in _TYPE_NAME_KEYWORDS
+        if token.kind is _IDENT:
             return self.registry.is_typedef(token.text)
         return False
 
     def _parse_cast_expression(self) -> ast.Expr:
-        loc = self._loc()
-        if self._check_punct("("):
+        token = self.tokens[self.pos]
+        if token.kind is _PUNCT and token.text == "(":
+            loc = token.location
             saved = self.pos
             self._advance()
             if self._looks_like_type_name():
@@ -767,20 +804,22 @@ class Parser:
         return self._parse_unary_expression()
 
     def _parse_unary_expression(self) -> ast.Expr:
-        loc = self._loc()
-        token = self._peek()
-        if token.is_punct("++", "--"):
-            self._advance()
-            operand = self._parse_unary_expression()
-            return ast.Unary(op=token.text, operand=operand, location=loc)
-        if token.is_punct("+"):
-            self._advance()
-            return self._parse_cast_expression()
-        if token.is_punct("-", "~", "!", "&", "*"):
-            self._advance()
-            operand = self._parse_cast_expression()
-            return ast.Unary(op=token.text, operand=operand, location=loc)
-        if token.is_keyword("sizeof"):
+        token = self.tokens[self.pos]
+        loc = token.location
+        kind, text = token.kind, token.text
+        if kind is _PUNCT:
+            if text in ("++", "--"):
+                self._advance()
+                operand = self._parse_unary_expression()
+                return ast.Unary(op=text, operand=operand, location=loc)
+            if text == "+":
+                self._advance()
+                return self._parse_cast_expression()
+            if text in ("-", "~", "!", "&", "*"):
+                self._advance()
+                operand = self._parse_cast_expression()
+                return ast.Unary(op=text, operand=operand, location=loc)
+        elif kind is _KEYWORD and text == "sizeof":
             self._advance()
             if self._check_punct("(") and self._looks_like_type_name_at(1):
                 self._advance()
@@ -793,21 +832,27 @@ class Parser:
 
     def _looks_like_type_name_at(self, offset: int) -> bool:
         token = self._peek(offset)
-        if token.kind is TokenKind.KEYWORD:
-            return token.text in _TYPE_SPECIFIER_KEYWORDS | _QUALIFIER_KEYWORDS
-        if token.kind is TokenKind.IDENT:
+        if token.kind is _KEYWORD:
+            return token.text in _TYPE_NAME_KEYWORDS
+        if token.kind is _IDENT:
             return self.registry.is_typedef(token.text)
         return False
 
     def _parse_postfix_expression(self) -> ast.Expr:
         expr = self._parse_primary_expression()
+        tokens = self.tokens
         while True:
-            loc = self._loc()
-            if self._accept_punct("["):
+            token = tokens[self.pos]
+            if token.kind is not _PUNCT:
+                return expr
+            loc, text = token.location, token.text
+            if text == "[":
+                self._advance()
                 index = self._parse_expression()
                 self._expect_punct("]")
                 expr = ast.Index(base=expr, index=index, location=loc)
-            elif self._accept_punct("("):
+            elif text == "(":
+                self._advance()
                 args: list[ast.Expr] = []
                 if not self._check_punct(")"):
                     while True:
@@ -816,31 +861,29 @@ class Parser:
                             break
                 self._expect_punct(")")
                 expr = ast.Call(func=expr, args=args, location=loc)
-            elif self._accept_punct("."):
+            elif text == "." or text == "->":
+                self._advance()
                 name = self._expect_ident().text
-                expr = ast.Member(base=expr, name=name, arrow=False, location=loc)
-            elif self._accept_punct("->"):
-                name = self._expect_ident().text
-                expr = ast.Member(base=expr, name=name, arrow=True, location=loc)
-            elif self._check_punct("++", "--"):
-                op = self._advance().text
-                expr = ast.Postfix(op=op, operand=expr, location=loc)
+                expr = ast.Member(base=expr, name=name, arrow=text == "->", location=loc)
+            elif text in ("++", "--"):
+                self._advance()
+                expr = ast.Postfix(op=text, operand=expr, location=loc)
             else:
                 return expr
 
     def _parse_primary_expression(self) -> ast.Expr:
-        loc = self._loc()
-        token = self._peek()
-        if token.kind is TokenKind.INT_LIT:
+        token = self.tokens[self.pos]
+        loc, kind = token.location, token.kind
+        if kind is TokenKind.INT_LIT:
             self._advance()
             return ast.IntLit(value=int(token.value), location=loc)  # type: ignore[arg-type]
-        if token.kind is TokenKind.CHAR_LIT:
+        if kind is TokenKind.CHAR_LIT:
             self._advance()
             return ast.CharLit(value=int(token.value), location=loc)  # type: ignore[arg-type]
-        if token.kind is TokenKind.STRING_LIT:
+        if kind is TokenKind.STRING_LIT:
             self._advance()
             return ast.StrLit(value=str(token.value), location=loc)
-        if token.kind is TokenKind.IDENT:
+        if kind is _IDENT:
             self._advance()
             if self.registry.is_enum_constant(token.text):
                 return ast.IntLit(value=self.registry.enum_constant(token.text),

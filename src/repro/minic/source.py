@@ -14,6 +14,14 @@ preprocessor; MiniC only needs the small subset the corpus uses:
 
 The preprocessor preserves line numbers: removed text is replaced by blank
 lines or whitespace so diagnostics still point at the original source.
+
+Comments are stripped by one compiled pattern that matches, at each
+position, a string or char literal (kept as written, so ``//`` and ``/*``
+inside one are not comments), a line comment or a block comment (replaced
+by the newlines it spans).  An unterminated block comment is reported on
+the line it starts on, counting every newline before it.  The directive
+patterns run only on lines that contain ``#``; every other line is either
+inside an inactive conditional or has its macros expanded.
 """
 
 from __future__ import annotations
@@ -31,6 +39,15 @@ _ELSE_RE = re.compile(r"^\s*#\s*else\s*$")
 _ENDIF_RE = re.compile(r"^\s*#\s*endif\s*$")
 _INCLUDE_RE = re.compile(r"^\s*#\s*include\b.*$")
 _WORD_RE = re.compile(r"\b\w+\b")
+
+#: A string literal or char literal (group 1; an unterminated one runs to
+#: the end of the text, a backslash escapes any character, a newline too),
+#: a line comment, or a block comment (just ``/*`` when unterminated).
+_LITERAL_OR_COMMENT = re.compile(
+    r"""("[^"\\]*(?:\\.[^"\\]*)*"?|'[^'\\]*(?:\\.[^'\\]*)*'?)"""
+    r"|//[^\n]*"
+    r"|/\*(?:.*?\*/)?",
+    re.DOTALL)
 
 
 @dataclass
@@ -60,57 +77,18 @@ class SourceFile:
 
 def strip_comments(text: str, filename: str = "<unknown>") -> str:
     """Remove ``//`` and ``/* */`` comments, preserving line structure."""
-    out: list[str] = []
-    i = 0
-    n = len(text)
-    line = 1
-    while i < n:
-        ch = text[i]
-        if ch == '"' or ch == "'":
-            quote = ch
-            out.append(ch)
-            i += 1
-            while i < n:
-                out.append(text[i])
-                if text[i] == "\\" and i + 1 < n:
-                    out.append(text[i + 1])
-                    i += 2
-                    continue
-                if text[i] == quote:
-                    i += 1
-                    break
-                if text[i] == "\n":
-                    line += 1
-                i += 1
-            continue
-        if ch == "/" and i + 1 < n and text[i + 1] == "/":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == "/" and i + 1 < n and text[i + 1] == "*":
-            start_line = line
-            i += 2
-            closed = False
-            while i < n:
-                if text[i] == "*" and i + 1 < n and text[i + 1] == "/":
-                    i += 2
-                    closed = True
-                    break
-                if text[i] == "\n":
-                    out.append("\n")
-                    line += 1
-                i += 1
-            if not closed:
-                raise LexError(
-                    "unterminated block comment",
-                    SourceLocation(filename, start_line, 1),
-                )
-            continue
-        if ch == "\n":
-            line += 1
-        out.append(ch)
-        i += 1
-    return "".join(out)
+
+    def replace(match: re.Match[str]) -> str:
+        literal = match.group(1)
+        if literal is not None:
+            return literal
+        comment = match.group()
+        if comment == "/*":
+            line = text.count("\n", 0, match.start()) + 1
+            raise LexError("unterminated block comment", SourceLocation(filename, line, 1))
+        return "\n" * comment.count("\n")
+
+    return _LITERAL_OR_COMMENT.sub(replace, text)
 
 
 class Preprocessor:
@@ -137,14 +115,17 @@ class Preprocessor:
         # Stack of booleans: is the current conditional region active?
         active_stack: list[bool] = []
         taken_stack: list[bool] = []
+        active = True  # all(active_stack)
         for lineno, raw in enumerate(text.splitlines(), start=1):
-            loc = SourceLocation(filename, lineno, 1)
-            active = all(active_stack) if active_stack else True
+            if "#" not in raw:
+                out_lines.append(self._expand(raw) if active else "")
+                continue
             m = _IFDEF_RE.match(raw)
             if m:
                 cond = m.group(1) in self.defines
                 active_stack.append(cond)
                 taken_stack.append(cond)
+                active = active and cond
                 out_lines.append("")
                 continue
             m = _IFNDEF_RE.match(raw)
@@ -152,19 +133,22 @@ class Preprocessor:
                 cond = m.group(1) not in self.defines
                 active_stack.append(cond)
                 taken_stack.append(cond)
+                active = active and cond
                 out_lines.append("")
                 continue
             if _ELSE_RE.match(raw):
                 if not active_stack:
-                    raise LexError("#else without #ifdef", loc)
+                    raise LexError("#else without #ifdef", SourceLocation(filename, lineno, 1))
                 active_stack[-1] = not taken_stack[-1]
+                active = all(active_stack)
                 out_lines.append("")
                 continue
             if _ENDIF_RE.match(raw):
                 if not active_stack:
-                    raise LexError("#endif without #ifdef", loc)
+                    raise LexError("#endif without #ifdef", SourceLocation(filename, lineno, 1))
                 active_stack.pop()
                 taken_stack.pop()
+                active = all(active_stack)
                 out_lines.append("")
                 continue
             if not active:
@@ -185,25 +169,29 @@ class Preprocessor:
                 out_lines.append("")
                 continue
             if raw.lstrip().startswith("#"):
-                raise LexError(f"unsupported preprocessor directive: {raw.strip()}", loc)
+                raise LexError(f"unsupported preprocessor directive: {raw.strip()}",
+                               SourceLocation(filename, lineno, 1))
             out_lines.append(self._expand(raw))
         if active_stack:
             raise LexError("unterminated #ifdef", SourceLocation(filename, len(out_lines), 1))
         return "\n".join(out_lines) + "\n"
 
     def _expand(self, line: str) -> str:
-        """Expand object-like macros on one line (single pass, then repeat)."""
-        if not self.defines:
-            return line
-        for _ in range(8):
-            def repl(m: re.Match[str]) -> str:
-                word = m.group(0)
-                return self.defines.get(word, word)
+        """Expand object-like macros on one line (single pass, then repeat).
 
-            new = _WORD_RE.sub(repl, line)
-            if new == line:
-                return new
-            line = new
+        A line none of whose words is a macro is returned as it is, without
+        calling the replacement for each word.
+        """
+        defines = self.defines
+
+        def repl(m: re.Match[str]) -> str:
+            word = m.group(0)
+            return defines.get(word, word)
+
+        for _ in range(8):
+            if defines.keys().isdisjoint(_WORD_RE.findall(line)):
+                return line
+            line = _WORD_RE.sub(repl, line)
         return line
 
 

@@ -1,9 +1,16 @@
-"""Token definitions for the MiniC lexer."""
+"""Token definitions for the MiniC lexer.
+
+A :class:`Token` is a :class:`typing.NamedTuple` of ``(kind, text, value,
+location)``: building one is a tuple allocation, and the parser reads its
+fields through C-level tuple accessors.  Being a plain tuple, a token
+compares equal to the tuple of its fields, ``Token(k, t, v, loc) == (k, t,
+v, loc)``, and not only to another ``Token``.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum, auto
+from typing import NamedTuple
 
 from .errors import SourceLocation
 
@@ -51,8 +58,7 @@ PUNCTUATORS: tuple[str, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """A single lexical token."""
 
     kind: TokenKind

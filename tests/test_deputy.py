@@ -1,7 +1,12 @@
 """Tests for Deputy: type system, instrumenter, optimizer, runtime."""
 
+from collections import Counter
+
 import pytest
 
+from repro.dataflow import cfg as cfg_module
+from repro.dataflow import consts as consts_module
+from repro.dataflow import intervals as intervals_module
 from repro.deputy import (
     DeputyOptions,
     ObligationStatus,
@@ -11,10 +16,12 @@ from repro.deputy import (
     instrument_program,
     pointer_facts,
 )
+from repro.deputy import optimizer as optimizer_module
 from repro.deputy import runtime as deputy_runtime
+from repro.deputy.optimizer import CheckCache
 from repro.deputy.typesystem import TypeEnv
 from repro.engine import AnalysisEngine
-from repro.kernel.corpus import CorpusFile
+from repro.kernel.corpus import KERNEL_FILES, CorpusFile
 from repro.machine import CheckFailure, Interpreter, link_units
 from repro.minic import parse_source, render_unit
 from repro.service.incremental import IncrementalAnalyzer
@@ -313,6 +320,33 @@ class TestStaticChecking:
         results = check_program(build(source), DeputyOptions(optimize=True))
         assert results["escapes"].count(ObligationStatus.ELIDED) == 0
         assert results["immune"].count(ObligationStatus.ELIDED) >= 1
+
+    def test_a_refined_fork_walks_its_condition_once(self, monkeypatch):
+        # The fork tests the arm's condition for side effects itself, then
+        # refines through the helpers that do not test it again.
+        walks: Counter = Counter()
+        walker = cfg_module.expr_has_side_effects
+
+        def counting(expr):
+            walks[id(expr)] += 1
+            return walker(expr)
+
+        for module in (consts_module, intervals_module, optimizer_module):
+            monkeypatch.setattr(module, "_has_side_effects", counting)
+        fork = CheckCache.fork
+        per_fork = []
+
+        def checked_fork(self, cond=None, branch_true=True):
+            walks.clear()
+            clone = fork(self, cond, branch_true)
+            if cond is not None:
+                per_fork.append(walks[id(cond)])
+            return clone
+
+        monkeypatch.setattr(CheckCache, "fork", checked_fork)
+        AnalysisEngine(files=KERNEL_FILES).run(["deputy"])
+        assert len(per_fork) > 300
+        assert set(per_fork) == {1}
 
 
 class TestInstrumentedExecution:

@@ -11,7 +11,8 @@ These tests pin that down three ways:
   field, on the seed corpus, two synthetic corpora and a file of shapes they
   lack, under the full product and the two prefixes the benchmark solves;
 * the product walk returns its input states for every element the skip
-  leaves out;
+  leaves out, and every domain its input state on every edge without a
+  usable condition, which the solve does not refine;
 * the work counts (walk steps, edge refinements per domain, side-effect
   walks per condition) stay under bounds, and repeat exactly.
 """
@@ -289,32 +290,38 @@ class TestMatchesReference:
 # The identity rule: the walk leaves effect-free elements alone
 # ---------------------------------------------------------------------------
 
+def _solved(program, fname, func):
+    """``(cfg, safe, domains, in_states)`` of ``func``'s solve with every
+    registered domain in the product."""
+    captured = {}
+    record = domains_module._record
+
+    def capture(cfg, domains, insts, transfer, edge_outcome, in_states):
+        captured.update(insts=insts, in_states=list(in_states))
+        return record(cfg, domains, insts, transfer, edge_outcome, in_states)
+
+    cfg = build_cfg(func)
+    domains_module._record = capture
+    try:
+        solve_function_facts(func, cfg, tuple(DOMAIN_REGISTRY), program.syntax(fname))
+    finally:
+        domains_module._record = record
+    safe = trackable_names(func, program.syntax(fname))
+    return cfg, safe, captured["insts"], captured["in_states"]
+
+
 def _identity_check(program) -> tuple[int, list[tuple[str, str]]]:
     """Walk every element of every reachable block, every registered domain
     in the product, from the block's solved input states.  Returns how many
     elements :func:`moves_state` rejected, and ``(function, element kind)``
     wherever the walk returned anything but its input tuple for one."""
-    names = tuple(DOMAIN_REGISTRY)
     checked = 0
     violations = []
     for fname, func in _branchy(program):
-        captured = {}
-        record = domains_module._record
-
-        def capture(cfg, domains, insts, transfer, edge_outcome, in_states):
-            captured.update(insts=insts, in_states=list(in_states))
-            return record(cfg, domains, insts, transfer, edge_outcome, in_states)
-
-        cfg = build_cfg(func)
-        safe = trackable_names(func, program.syntax(fname))
-        domains_module._record = capture
-        try:
-            solve_function_facts(func, cfg, names, program.syntax(fname))
-        finally:
-            domains_module._record = record
-        walk = ProductWalk(captured["insts"], safe)
+        cfg, safe, insts, in_states = _solved(program, fname, func)
+        walk = ProductWalk(insts, safe)
         for block in cfg.blocks:
-            current = captured["in_states"][block.index]
+            current = in_states[block.index]
             if current is None:
                 continue
             for element in block.elements:
@@ -332,6 +339,50 @@ class TestIdentityRule:
     def test_every_registered_domain_keeps_skipped_elements_fixed(self, programs, corpus):
         checked, violations = _identity_check(programs[corpus])
         assert checked > 10  # the rule is exercised, not vacuous
+        assert violations == []
+
+
+# ---------------------------------------------------------------------------
+# The edge rule: an edge without a usable condition keeps its out-state
+# ---------------------------------------------------------------------------
+
+def _edge_rule_check(program) -> tuple[int, int, list[tuple[str, str, int]]]:
+    """Refine every out-edge of every reachable block on which
+    ``block.branch`` is ``None``, with every registered domain, from the
+    block's solved out-states.  Returns how many such edges there were, how
+    many of them leave a condition that assigns or increments, and
+    ``(function, domain, block)`` wherever a domain returned anything but
+    its input state."""
+    checked = effectful = 0
+    violations = []
+    for fname, func in _branchy(program):
+        cfg, safe, insts, in_states = _solved(program, fname, func)
+        walk = ProductWalk(insts, safe)
+        for block in cfg.blocks:
+            states = in_states[block.index]
+            if states is None:
+                continue
+            for element in block.elements:
+                states = walk.element(element, states)
+            snapshot = {d.name: s for d, s in zip(insts, states)}
+            for pos, edge in enumerate(block.succs):
+                if block.branch(edge) is not None:
+                    continue
+                checked += 1
+                effectful += block.condition_element() is not None
+                for d, state in zip(insts, states):
+                    if d.refine_edge(block, pos, edge, state, snapshot) is not state:
+                        violations.append((fname, d.name, block.index))
+    return checked, effectful, violations
+
+
+class TestEdgeRule:
+    @pytest.mark.parametrize("corpus", ["seed", "shapes"])
+    def test_every_registered_domain_keeps_an_unconditioned_edge(self, programs, corpus):
+        checked, effectful, violations = _edge_rule_check(programs[corpus])
+        assert checked > 10  # the rule is exercised, not vacuous
+        if corpus == "shapes":
+            assert effectful > 0  # ``while (x++ < 10)`` and ``if (x = 0)``
         assert violations == []
 
 
@@ -373,8 +424,9 @@ class TestWorkCounts:
         assert work["walk"] <= 1_100
         for name in DEFAULT_DOMAINS:
             # Without the edge memo: about 3,573 (consts), 3,543 (intervals)
-            # and 3,503 (octagons) refinements.
-            assert work[name, "refine_edge"] <= 1_900, name
+            # and 3,503 (octagons) refinements; without the edge rule, 1,850,
+            # 1,826 and 1,786.
+            assert work[name, "refine_edge"] <= 1_000, name
         first = Counter(work)
         work.clear()
         solve_program_facts(programs["seed"])

@@ -1,9 +1,19 @@
-"""Unit and property-based tests for types, preprocessor, pretty printer."""
+"""Unit and property-based tests for types, preprocessor, pretty printer.
+
+``strip_comments`` matches literals and comments with one compiled pattern.
+The per-character loop it replaced is kept below verbatim as
+:func:`reference_strip_comments`; both must return the same text, or raise
+the same ``LexError``, on generated fragments.  They differ in one place on
+purpose: the reference does not count a backslash-escaped newline inside a
+literal, so it reports an unterminated block comment after one too early.
+"""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.annotations import erased_source
+from repro.kernel.corpus import ALL_FILES
+from repro.kernel.synth import generate_corpus
 from repro.minic import parse_source, render_unit
 from repro.minic.ctypes import (
     CArray,
@@ -17,7 +27,7 @@ from repro.minic.ctypes import (
     pointer_to,
     types_compatible,
 )
-from repro.minic.errors import TypeError_
+from repro.minic.errors import LexError, SourceLocation, TypeError_
 from repro.minic.source import Preprocessor, preprocess, strip_comments
 
 
@@ -134,6 +144,119 @@ class TestPreprocessor:
     def test_comment_inside_string_preserved(self):
         out = strip_comments('char *s = "not // a comment";')
         assert "not // a comment" in out
+
+    def test_unterminated_comment_after_escaped_newline(self):
+        # The string's escaped newline ends line 1; the comment opens on 2.
+        with pytest.raises(LexError) as caught:
+            strip_comments('char *s = "a\\\nb"; /* open', "esc.c")
+        assert caught.value.message == "unterminated block comment"
+        assert caught.value.location == SourceLocation("esc.c", 2, 1)
+
+
+# ---------------------------------------------------------------------------
+# The reference comment stripper: the per-character loop the pattern replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_strip_comments(text: str, filename: str = "<unknown>") -> str:
+    """Remove ``//`` and ``/* */`` comments, preserving line structure."""
+    out: list[str] = []
+    i = 0
+    n = len(text)
+    line = 1
+    while i < n:
+        ch = text[i]
+        if ch == '"' or ch == "'":
+            quote = ch
+            out.append(ch)
+            i += 1
+            while i < n:
+                out.append(text[i])
+                if text[i] == "\\" and i + 1 < n:
+                    out.append(text[i + 1])
+                    i += 2
+                    continue
+                if text[i] == quote:
+                    i += 1
+                    break
+                if text[i] == "\n":
+                    line += 1
+                i += 1
+            continue
+        if ch == "/" and i + 1 < n and text[i + 1] == "/":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if ch == "/" and i + 1 < n and text[i + 1] == "*":
+            start_line = line
+            i += 2
+            closed = False
+            while i < n:
+                if text[i] == "*" and i + 1 < n and text[i + 1] == "/":
+                    i += 2
+                    closed = True
+                    break
+                if text[i] == "\n":
+                    out.append("\n")
+                    line += 1
+                i += 1
+            if not closed:
+                raise LexError(
+                    "unterminated block comment",
+                    SourceLocation(filename, start_line, 1),
+                )
+            continue
+        if ch == "\n":
+            line += 1
+        out.append(ch)
+        i += 1
+    return "".join(out)
+
+
+def _strip_outcome(strip, text):
+    try:
+        return strip(text, "frag.c")
+    except LexError as error:
+        return "LexError", error.message, error.location
+
+
+def assert_strips_like_reference(text):
+    got = _strip_outcome(strip_comments, text)
+    expected = _strip_outcome(reference_strip_comments, text)
+    if isinstance(expected, tuple) and "\\\n" in text:
+        # The reference may miscount lines after an escaped newline.
+        assert isinstance(got, tuple) and got[:2] == expected[:2]
+    else:
+        assert got == expected
+
+
+#: Pieces whose concatenations put comment openers inside literals, escapes
+#: (of quotes, of backslashes, of newlines) inside and outside them, and
+#: block comments across lines, closed or not.
+_STRIP_PIECES = st.sampled_from([
+    "//", "/*", "*/", "/", "*", '"', "'", "\\", "\\\n", "\\\"", "\\'",
+    "\n", "\n\n", " ", "a", "int x = 1;", "'/'", "'*'", '"//"', '"/*"', "'\\''",
+    '"\\""', "/* c */", "/* a\nb */", "// t\n", "#define N 1\n",
+])
+
+
+class TestStripCommentsReference:
+    @pytest.mark.parametrize("text", [
+        "", "a", "/", "/*", "/**/", "/*/", "//*", "/* a\n b */ c", '"/* x"', "'//'",
+        '"a\\"b" // c', "'\\'' /* d */", '"unterminated /* e', "/* open\n",
+        'x = "a\\\nb"; /* open', "a // c\n/* d\n", "a/**//**/b",
+    ])
+    def test_edge_cases(self, text):
+        assert_strips_like_reference(text)
+
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(st.lists(_STRIP_PIECES, max_size=20).map("".join))
+    def test_generated_fragments(self, text):
+        assert_strips_like_reference(text)
+
+    def test_every_corpus_file(self):
+        for corpus_file in ALL_FILES + generate_corpus(2, seed=11):
+            assert_strips_like_reference(corpus_file.source)
 
 
 ROUND_TRIP_SOURCES = [

@@ -1,12 +1,26 @@
-"""Unit tests for the MiniC parser."""
+"""Unit tests for the MiniC parser.
+
+Binary operators are parsed by precedence climbing.  The level-per-
+precedence parse it replaced is kept below verbatim, as
+:class:`ReferenceParser`, and both must build trees with the same ``repr``
+(locations included) for every unit of two corpora and for generated
+expressions, or raise the same error at the same place.
+"""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.annotations import AnnotationKind
+from repro.kernel.corpus import ALL_FILES
+from repro.kernel.synth import generate_corpus
 from repro.minic import ast, parse_expression, parse_source
 from repro.minic.ctypes import CArray, CFunc, CInt, CPointer, CStruct
-from repro.minic.errors import ParseError
-from repro.minic.parser import evaluate_constant
+from repro.minic.errors import MiniCError, ParseError
+from repro.minic.lexer import tokenize
+from repro.minic.parser import _BINARY_PRECEDENCE, Parser, evaluate_constant
+from repro.minic.source import Preprocessor
+from repro.minic.symtab import TypeRegistry
+from repro.minic.tokens import TokenKind
 
 
 def parse_one(src):
@@ -252,3 +266,162 @@ class TestErrors:
     def test_non_constant_array_size(self):
         with pytest.raises(ParseError):
             parse_source("int f(int n) { int a[n * m]; return 0; }")
+
+
+# ---------------------------------------------------------------------------
+# The reference: one call per precedence level, as the parser parsed before
+# ---------------------------------------------------------------------------
+
+
+class ReferenceParser(Parser):
+    """The parser with the level-per-precedence binary parse it replaced."""
+
+    _BINARY_LEVELS: tuple[tuple[str, ...], ...] = (
+        ("||",),
+        ("&&",),
+        ("|",),
+        ("^",),
+        ("&",),
+        ("==", "!="),
+        ("<", ">", "<=", ">="),
+        ("<<", ">>"),
+        ("+", "-"),
+        ("*", "/", "%"),
+    )
+
+    def _parse_binary_expression(self, level: int) -> ast.Expr:
+        if level >= len(self._BINARY_LEVELS):
+            return self._parse_cast_expression()
+        loc = self._loc()
+        left = self._parse_binary_expression(level + 1)
+        ops = self._BINARY_LEVELS[level]
+        while True:
+            token = self._peek()
+            if token.kind is TokenKind.PUNCT and token.text in ops:
+                # "&" at the innermost levels can also begin a unary
+                # address-of, but in binary position it is always binary here.
+                self._advance()
+                right = self._parse_binary_expression(level + 1)
+                left = ast.Binary(op=token.text, left=left, right=right, location=loc)
+            else:
+                return left
+
+
+def _parse_units(files, parser_class):
+    """Every unit of ``files`` as ``parse_corpus`` parses them, by ``parser_class``."""
+    preprocessor = Preprocessor()
+    registry = TypeRegistry()
+    units = []
+    for corpus_file in files:
+        text = preprocessor.process(corpus_file.source, corpus_file.filename)
+        tokens = tokenize(text, corpus_file.filename)
+        units.append(parser_class(tokens, corpus_file.filename, registry)
+                     .parse_translation_unit())
+    return units
+
+
+#: Declarations the generated expressions may refer to.
+_PRELUDE = """
+typedef unsigned int u32;
+struct node { int v; struct node *next; };
+enum color { RED, GREEN = 4 };
+"""
+
+
+def _expression_outcome(parser_class, text):
+    """The ``repr`` of ``text`` parsed as an expression, or the error raised."""
+    registry = TypeRegistry()
+    parse_source(_PRELUDE, "prelude.c", registry)
+    parser = parser_class(tokenize(text, "expr.c"), "expr.c", registry)
+    try:
+        expr = parser._parse_expression()
+        if not parser._at_eof():
+            raise ParseError("trailing tokens after expression", parser._loc())
+    except MiniCError as error:
+        return type(error).__name__, error.message, error.location
+    return repr(expr)
+
+
+class TestReferenceDifferential:
+    def test_the_table_holds_every_level_of_the_reference(self):
+        levels = ReferenceParser._BINARY_LEVELS
+        assert _BINARY_PRECEDENCE == {
+            op: level for level, ops in enumerate(levels) for op in ops}
+        assert len(_BINARY_PRECEDENCE) == 18
+
+    @pytest.mark.parametrize("files", [ALL_FILES, generate_corpus(2, seed=11)],
+                             ids=["seed", "synth-2"])
+    def test_every_unit(self, files):
+        units = _parse_units(files, Parser)
+        assert len(units) > 10
+        assert [repr(unit) for unit in units] == [
+            repr(unit) for unit in _parse_units(files, ReferenceParser)]
+
+    @pytest.mark.parametrize("text", [
+        "a - b - c", "a = b = c", "a ? b : c ? d : e", "a || b && c | d ^ e & f",
+        "a == b != c < d", "x << 1 + 2 * 3 % 4 / 5 >> 6", "a + (b, c) * d",
+        "-a * ~b + !c - *p & &q", "(u32) a * (struct node *) p",
+        "sizeof a + sizeof (u32) * sizeof(struct node)", "p->next->v++ + --a",
+        "a +\n  b\n    * c", "f(a, b)[c] . v", "a + ", "(a + b", "a ? b", "a b",
+    ])
+    def test_edge_cases(self, text):
+        assert _expression_outcome(Parser, text) == _expression_outcome(
+            ReferenceParser, text)
+
+    def test_every_operator_pair(self):
+        # Precedence and associativity of each pair, either way round.
+        for first in _BINARY_PRECEDENCE:
+            for second in _BINARY_PRECEDENCE:
+                text = f"a {first} b\n {second} c {first} d"
+                assert _expression_outcome(Parser, text) == _expression_outcome(
+                    ReferenceParser, text), text
+
+
+#: Whitespace between tokens, never empty so no two tokens merge.
+_GAPS = st.sampled_from([" ", " ", " ", "\n", "\n    ", "\t"])
+_LEAVES = st.sampled_from(
+    ["a", "b", "count", "p", "RED", "GREEN", "0", "1", "42", "0x1f", "'c'", '"s"'])
+_UNARY = st.sampled_from(["-", "+", "!", "~", "*", "&", "++", "--"])
+_CASTS = st.sampled_from(
+    ["(int)", "(unsigned long)", "(struct node *)", "(u32)", "(char * trusted)"])
+_ASSIGN = st.sampled_from(["=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=",
+                           "<<=", ">>="])
+
+
+def _join(parts):
+    return "".join(parts)
+
+
+def _compound(children):
+    binary = st.tuples(children, _GAPS, st.sampled_from(sorted(_BINARY_PRECEDENCE)),
+                       _GAPS, children)
+    return st.one_of(
+        binary.map(_join),
+        binary.map(_join),  # binary operators three times as often
+        binary.map(_join),
+        st.tuples(_UNARY, _GAPS, children).map(_join),
+        st.tuples(children, _GAPS, st.sampled_from(["++", "--"])).map(_join),
+        st.tuples(_CASTS, _GAPS, children).map(_join),
+        st.tuples(st.just("sizeof"), _GAPS, children).map(_join),
+        st.tuples(st.just("sizeof"), _GAPS, st.sampled_from(
+            ["(int)", "(u32)", "(struct node)", "(char *)"])).map(_join),
+        st.tuples(children, _GAPS, st.just("?"), _GAPS, children, _GAPS,
+                  st.just(":"), _GAPS, children).map(_join),
+        st.tuples(children, _GAPS, st.just(","), _GAPS, children).map(_join),
+        st.tuples(children, _GAPS, _ASSIGN, _GAPS, children).map(_join),
+        st.tuples(st.just("("), _GAPS, children, _GAPS, st.just(")")).map(_join),
+        st.tuples(children, st.just("["), children, st.just("]")).map(_join),
+        st.tuples(st.just("f("), children, st.just(")")).map(_join),
+        st.tuples(children, st.sampled_from([".v", "->next"])).map(_join),
+    )
+
+
+_EXPRESSIONS = st.recursive(_LEAVES, _compound, max_leaves=16)
+
+
+class TestReferenceDifferentialProperty:
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(_EXPRESSIONS)
+    def test_generated_expressions(self, text):
+        assert _expression_outcome(Parser, text) == _expression_outcome(
+            ReferenceParser, text)
