@@ -9,18 +9,21 @@ real subprocess, and checks the full loop:
 3. an on-disk edit is picked up by the watcher and re-analyzed
    *incrementally* (no full re-parse, SCCs reused);
 4. a body edit to `spin_lock_init`, which 9 other units call, leaves its
-   summary unchanged, so it re-solves one SCC and re-runs Deputy,
-   errcheck and lockcheck in its own unit only (early cutoff), rebuilds
-   neither the call graph, the points-to sets nor the condensation, and
-   the served findings match `repro-engine run` over the edited corpus;
+   summary unchanged, so it re-solves one SCC, hashes the shard keys of
+   its own unit only (one per per-unit analysis), re-runs Deputy,
+   BlockStop, errcheck and lockcheck there only (early cutoff) and
+   stackcheck not at all, rebuilds neither the call graph, the points-to
+   sets nor the condensation, and the served findings match
+   `repro-engine run` over the edited corpus;
 5. a local array added to `spin_lock_init` moves its summary (its stack
    frame), so every caller in the other units re-solves, and the served
    findings match `repro-engine run`;
 6. a *restarted* serve over the unchanged corpus warm-starts from the
    persistent store: its first pass re-solves 0 SCCs and serves findings
    byte-identical to the pre-restart snapshot, and a `POST /analyze` with
-   no edit then re-parses nothing, re-runs no shard and rebuilds no
-   corpus-wide artifact (`last_pass.rebuilt_artifacts == []`);
+   no edit then re-parses nothing, re-runs no shard, rebuilds no
+   corpus-wide artifact (`last_pass.rebuilt_artifacts == []`), and hashes
+   no shard key and merges no analysis: it carries the last pass whole;
 7. a serve restarted after `spin_lock_init` was edited again while it was
    down, in a way that keeps its summary, re-solves that one SCC against
    components it reads back from the store, re-runs Deputy, errcheck and
@@ -45,6 +48,9 @@ from pathlib import Path
 
 STARTUP_BUDGET_SECONDS = 120
 EDIT_BUDGET_SECONDS = 60
+
+#: The analyses sharded per translation unit: each keys one shard per unit.
+PER_UNIT = ("deputy", "blockstop", "errcheck", "lockcheck", "ccount")
 
 #: A corpus function definition: its header on one line, ``{`` on the next.
 DEFINITION = re.compile(r"^\w[^\n;]*?\b(\w+)\([^\n;]*\)[^\n;]*\n\{", re.M)
@@ -238,6 +244,18 @@ def main() -> None:
             require_one_unit(last, "body edit")
             if last["summaries_changed"] != 0:
                 fail(f"body edit moved {last['summaries_changed']} summaries")
+            print("body-edit keys: "
+                  f"shard_keys_computed={last['shard_keys_computed']} "
+                  f"keyed_units={last['keyed_units']}")
+            if (last["keyed_units"] != ["lib/kernel_lib.c"]
+                    or last["shard_keys_computed"] != len(PER_UNIT)):
+                fail(f"body edit hashed {last['shard_keys_computed']} shard "
+                     f"keys for {last['keyed_units']}, not one per per-unit "
+                     "analysis for lib/kernel_lib.c")
+            reruns = last["shards_rerun_by_analysis"]
+            if reruns["stackcheck"] != 0 or reruns["blockstop"] != 1:
+                fail(f"body edit re-ran {reruns['stackcheck']} stackcheck and "
+                     f"{reruns['blockstop']} blockstop shards, not 0 and 1")
             status, served = get(port, "/findings")
             if status != 200:
                 fail(f"/findings (body edit) returned {status}")
@@ -314,6 +332,8 @@ def main() -> None:
             print("no-op pass: "
                   f"parsed_units={last['parsed_units']} "
                   f"shards_rerun={last['shards_rerun']} "
+                  f"shard_keys_computed={last['shard_keys_computed']} "
+                  f"analyses_merged={last['analyses_merged']} "
                   f"rebuilt={last['rebuilt_artifacts']}")
             if last["rebuilt_artifacts"] != []:
                 fail("no-op pass rebuilt "
@@ -322,6 +342,11 @@ def main() -> None:
                 fail(f"no-op pass re-parsed {last['parsed_units']} units")
             if last["shards_rerun"] != 0:
                 fail(f"no-op pass re-ran {last['shards_rerun']} shards")
+            if last["shard_keys_computed"] != 0:
+                fail(f"no-op pass hashed {last['shard_keys_computed']} "
+                     "shard keys")
+            if last["analyses_merged"] != 0:
+                fail(f"no-op pass merged {last['analyses_merged']} analyses")
         finally:
             stop_serve(proc)
 

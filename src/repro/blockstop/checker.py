@@ -159,6 +159,21 @@ class BlockStopChecker:
         self.summaries: dict[str, FunctionSummary] = {}
 
     def run(self) -> BlockStopResult:
+        """Every step: the atomic call sites of the whole program, then
+        the violations among them."""
+        result = self.scan()
+        check_violations(result)
+        return result
+
+    def scan(self, functions: list[str] | None = None) -> BlockStopResult:
+        """Steps 1-3 for ``functions`` (all when None): a result holding the
+        artifacts and those functions' atomic call sites, no violations.
+
+        A function's scan reads its own body and constant facts, its
+        callees' summaries, the IRQ-handler set and the blocking seeds, so
+        the engine runs it per translation unit and checks the union of
+        the units' call sites once (:func:`check_violations`).
+        """
         graph = self._graph
         blocking = self._blocking
         irq_handlers = self._irq_handlers
@@ -181,23 +196,15 @@ class BlockStopChecker:
                                  runtime_checks=self.runtime_checks,
                                  summaries=summaries)
         result.irq_handlers = set(irq_handlers)
-        self._scan_atomic_regions(result, blocking)
-        # (function, location) ordering: the rendered report must not depend
-        # on dict iteration or CFG block numbering details.
-        result.atomic_call_sites.sort(
-            key=lambda s: (s.caller, s.location.filename, s.location.line,
-                           s.location.column, s.callee))
-        self._check_violations(result)
-        result.violations.sort(
-            key=lambda v: (v.caller, v.location.filename, v.location.line,
-                           v.location.column, v.callee))
+        self._scan_atomic_regions(result, blocking, functions)
         return result
 
     # -- atomic-region scan -------------------------------------------------------
 
     def _scan_atomic_regions(self, result: BlockStopResult,
-                             blocking: BlockingInfo) -> None:
-        for name, func in self.program.functions.items():
+                             blocking: BlockingInfo,
+                             functions: list[str] | None) -> None:
+        for name, func in self.program.functions_subset(functions):
             syntax = self.program.syntax(name)
             if syntax.has_asm:
                 result.asm_functions.add(name)
@@ -311,40 +318,54 @@ class BlockStopChecker:
                         location=node.location, indirect=True))
         return depth
 
-    # -- violation detection --------------------------------------------------------
 
-    def _check_violations(self, result: BlockStopResult) -> None:
-        blocking = result.blocking
-        graph = result.graph
-        blocking_set = set(blocking.may_block)
-        for site in result.atomic_call_sites:
-            callees: list[tuple[str, bool]] = []
-            if site.indirect:
-                resolved = [s.callee for s in graph.call_sites
-                            if s.caller == site.caller and s.indirect]
-                callees = [(callee, True) for callee in sorted(set(resolved))]
-            else:
-                callees = [(site.callee, False)]
-            for callee, indirect in callees:
-                if callee in blocking.conditional_seeds and not site.indirect:
-                    # Allocator-style callee: blocking only when this call
-                    # site can pass GFP_WAIT.
-                    if not site.conditional_blocks:
-                        continue
-                elif callee not in blocking_set:
+# ---------------------------------------------------------------------------
+# Violation detection
+# ---------------------------------------------------------------------------
+
+def check_violations(result: BlockStopResult) -> None:
+    """Step 4 over ``result.atomic_call_sites``: sort them, then record
+    every site whose callee may block as a violation, silenced when the
+    callee carries the run-time assertion."""
+    # (function, location) ordering: the rendered report must not depend
+    # on dict iteration, CFG block numbering or shard order.
+    result.atomic_call_sites.sort(
+        key=lambda s: (s.caller, s.location.filename, s.location.line,
+                       s.location.column, s.callee))
+    blocking = result.blocking
+    graph = result.graph
+    blocking_set = set(blocking.may_block)
+    for site in result.atomic_call_sites:
+        callees: list[tuple[str, bool]] = []
+        if site.indirect:
+            resolved = [s.callee for s in graph.call_sites
+                        if s.caller == site.caller and s.indirect]
+            callees = [(callee, True) for callee in sorted(set(resolved))]
+        else:
+            callees = [(site.callee, False)]
+        for callee, indirect in callees:
+            if callee in blocking.conditional_seeds and not site.indirect:
+                # Allocator-style callee: blocking only when this call
+                # site can pass GFP_WAIT.
+                if not site.conditional_blocks:
                     continue
-                else:
-                    reachable_blockers = (graph.reachable_from([callee])
-                                          & (set(blocking.seeds)
-                                             | set(blocking.conditional_seeds)))
-                    if not reachable_blockers and callee not in blocking.seeds:
-                        continue
-                path = graph.shortest_path(callee, blocking.seeds | {callee})
-                silenced = callee in self.runtime_checks
-                result.violations.append(Violation(
-                    caller=site.caller, callee=callee, location=site.location,
-                    path=[site.caller, *path] if path else [site.caller, callee],
-                    via_indirect=indirect, silenced_by_check=silenced))
+            elif callee not in blocking_set:
+                continue
+            else:
+                reachable_blockers = (graph.reachable_from([callee])
+                                      & (set(blocking.seeds)
+                                         | set(blocking.conditional_seeds)))
+                if not reachable_blockers and callee not in blocking.seeds:
+                    continue
+            path = graph.shortest_path(callee, blocking.seeds | {callee})
+            silenced = callee in result.runtime_checks
+            result.violations.append(Violation(
+                caller=site.caller, callee=callee, location=site.location,
+                path=[site.caller, *path] if path else [site.caller, callee],
+                via_indirect=indirect, silenced_by_check=silenced))
+    result.violations.sort(
+        key=lambda v: (v.caller, v.location.filename, v.location.line,
+                       v.location.column, v.callee))
 
 
 # ---------------------------------------------------------------------------
@@ -373,13 +394,28 @@ def check_blockstop(ctx: AnalysisContext,
     handler set travel in ``ctx.extras`` (they have no cross-checker home);
     anything missing is computed on demand exactly as before.
     """
+    return _checker(ctx, precision, runtime_checks).run()
+
+
+def scan_blockstop(ctx: AnalysisContext,
+                   precision: Precision = Precision.TYPE_BASED,
+                   runtime_checks: RuntimeCheckSet | None = None,
+                   ) -> BlockStopResult:
+    """:func:`check_blockstop`'s first three steps over ``ctx.functions``
+    (every function when None): the atomic call sites, no violations.  The
+    engine's per-unit shard; :func:`check_violations` finishes the union."""
+    return _checker(ctx, precision, runtime_checks).scan(ctx.functions)
+
+
+def _checker(ctx: AnalysisContext, precision: Precision,
+             runtime_checks: RuntimeCheckSet | None) -> BlockStopChecker:
     extras = ctx.extras
     return BlockStopChecker(ctx.program, precision, runtime_checks,
                             graph=ctx.call_graph,
                             blocking=extras.get("blocking"),
                             irq_handlers=extras.get("irq_handlers"),
                             summaries=ctx.summaries,
-                            consts=ctx.facts).run()
+                            consts=ctx.facts)
 
 
 def run_blockstop(program: Program,

@@ -320,8 +320,12 @@ class _FunctionInstrumenter:
                 stmt.stmts[index] = self.stmt(inner, cache)
             return stmt
         if isinstance(stmt, ast.ExprStmt):
-            stmt.expr = self.expr(stmt.expr, cache)
-            self._after_effects(stmt.expr, cache)
+            expr = self.expr(stmt.expr, cache)
+            # An assignment notes its own effects (``_assign``); noting the
+            # same object again would only repeat them.
+            if expr is not stmt.expr or not isinstance(expr, ast.Assign):
+                self._after_effects(expr, cache)
+            stmt.expr = expr
             return stmt
         if isinstance(stmt, ast.DeclStmt):
             init = stmt.decl.init

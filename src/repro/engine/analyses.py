@@ -33,7 +33,12 @@ from ..analyses.lockcheck import (
     derive_report,
 )
 from ..analyses.stackcheck import analyse_stack
-from ..blockstop.checker import check_blockstop
+from ..blockstop.checker import (
+    AtomicCallSite,
+    BlockStopResult,
+    check_violations,
+    scan_blockstop,
+)
 from ..blockstop.runtime_checks import RuntimeCheckSet
 from ..ccount.delayed_free import (
     count_delayed_scopes_in,
@@ -106,7 +111,7 @@ class AnalysisReport:
 
 
 class ShardReads(Enum):
-    """What a per-unit shard reads about functions outside its unit.
+    """What a shard reads about functions outside its unit.
 
     The incremental service folds exactly this into the shard's cache key,
     next to the unit's own location hashes and the globals fingerprint, so
@@ -125,6 +130,10 @@ class ShardReads(Enum):
     REFERENCED_SIGNATURES = auto()
     #: Nothing: the shard depends on the unit's own bodies alone.
     NOTHING = auto()
+    #: For a whole-program shard: the call graph's nodes and edges and
+    #: every function's summary, nothing located.  The only reads a
+    #: whole-program shard may declare.
+    CALL_GRAPH_AND_SUMMARIES = auto()
 
 
 class EngineAnalysis:
@@ -133,8 +142,12 @@ class EngineAnalysis:
     name = "base"
     #: Whether run_shard can be restricted to a translation unit's functions.
     per_unit = False
-    #: What a per-unit shard reads about functions outside its unit.
+    #: What a shard reads about functions outside its unit.
     shard_reads = ShardReads.CALLEE_SCC_KEYS
+    #: The :class:`SharedArtifacts` fields ``merge`` reads besides the
+    #: payloads: the incremental service carries the last merged report
+    #: while the payloads are equal and these are the same objects.
+    merge_reads: tuple[str, ...] = ()
 
     def run_shard(self, artifacts: SharedArtifacts,
                   functions: list[str] | None) -> dict:
@@ -223,40 +236,71 @@ class DeputyAnalysis(EngineAnalysis):
 
 
 class BlockStopAnalysis(EngineAnalysis):
-    """BlockStop: no blocking calls while interrupts are disabled."""
+    """BlockStop: no blocking calls while interrupts are disabled.
+
+    A shard scans its unit's functions for atomic call sites; the merge
+    checks their union against the call graph and the blocking set.
+    """
 
     name = "blockstop"
-    per_unit = False
+    per_unit = True
+    #: A unit's scan reads its own bodies and facts and its callees'
+    #: summaries (their IRQ deltas); the IRQ-handler set and the blocking
+    #: seeds are in the salt.
+    shard_reads = ShardReads.CALLEE_SCC_KEYS
+    merge_reads = ("graph", "blocking", "irq_handlers", "precision")
 
     def __init__(self, runtime_checks: RuntimeCheckSet | None = None) -> None:
         self.runtime_checks = runtime_checks
 
+    def shard_salt(self, artifacts):
+        # Which functions start atomic, and how a blocking_if_wait call
+        # site is classified (its callee's seeds, then its flags).
+        blocking = artifacts.blocking
+        parts = [",".join(sorted(artifacts.irq_handlers)),
+                 ",".join(sorted(blocking.conditional_seeds)),
+                 ",".join(sorted(blocking.seeds))]
+        return hashlib.sha256("\x00".join(parts).encode()).hexdigest()[:32]
+
     def run_shard(self, artifacts, functions):
-        result = check_blockstop(analysis_context(artifacts, functions),
-                                 artifacts.precision,
-                                 runtime_checks=self.runtime_checks)
-        findings = [make_finding(self.name, "blocking-in-atomic-context",
-                                 violation.caller, violation.location,
-                                 violation.describe())
-                    for violation in result.reported]
-        return {
-            "findings": findings,
-            "metrics": {
-                "functions_analyzed": len(result.graph),
-                "blocking_functions": len(result.blocking.may_block),
-                "atomic_call_sites": len(result.atomic_call_sites),
-                "irq_handlers": len(result.irq_handlers),
-                "violations_reported": len(result.reported),
-                "violations_silenced": len(result.silenced),
-                "precision": artifacts.precision.name.lower(),
-            },
-        }
+        result = scan_blockstop(analysis_context(artifacts, functions),
+                                artifacts.precision,
+                                runtime_checks=self.runtime_checks)
+        return {"sites": [
+            {"caller": site.caller, "callee": site.callee,
+             "file": site.location.filename, "line": site.location.line,
+             "column": site.location.column, "indirect": site.indirect,
+             "conditional": site.conditional_blocks}
+            for site in result.atomic_call_sites]}
 
     def merge(self, artifacts, payloads):
-        payload = payloads[0]
-        findings = sorted(payload["findings"], key=finding_sort_key)
-        return AnalysisReport(name=self.name, findings=findings,
-                              metrics=payload["metrics"])
+        result = BlockStopResult(
+            graph=artifacts.graph, blocking=artifacts.blocking,
+            precision=artifacts.precision,
+            runtime_checks=self.runtime_checks or RuntimeCheckSet(),
+            irq_handlers=set(artifacts.irq_handlers))
+        result.atomic_call_sites = [
+            AtomicCallSite(caller=raw["caller"], callee=raw["callee"],
+                           location=SourceLocation(raw["file"], raw["line"],
+                                                   raw["column"]),
+                           indirect=raw["indirect"],
+                           conditional_blocks=raw["conditional"])
+            for payload in payloads for raw in payload["sites"]]
+        check_violations(result)
+        findings = sorted(
+            (make_finding(self.name, "blocking-in-atomic-context",
+                          violation.caller, violation.location,
+                          violation.describe())
+             for violation in result.reported), key=finding_sort_key)
+        return AnalysisReport(name=self.name, findings=findings, metrics={
+            "functions_analyzed": len(result.graph),
+            "blocking_functions": len(result.blocking.may_block),
+            "atomic_call_sites": len(result.atomic_call_sites),
+            "irq_handlers": len(result.irq_handlers),
+            "violations_reported": len(result.reported),
+            "violations_silenced": len(result.silenced),
+            "precision": artifacts.precision.name.lower(),
+        })
 
 
 class ErrcheckAnalysis(EngineAnalysis):
@@ -264,6 +308,7 @@ class ErrcheckAnalysis(EngineAnalysis):
 
     name = "errcheck"
     per_unit = True
+    merge_reads = ("error_returning",)
 
     def shard_salt(self, artifacts):
         # The whole error-returning set reaches every shard; callee SCC keys
@@ -305,6 +350,7 @@ class LockcheckAnalysis(EngineAnalysis):
 
     name = "lockcheck"
     per_unit = True
+    merge_reads = ("irq_handlers",)
 
     @staticmethod
     def _acq_payload(acq: LockAcquisition) -> dict:
@@ -411,6 +457,9 @@ class StackcheckAnalysis(EngineAnalysis):
 
     name = "stackcheck"
     per_unit = False
+    #: Frame sizes and stack depths come from the summaries, recursion
+    #: from the condensation of the graph; no finding carries a location.
+    shard_reads = ShardReads.CALL_GRAPH_AND_SUMMARIES
 
     def run_shard(self, artifacts, functions):
         stack_report = analyse_stack(artifacts.program, artifacts.graph,
@@ -466,6 +515,8 @@ class CCountAnalysis(EngineAnalysis):
     #: Purely intraprocedural — an edit to a callee never changes this
     #: analysis's result for the caller's unit.
     shard_reads = ShardReads.NOTHING
+    #: The census of the units without functions and the type layouts.
+    merge_reads = ("program", "unit_functions")
 
     def run_shard(self, artifacts, functions):
         program = artifacts.program

@@ -7,12 +7,18 @@ exactly like a C compiler would.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class SourceLocation:
-    """A position in a MiniC source file."""
+class SourceLocation(NamedTuple):
+    """A position in a MiniC source file.
+
+    A :class:`typing.NamedTuple`: the lexer builds one per token, and a
+    tuple is built without a Python-level ``__init__``.  Being a plain
+    tuple, a location compares equal to the tuple of its fields,
+    ``SourceLocation(f, l, c) == (f, l, c)``, and not only to another
+    ``SourceLocation``, as :class:`repro.minic.tokens.Token` does.
+    """
 
     filename: str = "<unknown>"
     line: int = 0

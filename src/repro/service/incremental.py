@@ -5,11 +5,15 @@ on whole-corpus content: one edited byte re-parses every translation unit and
 re-solves every summary.  The :class:`IncrementalAnalyzer` re-keys that work
 at the granularity the dependency structure actually has:
 
-* **parses** per translation unit — an edit re-parses only the edited file,
-  against snapshots of the shared macro/typedef/enum tables taken when the
-  corpus was last parsed (the corpus models kernel-wide headers by sharing
-  those tables across files, so re-parsing one file in the middle of the
-  sequence needs the tables rolled back to that point and verified after);
+* **parses** per translation unit — an edit re-parses only the edited file
+  (each file is compared with the text the last pass saw; nothing is
+  hashed), against snapshots of the shared macro/typedef/enum tables taken
+  when the corpus was last parsed (the corpus models kernel-wide headers by
+  sharing those tables across files, so re-parsing one file in the middle
+  of the sequence needs the tables rolled back to that point and verified
+  after).  A pass that re-parsed no unit — a no-op, or a break whose unit
+  keeps serving its last good parse — carries the last pass's link,
+  records, artifacts and reports whole and builds only its diagnostics;
 * **constant facts** per function, keyed on the function's rendered body;
 * **summaries** per call-graph SCC, keyed on what the component's
   fixpoint reads: a *local* key
@@ -28,10 +32,16 @@ at the granularity the dependency structure actually has:
   function bodies plus exactly what the analysis declares its shard reads
   about functions outside the unit (:class:`~repro.engine.analyses.ShardReads`):
   the functions' SCC keys, which cover their callees' summaries and
-  headers, for errcheck and lockcheck; the signature hash of every name
-  the bodies reference for Deputy; nothing for CCount.  So a body edit that
-  keeps its function's summary and signature re-runs errcheck, lockcheck
-  and Deputy only in the edited unit;
+  headers, for BlockStop, errcheck and lockcheck; the signature hash of
+  every name the bodies reference for Deputy; nothing for CCount.
+  Stackcheck, whose findings carry no location, has one shard keyed on
+  the call-graph fingerprint and every summary hash.  Keys carry over:
+  a pass hashes a unit's key again only when the unit was re-parsed, the
+  globals or the analysis's salt moved, or what the key reads outside the
+  unit moved, and merges an analysis again only when a payload or an
+  artifact its merge reads moved.  So a body edit that keeps its
+  function's summary and signature keys and re-runs each per-unit
+  analysis only in the edited unit, and stackcheck not at all;
 * **corpus-wide artifacts** — the call graph with points-to, the
   condensation, the IRQ handlers, the annotations map, the summary
   context, and the blocking and error-return sets — are the last pass's
@@ -90,6 +100,7 @@ from ..deputy.checker import DeputyOptions
 from ..deputy.typesystem import TypeEnv
 from ..engine.analyses import (
     ANALYSIS_ORDER,
+    AnalysisReport,
     ShardReads,
     diagnostics_report,
     make_registry,
@@ -119,16 +130,6 @@ def _summary_hash(summary: FunctionSummary) -> str:
     """A summary's content hash, equal across processes (``hash()`` is
     salted per process, and store keys fold these in)."""
     return _sha(repr(summary))
-
-
-def _content_key(corpus_file: CorpusFile) -> str:
-    digest = hashlib.sha256()
-    for part in (source_digest(), corpus_file.filename, corpus_file.source,
-                 "1" if corpus_file.kernel else "0"):
-        raw = part.encode()
-        digest.update(f"{len(raw)}:".encode())
-        digest.update(raw)
-    return digest.hexdigest()[:32]
 
 
 @dataclass(frozen=True)
@@ -161,10 +162,12 @@ class _UnitRecord:
 
     filename: str
     #: The source that produced ``unit`` (the *last good* source; on a
-    #: parse error this keeps serving while ``content_key`` tracks the
-    #: broken text so it isn't futilely re-parsed every pass).
+    #: parse error this keeps serving while ``seen`` holds the broken text
+    #: so it isn't futilely re-parsed every pass).
     corpus_file: CorpusFile
-    content_key: str
+    #: The file as the last pass saw it: a pass re-parses the unit only
+    #: when its file differs.
+    seen: CorpusFile
     unit: ast.TranslationUnit | None
     diagnostic: ParseDiagnostic | None
     pre: _TableSnapshot
@@ -265,13 +268,33 @@ def _structure_hash(sig_hash: str, sem_hash: str,
 
 
 @dataclass(frozen=True)
+class _Merged:
+    """One analysis's shards and merged report, for the next pass to
+    start from."""
+
+    salt: str
+    #: Translation unit -> shard key, in unit order; a whole-program
+    #: analysis keys its one shard under "".
+    keys: dict[str, str]
+    #: The shards' payloads, in the same order.
+    payloads: list[dict]
+    report: AnalysisReport
+
+
+@dataclass(frozen=True)
 class _PassState:
     """What the last completed pass derived, for the next pass to reuse.
 
-    The artifacts are shared with the snapshot the service's readers may
-    still hold, so a pass reads them and never mutates them.
+    The artifacts and the reports are shared with the snapshot the
+    service's readers may still hold, so a pass reads them and never
+    mutates them.
     """
 
+    #: Each corpus slot's unit as linked, in corpus order: a pass whose
+    #: records hold the very same objects re-parsed nothing.
+    units: tuple[ast.TranslationUnit | None, ...]
+    #: Link errors by unit filename (:meth:`IncrementalAnalyzer._link`).
+    link_errors: dict[str, ParseDiagnostic]
     globals_fp: str
     #: function name -> record, in ``program.functions`` order.
     records: dict[str, _FunctionRecord]
@@ -286,6 +309,9 @@ class _PassState:
     scc_keys: list[str]
     #: function name -> hash of its summary (:func:`_summary_hash`).
     summary_hashes: dict[str, str]
+    #: analysis name -> its shards and report, in run order.
+    merged: dict[str, _Merged]
+    summary_stats: dict
 
 
 def _complete_key(local_key: str, scc: tuple[str, ...], graph,
@@ -333,6 +359,14 @@ class IncrementalStats:
     #: ``shards_rerun`` split by analysis: every registered name, 0 allowed.
     shards_rerun_by_analysis: dict[str, int] = field(default_factory=dict)
     shards_reused: int = 0
+    #: Shard keys hashed this pass: a key carries over unless its unit was
+    #: re-parsed or what it reads moved.  0 on a pass that re-parsed nothing.
+    shard_keys_computed: int = 0
+    #: The units with a shard key hashed this pass, sorted.
+    keyed_units: list[str] = field(default_factory=list)
+    #: Analyses whose report was merged afresh rather than carried: those
+    #: with a payload or an input of their merge that moved.
+    analyses_merged: int = 0
     #: Artifacts served from the persistent store (cold-start warm hits).
     store_hits: int = 0
     #: Artifacts written through to the persistent store this pass.
@@ -364,6 +398,9 @@ class IncrementalStats:
             "shards_rerun": self.shards_rerun,
             "shards_rerun_by_analysis": dict(self.shards_rerun_by_analysis),
             "shards_reused": self.shards_reused,
+            "shard_keys_computed": self.shard_keys_computed,
+            "keyed_units": list(self.keyed_units),
+            "analyses_merged": self.analyses_merged,
             "store_hits": self.store_hits,
             "store_writes": self.store_writes,
             "indexed_functions": self.indexed_functions,
@@ -519,7 +556,7 @@ class IncrementalAnalyzer:
         return _UnitRecord(
             filename=corpus_file.filename,
             corpus_file=corpus_file,
-            content_key=_content_key(corpus_file),
+            seen=corpus_file,
             unit=unit,
             diagnostic=None,
             pre=pre,
@@ -626,16 +663,14 @@ class IncrementalAnalyzer:
             if not self._effect_matches(
                     record, self._attempt_effect(attempt_pre, good_unit)):
                 return False
-            self._records[index] = replace(
-                record, content_key=_content_key(corpus_file),
-                diagnostic=diagnostic)
+            self._records[index] = replace(record, seen=corpus_file,
+                                           diagnostic=diagnostic)
             return True
         if not self._effect_matches(
                 record, self._attempt_effect(attempt_pre, unit)):
             return False
         self._records[index] = replace(
-            record, corpus_file=corpus_file,
-            content_key=_content_key(corpus_file),
+            record, corpus_file=corpus_file, seen=corpus_file,
             unit=unit, diagnostic=None)
         self._last_good[corpus_file.filename] = corpus_file
         return True
@@ -659,12 +694,11 @@ class IncrementalAnalyzer:
                 if record is None:
                     record = _UnitRecord(
                         filename=corpus_file.filename,
-                        corpus_file=corpus_file,
-                        content_key=_content_key(corpus_file),
+                        corpus_file=corpus_file, seen=corpus_file,
                         unit=None, diagnostic=diagnostic,
                         pre=pre, post=self._snapshot())
                 else:
-                    record.content_key = _content_key(corpus_file)
+                    record.seen = corpus_file
                     record.diagnostic = diagnostic
                 self._records.append(record)
                 continue
@@ -693,8 +727,10 @@ class IncrementalAnalyzer:
         if [f.filename for f in files] != [r.filename for r in self._records]:
             self._full_parse(files, stats, reason="file-set-changed")
             return
+        # Dataclass equality compares the texts, and an unedited file's
+        # text is the very string the last pass saw.
         changed = [index for index, corpus_file in enumerate(files)
-                   if _content_key(corpus_file) != self._records[index].content_key]
+                   if corpus_file != self._records[index].seen]
         stats.reused_units = len(files) - len(changed)
         if not changed:
             return
@@ -706,14 +742,28 @@ class IncrementalAnalyzer:
         # pass's rollbacks start from the canonical end-of-corpus state.
         self._apply_tables(self._records[-1].post)
 
-    def _link(self) -> tuple[Program, tuple[ParseDiagnostic, ...]]:
+    def _link(self) -> tuple[Program, dict[str, ParseDiagnostic]]:
         """Link the current units, isolating link-time errors per unit
-        exactly like :func:`repro.kernel.build.parse_corpus_tolerant`."""
-        program, diagnostics = link_tolerant(
-            ((record.unit, record.diagnostic) for record in self._records),
+        exactly like :func:`repro.kernel.build.parse_corpus_tolerant`;
+        returns the program and the link errors by unit filename."""
+        program, errors = link_tolerant(
+            ((record.unit, None) for record in self._records),
             self._type_registry)
         program._corpus_preprocessor = self._preprocessor  # type: ignore[attr-defined]
-        return program, diagnostics
+        return program, {error.filename: error for error in errors}
+
+    def _diagnostics(self, link_errors: dict[str, ParseDiagnostic],
+                     ) -> tuple[ParseDiagnostic, ...]:
+        """Each unit's parse diagnostic, then its link error, in corpus
+        order: what :func:`link_tolerant` reports for the same pairs."""
+        diagnostics = []
+        for record in self._records:
+            if record.diagnostic is not None:
+                diagnostics.append(record.diagnostic)
+            error = link_errors.get(record.filename)
+            if error is not None:
+                diagnostics.append(error)
+        return tuple(diagnostics)
 
     # -- fingerprints ---------------------------------------------------------
 
@@ -804,44 +854,50 @@ class IncrementalAnalyzer:
         """Constant facts per function, and the memo for the next pass.
 
         Each function is looked up by key (body hash, globals fingerprint,
-        domains) in memory, then in the persistent store, else solved.  The
-        memo keeps each entry's store key, so a memory hit costs one tuple
-        comparison.
+        domains) in memory, then in the persistent store (one batched read
+        for all the memory misses), else solved.  The memo keeps each
+        entry's store key, so a memory hit costs one tuple comparison.
         """
         memo = self._consts_store
-        consts: dict = {}
-        store: dict[str, tuple[tuple[str, str, str], str, object]] = {}
         domains = domain_fingerprint(DEFAULT_DOMAINS)
-        # Values are wrapped in a 1-tuple on disk: ``None`` is a legitimate
-        # artifact (branchless function), so a bare miss must be
-        # distinguishable from a stored ``None``.
-        disk_writes: list[tuple[str, tuple]] = []
+        # In ``program.functions`` order; a memory miss holds its place
+        # until the store has answered.
+        store: dict[str, tuple[tuple[str, str, str], str, object] | None] = {}
+        missing: dict[str, tuple[tuple[str, str, str], str]] = {}
         live: list[str] = []
-        for name, func in program.functions.items():
+        for name in program.functions:
             key = (records[name].sem_hash, globals_fp, domains)
             entry = memo.get(name)
             if entry is not None and entry[0] == key:
                 stats.consts_reused += 1
                 live.append(entry[1])
             else:
-                disk_key = _sha("\x00".join(key))
-                wrapped = (self.store.get("consts", disk_key)
-                           if self.store is not None else None)
-                if wrapped is not None:
-                    value = wrapped[0]
-                    stats.consts_reused += 1
-                    stats.store_hits += 1
-                else:
-                    value = facts_of(func, syntax=program.syntax(name))
-                    stats.consts_solved += 1
-                    disk_writes.append((disk_key, (value,)))
-                entry = (key, disk_key, value)
-            consts[name] = entry[2]
+                missing[name] = (key, _sha("\x00".join(key)))
             store[name] = entry
+        # Values are wrapped in a 1-tuple on disk: ``None`` is a legitimate
+        # artifact (branchless function), so a bare miss must be
+        # distinguishable from a stored ``None``.
+        found = (self.store.get_many(
+            "consts", [disk_key for _, disk_key in missing.values()])
+            if self.store is not None and missing else {})
+        disk_writes: list[tuple[str, tuple]] = []
+        for name, (key, disk_key) in missing.items():
+            wrapped = found.get(disk_key)
+            if wrapped is not None:
+                value = wrapped[0]
+                stats.consts_reused += 1
+                stats.store_hits += 1
+            else:
+                value = facts_of(program.functions[name],
+                                 syntax=program.syntax(name))
+                stats.consts_solved += 1
+                disk_writes.append((disk_key, (value,)))
+            store[name] = (key, disk_key, value)
         if self.store is not None:
             self.store.put_many("consts", disk_writes)
             self.store.touch("consts", live)
             stats.store_writes += len(disk_writes)
+        consts = {name: entry[2] for name, entry in store.items()}
         return consts, store
 
     def _rekey(self, records: dict[str, _FunctionRecord], graph,
@@ -901,8 +957,9 @@ class IncrementalAnalyzer:
         it; and an empty one returns the last pass's solve whole.  Without
         ``stale``, every key is completed.
 
-        Each component comes from memory, else from the persistent store,
-        else from :func:`solve_scc`: a dirty component starts at lattice
+        Each component comes from memory, else from the persistent store
+        (one batched read per wave, for the wave's memory misses), else
+        from :func:`solve_scc`: a dirty component starts at lattice
         bottom with its callees' summaries supplied, so the result is the
         batch least fixpoint, and only its summaries are hashed.  Returns
         the summaries, their hashes, the keys, the memo for the next pass,
@@ -930,21 +987,27 @@ class IncrementalAnalyzer:
         disk_writes: list[tuple[str, tuple[dict, dict]]] = []
         live: list[str] = []
         for wave in condensation.waves:
+            # A wave's components read only earlier waves' summaries, so
+            # the whole wave is keyed before the store is asked.
+            for index in wave:
+                if stale is None or index in stale:
+                    keys[index] = _complete_key(
+                        local_keys[index], condensation.sccs[index], graph,
+                        hashes, records)
+                else:
+                    keys[index] = last_keys[index]
+            misses = [keys[index] for index in wave if keys[index] not in memo]
+            found = (self.store.get_many("scc", misses)
+                     if self.store is not None and misses else {})
             for index in wave:
                 scc = condensation.sccs[index]
-                if stale is None or index in stale:
-                    key = _complete_key(local_keys[index], scc, graph,
-                                        hashes, records)
-                else:
-                    key = last_keys[index]
-                keys[index] = key
+                key = keys[index]
                 entry = memo.get(key)
                 if entry is not None:
                     stats.sccs_reused += 1
                     live.append(key)
                 else:
-                    entry = (self.store.get("scc", key)
-                             if self.store is not None else None)
+                    entry = found.get(key)
                     if entry is not None:
                         stats.sccs_reused += 1
                         stats.store_hits += 1
@@ -976,109 +1039,212 @@ class IncrementalAnalyzer:
 
     @staticmethod
     def _shard_key(name: str, filename: str, functions: list[str],
-                   records: dict[str, _FunctionRecord],
-                   outside: dict[str, str], globals_fp: str,
-                   salt: str) -> str:
+                   records: dict[str, _FunctionRecord], outside,
+                   globals_fp: str, salt: str) -> str:
         """A per-unit shard's key: the unit's location hashes plus, for each
         of its functions, what the analysis reads outside the unit
-        (``outside``: function name -> that content, as text)."""
+        (``outside(function)``: that content, as text)."""
         parts = [name, filename, globals_fp, salt]
         for function in functions:
             parts.append(f"{function}={records[function].loc_hash}")
-            parts.append(outside.get(function, ""))
+            parts.append(outside(function))
         return _sha("\x00".join(parts))
 
     @staticmethod
-    def _signatures_read(records: dict[str, _FunctionRecord]) -> dict[str, str]:
-        """Function name -> ``name:sig_hash`` of every identifier its body
-        names, locals included: the call-contract check and the type of a
-        call resolve a direct callee through ``Program.function_type``
-        without looking at locals.  A name with no definition folds in
-        bare, so a later definition changes the key."""
-        signature = {name: f"{name}:{record.sig_hash}"
-                     for name, record in records.items()}
-        return {name: "\x00".join([signature.get(ref, ref)
-                                   for ref in record.referenced])
-                for name, record in records.items()}
+    def _outside_reads(reads: ShardReads, records: dict[str, _FunctionRecord],
+                       condensation, scc_keys: list[str]):
+        """``outside`` for :meth:`_shard_key`: what a function's shard reads
+        about functions outside its unit, as declared by ``reads``."""
+        if reads is ShardReads.CALLEE_SCC_KEYS:
+            scc_of = condensation.scc_of
+
+            def outside(function):
+                index = scc_of.get(function)
+                return scc_keys[index] if index is not None else ""
+
+            return outside
+        if reads is ShardReads.REFERENCED_SIGNATURES:
+            # ``name:sig_hash`` of every identifier the body names, locals
+            # included: the call-contract check and the type of a call
+            # resolve a direct callee through ``Program.function_type``
+            # without looking at locals.  A name with no definition folds
+            # in bare, so a later definition changes the key.
+            def outside(function):
+                return "\x00".join([
+                    f"{ref}:{records[ref].sig_hash}" if ref in records else ref
+                    for ref in records[function].referenced])
+
+            return outside
+        return lambda function: ""
+
+    def _moved_reads(self, reads: ShardReads,
+                     records: dict[str, _FunctionRecord], condensation,
+                     scc_keys: list[str]) -> set[str]:
+        """The functions whose ``outside`` (:meth:`_outside_reads`) may
+        differ from the last pass's, over the same globals."""
+        last = self._last
+        if reads is ShardReads.CALLEE_SCC_KEYS:
+            if scc_keys is last.scc_keys:
+                return set()
+            if condensation is last.artifacts.condensation:
+                return {name for index, key in enumerate(scc_keys)
+                        if key != last.scc_keys[index]
+                        for name in condensation.sccs[index]}
+            old_of = last.artifacts.condensation.scc_of
+            return {name for name, index in condensation.scc_of.items()
+                    if name not in old_of
+                    or scc_keys[index] != last.scc_keys[old_of[name]]}
+        if reads is ShardReads.REFERENCED_SIGNATURES:
+            # A signature moves with its record, so only new records and
+            # dropped names are compared.
+            old = last.records
+            moved = {name for name, record in records.items()
+                     if old.get(name) is not record and (
+                         name not in old
+                         or old[name].sig_hash != record.sig_hash)}
+            moved.update(name for name in old if name not in records)
+            if not moved:
+                return set()
+            return {name for name, record in records.items()
+                    if not moved.isdisjoint(record.referenced)}
+        return set()
 
     def _run_shards(self, artifacts: SharedArtifacts,
                     records: dict[str, _FunctionRecord],
-                    scc_keys: list[str], globals_fp: str, callgraph_fp: str,
-                    report: EngineReport, stats: IncrementalStats):
-        """Run or reuse every checker shard and merge each analysis;
-        returns the payload memo for the next pass."""
-        condensation = artifacts.condensation
-        scc_key_of: dict[str, str] = {}
-        for index, scc in enumerate(condensation.sccs):
-            for function in scc:
-                scc_key_of[function] = scc_keys[index]
-        outside_of = {ShardReads.CALLEE_SCC_KEYS: scc_key_of,
-                      ShardReads.REFERENCED_SIGNATURES:
-                          self._signatures_read(records),
-                      ShardReads.NOTHING: {}}
-        root_parts = [globals_fp, callgraph_fp]
-        root_parts.extend(f"{name}={records[name].loc_hash}"
-                          for name in sorted(records))
-        root_fp = _sha("\x00".join(root_parts))
+                    scc_keys: list[str], summary_hashes: dict[str, str],
+                    globals_fp: str, callgraph_fp: str,
+                    stats: IncrementalStats):
+        """Run or reuse every checker shard and merge each analysis.
+
+        Each shard key starts from the last pass's: a unit's is hashed
+        again only when the unit was re-parsed (a function record of it is
+        new), the globals fingerprint or the analysis's salt moved, or the
+        declared :class:`ShardReads` of one of its functions moved.  The
+        whole-program shard (stackcheck's) is keyed on the call-graph
+        fingerprint and every summary hash, and hashed again only when one
+        of them moved.  An analysis is merged again only when one of its
+        payloads differs from the last pass's or an artifact its ``merge``
+        reads (``merge_reads``) is not the last pass's object.  Returns the
+        payload memo and the merged state for the next pass.
+        """
+        last = self._last
+        if last is not None and last.globals_fp != globals_fp:
+            last = None
+        unit_functions = artifacts.unit_functions
+        reparsed: set[str] = set()
+        if last is not None:
+            old = last.records
+            reparsed = {filename for filename, functions
+                        in unit_functions.items()
+                        if any(old.get(name) is not records[name]
+                               for name in functions)}
+        memo = self._shard_store
         store: dict[str, dict] = {}
+        merged: dict[str, _Merged] = {}
+        keyed: set[str] = set()
         disk_writes: list[tuple[str, tuple]] = []
         disk_touches: list[str] = []
         for name in ANALYSIS_ORDER:
             if name not in self.registry:
                 continue
             analysis = self.registry[name]
+            reads = analysis.shard_reads
             salt = analysis.shard_salt(artifacts)
-            stats.shards_rerun_by_analysis[name] = 0
-            payloads = []
+            carried = last.merged.get(name) if last is not None else None
+            if carried is not None and carried.salt != salt:
+                carried = None
+            keys: dict[str, str] = {}
             if analysis.per_unit:
-                outside = outside_of[analysis.shard_reads]
-                keys = [
-                    self._shard_key(name, filename, functions, records,
-                                    outside, globals_fp, salt)
-                    for filename, functions in artifacts.unit_functions.items()
-                    if functions]
-                tasks = [functions for functions
-                         in artifacts.unit_functions.values() if functions]
+                outside = self._outside_reads(reads, records,
+                                              artifacts.condensation, scc_keys)
+                moved = (self._moved_reads(reads, records,
+                                           artifacts.condensation, scc_keys)
+                         if carried is not None else set())
+                for filename, functions in unit_functions.items():
+                    if not functions:
+                        continue
+                    key = (carried.keys.get(filename) if carried is not None
+                           else None)
+                    if (key is None or filename in reparsed
+                            or not moved.isdisjoint(functions)):
+                        key = self._shard_key(name, filename, functions,
+                                              records, outside, globals_fp,
+                                              salt)
+                        stats.shard_keys_computed += 1
+                        keyed.add(filename)
+                    keys[filename] = key
+            elif reads is ShardReads.CALL_GRAPH_AND_SUMMARIES:
+                key = carried.keys[""] if carried is not None else None
+                if key is None or callgraph_fp != last.callgraph_fp or (
+                        summary_hashes is not last.summary_hashes
+                        and summary_hashes != last.summary_hashes):
+                    key = _sha("\x00".join(
+                        [name, globals_fp, salt, callgraph_fp,
+                         *sorted(f"{function}:{digest}" for function, digest
+                                 in summary_hashes.items())]))
+                    stats.shard_keys_computed += 1
+                keys[""] = key
             else:
-                keys = [_sha("\x00".join([name, root_fp, salt]))]
-                tasks = [None]
-            for key, functions in zip(keys, tasks):
-                payload = self._shard_store.get(key)
-                if payload is None:
-                    wrapped = (self.store.get("shard", key)
-                               if self.store is not None else None)
-                    if wrapped is not None:
-                        payload = wrapped[0]
-                        stats.shards_reused += 1
-                        stats.store_hits += 1
-                    else:
-                        payload = analysis.run_shard(artifacts, functions)
-                        stats.shards_rerun += 1
-                        stats.shards_rerun_by_analysis[name] += 1
-                        disk_writes.append((key, (payload,)))
-                else:
+                raise ValueError(f"{name}: a whole-program shard must read "
+                                 "the call graph and the summaries alone")
+            stats.shards_rerun_by_analysis[name] = 0
+            misses = [key for key in keys.values() if key not in memo]
+            found = (self.store.get_many("shard", misses)
+                     if self.store is not None and misses else {})
+            payloads = []
+            for filename, key in keys.items():
+                payload = memo.get(key)
+                if payload is not None:
                     stats.shards_reused += 1
                     disk_touches.append(key)
+                elif key in found:
+                    payload = found[key][0]
+                    stats.shards_reused += 1
+                    stats.store_hits += 1
+                else:
+                    payload = analysis.run_shard(
+                        artifacts, unit_functions[filename] if filename
+                        else None)
+                    stats.shards_rerun += 1
+                    stats.shards_rerun_by_analysis[name] += 1
+                    disk_writes.append((key, (payload,)))
                 store[key] = payload
                 payloads.append(payload)
-            report.analyses[name] = analysis.merge(artifacts, payloads)
+            if (carried is not None and len(payloads) == len(carried.payloads)
+                    and all(payload is before or payload == before
+                            for payload, before
+                            in zip(payloads, carried.payloads))
+                    and all(getattr(artifacts, field_name)
+                            is getattr(last.artifacts, field_name)
+                            for field_name in analysis.merge_reads)):
+                report = carried.report
+            else:
+                report = analysis.merge(artifacts, payloads)
+                stats.analyses_merged += 1
+            merged[name] = _Merged(salt=salt, keys=keys, payloads=payloads,
+                                   report=report)
+        stats.keyed_units = sorted(keyed)
         if self.store is not None:
             self.store.put_many("shard", disk_writes)
             self.store.touch("shard", disk_touches)
             stats.store_writes += len(disk_writes)
-        return store
+        return store, merged
 
     def analyze(self, files: tuple[CorpusFile, ...] | None = None) -> EngineReport:
         """Run one incremental pass; returns the merged engine report.
 
-        Every corpus-wide artifact is the last pass's when the inputs it
-        reads did not change, and is rebuilt otherwise; a cold pass is the
-        case where every comparison misses.  What the analysis carries to
-        the next pass — function records, memos, the last pass's artifacts
-        — is replaced only when the pass completes, so after a pass that
-        raises the next one compares against the last completed pass.  (The
-        parse state and the carried type environments' ``program`` move
-        during the pass; the next pass re-links and re-points them.)
+        A pass that re-parsed no unit (a no-op, or a break whose unit keeps
+        serving its last good parse) carries the last pass's link, records,
+        artifacts and reports whole, and builds only its diagnostics and
+        stats.  Otherwise every corpus-wide artifact is the last pass's
+        when the inputs it reads did not change, and is rebuilt otherwise;
+        a cold pass is the case where every comparison misses.  What the
+        analysis carries to the next pass — function records, memos, the
+        last pass's artifacts — is replaced only when the pass completes,
+        so after a pass that raises the next one compares against the last
+        completed pass.  (The parse state and the carried type
+        environments' ``program`` move during the pass; the next pass
+        re-links and re-points them.)
         """
         start = time.perf_counter()
         self.revision += 1
@@ -1086,9 +1252,55 @@ class IncrementalAnalyzer:
         files = tuple(files) if files is not None else self.files
         self._reconcile_parse(files, stats)
         self.files = files
-        program, diagnostics = self._link()
-        stats.parse_errors = len(diagnostics)
+        last = self._last
+        units = tuple(record.unit for record in self._records)
+        if last is not None and len(units) == len(last.units) and all(
+                unit is linked for unit, linked in zip(units, last.units)):
+            stats.consts_reused = len(last.records)
+            stats.sccs_reused = len(last.scc_keys)
+            stats.shards_reused = sum(len(merged.keys)
+                                      for merged in last.merged.values())
+            stats.shards_rerun_by_analysis = dict.fromkeys(last.merged, 0)
+            summary = {**last.summary_stats, "cache_hit": True,
+                       "consts_cache_hit": True}
+            report = self._report(files, last.merged,
+                                  self._diagnostics(last.link_errors),
+                                  summary, stats)
+        else:
+            report = self._derive(files, units, stats)
+        stats.elapsed_seconds = time.perf_counter() - start
+        report.elapsed_seconds = stats.elapsed_seconds
+        self.last_stats = stats
+        return report
 
+    def _report(self, files: tuple[CorpusFile, ...],
+                merged: dict[str, _Merged],
+                diagnostics: tuple[ParseDiagnostic, ...], summary: dict,
+                stats: IncrementalStats) -> EngineReport:
+        report = EngineReport(
+            corpus_files=[f.filename for f in files],
+            precision=self.precision.name.lower(),
+            jobs=1, parallel=False)
+        report.analyses = {name: state.report
+                           for name, state in merged.items()}
+        stats.parse_errors = len(diagnostics)
+        if diagnostics:
+            report.analyses["diagnostics"] = diagnostics_report(diagnostics)
+        report.summary_stats = summary
+        report.cache_stats = {
+            "hits": stats.consts_reused + stats.sccs_reused + stats.shards_reused,
+            "misses": stats.consts_solved + stats.dirty_sccs + stats.shards_rerun,
+            "disk_hits": stats.store_hits,
+            "evictions": 0,
+            "const_solve_ms": 0.0,
+        }
+        return report
+
+    def _derive(self, files: tuple[CorpusFile, ...],
+                units: tuple[ast.TranslationUnit | None, ...],
+                stats: IncrementalStats) -> EngineReport:
+        """A pass over re-parsed units: link, then rebuild what moved."""
+        program, link_errors = self._link()
         records, globals_fp, type_envs = self._fingerprint(program, stats)
         last = self._last
         old = last.records if last is not None else {}
@@ -1188,38 +1400,25 @@ class IncrementalAnalyzer:
             type_envs=type_envs,
             unit_functions=unit_function_map(program),
         )
-
-        report = EngineReport(
-            corpus_files=[f.filename for f in files],
-            precision=self.precision.name.lower(),
-            jobs=1, parallel=False)
-        shard_store = self._run_shards(artifacts, records, scc_keys,
-                                       globals_fp, callgraph_fp, report, stats)
-        if diagnostics:
-            report.analyses["diagnostics"] = diagnostics_report(diagnostics)
-
-        report.summary_stats = summary_stats(
+        shard_store, merged = self._run_shards(
+            artifacts, records, scc_keys, summary_hashes, globals_fp,
+            callgraph_fp, stats)
+        summary = summary_stats(
             artifacts, summary_cache_hit=stats.dirty_sccs == 0,
             consts_cache_hit=stats.consts_solved == 0)
-        report.cache_stats = {
-            "hits": stats.consts_reused + stats.sccs_reused + stats.shards_reused,
-            "misses": stats.consts_solved + stats.dirty_sccs + stats.shards_rerun,
-            "disk_hits": stats.store_hits,
-            "evictions": 0,
-            "const_solve_ms": 0.0,
-        }
+        report = self._report(files, merged, self._diagnostics(link_errors),
+                              summary, stats)
 
         # The pass completed: commit what the next one reuses.
         self._consts_store = consts_store
         self._scc_store = scc_store
         self._shard_store = shard_store
         self._last = _PassState(
+            units=units, link_errors=link_errors,
             globals_fp=globals_fp, records=records, artifacts=artifacts,
             context=context, callgraph_fp=callgraph_fp,
             local_keys=local_keys, scc_keys=scc_keys,
-            summary_hashes=summary_hashes)
+            summary_hashes=summary_hashes, merged=merged,
+            summary_stats=summary)
         self.artifacts = artifacts
-        stats.elapsed_seconds = time.perf_counter() - start
-        report.elapsed_seconds = stats.elapsed_seconds
-        self.last_stats = stats
         return report

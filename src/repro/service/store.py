@@ -54,6 +54,10 @@ from .. import source_digest
 
 _DB_NAME = "store.sqlite"
 
+#: Keys per query of :meth:`PersistentStore.get_many`, under SQLite's
+#: smallest default limit of 999 bound variables per statement.
+_CHUNK = 900
+
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS entries (
     space TEXT NOT NULL,
@@ -149,6 +153,36 @@ class PersistentStore:
             self._queued_hits.append((space, key))
             self.hits += 1
             return value
+
+    def get_many(self, space: str, keys) -> dict[str, Any]:
+        """:meth:`get` for every key at once: ``{key: value}`` of the hits.
+
+        One query per ``_CHUNK`` keys instead of one per key.  A row that
+        fails to unpickle is deleted and counts as a miss, and each hit is
+        queued for the LRU touch, as with :meth:`get`.
+        """
+        keys = list(dict.fromkeys(keys))
+        found: dict[str, Any] = {}
+        with self._lock:
+            corrupt = []
+            for at in range(0, len(keys), _CHUNK):
+                chunk = keys[at:at + _CHUNK]
+                rows = self._conn.execute(
+                    "SELECT key, value FROM entries WHERE space = ? AND key IN"
+                    f" ({','.join('?' * len(chunk))})", (space, *chunk))
+                for key, blob in rows:
+                    try:
+                        found[key] = pickle.loads(blob)
+                    except Exception:
+                        corrupt.append((space, key))
+            if corrupt:
+                self._conn.executemany(
+                    "DELETE FROM entries WHERE space = ? AND key = ?", corrupt)
+                self._conn.commit()
+            self._queued_hits.extend((space, key) for key in found)
+            self.hits += len(found)
+            self.misses += len(keys) - len(found)
+        return found
 
     def put(self, space: str, key: str, value: Any) -> None:
         self.put_many(space, [(key, value)])

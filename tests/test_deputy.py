@@ -348,6 +348,31 @@ class TestStaticChecking:
         assert len(per_fork) > 300
         assert set(per_fork) == {1}
 
+    def test_an_assignment_statement_is_noted_once(self, monkeypatch):
+        # The assignment notes its effects itself; its statement must not
+        # note the same expression again.  A call statement is noted by
+        # its statement alone.
+        noted: Counter = Counter()
+        note = CheckCache.note_effects
+
+        def counting(self, expr):
+            noted[type(expr).__name__] += 1
+            return note(self, expr)
+
+        monkeypatch.setattr(CheckCache, "note_effects", counting)
+        check_program(build("""
+        void touch(int *p);
+        int f(int *p) {
+            int a[4];
+            int k;
+            k = 2;
+            a[k] = 1;
+            touch(p);
+            return a[k];
+        }
+        """))
+        assert noted == {"Assign": 2, "Call": 1}
+
 
 class TestInstrumentedExecution:
     def test_in_bounds_execution_unchanged(self):

@@ -25,6 +25,7 @@ import pytest
 from repro.dataflow.consts import CONST_SOLVE_COUNTS, reset_const_solve_counts
 from repro.dataflow.interproc import SCC_SOLVE_COUNTS, reset_scc_solve_counts
 from repro.engine import AnalysisEngine, ArtifactCache
+from repro.engine.analyses import ShardReads
 from repro.kernel.build import PARSE_COUNTS, reset_parse_counts
 from repro.kernel.corpus import KERNEL_FILES, CorpusFile
 from repro.service import (
@@ -225,12 +226,15 @@ class TestInvalidation:
         assert stats.dirty_sccs == 1
         assert stats.summaries_changed == 0
         # leaf keeps its signature and its summary, so no other unit's
-        # shard reads anything that moved: each per-unit analysis re-runs
-        # lib.c's shard alone.
+        # shard reads anything that moved: each per-unit analysis keys and
+        # re-runs lib.c's shard alone, and stackcheck, which reads only the
+        # call graph and the summaries, keeps its shard.
         assert stats.shards_rerun_by_analysis == {
             "deputy": 1, "blockstop": 1, "errcheck": 1, "lockcheck": 1,
-            "stackcheck": 1, "ccount": 1}
-        assert stats.shards_rerun == 6
+            "stackcheck": 0, "ccount": 1}
+        assert stats.shards_rerun == 5
+        assert stats.shard_keys_computed == 5
+        assert stats.keyed_units == ["lib.c"]
 
         # The answer stays exact: byte-identical to analyzing the edited
         # corpus from scratch.
@@ -567,17 +571,17 @@ class TestEarlyCutoff:
             analyzer = service.analyzer
             last, memo = analyzer._last, analyzer._scc_store
             rows = service.store.entry_count("scc")
-            get = service.store.get
+            get_many = service.store.get_many
             scc_gets = []
 
-            def failing_get(space, key):
+            def failing_get_many(space, keys):
                 if space == "scc":
-                    scc_gets.append(key)
+                    scc_gets.append(keys)
                     if len(scc_gets) == 2:
                         raise sqlite3.OperationalError("disk I/O error")
-                return get(space, key)
+                return get_many(space, keys)
 
-            monkeypatch.setattr(service.store, "get", failing_get)
+            monkeypatch.setattr(service.store, "get_many", failing_get_many)
             edited = edit(CUTOFF_FILES, "lib.c", *LOCK_LEFT_HELD)
             analyzer.files = edited
             reset_counters()
@@ -596,7 +600,7 @@ class TestEarlyCutoff:
             assert analyzer._scc_store is memo
             assert service.store.entry_count("scc") == rows
 
-            monkeypatch.setattr(service.store, "get", get)
+            monkeypatch.setattr(service.store, "get_many", get_many)
             snapshot, _ = service.request_reconcile()
             assert service.status() == "ok"
             assert snapshot.stats.dirty_sccs == 3
@@ -755,14 +759,14 @@ class TestCarriedState:
     def test_carried_maps_hold_only_the_current_corpus(self, monkeypatch):
         service = AnalysisService(files=CHAIN_FILES)
         analyzer = service.analyzer
-        # Every pass's program, a failed pass's included.
+        # Every linked program, a failed pass's included.
         programs = []
         link = analyzer._link
 
         def tracked_link():
-            program, diagnostics = link()
+            program, link_errors = link()
             programs.append(weakref.ref(program))
-            return program, diagnostics
+            return program, link_errors
 
         monkeypatch.setattr(analyzer, "_link", tracked_link)
         service.request_reconcile()
@@ -805,8 +809,12 @@ class TestCarriedState:
                     service.request_reconcile()
             service.request_reconcile()
         assert service.failed_passes == 1
-        assert len(programs) == 42
+        # 42 passes, less the 8 breaks: a broken unit keeps serving its
+        # last good parse, so those passes re-parse no unit and carry the
+        # last pass's link.  So does the pass with no edit below.
+        assert len(programs) == 34
         snapshot, _ = service.request_reconcile()
+        assert len(programs) == 34
         assert_matches_cold(snapshot.report, files)
 
         artifacts = analyzer.artifacts
@@ -822,6 +830,18 @@ class TestCarriedState:
                                               + stats.shards_reused)
         assert all(record.env.program is program
                    for record in state.records.values())
+        # One carried key, payload and report per current unit and analysis.
+        assert list(state.merged) == list(analyzer.registry)
+        units = [filename for filename, functions
+                 in artifacts.unit_functions.items() if functions]
+        for name, merged in state.merged.items():
+            shards = units if analyzer.registry[name].per_unit else [""]
+            assert list(merged.keys) == shards, name
+            assert len(merged.payloads) == len(shards), name
+            assert snapshot.report.analyses[name] is merged.report, name
+        assert set(analyzer._shard_store) == {
+            key for merged in state.merged.values()
+            for key in merged.keys.values()}
 
         # Carried type environments, the reused summary context and the
         # service's record of the failure point at the current program only:
@@ -829,6 +849,110 @@ class TestCarriedState:
         del artifacts, program, state, snapshot
         gc.collect()
         assert [ref() for ref in programs[:-1]] == [None] * (len(programs) - 1)
+
+
+# ---------------------------------------------------------------------------
+# The carried-state audit.  A pass starts from the last pass's shard keys and
+# merged reports and recomputes only what an invalidation rule names: a
+# re-parsed unit, a moved signature, SCC key, salt or call graph, a rebuilt
+# merge input.  After every edit kind, each carried key must equal the key
+# computed from scratch by the formula below (the per-unit one kept
+# verbatim from before keys were carried), each carried report a fresh
+# merge of the pass's payloads, and the report a fresh analyzer's.
+# ---------------------------------------------------------------------------
+
+#: REUSE_EDITS with an edit that moves `lone`'s summary once `top` calls it
+#: (so `top`'s SCC key and the error-returning set move) and, last, a
+#: reordered corpus.
+AUDIT_EDITS = (REUSE_EDITS[:3]
+               + (("error return", ("lib.c", "return 8;", "return -8;")),)
+               + REUSE_EDITS[3:] + (("reorder", None),))
+
+
+def reference_shard_key(name, filename, functions, records, outside,
+                        globals_fp, salt):
+    parts = [name, filename, globals_fp, salt]
+    for function in functions:
+        parts.append(f"{function}={records[function].loc_hash}")
+        parts.append(outside.get(function, ""))
+    return incremental._sha("\x00".join(parts))
+
+
+def reference_signatures_read(records):
+    signature = {name: f"{name}:{record.sig_hash}"
+                 for name, record in records.items()}
+    return {name: "\x00".join([signature.get(ref, ref)
+                               for ref in record.referenced])
+            for name, record in records.items()}
+
+
+def reference_keys(analyzer):
+    """Every shard key of the last pass, computed from its state alone."""
+    state = analyzer._last
+    artifacts = state.artifacts
+    scc_key_of = {function: state.scc_keys[index] for index, scc
+                  in enumerate(artifacts.condensation.sccs)
+                  for function in scc}
+    outside_of = {
+        ShardReads.CALLEE_SCC_KEYS: scc_key_of,
+        ShardReads.REFERENCED_SIGNATURES:
+            reference_signatures_read(state.records),
+        ShardReads.NOTHING: {}}
+    keys = {}
+    for name, analysis in analyzer.registry.items():
+        salt = analysis.shard_salt(artifacts)
+        if analysis.per_unit:
+            keys[name] = {
+                filename: reference_shard_key(
+                    name, filename, functions, state.records,
+                    outside_of[analysis.shard_reads], state.globals_fp, salt)
+                for filename, functions in artifacts.unit_functions.items()
+                if functions}
+        else:
+            keys[name] = {"": incremental._sha("\x00".join(
+                [name, state.globals_fp, salt, state.callgraph_fp,
+                 *sorted(f"{function}:{digest}" for function, digest
+                         in state.summary_hashes.items())]))}
+    return keys
+
+
+class TestCarriedStateAudit:
+    def test_every_carried_key_and_report_is_what_a_fresh_pass_computes(
+            self):
+        files = REUSE_FILES
+        analyzer = IncrementalAnalyzer(files=files)
+        for label, change in (("cold", None),) + AUDIT_EDITS:
+            last_good = files
+            if label == "reorder":
+                files = files[-1:] + files[:-1]
+            elif change is not None:
+                files = edit(files, *change)
+            report = (analyzer.analyze(files) if label != "cold"
+                      else analyzer.analyze())
+            fresh = IncrementalAnalyzer(files=files)
+            if label == "break":
+                fresh.analyze(last_good)
+            assert_reports_identical(report, fresh.analyze(files))
+
+            state = analyzer._last
+            keys = {name: merged.keys for name, merged in state.merged.items()}
+            assert keys == reference_keys(analyzer), label
+            assert keys == {name: merged.keys for name, merged
+                            in fresh._last.merged.items()}, label
+            for name, merged in state.merged.items():
+                remerged = analyzer.registry[name].merge(state.artifacts,
+                                                         merged.payloads)
+                assert remerged.to_dict() == merged.report.to_dict(), (
+                    label, name)
+                assert report.analyses[name] is merged.report
+            stats = analyzer.last_stats
+            if label in ("noop", "break"):
+                assert (stats.shard_keys_computed,
+                        stats.analyses_merged) == (0, 0), label
+            if label == "literal bump":
+                assert stats.keyed_units == ["lib.c"]
+                assert stats.shard_keys_computed == 5
+        assert analyzer.last_stats.full_reparse is True
 
 
 class TestKernelCorpusEquivalence:

@@ -175,6 +175,42 @@ class TestPersistentStore:
         assert store.entry_count("consts") == 0
         store.close()
 
+    @pytest.mark.parametrize("count", [3, 2000])
+    def test_get_many_answers_as_get_does(self, tmp_path, count):
+        # Hits, misses and a corrupt row, over more keys than one query
+        # binds: the same values, counters, deletions and queued touches
+        # as one get per key, whose answers are read first from a copy.
+        rows = [(f"k{i}", {"v": i}) for i in range(0, count, 2)]
+        keys = [f"k{i}" for i in range(count)] + ["k0"]
+        answers = {}
+        for batched in (False, True):
+            directory = tmp_path / str(batched)
+            store = PersistentStore(directory)
+            store.put_many("scc", rows)
+            store.put("consts", "k1", "other space")
+            with store._lock:
+                store._conn.execute(
+                    "UPDATE entries SET value = ? WHERE space = 'scc'"
+                    " AND key = 'k2'", (b"not a pickle",))
+                store._conn.commit()
+                store._queued_hits.clear()
+            if batched:
+                found = store.get_many("scc", keys)
+            else:
+                found = {}
+                for key in dict.fromkeys(keys):
+                    value = store.get("scc", key)
+                    if value is not None:
+                        found[key] = value
+            answers[batched] = (found, store.hits, store.misses,
+                                store.entry_count("scc"),
+                                sorted(store._queued_hits))
+            store.close()
+        assert answers[True] == answers[False]
+        found = answers[True][0]
+        assert found["k0"] == {"v": 0} and "k1" not in found
+        assert "k2" not in found and len(found) == len(rows) - 1
+
     def test_garbage_file_is_recreated(self, tmp_path):
         (tmp_path / "store.sqlite").write_bytes(b"not a database" * 100)
         (tmp_path / "store.sqlite-journal").write_bytes(b"stale")
