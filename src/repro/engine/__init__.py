@@ -2,11 +2,12 @@
 
 Public surface:
 
-* :class:`AnalysisEngine` — parses the corpus once, memoizes shared
-  artifacts, dispatches the registered analyses (serially, or sharded by
-  translation unit over one work-stealing worker pool);
-* :class:`ArtifactCache` / :class:`SharedArtifacts` — the content-keyed
-  memo table and the artifact bundle every analysis consumes;
+* :class:`AnalysisEngine` — the batch front end: each run is one pass of
+  the incremental analyzer (:mod:`repro.service.incremental`) over the
+  selected analyses, which parses the corpus once, keys every artifact,
+  and runs the checker shards serially or over one work-stealing pool;
+* :class:`SharedArtifacts` / :func:`build_shared_artifacts` — the artifact
+  bundle every analysis consumes, and its plain from-scratch derivation;
 * :class:`EngineReport` / :class:`AnalysisReport` — merged, serializable
   results;
 * ``python -m repro.engine`` (or the ``repro-engine`` script) — the batch
@@ -21,12 +22,12 @@ from .analyses import (
     make_finding,
     make_registry,
 )
-from .artifacts import ArtifactCache, SharedArtifacts, build_shared_artifacts
+from .artifacts import SharedArtifacts, build_shared_artifacts
 from .core import AnalysisEngine, EngineReport
 
 __all__ = [
     "ANALYSIS_ORDER", "AnalysisReport", "EngineAnalysis",
     "finding_sort_key", "make_finding", "make_registry",
-    "ArtifactCache", "SharedArtifacts", "build_shared_artifacts",
+    "SharedArtifacts", "build_shared_artifacts",
     "AnalysisEngine", "EngineReport",
 ]

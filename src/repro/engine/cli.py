@@ -52,8 +52,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           "on; without fork the run is serial")
     run.add_argument("--cache-dir", default=None,
                      help="directory for the on-disk artifact store "
-                          "(store.sqlite, the format of serve --store-dir; "
-                          "one directory may serve both)")
+                          "(store.sqlite, with the rows serve --store-dir "
+                          "reads and writes; one directory serves both)")
     run.add_argument("--precision", default="type_based",
                      choices=[p.name.lower() for p in Precision],
                      help="function-pointer points-to precision")

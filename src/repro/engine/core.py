@@ -1,129 +1,48 @@
-"""The unified analysis engine.
+"""The batch analysis engine: a front end over one incremental analyzer.
 
-:class:`AnalysisEngine` parses each corpus translation unit exactly once,
-derives the shared artifacts (AST, symbol tables, annotations, call graph,
-points-to solution) through the content-keyed :class:`ArtifactCache`, and
-dispatches every registered analysis over them.  Every run parses in this
-process, through :func:`parse_corpus` (or :func:`parse_corpus_tolerant`):
-the units share one macro and type table, so each unit parses after the
-ones before it.  A run then takes one of two paths, picked from what it
-can observe (:func:`worker_count`): direct serial calls when it resolves to
-one worker or the platform cannot ``fork``; otherwise one persistent
-:class:`WorkStealingExecutor`, forked after points-to, for the per-unit
-constant facts and the checker shards.  Summaries are solved in the parent
-on both paths, by :func:`solve_summaries`.  Both paths merge through the
-same code in the same order, so their reports are byte-identical.
+:class:`AnalysisEngine` holds one
+:class:`~repro.service.incremental.IncrementalAnalyzer`, built with the
+engine's own analysis registry, and :meth:`AnalysisEngine.run` is one pass
+of it over the selected analyses: a cold pass, or with ``cache_dir`` a pass
+over the rows ``serve --store-dir`` reads and writes.  Every pass parses
+and solves the summaries in this process; at ``jobs`` > 1 it forks one
+work-stealing pool after points-to for the per-unit facts and shards.  Both
+paths merge through the same code, so their reports are byte-identical.
 """
 
 from __future__ import annotations
 
 import copy
 import json
-import time
 from dataclasses import dataclass, field
 from typing import Iterable
 
 from ..blockstop.pointsto import Precision
 from ..blockstop.runtime_checks import RuntimeCheckSet
-from ..dataflow.domains import (
-    DEFAULT_DOMAINS,
-    domain_fingerprint,
-    solve_program_facts,
-)
-from ..dataflow.interproc import callgraph_fingerprint, solve_summaries
 from ..deputy.checker import DeputyOptions
-from ..kernel.build import ParseDiagnostic, parse_corpus, parse_corpus_tolerant
+from ..kernel.build import ParseDiagnostic
 from ..kernel.corpus import KERNEL_FILES, CorpusFile
 from ..machine.program import Program
-from .analyses import (
-    ANALYSIS_ORDER,
-    AnalysisReport,
-    diagnostics_report,
-    finding_sort_key,
-    make_registry,
-)
-from .artifacts import (
-    ArtifactCache,
-    SharedArtifacts,
-    build_shared_artifacts,
-    unit_function_map,
-)
-from .scheduler import (
-    Task,
-    WorkStealingExecutor,
-    fork_available,
-    resolve_jobs,
-    usable_cpus,
-)
+from .analyses import ANALYSIS_ORDER, AnalysisReport, finding_sort_key
+from .artifacts import SharedArtifacts
 
-#: Task tuple: (analysis name, shard index, function subset or None).
-_Task = tuple[str, int, "list[str] | None"]
-
-
-def worker_count(jobs: int) -> int:
-    """How many worker processes a run at ``jobs`` forks; 1 means serial.
-
-    The count is the size of the run's one pool, the executor; the parse
-    forks nothing.  ``jobs=0`` resolves to every usable CPU.  Without
-    ``fork`` there is no pool at all.  Otherwise the pool is clamped to the
-    affinity mask — workers beyond it only add fork/IPC cost while
-    time-slicing the same cores — but an explicit ``jobs >= 2`` keeps a
-    floor of two workers so parallel behavior stays testable on any host.
-    """
-    jobs = resolve_jobs(jobs)
-    if jobs < 2 or not fork_available():
-        return 1
-    return min(jobs, max(2, usable_cpus()))
-
-
-def _make_steal_handler(program, graph, pointsto, precision, registry):
-    """The per-worker task handler for work-steal mode.
-
-    Returns a closure over the phase-independent artifacts (parsed program,
-    resolved call graph, points-to solution) — workers receive it through
-    ``fork()`` at executor construction, so none of it is ever pickled.
-    A ``consts`` task's payload names the unit functions to solve; a
-    ``shard`` task reads the merged artifacts from the broadcast state, and
-    ``memo`` keeps the artifact view a worker assembles from them once.
-    """
-    memo: dict = {}
-
-    def handler(kind, payload, state):
-        if kind == "consts":
-            return solve_program_facts(program, payload)
-        if kind == "shard":
-            name, index, functions = payload
-            data = state["artifacts"]
-            artifacts = memo.get("artifacts")
-            if artifacts is None or memo.get("artifacts_from") is not data:
-                artifacts = SharedArtifacts(
-                    program=program,
-                    precision=precision,
-                    graph=graph,
-                    pointsto=pointsto,
-                    consts=data["consts"],
-                    condensation=data["condensation"],
-                    summaries=data["summaries"],
-                    blocking=data["blocking"],
-                    irq_handlers=data["irq_handlers"],
-                    error_returning=data["error_returning"],
-                    annotations=data["annotations"],
-                    unit_functions=unit_function_map(program))
-                memo["artifacts"] = artifacts
-                memo["artifacts_from"] = data
-            return name, index, registry[name].run_shard(artifacts, functions)
-        raise ValueError(f"unknown task kind {kind!r}")
-
-    return handler
+# Names kept for the repository benchmark's layer tracer: ``LAYER_HOOKS``
+# in ``perfbench/tracing.py`` wraps them here, and ``Tracer.install`` fails
+# on a name it cannot find.  The engine calls none of them since a run is
+# an analyzer pass; the change that moves the tracer onto a span API
+# (ROADMAP.md, *One span API*, step 2) deletes them.
+from ..dataflow.domains import solve_program_facts  # noqa: F401
+from ..dataflow.interproc import solve_summaries  # noqa: F401
+from ..kernel.build import parse_corpus  # noqa: F401
 
 
 def summary_stats(artifacts: SharedArtifacts, summary_cache_hit: bool,
                   consts_cache_hit: bool) -> dict:
     """Condensation/summary metrics for the report (and the CI bench).
 
-    The batch engine and the incremental analyzer both build their
-    ``summary_stats`` here, each passing its own notion of whether the
-    summaries and the constant facts came from a cache.
+    The analyzer builds each pass's ``summary_stats`` here, passing whether
+    the pass solved no SCC and no constant facts (a cache hit); so does the
+    test suite's from-scratch reference report.
 
     The ``consts_*`` / ``intervals_*`` / ``octagons_*`` entries describe
     the condition facts artifact (the consts×intervals×octagons product):
@@ -307,75 +226,70 @@ class EngineReport:
 
 
 class AnalysisEngine:
-    """Parse once, analyze many: the shared-work front end for all checkers."""
+    """Parse once, analyze many: the batch front end for all checkers.
+
+    ``cache_dir`` opens a :class:`~repro.service.store.PersistentStore`
+    there (LRU-bounded by ``cache_max_mb``), the format and the rows of
+    ``serve --store-dir``, so one directory serves both.  In strict mode,
+    the default, a corpus with a unit that fails to parse or link raises
+    that unit's :class:`~repro.minic.errors.MiniCError`; ``tolerant`` mode
+    reports it as a ``diagnostics`` finding and analyzes the other units.
+    """
 
     def __init__(self,
                  files: tuple[CorpusFile, ...] = KERNEL_FILES,
                  defines: dict[str, str] | None = None,
                  precision: Precision = Precision.TYPE_BASED,
-                 cache: ArtifactCache | None = None,
                  cache_dir: str | None = None,
                  cache_max_mb: float | None = None,
                  tolerant: bool = False,
                  deputy_options: DeputyOptions | None = None,
                  runtime_checks: RuntimeCheckSet | None = None) -> None:
+        # Imported here: repro.service imports this module when it loads.
+        from ..service.incremental import IncrementalAnalyzer
+        from ..service.store import PersistentStore
+
         self.files = tuple(files)
         self.defines = dict(defines or {})
         self.precision = precision
-        self.cache = (cache if cache is not None
-                      else ArtifactCache(cache_dir, max_mb=cache_max_mb))
-        #: Tolerant mode isolates frontend errors per translation unit: the
-        #: broken file becomes a structured ``diagnostics`` finding and every
-        #: other unit is still analyzed.  Strict mode (the default) raises.
         self.tolerant = tolerant
-        self.registry = make_registry(deputy_options, runtime_checks)
-        #: Whether the last summary solve was served from the cache; None
-        #: until a solve is attempted (e.g. artifacts were memory-cached).
-        self._summary_cache_hit: bool | None = None
-        #: Same flag for the constant-facts artifact, plus its solve time
-        #: (0.0 on a cache hit; excluded from deterministic report fields).
-        self._consts_cache_hit: bool | None = None
-        self._consts_solve_seconds: float = 0.0
-        #: The run's persistent executor (parallel runs only).  Created by
-        #: the first phase that schedules work, reused by every later phase
-        #: of the same run, closed when the run finishes.
-        self._executor = None
+        self.analyzer = IncrementalAnalyzer(
+            files=self.files, defines=self.defines, precision=precision,
+            deputy_options=deputy_options, runtime_checks=runtime_checks,
+            store=(PersistentStore(cache_dir, max_mb=cache_max_mb)
+                   if cache_dir is not None else None))
+        #: The analyses every pass runs: the analyzer's registry itself.
+        self.registry = self.analyzer.registry
 
     # -- shared artifacts ---------------------------------------------------
 
-    def program_key(self) -> str:
-        kind = "program-tolerant" if self.tolerant else "program"
-        return self.cache.content_key(kind, files=self.files,
-                                      defines=self.defines)
+    def artifacts(self) -> SharedArtifacts:
+        """The last pass's shared artifacts; a first call runs a pass over
+        no analyses to build them."""
+        if self.analyzer.artifacts is None:
+            self.analyzer.analyze(analyses=())
+        self._raise_if_strict()
+        return self.analyzer.artifacts
 
     def program(self) -> Program:
-        """The parsed, linked corpus — built at most once per content key.
-
-        Every run parses in this process, one unit after another against
-        the shared macro and type tables; parallel runs fork their pool
-        only after points-to (:meth:`_ensure_executor`).
-        """
-        if self.tolerant:
-            return self._tolerant_parse()[0]
-        return self.cache.get_or_build(
-            self.program_key(), lambda: parse_corpus(self.files, self.defines))
-
-    def _tolerant_parse(self) -> "tuple[Program, tuple[ParseDiagnostic, ...]]":
-        return self.cache.get_or_build(
-            self.program_key(),
-            lambda: parse_corpus_tolerant(self.files, self.defines))
+        """The parsed, linked corpus: the same object for every pass over
+        these files."""
+        return self.artifacts().program
 
     def parse_diagnostics(self) -> tuple[ParseDiagnostic, ...]:
         """Per-file frontend errors (tolerant mode only; else empty)."""
-        if not self.tolerant:
-            return ()
-        return self._tolerant_parse()[1]
+        self.artifacts()
+        return self.analyzer.diagnostics
+
+    def _raise_if_strict(self) -> None:
+        if not self.tolerant and self.analyzer.diagnostics:
+            raise self.analyzer.diagnostics[0].error()
 
     def fresh_program(self) -> Program:
         """A private, mutation-safe copy of the parsed corpus.
 
         Instrumenting builds (Deputy/CCount rewriting, the hbench harness)
-        mutate the AST in place; they get a deep copy of the cached parse
+        mutate the AST in place; they get a deep copy of the shared parse
         instead of re-parsing the corpus.
         """
         return copy.deepcopy(self.program())
@@ -384,8 +298,8 @@ class AnalysisEngine:
         """A mutation-safe parse for a kernel build, or None on mismatch.
 
         Kernel builds parse ``KERNEL_FILES`` with ``config.defines``; this
-        engine's cached parse can only substitute for that when its own file
-        set and defines match.  Returning ``None`` tells ``build_kernel`` to
+        engine's parse can only substitute for that when its own file set
+        and defines match.  Returning ``None`` tells ``build_kernel`` to
         parse from scratch rather than silently build the wrong corpus.
         """
         defines = dict(getattr(config, "defines", None) or {})
@@ -396,107 +310,6 @@ class AnalysisEngine:
     def kernel_program_factory(self):
         """A ``program_factory`` for the hbench/boot path (see above)."""
         return self.fresh_kernel_program
-
-    def artifacts(self, jobs: int = 1) -> SharedArtifacts:
-        """Shared artifacts for the configured precision (memory-cached).
-
-        The constant facts and summaries come from :meth:`_phase_solver`:
-        the facts solved directly when ``jobs`` is 1, or as per-unit tasks
-        on a ``jobs``-worker executor otherwise (merged in program order);
-        the summaries solved in the parent either way.
-        """
-        key = self.cache.content_key(
-            "artifacts", files=self.files, defines=self.defines,
-            extra={"precision": self.precision.name})
-        return self.cache.get_or_build(
-            key,
-            lambda: build_shared_artifacts(
-                self.program(), self.precision,
-                phase_solver=lambda program, graph, pointsto, condensation:
-                self._phase_solver(program, graph, pointsto, condensation,
-                                   jobs)),
-            persist=False)
-
-    def _ensure_executor(self, program, graph, pointsto, jobs: int):
-        """The run's persistent ``jobs``-worker executor, forked on first use.
-
-        Workers fork *after* points-to resolution (``resolve`` mutates the
-        call graph in place), so the handler's inherited view of the graph
-        is the final one every phase agrees on.
-        """
-        if self._executor is None:
-            handler = _make_steal_handler(program, graph, pointsto,
-                                          self.precision, self.registry)
-            self._executor = WorkStealingExecutor(jobs, handler)
-        return self._executor
-
-    def _close_executor(self) -> None:
-        if self._executor is not None:
-            self._executor.close()
-            self._executor = None
-
-    def _phase_solver(self, program, graph, pointsto, condensation,
-                      jobs: int):
-        """Solve (or load) the constant facts and the summaries.
-
-        Both artifacts are cached under keys computed here and nowhere
-        else.  The consts key covers the parsed sources and the
-        abstract-domain set, not points-to precision, so engines at
-        different precisions share one entry, while flipping the domain
-        product invalidates persisted facts instead of misreading them.
-        The summaries key mixes in the call-graph fingerprint, so any change
-        to the corpus or to the points-to resolution invalidates persisted
-        summaries.  A warm run loads both without solving anything.
-
-        With ``jobs`` at 1 the facts are solved by a direct call.
-        Otherwise each translation unit with functions is one ``consts``
-        task on the run's executor, and the results merge in program order.
-        Either way the summaries are then solved in the parent by
-        :func:`solve_summaries`, seeded with the facts so they are taken
-        over the pruned CFGs: one SCC's fixpoint costs less than shipping
-        its callee summaries to a worker.  So every path builds
-        byte-identical artifacts.
-        """
-        consts_key = self.cache.content_key(
-            "consts", files=self.files, defines=self.defines,
-            extra={"domains": domain_fingerprint(DEFAULT_DOMAINS)})
-        summaries_key = self.cache.content_key(
-            "summaries", files=self.files, defines=self.defines,
-            extra={"precision": self.precision.name,
-                   "callgraph": callgraph_fingerprint(graph)})
-        # A hit is a value that loaded; anything else is solved again.
-        consts = self.cache.lookup(consts_key)
-        summaries = self.cache.lookup(summaries_key)
-        self._consts_cache_hit = consts is not None
-        self._summary_cache_hit = summaries is not None
-
-        if consts is None and jobs < 2:
-            started = time.perf_counter()
-            consts = solve_program_facts(program)
-            self._consts_solve_seconds = time.perf_counter() - started
-            self.cache.put(consts_key, consts)
-        elif consts is None:
-            executor = self._ensure_executor(program, graph, pointsto, jobs)
-            tasks = [Task(id=f"consts:{filename}", kind="consts",
-                          payload=functions)
-                     for filename, functions in unit_function_map(program).items()
-                     if functions]
-            results = executor.run(tasks)
-            merged: dict = {}
-            for task in tasks:
-                merged.update(results[task.id])
-            consts = self.cache.put(consts_key, {
-                name: merged[name]
-                for name, _ in program.functions_subset(None)
-                if name in merged})
-            self._consts_solve_seconds = sum(
-                busy for task_id, busy in executor.stats.task_busy.items()
-                if task_id.startswith("consts:"))
-        if summaries is None:
-            summaries = self.cache.put(
-                summaries_key,
-                solve_summaries(program, graph, condensation, consts=consts))
-        return consts, summaries
 
     # -- running ------------------------------------------------------------
 
@@ -518,141 +331,15 @@ class AnalysisEngine:
         seen: set[str] = set()
         return [n for n in names if not (n in seen or seen.add(n))]
 
-    def _build_tasks(self, names: list[str],
-                     artifacts: SharedArtifacts) -> list[_Task]:
-        tasks: list[_Task] = []
-        for name in names:
-            adapter = self.registry[name]
-            if adapter.per_unit:
-                index = 0
-                for functions in artifacts.unit_functions.values():
-                    if not functions:
-                        continue
-                    tasks.append((name, index, functions))
-                    index += 1
-            else:
-                tasks.append((name, 0, None))
-        return tasks
-
-    def _run_shards_steal(self, artifacts: SharedArtifacts,
-                          tasks: "list[_Task]", jobs: int) -> list:
-        """Run the checker shards on the run's persistent executor.
-
-        The merged artifacts are broadcast once per worker (inbox FIFO
-        order guarantees every shard task dispatched afterwards sees them);
-        per-unit shards then ship only ``(analysis, index, functions)``.
-        Whole-program analyses run inline in the parent, overlapping the
-        pool instead of serializing behind it.
-        """
-        executor = self._ensure_executor(artifacts.program, artifacts.graph,
-                                         artifacts.pointsto, jobs)
-        executor.broadcast("artifacts", {
-            "consts": artifacts.consts,
-            "condensation": artifacts.condensation,
-            "summaries": artifacts.summaries,
-            "blocking": artifacts.blocking,
-            "irq_handlers": artifacts.irq_handlers,
-            "error_returning": artifacts.error_returning,
-            "annotations": artifacts.annotations,
-        })
-        steal_tasks: list[Task] = []
-        parent_tasks = []
-        for name, index, functions in tasks:
-            task_id = f"shard:{name}:{index}"
-            if functions is None:
-                parent_tasks.append(
-                    (task_id,
-                     lambda name=name, index=index:
-                     (name, index,
-                      self.registry[name].run_shard(artifacts, None))))
-            else:
-                steal_tasks.append(Task(id=task_id, kind="shard",
-                                        payload=(name, index, functions)))
-        return list(executor.run(steal_tasks, parent_tasks).values())
-
-    @staticmethod
-    def _perf_payload(phases: dict, executor) -> dict:
-        """The report's timing/scheduler block (normalized out of identity
-        comparisons alongside ``cache_stats``)."""
-        payload = {"phases": {key: round(value, 4)
-                              for key, value in phases.items()}}
-        scheduler_stats = {"mode": "serial"}
-        if executor is not None:
-            scheduler_stats["mode"] = "work-steal"
-            scheduler_stats.update(executor.stats.to_dict())
-            busy = {"consts": 0.0, "shard": 0.0}
-            for task_id, seconds in executor.stats.task_busy.items():
-                kind = task_id.split(":", 1)[0]
-                if kind in busy:
-                    busy[kind] += seconds
-            scheduler_stats["busy_by_phase"] = {
-                key: round(value, 4) for key, value in busy.items()}
-        payload["scheduler"] = scheduler_stats
-        return payload
-
     def run(self, analyses: Iterable[str] | str | None = None,
             jobs: int = 1) -> EngineReport:
-        """Run the selected analyses over the corpus and merge their reports.
-
-        The path is picked from what the run can observe, once, by
-        :func:`worker_count`: ``jobs=0`` means every usable CPU; one worker,
-        or a platform without ``fork``, means direct serial calls; anything
-        else means ``min(jobs, max(2, usable CPUs))`` workers on one
-        persistent work-stealing executor that solves per-unit consts and
-        checker shards, while the parent solves the summaries in between.
-        That executor is the run's one pool: every path parses serially in
-        this process first.  Every path produces a byte-identical report.
+        """Run the selected analyses over the corpus and merge their reports:
+        one analyzer pass, whose pool ``jobs`` sizes
+        (:func:`~repro.engine.scheduler.worker_count`; 0 means every usable
+        CPU, 1 or no ``fork`` means serial).  Every path produces a
+        byte-identical report.
         """
-        workers = worker_count(jobs)
-        start = time.perf_counter()
-        phases: dict[str, float] = {}
-        names = self.resolve_analyses(analyses)
-        try:
-            step = time.perf_counter()
-            self.program()
-            phases["parse"] = time.perf_counter() - step
-            step = time.perf_counter()
-            artifacts = self.artifacts(jobs=workers)
-            phases["artifacts"] = time.perf_counter() - step
-            tasks = self._build_tasks(names, artifacts)
-            step = time.perf_counter()
-            if workers > 1:
-                results = self._run_shards_steal(artifacts, tasks, workers)
-            else:
-                results = [(name, index,
-                            self.registry[name].run_shard(artifacts, functions))
-                           for name, index, functions in tasks]
-            phases["checkers"] = time.perf_counter() - step
-        finally:
-            executor = self._executor
-            self._close_executor()
-
-        shards: dict[str, list[tuple[int, dict]]] = {name: [] for name in names}
-        for name, index, payload in results:
-            shards[name].append((index, payload))
-
-        parallel = executor is not None and executor.parallel
-        report = EngineReport(
-            corpus_files=[f.filename for f in self.files],
-            precision=self.precision.name.lower(),
-            jobs=workers if parallel else 1,
-            parallel=parallel,
-        )
-        for name in names:
-            payloads = [payload for _, payload in sorted(shards[name])]
-            report.analyses[name] = self.registry[name].merge(artifacts, payloads)
-        diagnostics = self.parse_diagnostics()
-        if diagnostics:
-            report.analyses["diagnostics"] = diagnostics_report(diagnostics)
-        report.elapsed_seconds = time.perf_counter() - start
-        report.cache_stats = {"hits": self.cache.hits,
-                              "misses": self.cache.misses,
-                              "disk_hits": self.cache.disk_hits,
-                              "evictions": self.cache.evictions,
-                              "const_solve_ms": round(
-                                  self._consts_solve_seconds * 1000, 3)}
-        report.summary_stats = summary_stats(
-            artifacts, summary_cache_hit=self._summary_cache_hit is not False,
-            consts_cache_hit=self._consts_cache_hit is not False)
-        report.perf = self._perf_payload(phases, executor)
+        report = self.analyzer.analyze(
+            analyses=self.resolve_analyses(analyses), jobs=jobs)
+        self._raise_if_strict()
         return report

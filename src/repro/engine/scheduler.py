@@ -1,12 +1,14 @@
-"""Work-stealing task executor for the engine's independent tasks.
+"""Work-stealing task executor for an analysis pass's independent tasks.
 
-A parallel engine run sends two kinds of work to forked workers: one
-constant-facts task per translation unit, and the checker shards.  No task
+A parallel pass (:meth:`repro.service.IncrementalAnalyzer.analyze` at
+``jobs`` > 1) sends two kinds of work to forked workers: one
+constant-facts task per translation unit with unsolved functions, and the
+per-unit checker shards it could not reuse.  No task
 depends on another (summaries are solved in the parent, where one SCC's
 fixpoint costs less than shipping its callee summaries to a worker), so
 each executor drains a plain first-in first-out list:
 
-* one pool of forked workers persists across every phase of a run.  Each
+* one pool of forked workers persists across every phase of a pass.  Each
   worker owns an inbox queue and pulls continuously; the parent hands
   queued tasks to idle workers the moment either appears, and batches
   long backlogs into chunks of at most :data:`MAX_CHUNK` so per-task
@@ -55,7 +57,7 @@ def usable_cpus() -> int:
     """CPUs this process may actually run on (affinity-aware).
 
     Worker processes beyond this add fork, copy-on-write and IPC cost while
-    time-slicing the same cores — the engine clamps its pool size here (to
+    time-slicing the same cores — a pass clamps its pool size here (to
     no fewer than two workers), so ``--jobs 8`` on a 2-core host forks two
     workers instead of paying four-way oversubscription for nothing.
     """
@@ -67,6 +69,22 @@ def usable_cpus() -> int:
 
 def fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
+
+
+def worker_count(jobs: int) -> int:
+    """How many worker processes a pass at ``jobs`` forks; 1 means serial.
+
+    The count is the size of the pass's one pool, the executor; the parse
+    forks nothing.  ``jobs=0`` resolves to every usable CPU.  Without
+    ``fork`` there is no pool at all.  Otherwise the pool is clamped to the
+    affinity mask — workers beyond it only add fork/IPC cost while
+    time-slicing the same cores — but an explicit ``jobs >= 2`` keeps a
+    floor of two workers so parallel behavior stays testable on any host.
+    """
+    jobs = resolve_jobs(jobs)
+    if jobs < 2 or not fork_available():
+        return 1
+    return min(jobs, max(2, usable_cpus()))
 
 
 @dataclass
@@ -90,7 +108,7 @@ class SchedulerStats:
     max_ready: int = 0
     busy_seconds: float = 0.0
     span_seconds: float = 0.0
-    #: Per-task busy time keyed by id (the engine sums it per phase).
+    #: Per-task busy time keyed by id (the pass sums it per phase).
     task_busy: dict[str, float] = field(default_factory=dict)
 
     @property
@@ -214,7 +232,7 @@ class WorkStealingExecutor:
 
     Workers are forked at construction, inheriting the handler's captured
     context (the parsed program, call graph, registry...).  One executor
-    serves every phase of an engine run: ``run`` is just "submit a task
+    serves every phase of an analysis pass: ``run`` is just "submit a task
     list, drain it", and the pool never restarts in between.
     """
 

@@ -115,22 +115,21 @@ def run_blockstop_eval(engine: "AnalysisEngine | None" = None) -> BlockStopEvalR
     share its call graph and blocking summary, so the corpus is parsed once
     and the points-to analysis runs once per precision instead of per run.
     """
-    from ..engine import AnalysisEngine
+    from ..engine import AnalysisEngine, build_shared_artifacts
 
     if engine is None:
         engine = AnalysisEngine()
     program = engine.program()
-    # The before/after legs are defined as TYPE_BASED runs; if the caller's
-    # engine is configured for another precision, derive type-based artifacts
-    # alongside it (sharing its parse through the common cache) rather than
-    # silently mislabeling the reports.
-    if engine.precision is Precision.TYPE_BASED:
-        base_engine = engine
-    else:
-        base_engine = AnalysisEngine(files=engine.files, defines=engine.defines,
-                                     precision=Precision.TYPE_BASED,
-                                     cache=engine.cache)
-    shared = base_engine.artifacts()
+
+    def artifacts_at(precision: Precision):
+        # The engine's own artifacts where its precision matches; otherwise
+        # derive them from its parse, rather than mislabel a report.
+        if engine.precision is precision:
+            return engine.artifacts()
+        return build_shared_artifacts(program, precision)
+
+    # The before/after legs are defined as TYPE_BASED runs.
+    shared = artifacts_at(Precision.TYPE_BASED)
 
     before_result = run_blockstop(program, Precision.TYPE_BASED,
                                   graph=shared.graph, blocking=shared.blocking,
@@ -154,10 +153,7 @@ def run_blockstop_eval(engine: "AnalysisEngine | None" = None) -> BlockStopEvalR
                                  consts=shared.consts)
     after = build_report(after_result)
 
-    field_engine = AnalysisEngine(files=engine.files, defines=engine.defines,
-                                  precision=Precision.FIELD_SENSITIVE,
-                                  cache=engine.cache)
-    field_shared = field_engine.artifacts()
+    field_shared = artifacts_at(Precision.FIELD_SENSITIVE)
     field_result = run_blockstop(program, Precision.FIELD_SENSITIVE,
                                  graph=field_shared.graph,
                                  blocking=field_shared.blocking,

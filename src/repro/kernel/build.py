@@ -23,6 +23,7 @@ from ..deputy import DeputyOptions, InstrumentationResult
 from ..deputy import instrument as deputy_instrument
 from ..machine.program import Program
 from ..minic import ast_nodes as ast
+from ..minic import errors
 from ..minic.errors import MiniCError, SourceLocation
 from ..minic.lexer import tokenize
 from ..minic.parser import Parser
@@ -119,8 +120,17 @@ class ParseDiagnostic:
     @classmethod
     def of(cls, filename: str, error: MiniCError) -> "ParseDiagnostic":
         """The diagnostic ``error`` leaves for corpus file ``filename``."""
-        return cls(filename=filename, kind=_diagnostic_kind(error),
+        return cls(filename=filename, kind=_diagnostic_kind(type(error)),
                    message=error.message, location=error.location)
+
+    def error(self) -> MiniCError:
+        """The frontend error this diagnostic records, for a strict caller
+        to raise: its class (from ``kind``), message and location."""
+        for cls in (errors.LexError, errors.ParseError, errors.TypeError_,
+                    errors.SemanticError, MiniCError):
+            if _diagnostic_kind(cls) == self.kind:
+                return cls(self.message, self.location)
+        raise ValueError(f"unknown diagnostic kind {self.kind!r}")
 
     def to_dict(self) -> dict:
         return {"filename": self.filename, "kind": self.kind,
@@ -129,8 +139,8 @@ class ParseDiagnostic:
                 "column": self.location.column}
 
 
-def _diagnostic_kind(error: MiniCError) -> str:
-    name = type(error).__name__.rstrip("_")
+def _diagnostic_kind(cls: type) -> str:
+    name = cls.__name__.rstrip("_")
     parts = []
     for ch in name:
         if ch.isupper() and parts:

@@ -1,9 +1,10 @@
 """Incremental re-analysis: per-TU parse reuse and per-SCC summary caching.
 
-The batch engine (:class:`repro.engine.AnalysisEngine`) keys whole artifacts
-on whole-corpus content: one edited byte re-parses every translation unit and
-re-solves every summary.  The :class:`IncrementalAnalyzer` re-keys that work
-at the granularity the dependency structure actually has:
+The :class:`IncrementalAnalyzer` is the one analysis pipeline: the service
+runs a pass per edit, and a batch run (:class:`repro.engine.AnalysisEngine`)
+is a pass whose lookups all miss, a clean build being an incremental build
+from an empty store.  It keys its work at the granularity the dependency
+structure actually has:
 
 * **parses** per translation unit — an edit re-parses only the edited file
   (each file is compared with the text the last pass saw; nothing is
@@ -11,9 +12,10 @@ at the granularity the dependency structure actually has:
   when the corpus was last parsed (the corpus models kernel-wide headers by
   sharing those tables across files, so re-parsing one file in the middle
   of the sequence needs the tables rolled back to that point and verified
-  after).  A pass that re-parsed no unit — a no-op, or a break whose unit
-  keeps serving its last good parse — carries the last pass's link,
-  records, artifacts and reports whole and builds only its diagnostics;
+  after).  A pass that re-parsed no unit — a no-op, a break whose unit
+  keeps serving its last good parse, or the fix back to that text —
+  carries the last pass's link, records, artifacts and reports whole and
+  builds only its diagnostics;
 * **constant facts** per function, keyed on the function's rendered body;
 * **summaries** per call-graph SCC, keyed on what the component's
   fixpoint reads: a *local* key
@@ -63,8 +65,8 @@ Two invariants keep this sound:
    declaration, or simply failed one of the post-parse table checks — the
    analyzer falls back to a full re-parse of the corpus.  All derived
    stores hold plain data (summaries, constant facts, shard payload dicts;
-   the same records the engine already pickles to disk), so they remain
-   valid across that fallback and keep their hits.
+   the same records the persistent store pickles), so they remain valid
+   across that fallback and keep their hits.
 2. *Dirty components re-solve from bottom.*  A dirty SCC starts at the
    lattice bottom exactly as a cold solve does, with clean dependency
    summaries supplied read-only — the least fixpoint is the same one a
@@ -75,6 +77,7 @@ Two invariants keep this sound:
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import time
@@ -87,7 +90,11 @@ from ..blockstop.blocking import derive_blocking
 from ..blockstop.callgraph import build_direct_callgraph
 from ..blockstop.checker import find_irq_handlers
 from ..blockstop.pointsto import FunctionPointerAnalysis, Precision
-from ..dataflow.domains import DEFAULT_DOMAINS, domain_fingerprint, facts_of
+from ..dataflow.domains import (
+    DEFAULT_DOMAINS,
+    domain_fingerprint,
+    solve_program_facts,
+)
 from ..dataflow.interproc import (
     callgraph_fingerprint,
     condense_callgraph,
@@ -107,6 +114,7 @@ from ..engine.analyses import (
 )
 from ..engine.artifacts import SharedArtifacts, unit_function_map
 from ..engine.core import EngineReport, summary_stats
+from ..engine.scheduler import Task, WorkStealingExecutor, worker_count
 from ..blockstop.runtime_checks import RuntimeCheckSet
 from ..kernel.build import PARSE_COUNTS, ParseDiagnostic, link_tolerant
 from ..kernel.corpus import KERNEL_FILES, CorpusFile
@@ -314,6 +322,75 @@ class _PassState:
     summary_stats: dict
 
 
+#: The artifacts a pool's workers inherit through ``fork()`` rather than
+#: unpickle from the broadcast (the type environments point at the program).
+_INHERITED = ("program", "graph", "pointsto", "type_envs")
+
+
+class _Pool:
+    """One pass's work-stealing pool, at ``jobs`` > 1, forked on first use
+    after points-to: the workers inherit :attr:`base` and get the rest of
+    the artifacts in one broadcast.  It runs per-unit work only (facts no
+    memo holds, shards no key found); summaries and whole-program shards
+    stay in the parent."""
+
+    def __init__(self, jobs: int, registry: dict) -> None:
+        self.jobs = jobs
+        self.registry = registry
+        #: The :data:`_INHERITED` artifacts, set before the first task.
+        self.base: dict = {}
+        self.executor = None
+        #: In a worker: the artifacts assembled from the one broadcast.
+        self._view = None
+
+    def _handle(self, kind: str, payload, state: dict):
+        """Run one task; called in a worker, on the state it forked with."""
+        if kind == "consts":
+            return solve_program_facts(self.base["program"], payload)
+        name, functions = payload
+        if self._view is None:
+            self._view = SharedArtifacts(**self.base, **state["artifacts"])
+        return self.registry[name].run_shard(self._view, functions)
+
+    def run(self, tasks: list[Task], parent_tasks=(),
+            artifacts: SharedArtifacts | None = None) -> dict:
+        """Drain ``tasks`` while the parent runs its own, first
+        broadcasting what the workers do not inherit of ``artifacts``."""
+        if self.executor is None:
+            # Frozen, the inherited heap is skipped by the workers' full
+            # collections, which would copy every page of it.
+            gc.freeze()
+            try:
+                self.executor = WorkStealingExecutor(self.jobs, self._handle)
+            finally:
+                gc.unfreeze()
+        if artifacts is not None:
+            self.executor.broadcast("artifacts", {
+                name: value for name, value in vars(artifacts).items()
+                if name not in _INHERITED})
+        return self.executor.run(tasks, parent_tasks)
+
+    def close(self) -> None:
+        if self.executor is not None:
+            self.executor.close()
+
+
+def _perf_payload(phases: dict, executor) -> dict:
+    """The report's timing and scheduler block (left out of identity
+    comparisons, like ``cache_stats``)."""
+    scheduler = {"mode": "serial"}
+    if executor is not None:
+        scheduler["mode"] = "work-steal"
+        scheduler.update(executor.stats.to_dict())
+        busy = {"consts": 0.0, "shard": 0.0}
+        for task_id, seconds in executor.stats.task_busy.items():
+            busy[task_id.split(":", 1)[0]] += seconds
+        scheduler["busy_by_phase"] = {key: round(value, 4)
+                                      for key, value in busy.items()}
+    return {"phases": {key: round(value, 4) for key, value in phases.items()},
+            "scheduler": scheduler}
+
+
 def _complete_key(local_key: str, scc: tuple[str, ...], graph,
                   hashes: dict[str, str],
                   records: dict[str, _FunctionRecord]) -> str:
@@ -348,6 +425,9 @@ class IncrementalStats:
     parse_errors: int = 0
     consts_solved: int = 0
     consts_reused: int = 0
+    #: Wall time spent solving the ``consts_solved`` functions' facts, in
+    #: this process or on the pass's pool.
+    consts_seconds: float = 0.0
     dirty_sccs: int = 0
     sccs_reused: int = 0
     dirty_functions: list[str] = field(default_factory=list)
@@ -356,7 +436,8 @@ class IncrementalStats:
     #: cutoff, since only a moved summary re-keys its callers.
     summaries_changed: int = 0
     shards_rerun: int = 0
-    #: ``shards_rerun`` split by analysis: every registered name, 0 allowed.
+    #: ``shards_rerun`` split by analysis: every analysis of the pass, 0
+    #: allowed.
     shards_rerun_by_analysis: dict[str, int] = field(default_factory=dict)
     shards_reused: int = 0
     #: Shard keys hashed this pass: a key carries over unless its unit was
@@ -391,6 +472,7 @@ class IncrementalStats:
             "parse_errors": self.parse_errors,
             "consts_solved": self.consts_solved,
             "consts_reused": self.consts_reused,
+            "consts_seconds": round(self.consts_seconds, 4),
             "dirty_sccs": self.dirty_sccs,
             "sccs_reused": self.sccs_reused,
             "dirty_functions": list(self.dirty_functions),
@@ -414,13 +496,14 @@ class IncrementalAnalyzer:
 
     ``analyze()`` runs one full pass and returns an :class:`EngineReport`
     byte-identical (up to timing/cache-stat fields) with what a fresh
-    :class:`~repro.engine.AnalysisEngine` would produce over the same
-    sources; ``last_stats`` records what the pass reused.  Passes are
-    serialized — the service runs them behind a lock and publishes
-    immutable snapshots for readers — and each runs in this process: a
-    dirty SCC's fixpoint costs less than shipping its callee summaries to
-    a worker, and a pool forked per pass would fork from a process that
-    already runs the service's HTTP and watcher threads.
+    analyzer would produce over the same sources; ``last_stats`` records
+    what the pass reused.  Passes are serialized — the service runs them
+    behind a lock and publishes immutable snapshots for readers.  Summaries
+    are always solved in this process: a dirty SCC's fixpoint costs less
+    than shipping its callee summaries to a worker.  Only a pass asked for
+    ``jobs`` > 1 forks a pool, for its per-unit facts and shards; the
+    service never asks, since it would fork from a process that already
+    runs its HTTP and watcher threads.
     """
 
     def __init__(self,
@@ -458,6 +541,8 @@ class IncrementalAnalyzer:
         self.last_stats: IncrementalStats | None = None
         #: The last pass's shared artifacts (the service's /summaries source).
         self.artifacts: SharedArtifacts | None = None
+        #: The last pass's parse and link diagnostics, in corpus order.
+        self.diagnostics: tuple[ParseDiagnostic, ...] = ()
 
     # -- parsing -------------------------------------------------------------
 
@@ -729,8 +814,18 @@ class IncrementalAnalyzer:
             return
         # Dataclass equality compares the texts, and an unedited file's
         # text is the very string the last pass saw.
-        changed = [index for index, corpus_file in enumerate(files)
-                   if corpus_file != self._records[index].seen]
+        changed = []
+        for index, corpus_file in enumerate(files):
+            record = self._records[index]
+            if corpus_file == record.seen:
+                continue
+            if record.unit is not None and corpus_file == record.corpus_file:
+                # A fix back to the last good text, whose parse the record
+                # still serves: nothing to roll back or parse.
+                self._records[index] = replace(record, seen=corpus_file,
+                                               diagnostic=None)
+            else:
+                changed.append(index)
         stats.reused_units = len(files) - len(changed)
         if not changed:
             return
@@ -850,13 +945,16 @@ class IncrementalAnalyzer:
 
     def _solve_consts(self, program: Program, globals_fp: str,
                       records: dict[str, _FunctionRecord],
-                      stats: IncrementalStats):
+                      unit_functions: dict[str, list[str]],
+                      stats: IncrementalStats, pool: _Pool | None):
         """Constant facts per function, and the memo for the next pass.
 
         Each function is looked up by key (body hash, globals fingerprint,
         domains) in memory, then in the persistent store (one batched read
-        for all the memory misses), else solved.  The memo keeps each
-        entry's store key, so a memory hit costs one tuple comparison.
+        for all the memory misses), else solved: here, or with a ``pool``
+        as one task per unit with functions to solve, merged back in
+        program order.  The memo keeps each entry's store key, so a memory
+        hit costs one tuple comparison.
         """
         memo = self._consts_store
         domains = domain_fingerprint(DEFAULT_DOMAINS)
@@ -880,6 +978,20 @@ class IncrementalAnalyzer:
         found = (self.store.get_many(
             "consts", [disk_key for _, disk_key in missing.values()])
             if self.store is not None and missing else {})
+        unsolved = [name for name, (_, disk_key) in missing.items()
+                    if disk_key not in found]
+        started = time.perf_counter()
+        if pool is None or not unsolved:
+            solved = solve_program_facts(program, unsolved)
+        else:
+            wanted = set(unsolved)
+            tasks = [Task(id=f"consts:{filename}", kind="consts", payload=subset)
+                     for filename, functions in unit_functions.items()
+                     if (subset := [name for name in functions if name in wanted])]
+            solved = {}
+            for facts in pool.run(tasks).values():
+                solved.update(facts)
+        stats.consts_seconds = time.perf_counter() - started
         disk_writes: list[tuple[str, tuple]] = []
         for name, (key, disk_key) in missing.items():
             wrapped = found.get(disk_key)
@@ -888,8 +1000,7 @@ class IncrementalAnalyzer:
                 stats.consts_reused += 1
                 stats.store_hits += 1
             else:
-                value = facts_of(program.functions[name],
-                                 syntax=program.syntax(name))
+                value = solved[name]
                 stats.consts_solved += 1
                 disk_writes.append((disk_key, (value,)))
             store[name] = (key, disk_key, value)
@@ -1109,12 +1220,10 @@ class IncrementalAnalyzer:
                     if not moved.isdisjoint(record.referenced)}
         return set()
 
-    def _run_shards(self, artifacts: SharedArtifacts,
-                    records: dict[str, _FunctionRecord],
-                    scc_keys: list[str], summary_hashes: dict[str, str],
-                    globals_fp: str, callgraph_fp: str,
-                    stats: IncrementalStats):
-        """Run or reuse every checker shard and merge each analysis.
+    def _run_shards(self, names: list[str], state: _PassState,
+                    stats: IncrementalStats, pool: _Pool | None):
+        """Run or reuse the checker shards of ``names`` over ``state``'s
+        artifacts, and merge each analysis.
 
         Each shard key starts from the last pass's: a unit's is hashed
         again only when the unit was re-parsed (a function record of it is
@@ -1122,11 +1231,15 @@ class IncrementalAnalyzer:
         declared :class:`ShardReads` of one of its functions moved.  The
         whole-program shard (stackcheck's) is keyed on the call-graph
         fingerprint and every summary hash, and hashed again only when one
-        of them moved.  An analysis is merged again only when one of its
-        payloads differs from the last pass's or an artifact its ``merge``
-        reads (``merge_reads``) is not the last pass's object.  Returns the
+        of them moved.  The shards no key found then run (:meth:`_shards`),
+        and an analysis is merged again only when one of its payloads
+        differs from the last pass's or an artifact its ``merge`` reads
+        (``merge_reads``) is not the last pass's object.  Returns the
         payload memo and the merged state for the next pass.
         """
+        artifacts, records = state.artifacts, state.records
+        globals_fp, scc_keys = state.globals_fp, state.scc_keys
+        summary_hashes = state.summary_hashes
         last = self._last
         if last is not None and last.globals_fp != globals_fp:
             last = None
@@ -1139,14 +1252,10 @@ class IncrementalAnalyzer:
                         if any(old.get(name) is not records[name]
                                for name in functions)}
         memo = self._shard_store
-        store: dict[str, dict] = {}
-        merged: dict[str, _Merged] = {}
         keyed: set[str] = set()
-        disk_writes: list[tuple[str, tuple]] = []
-        disk_touches: list[str] = []
-        for name in ANALYSIS_ORDER:
-            if name not in self.registry:
-                continue
+        # Per analysis: its adapter, salt, carried state, keys and store hits.
+        plans = []
+        for name in names:
             analysis = self.registry[name]
             reads = analysis.shard_reads
             salt = analysis.shard_salt(artifacts)
@@ -1175,11 +1284,11 @@ class IncrementalAnalyzer:
                     keys[filename] = key
             elif reads is ShardReads.CALL_GRAPH_AND_SUMMARIES:
                 key = carried.keys[""] if carried is not None else None
-                if key is None or callgraph_fp != last.callgraph_fp or (
+                if key is None or state.callgraph_fp != last.callgraph_fp or (
                         summary_hashes is not last.summary_hashes
                         and summary_hashes != last.summary_hashes):
                     key = _sha("\x00".join(
-                        [name, globals_fp, salt, callgraph_fp,
+                        [name, globals_fp, salt, state.callgraph_fp,
                          *sorted(f"{function}:{digest}" for function, digest
                                  in summary_hashes.items())]))
                     stats.shard_keys_computed += 1
@@ -1187,12 +1296,25 @@ class IncrementalAnalyzer:
             else:
                 raise ValueError(f"{name}: a whole-program shard must read "
                                  "the call graph and the summaries alone")
-            stats.shards_rerun_by_analysis[name] = 0
             misses = [key for key in keys.values() if key not in memo]
             found = (self.store.get_many("shard", misses)
                      if self.store is not None and misses else {})
+            plans.append((name, analysis, salt, carried, keys, found))
+        stats.keyed_units = sorted(keyed)
+        ran = self._shards([(name, filename, key)
+                            for name, _, _, _, keys, found in plans
+                            for filename, key in keys.items()
+                            if key not in memo and key not in found],
+                           artifacts, pool)
+
+        store: dict[str, dict] = {}
+        merged: dict[str, _Merged] = {}
+        disk_writes: list[tuple[str, tuple]] = []
+        disk_touches: list[str] = []
+        for name, analysis, salt, carried, keys, found in plans:
+            stats.shards_rerun_by_analysis[name] = 0
             payloads = []
-            for filename, key in keys.items():
+            for key in keys.values():
                 payload = memo.get(key)
                 if payload is not None:
                     stats.shards_reused += 1
@@ -1202,9 +1324,7 @@ class IncrementalAnalyzer:
                     stats.shards_reused += 1
                     stats.store_hits += 1
                 else:
-                    payload = analysis.run_shard(
-                        artifacts, unit_functions[filename] if filename
-                        else None)
+                    payload = ran[key]
                     stats.shards_rerun += 1
                     stats.shards_rerun_by_analysis[name] += 1
                     disk_writes.append((key, (payload,)))
@@ -1223,25 +1343,54 @@ class IncrementalAnalyzer:
                 stats.analyses_merged += 1
             merged[name] = _Merged(salt=salt, keys=keys, payloads=payloads,
                                    report=report)
-        stats.keyed_units = sorted(keyed)
         if self.store is not None:
             self.store.put_many("shard", disk_writes)
             self.store.touch("shard", disk_touches)
             stats.store_writes += len(disk_writes)
         return store, merged
 
-    def analyze(self, files: tuple[CorpusFile, ...] | None = None) -> EngineReport:
+    def _shards(self, todo: list[tuple[str, str, str]],
+                artifacts: SharedArtifacts, pool: _Pool | None) -> dict:
+        """Run the (analysis, unit, key) shards of ``todo``; returns the
+        payloads by key.  Per-unit shards run on the ``pool`` if there is
+        one, while the parent runs the whole-program ones."""
+        unit_functions = artifacts.unit_functions
+        if pool is None or all(not filename for _, filename, _ in todo):
+            return {key: self.registry[name].run_shard(
+                        artifacts, unit_functions[filename] if filename
+                        else None)
+                    for name, filename, key in todo}
+        ids = {f"shard:{name}:{filename}": key for name, filename, key in todo}
+        tasks = [Task(id=f"shard:{name}:{filename}", kind="shard",
+                      payload=(name, unit_functions[filename]))
+                 for name, filename, _ in todo if filename]
+        parent = [(f"shard:{name}:",
+                   lambda name=name: self.registry[name].run_shard(artifacts,
+                                                                   None))
+                  for name, filename, _ in todo if not filename]
+        results = pool.run(tasks, parent, artifacts)
+        return {ids[task_id]: payload for task_id, payload in results.items()}
+
+    def analyze(self, files: tuple[CorpusFile, ...] | None = None,
+                analyses=None, jobs: int = 1) -> EngineReport:
         """Run one incremental pass; returns the merged engine report.
 
-        A pass that re-parsed no unit (a no-op, or a break whose unit keeps
-        serving its last good parse) carries the last pass's link, records,
-        artifacts and reports whole, and builds only its diagnostics and
-        stats.  Otherwise every corpus-wide artifact is the last pass's
-        when the inputs it reads did not change, and is rebuilt otherwise;
-        a cold pass is the case where every comparison misses.  What the
-        analysis carries to the next pass — function records, memos, the
-        last pass's artifacts — is replaced only when the pass completes,
-        so after a pass that raises the next one compares against the last
+        ``analyses`` selects the registered analyses to run, in that order
+        (all of them by default), and ``jobs`` sizes the pass's pool
+        (:func:`~repro.engine.scheduler.worker_count`; 1, the default,
+        forks nothing).
+
+        A pass that re-parsed no unit (a no-op, a break whose unit keeps
+        serving its last good parse, or the fix back to that text) carries
+        the last pass's link, records and artifacts whole, and its reports
+        too when it runs the same analyses; it builds only its diagnostics
+        and stats, and the shards of analyses the last pass did not run.
+        Otherwise every corpus-wide artifact is the last pass's when the
+        inputs it reads did not change, and is rebuilt otherwise; a cold
+        pass is the case where every comparison misses.  What the analysis
+        carries to the next pass — function records, memos, the last
+        pass's artifacts — is replaced only when the pass completes, so
+        after a pass that raises the next one compares against the last
         completed pass.  (The parse state and the carried type
         environments' ``program`` move during the pass; the next pass
         re-links and re-points them.)
@@ -1250,58 +1399,91 @@ class IncrementalAnalyzer:
         self.revision += 1
         stats = IncrementalStats(revision=self.revision)
         files = tuple(files) if files is not None else self.files
-        self._reconcile_parse(files, stats)
-        self.files = files
-        last = self._last
-        units = tuple(record.unit for record in self._records)
-        if last is not None and len(units) == len(last.units) and all(
-                unit is linked for unit, linked in zip(units, last.units)):
-            stats.consts_reused = len(last.records)
-            stats.sccs_reused = len(last.scc_keys)
-            stats.shards_reused = sum(len(merged.keys)
-                                      for merged in last.merged.values())
-            stats.shards_rerun_by_analysis = dict.fromkeys(last.merged, 0)
-            summary = {**last.summary_stats, "cache_hit": True,
-                       "consts_cache_hit": True}
-            report = self._report(files, last.merged,
-                                  self._diagnostics(last.link_errors),
-                                  summary, stats)
-        else:
-            report = self._derive(files, units, stats)
+        names = (list(analyses) if analyses is not None
+                 else [name for name in ANALYSIS_ORDER if name in self.registry])
+        workers = worker_count(jobs)
+        pool = _Pool(workers, self.registry) if workers > 1 else None
+        try:
+            self._reconcile_parse(files, stats)
+            self.files = files
+            parsed = time.perf_counter()
+            last = self._last
+            units = tuple(record.unit for record in self._records)
+            memos = None
+            if last is not None and len(units) == len(last.units) and all(
+                    unit is linked for unit, linked in zip(units, last.units)):
+                state = last
+                stats.consts_reused = len(last.records)
+                stats.sccs_reused = len(last.scc_keys)
+                summary = {**last.summary_stats, "cache_hit": True,
+                           "consts_cache_hit": True}
+                if pool is not None:
+                    pool.base = {name: getattr(last.artifacts, name)
+                                 for name in _INHERITED}
+            else:
+                state, memos = self._derive(units, stats, pool)
+                summary = state.summary_stats
+            derived = time.perf_counter()
+            if state is last and list(last.merged) == names:
+                shard_store, merged = self._shard_store, last.merged
+                stats.shards_reused = sum(len(carried.keys)
+                                          for carried in merged.values())
+                stats.shards_rerun_by_analysis = dict.fromkeys(merged, 0)
+            else:
+                shard_store, merged = self._run_shards(names, state, stats,
+                                                       pool)
+        finally:
+            if pool is not None:
+                pool.close()
+        checked = time.perf_counter()
+
+        # The pass completed: commit what the next one reuses.
+        if memos is not None:
+            self._consts_store, self._scc_store = memos
+        self._shard_store = shard_store
+        self._last = replace(state, merged=merged)
+        self.artifacts = state.artifacts
+        self.diagnostics = self._diagnostics(state.link_errors)
+        stats.parse_errors = len(self.diagnostics)
+        executor = pool.executor if pool is not None else None
+        parallel = executor is not None and executor.parallel
+        report = EngineReport(
+            analyses={name: carried.report for name, carried in merged.items()},
+            corpus_files=[f.filename for f in files],
+            precision=self.precision.name.lower(),
+            jobs=workers if parallel else 1, parallel=parallel,
+            summary_stats=summary,
+            cache_stats={
+                "hits": (stats.consts_reused + stats.sccs_reused
+                         + stats.shards_reused),
+                "misses": (stats.consts_solved + stats.dirty_sccs
+                           + stats.shards_rerun),
+                "disk_hits": stats.store_hits,
+                "evictions": (self.store.evictions if self.store is not None
+                              else 0),
+                "const_solve_ms": round(stats.consts_seconds * 1000, 3),
+            },
+            perf=_perf_payload({"parse": parsed - start,
+                                "artifacts": derived - parsed,
+                                "checkers": checked - derived}, executor))
+        if self.diagnostics:
+            report.analyses["diagnostics"] = diagnostics_report(
+                self.diagnostics)
         stats.elapsed_seconds = time.perf_counter() - start
         report.elapsed_seconds = stats.elapsed_seconds
         self.last_stats = stats
         return report
 
-    def _report(self, files: tuple[CorpusFile, ...],
-                merged: dict[str, _Merged],
-                diagnostics: tuple[ParseDiagnostic, ...], summary: dict,
-                stats: IncrementalStats) -> EngineReport:
-        report = EngineReport(
-            corpus_files=[f.filename for f in files],
-            precision=self.precision.name.lower(),
-            jobs=1, parallel=False)
-        report.analyses = {name: state.report
-                           for name, state in merged.items()}
-        stats.parse_errors = len(diagnostics)
-        if diagnostics:
-            report.analyses["diagnostics"] = diagnostics_report(diagnostics)
-        report.summary_stats = summary
-        report.cache_stats = {
-            "hits": stats.consts_reused + stats.sccs_reused + stats.shards_reused,
-            "misses": stats.consts_solved + stats.dirty_sccs + stats.shards_rerun,
-            "disk_hits": stats.store_hits,
-            "evictions": 0,
-            "const_solve_ms": 0.0,
-        }
-        return report
+    def _derive(self, units: tuple[ast.TranslationUnit | None, ...],
+                stats: IncrementalStats, pool: _Pool | None):
+        """A pass over re-parsed units: link, then rebuild what moved.
 
-    def _derive(self, files: tuple[CorpusFile, ...],
-                units: tuple[ast.TranslationUnit | None, ...],
-                stats: IncrementalStats) -> EngineReport:
-        """A pass over re-parsed units: link, then rebuild what moved."""
+        Returns the pass's state, with no analysis merged yet, and the new
+        constant-facts and SCC memos.
+        """
         program, link_errors = self._link()
         records, globals_fp, type_envs = self._fingerprint(program, stats)
+        unit_functions = unit_function_map(program)
         last = self._last
         old = last.records if last is not None else {}
         # The same functions in the same order over the same globals; then
@@ -1334,9 +1516,12 @@ class IncrementalAnalyzer:
             annotations = {name: program.function_annotations(name)
                            for name in program.all_function_names()}
             rebuilt += ["callgraph", "pointsto", "irq_handlers", "annotations"]
+        if pool is not None:
+            pool.base = {"program": program, "graph": graph,
+                         "pointsto": pointsto, "type_envs": type_envs}
 
-        consts, consts_store = self._solve_consts(program, globals_fp,
-                                                  records, stats)
+        consts, consts_store = self._solve_consts(
+            program, globals_fp, records, unit_functions, stats, pool)
         # The condensation and the graph fingerprint read the edge set
         # alone, so they also survive a rebuild that moved only call sites.
         if last is not None and (structure_same
@@ -1398,27 +1583,15 @@ class IncrementalAnalyzer:
             error_returning=error_returning,
             annotations=annotations,
             type_envs=type_envs,
-            unit_functions=unit_function_map(program),
+            unit_functions=unit_functions,
         )
-        shard_store, merged = self._run_shards(
-            artifacts, records, scc_keys, summary_hashes, globals_fp,
-            callgraph_fp, stats)
-        summary = summary_stats(
-            artifacts, summary_cache_hit=stats.dirty_sccs == 0,
-            consts_cache_hit=stats.consts_solved == 0)
-        report = self._report(files, merged, self._diagnostics(link_errors),
-                              summary, stats)
-
-        # The pass completed: commit what the next one reuses.
-        self._consts_store = consts_store
-        self._scc_store = scc_store
-        self._shard_store = shard_store
-        self._last = _PassState(
+        state = _PassState(
             units=units, link_errors=link_errors,
             globals_fp=globals_fp, records=records, artifacts=artifacts,
             context=context, callgraph_fp=callgraph_fp,
             local_keys=local_keys, scc_keys=scc_keys,
-            summary_hashes=summary_hashes, merged=merged,
-            summary_stats=summary)
-        self.artifacts = artifacts
-        return report
+            summary_hashes=summary_hashes, merged={},
+            summary_stats=summary_stats(
+                artifacts, summary_cache_hit=stats.dirty_sccs == 0,
+                consts_cache_hit=stats.consts_solved == 0))
+        return state, (consts_store, scc_store)

@@ -7,13 +7,9 @@ summaries keyed by a Merkle fingerprint over the SCC's member hashes and
 its callees' fingerprints, and per-(analysis, TU) finding shards keyed the
 same way.  This module spills those maps to a SQLite file so a restarted
 ``repro-engine serve`` re-solves ~0 SCCs on an unchanged corpus instead of
-paying a full cold pass.
-
-The batch engine's :class:`~repro.engine.artifacts.ArtifactCache` writes
-through the same store (``run --cache-dir``): it keeps its whole-corpus
-artifacts (the parsed program, the constant facts, the summaries) in the
-``artifact`` space under its own content keys, and does not reuse the
-analyzer's rows.  One directory can serve both.
+paying a full cold pass.  A batch run is a pass of the same analyzer, so
+``run --cache-dir`` reads and writes the same rows: one directory serves
+both, and each warms the other.
 
 Because the keys are fingerprints of everything the artifact depends on
 (including the analysis code, via the package's source digest in the
@@ -77,10 +73,9 @@ CREATE TABLE IF NOT EXISTS meta (
 class PersistentStore:
     """A content-keyed artifact store on disk, LRU-bounded by size.
 
-    ``spaces`` partition the keyspace by artifact kind: the analyzer's
-    "consts", "scc" and "shard", and the batch cache's "artifact"; keys
-    within a space are their writer's own fingerprints, so equality of key
-    implies equality of artifact.
+    ``spaces`` partition the keyspace by artifact kind: "consts", "scc" and
+    "shard"; keys within a space are the analyzer's fingerprints, so
+    equality of key implies equality of artifact.
     """
 
     def __init__(self, directory: str | os.PathLike,

@@ -8,10 +8,12 @@ from pathlib import Path
 
 import pytest
 
-# Allow running the tests from a source checkout without installation.
-_SRC = Path(__file__).resolve().parent.parent / "src"
-if str(_SRC) not in sys.path:
-    sys.path.insert(0, str(_SRC))
+# Allow running the tests from a source checkout without installation, and
+# let test modules import this directory's helpers (``reference``).
+for _path in (Path(__file__).resolve().parent.parent / "src",
+              Path(__file__).resolve().parent):
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
 
 from repro.kernel.boot import boot_kernel  # noqa: E402
 from repro.kernel.build import BuildConfig, parse_corpus  # noqa: E402

@@ -1,11 +1,13 @@
-"""The engine's on-disk artifact tier: a hit is a value that loaded.
+"""The engine's on-disk tier: the analyzer's rows, and a hit is a row that
+loaded.
 
-``ArtifactCache`` persists the parsed program, the constant facts and the
-summaries in the ``artifact`` space of a :class:`PersistentStore`.  A key
-whose value does not load (a failed read, a row that no longer unpickles)
-must be solved again, reported as a miss, and written back whole, at every
-``jobs`` setting; a warm read keeps its row alive under the LRU bound; and
-one directory serves the batch cache and the incremental analyzer alike.
+``run --cache-dir`` opens a :class:`PersistentStore` and reads and writes
+the rows ``serve --store-dir`` does: constant facts per function
+(``consts``), summaries per SCC (``scc``) and checker shards per (analysis,
+unit) (``shard``).  A row that does not load (a failed read, bytes that no
+longer unpickle) must be solved again, reported as a miss, and written
+back, at every ``jobs`` setting; a warm read keeps its rows alive under the
+LRU bound; and one directory serves the engine and the service alike.
 """
 
 from __future__ import annotations
@@ -18,13 +20,16 @@ import time
 
 import pytest
 
-from repro.engine import AnalysisEngine, ArtifactCache
-from repro.kernel.corpus import KERNEL_FILES
+from repro.engine import AnalysisEngine
+from repro.kernel.corpus import KERNEL_FILES, CorpusFile
 from repro.service import IncrementalAnalyzer
 from repro.service.store import PersistentStore
 
 #: Report fields that depend on the run, not on the corpus.
 VOLATILE = ("elapsed_seconds", "cache_stats", "jobs", "parallel", "perf")
+
+#: Each lost-row case's store space: the summaries live in ``scc`` rows.
+SPACES = {"consts": "consts", "summaries": "scc", "shard": "shard"}
 
 
 def outcome(report) -> str:
@@ -37,6 +42,16 @@ def outcome(report) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
+def run_engine(directory, jobs: int = 1, files=KERNEL_FILES):
+    """One engine run over ``directory``; returns the report and the
+    pass's stats, with the store closed."""
+    engine = AnalysisEngine(files=files, cache_dir=directory)
+    try:
+        return engine.run(jobs=jobs), engine.analyzer.last_stats
+    finally:
+        engine.analyzer.store.close()
+
+
 @pytest.fixture(scope="module")
 def cold_report():
     return AnalysisEngine(files=KERNEL_FILES).run()
@@ -44,11 +59,9 @@ def cold_report():
 
 @pytest.fixture(scope="module")
 def filled_dir(tmp_path_factory):
-    """A cache directory holding one cold run's program, consts and summaries."""
+    """A cache directory holding one cold run's rows."""
     directory = tmp_path_factory.mktemp("seed-cache")
-    engine = AnalysisEngine(files=KERNEL_FILES, cache_dir=directory)
-    engine.run()
-    engine.cache.store.close()
+    run_engine(directory)
     return directory
 
 
@@ -59,108 +72,140 @@ def cache_dir(filled_dir, tmp_path):
     return copied
 
 
-def lose_by_load(monkeypatch, kind: str) -> None:
-    """Make every disk read of ``kind``'s entry fail."""
-    load = ArtifactCache._load_disk
+def stored_keys(directory, space: str) -> list[str]:
+    conn = sqlite3.connect(str(directory / "store.sqlite"))
+    try:
+        return sorted(key for (key,) in conn.execute(
+            "SELECT key FROM entries WHERE space = ?", (space,)))
+    finally:
+        conn.close()
 
-    def failing(self, key):
-        return None if key.startswith(f"{kind}-") else load(self, key)
 
-    monkeypatch.setattr(ArtifactCache, "_load_disk", failing)
+def lose_by_load(patch, space: str, key: str) -> None:
+    """Make every read of ``space``'s row ``key`` miss."""
+    get_many = PersistentStore.get_many
+
+    def failing(self, read_space, keys):
+        found = get_many(self, read_space, keys)
+        if read_space == space:
+            found.pop(key, None)
+        return found
+
+    patch.setattr(PersistentStore, "get_many", failing)
 
 
-def lose_by_garbage(directory, kind: str) -> None:
-    """Overwrite the stored value of ``kind``'s entry with bytes that do not
-    unpickle."""
+def lose_by_garbage(directory, space: str, key: str) -> None:
+    """Overwrite ``space``'s row ``key`` with bytes that do not unpickle."""
     conn = sqlite3.connect(str(directory / "store.sqlite"))
     try:
         changed = conn.execute(
-            "UPDATE entries SET value = ? WHERE space = 'artifact' AND key LIKE ?",
-            (b"not a pickle", f"{kind}-%")).rowcount
+            "UPDATE entries SET value = ? WHERE space = ? AND key = ?",
+            (b"not a pickle", space, key)).rowcount
         conn.commit()
     finally:
         conn.close()
     assert changed == 1
 
 
+def check_lost_row(directory, monkeypatch, kind: str, how: str, jobs: int,
+                   cold_report) -> None:
+    """Lose one ``kind`` row ``how``; a run at ``jobs`` solves it again,
+    reports the miss and writes the row back, and the next warm run
+    misses nothing.  All three match a cold run."""
+    space = SPACES[kind]
+    key = stored_keys(directory, space)[0]
+    with monkeypatch.context() as patch:
+        if how == "load":
+            lose_by_load(patch, space, key)
+        else:
+            lose_by_garbage(directory, space, key)
+        report, stats = run_engine(directory, jobs)
+    assert outcome(report) == outcome(cold_report)
+    assert report.cache_stats["misses"] == 1
+    assert (stats.consts_solved, stats.dirty_sccs, stats.shards_rerun) == (
+        int(kind == "consts"), int(kind == "summaries"), int(kind == "shard"))
+    assert report.summary_stats["consts_cache_hit"] is (kind != "consts")
+    assert report.summary_stats["cache_hit"] is (kind != "summaries")
+    assert key in stored_keys(directory, space)
+
+    warm, _ = run_engine(directory)
+    assert outcome(warm) == outcome(cold_report)
+    assert warm.cache_stats["misses"] == 0
+    assert warm.cache_stats["disk_hits"] > 0
+    assert warm.summary_stats["consts_cache_hit"] is True
+    assert warm.summary_stats["cache_hit"] is True
+
+
 class TestLostEntryIsSolvedAgain:
     @pytest.mark.parametrize("how", ["load", "garbage"])
-    @pytest.mark.parametrize("kind", ["consts", "summaries"])
+    @pytest.mark.parametrize("kind", ["consts", "summaries", "shard"])
     def test_parallel_run_matches_cold(self, cache_dir, cold_report,
                                        monkeypatch, kind, how):
-        with monkeypatch.context() as patch:
-            if how == "load":
-                lose_by_load(patch, kind)
-            else:
-                lose_by_garbage(cache_dir, kind)
-            report = AnalysisEngine(files=KERNEL_FILES,
-                                    cache_dir=cache_dir).run(jobs=2)
-        assert outcome(report) == outcome(cold_report)
-        assert report.summary_stats["consts_cache_hit"] is (kind != "consts")
-        assert report.summary_stats["cache_hit"] is (kind != "summaries")
+        check_lost_row(cache_dir, monkeypatch, kind, how, 2, cold_report)
 
-        # The re-solved value was written back whole: the next warm run
-        # loads all three entries and still matches.
-        warm = AnalysisEngine(files=KERNEL_FILES, cache_dir=cache_dir).run()
-        assert outcome(warm) == outcome(cold_report)
-        assert warm.cache_stats["disk_hits"] == 3
-        assert warm.summary_stats["consts_cache_hit"] is True
-        assert warm.summary_stats["cache_hit"] is True
-
-    def test_serial_run_reports_the_miss(self, cache_dir, monkeypatch):
-        lose_by_load(monkeypatch, "consts")
-        report = AnalysisEngine(files=KERNEL_FILES, cache_dir=cache_dir).run()
-        assert report.summary_stats["consts_cache_hit"] is False
-        assert report.summary_stats["cache_hit"] is True
+    def test_serial_run_reports_the_miss(self, filled_dir, cold_report,
+                                         monkeypatch, tmp_path):
+        for kind in SPACES:
+            for how in ("load", "garbage"):
+                directory = tmp_path / f"{kind}-{how}"
+                shutil.copytree(filled_dir, directory)
+                check_lost_row(directory, monkeypatch, kind, how, 1,
+                               cold_report)
 
 
 def test_garbage_store_file_is_recreated(tmp_path, cold_report):
     (tmp_path / "store.sqlite").write_bytes(b"not a database" * 100)
     engine = AnalysisEngine(files=KERNEL_FILES, cache_dir=tmp_path)
     report = engine.run()
-    assert engine.cache.store.recreated
+    assert engine.analyzer.store.recreated
     assert outcome(report) == outcome(cold_report)
-    engine.cache.store.close()
+    engine.analyzer.store.close()
 
 
 def test_warm_read_keeps_entry_alive(tmp_path):
-    blob = b"x" * 2048
-    budget_mb = 5000 / (1024 * 1024)  # two entries fit, three do not
-    writer = ArtifactCache(cache_dir=tmp_path, max_mb=budget_mb)
-    writer.get_or_build("artifact-a", lambda: blob)
+    files = (CorpusFile("tiny.c", "int twice(int v) { return v + v; }\n"),)
+    run_engine(tmp_path, files=files)
+    store = PersistentStore(tmp_path)
+    rows = store.total_bytes()
+    store.close()
+    # A budget that holds the run's rows and one filler, but not two.
+    filler = b"x" * (3 * rows)
+    budget_mb = 4.5 * rows / (1024 * 1024)
+    store = PersistentStore(tmp_path, max_mb=budget_mb)
     time.sleep(0.02)
-    writer.get_or_build("artifact-b", lambda: blob)
-    writer.store.close()
+    store.put("filler", "first", filler)
+    store.close()
     time.sleep(0.02)
 
-    # A read through a cache that is then dropped, unclosed, still counts.
-    reader = ArtifactCache(cache_dir=tmp_path, max_mb=budget_mb)
-    assert reader.lookup("artifact-a") == blob
-    del reader
+    # A warm run whose engine is then dropped, its store unclosed, still
+    # refreshed the clocks of the rows it read.
+    engine = AnalysisEngine(files=files, cache_dir=tmp_path,
+                            cache_max_mb=budget_mb)
+    assert engine.run().cache_stats["misses"] == 0
+    del engine
     time.sleep(0.02)
 
-    third = ArtifactCache(cache_dir=tmp_path, max_mb=budget_mb)
-    third.get_or_build("artifact-c", lambda: blob)
-    assert third.evictions == 1
-    assert third.lookup("artifact-b") is None
-    assert third.lookup("artifact-a") == blob
-    third.store.close()
+    store = PersistentStore(tmp_path, max_mb=budget_mb)
+    store.put("filler", "second", filler)
+    assert store.evictions == 1
+    assert store.get("filler", "first") is None
+    store.close()
+    report, _ = run_engine(tmp_path, files=files)
+    assert report.cache_stats["misses"] == 0
 
 
 def test_one_directory_serves_engine_and_analyzer(tmp_path):
-    engine = AnalysisEngine(files=KERNEL_FILES, cache_dir=tmp_path)
-    engine.run()
-    engine.cache.store.close()
-    store = PersistentStore(tmp_path)
-    IncrementalAnalyzer(files=KERNEL_FILES, store=store).analyze()
-    store.close()
-
-    warm = AnalysisEngine(files=KERNEL_FILES, cache_dir=tmp_path)
-    assert warm.run().cache_stats["disk_hits"] == 3
-    warm.cache.store.close()
+    run_engine(tmp_path)
+    # A serve restart over the directory a cold `run --cache-dir` filled
+    # re-solves nothing.
     store = PersistentStore(tmp_path)
     restarted = IncrementalAnalyzer(files=KERNEL_FILES, store=store)
     restarted.analyze()
-    assert restarted.last_stats.dirty_sccs == 0
+    stats = restarted.last_stats
+    assert (stats.consts_solved, stats.dirty_sccs, stats.shards_rerun) == (0, 0, 0)
+    assert stats.store_hits > 0
     store.close()
+
+    warm, _ = run_engine(tmp_path)
+    assert warm.cache_stats["misses"] == 0
     assert sorted(path.name for path in tmp_path.iterdir()) == ["store.sqlite"]

@@ -1,21 +1,25 @@
-"""Tests for the unified analysis engine: cache behaviour, parse-once
-guarantee, serial/parallel equivalence, standalone-checker equivalence, and
-the CLI's report formats."""
+"""Tests for the unified analysis engine: store behaviour, parse-once
+guarantee, serial/parallel equivalence, equivalence with the from-scratch
+reference and the standalone checkers, and the CLI's report formats."""
 
 from __future__ import annotations
 
+import copy
 import json
 
 import pytest
+from reference import reference_report
 
 from repro.analyses import analyse_error_checks, analyse_locks, analyse_stack
 from repro.blockstop import find_irq_handlers, run_blockstop
 from repro.deputy import ObligationStatus, check_program
-from repro.engine import AnalysisEngine, ArtifactCache, EngineReport
+from repro.engine import AnalysisEngine, EngineReport
 from repro.engine.cli import main as cli_main
 from repro.kernel import build as kernel_build
 from repro.kernel.corpus import KERNEL_FILES, CorpusFile
+from repro.kernel.synth import generate_corpus
 from repro.minic.pretty import render_unit
+from repro.service import IncrementalAnalyzer
 
 
 @pytest.fixture(scope="module")
@@ -50,60 +54,37 @@ TINY_FILES = (CorpusFile("tiny.c", TINY_SOURCE),)
 # ---------------------------------------------------------------------------
 
 class TestArtifactCache:
+    """A run reads and writes the analyzer's rows: constant facts per
+    function, summaries per SCC and shards per (analysis, unit)."""
+
     def test_hit_and_miss_accounting(self):
-        cache = ArtifactCache()
-        key = cache.content_key("thing", files=TINY_FILES)
-        builds = []
-        for _ in range(3):
-            cache.get_or_build(key, lambda: builds.append(1) or "value")
-        assert builds == [1]
-        assert cache.misses == 1
-        assert cache.hits == 2
-
-    def test_content_key_invalidates_on_source_change(self):
-        cache = ArtifactCache()
-        key_before = cache.content_key("program", files=TINY_FILES)
-        changed = (CorpusFile("tiny.c", TINY_SOURCE + "\nint extra;\n"),)
-        key_after = cache.content_key("program", files=changed)
-        assert key_before != key_after
-        # Same content, fresh tuple: the key must be stable.
-        same = (CorpusFile("tiny.c", TINY_SOURCE),)
-        assert cache.content_key("program", files=same) == key_before
-
-    def test_content_key_fields_are_delimited(self):
-        # Shifting bytes between adjacent fields must change the key:
-        # ('a.c', 'xb') and ('a.cx', 'b') concatenate identically.
-        cache = ArtifactCache()
-        left = cache.content_key("program", files=(CorpusFile("a.c", "xb"),))
-        right = cache.content_key("program", files=(CorpusFile("a.cx", "b"),))
-        assert left != right
-
-    def test_content_key_depends_on_defines_and_extra(self):
-        cache = ArtifactCache()
-        base = cache.content_key("program", files=TINY_FILES)
-        assert cache.content_key("program", files=TINY_FILES,
-                                 defines={"DEBUG": "1"}) != base
-        assert cache.content_key("program", files=TINY_FILES,
-                                 extra={"precision": "x"}) != base
+        engine = AnalysisEngine(files=TINY_FILES)
+        cold = engine.run().cache_stats
+        assert cold["hits"] == 0 and cold["misses"] > 0
+        # The second run on the same engine redoes nothing.
+        warm = engine.run().cache_stats
+        assert warm["misses"] == 0 and warm["hits"] == cold["misses"]
+        assert warm["disk_hits"] == 0
 
     def test_disk_layer_round_trip(self, tmp_path):
-        cache = ArtifactCache(cache_dir=tmp_path)
-        key = cache.content_key("blob", files=TINY_FILES)
-        cache.get_or_build(key, lambda: {"answer": 42})
-        # A second cache over the same directory loads from disk.
-        reloaded = ArtifactCache(cache_dir=tmp_path)
-        value = reloaded.get_or_build(key, lambda: pytest.fail("should hit disk"))
-        assert value == {"answer": 42}
-        assert reloaded.disk_hits == 1
+        cold = AnalysisEngine(files=TINY_FILES, cache_dir=tmp_path).run()
+        # A second engine over the same directory loads every row.
+        reloaded = AnalysisEngine(files=TINY_FILES, cache_dir=tmp_path)
+        warm = reloaded.run()
+        assert warm.cache_stats["misses"] == 0
+        assert warm.cache_stats["disk_hits"] == cold.cache_stats["misses"]
+        assert warm.all_findings() == cold.all_findings()
+        assert reloaded.analyzer.store.entry_count("consts") == 1
 
-    def test_engine_disk_cache_skips_reparse(self, tmp_path):
+    def test_warm_engine_solves_and_reruns_nothing(self, tmp_path):
+        AnalysisEngine(files=TINY_FILES, cache_dir=tmp_path).run()
         kernel_build.reset_parse_counts()
-        first = AnalysisEngine(files=TINY_FILES, cache_dir=tmp_path)
-        first.program()
+        warm = AnalysisEngine(files=TINY_FILES, cache_dir=tmp_path)
+        warm.run()
+        stats = warm.analyzer.last_stats
+        assert (stats.consts_solved, stats.dirty_sccs, stats.shards_rerun) == (0, 0, 0)
+        # Parses are not stored yet: a warm engine parses its corpus again.
         assert kernel_build.PARSE_COUNTS["tiny.c"] == 1
-        second = AnalysisEngine(files=TINY_FILES, cache_dir=tmp_path)
-        second.program()
-        assert kernel_build.PARSE_COUNTS["tiny.c"] == 1  # loaded, not parsed
 
     def test_engine_reparses_when_source_changes(self, tmp_path):
         kernel_build.reset_parse_counts()
@@ -145,6 +126,15 @@ def normalized_report(report):
     for key in ("jobs", "parallel", "elapsed_seconds", "cache_stats", "perf"):
         payload.pop(key, None)
     return payload
+
+
+def reference_identity(report) -> str:
+    """The normalized report without the summary cache flags, which say
+    how the pass got its artifacts."""
+    payload = copy.deepcopy(normalized_report(report))
+    payload["summary_stats"].pop("cache_hit")
+    payload["summary_stats"].pop("consts_cache_hit")
+    return json.dumps(payload, sort_keys=True)
 
 
 class TestParallel:
@@ -198,8 +188,9 @@ class TestParallel:
         byte-identical with the serial run regardless."""
         import random
 
-        from repro.engine import core
+        from repro.engine import scheduler
         from repro.engine.scheduler import InlineExecutor
+        from repro.service import incremental
 
         rng = random.Random(20260808)
         built = []
@@ -209,8 +200,9 @@ class TestParallel:
             return InlineExecutor(
                 handler, pick=lambda queued: rng.randrange(len(queued)))
 
-        monkeypatch.setattr(core, "WorkStealingExecutor", scrambled_executor)
-        monkeypatch.setattr(core, "fork_available", lambda: True)
+        monkeypatch.setattr(incremental, "WorkStealingExecutor",
+                            scrambled_executor)
+        monkeypatch.setattr(scheduler, "fork_available", lambda: True)
         scrambled = AnalysisEngine().run(analyses="all", jobs=2)
         assert built == [2]
         assert scrambled.perf["scheduler"]["mode"] == "work-steal"
@@ -223,12 +215,12 @@ class TestParallel:
         import multiprocessing.process
         import os
 
-        from repro.engine import core
+        from repro.engine import scheduler
 
         def refuse(*args):
             raise AssertionError("the no-fork path started a process")
 
-        monkeypatch.setattr(core, "fork_available", lambda: False)
+        monkeypatch.setattr(scheduler, "fork_available", lambda: False)
         monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
                             refuse)
         monkeypatch.setattr(os, "fork", refuse)
@@ -242,10 +234,9 @@ class TestParallel:
         the parse, which runs in the parent, forks none."""
         import multiprocessing.process
 
-        from repro.engine import core
-        from repro.engine.scheduler import fork_available
+        from repro.engine import scheduler
 
-        if not fork_available():
+        if not scheduler.fork_available():
             pytest.skip("fork start method unavailable")
         targets = []
         start = multiprocessing.process.BaseProcess.start
@@ -254,7 +245,7 @@ class TestParallel:
             targets.append(process._target.__name__)
             return start(process)
 
-        monkeypatch.setattr(core, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(scheduler, "usable_cpus", lambda: 2)
         monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
                             counting_start)
         report = AnalysisEngine().run(analyses="stackcheck", jobs=8)
@@ -369,6 +360,42 @@ class TestOneFrontEnd:
                 AnalysisEngine(files=files).run(analyses="all", jobs=jobs)
             errors.append((type(raised.value), str(raised.value)))
         assert errors[0] == errors[1]
+
+
+# ---------------------------------------------------------------------------
+# Equivalence with the from-scratch reference
+# ---------------------------------------------------------------------------
+
+#: (files, tolerant) of every corpus the reference checks.
+REFERENCE_CORPORA = [
+    pytest.param(KERNEL_FILES, False, id="seed"),
+    *(pytest.param(param.values[0], param.values[1], id=param.id)
+      for param in FRONT_END_CORPORA),
+    pytest.param(generate_corpus(1, 5), False, id="synth-1-5"),
+]
+
+
+class TestReference:
+    """Every batch run and service pass is one pipeline, so each is checked
+    against :func:`reference_report`, which derives the artifacts with no
+    key, memo, store or pool."""
+
+    @pytest.mark.parametrize("files,tolerant", REFERENCE_CORPORA)
+    def test_every_path_equals_the_reference(self, files, tolerant, tmp_path):
+        expected = reference_identity(reference_report(files))
+        for jobs in (1, 2):
+            engine = AnalysisEngine(files=files, tolerant=tolerant,
+                                    cache_dir=tmp_path / f"jobs{jobs}")
+            assert reference_identity(engine.run(jobs=jobs)) == expected, jobs
+            engine.analyzer.store.close()
+        warm = AnalysisEngine(files=files, tolerant=tolerant,
+                              cache_dir=tmp_path / "jobs1")
+        report = warm.run()
+        assert report.cache_stats["misses"] == 0
+        assert reference_identity(report) == expected, "warm"
+        warm.analyzer.store.close()
+        fresh = IncrementalAnalyzer(files=files).analyze()
+        assert reference_identity(fresh) == expected, "analyzer"
 
 
 # ---------------------------------------------------------------------------

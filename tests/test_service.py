@@ -21,10 +21,11 @@ import weakref
 from dataclasses import replace
 
 import pytest
+from reference import reference_report
 
 from repro.dataflow.consts import CONST_SOLVE_COUNTS, reset_const_solve_counts
 from repro.dataflow.interproc import SCC_SOLVE_COUNTS, reset_scc_solve_counts
-from repro.engine import AnalysisEngine, ArtifactCache
+from repro.engine import AnalysisEngine
 from repro.engine.analyses import ShardReads
 from repro.kernel.build import PARSE_COUNTS, reset_parse_counts
 from repro.kernel.corpus import KERNEL_FILES, CorpusFile
@@ -177,10 +178,9 @@ def assert_reports_identical(incremental_report, fresh_report):
 
 
 def assert_matches_cold(report, files):
-    """``report`` equals a fresh analyzer's, and its findings a batch run's."""
+    """``report`` equals a fresh analyzer's and the from-scratch reference's."""
     assert_reports_identical(report, IncrementalAnalyzer(files=files).analyze())
-    batch = AnalysisEngine(files=files, tolerant=True).run(jobs=1)
-    assert report.all_findings() == batch.all_findings()
+    assert_reports_identical(report, reference_report(files))
 
 
 def deputy_counts(report):
@@ -730,8 +730,7 @@ class TestArtifactReuse:
                 assert_reports_identical(report, fresh.analyze(files))
                 served = [f for f in report.all_findings()
                           if f["analysis"] != "diagnostics"]
-                batch = AnalysisEngine(files=last_good, tolerant=True).run(jobs=1)
-                assert served == batch.all_findings(), label
+                assert served == reference_report(last_good).all_findings(), label
             else:
                 fresh = IncrementalAnalyzer(files=files)
                 fresh.analyze()
@@ -809,12 +808,13 @@ class TestCarriedState:
                     service.request_reconcile()
             service.request_reconcile()
         assert service.failed_passes == 1
-        # 42 passes, less the 8 breaks: a broken unit keeps serving its
-        # last good parse, so those passes re-parse no unit and carry the
-        # last pass's link.  So does the pass with no edit below.
-        assert len(programs) == 34
+        # 42 passes, less the 8 breaks and the 8 fixes: a broken unit keeps
+        # serving its last good parse, and a fix back to that text serves
+        # it again, so those passes re-parse no unit and carry the last
+        # pass's link.  So does the pass with no edit below.
+        assert len(programs) == 26
         snapshot, _ = service.request_reconcile()
-        assert len(programs) == 34
+        assert len(programs) == 26
         assert_matches_cold(snapshot.report, files)
 
         artifacts = analyzer.artifacts
@@ -929,6 +929,12 @@ class TestCarriedStateAudit:
                 files = edit(files, *change)
             report = (analyzer.analyze(files) if label != "cold"
                       else analyzer.analyze())
+            if label == "break":
+                served = [f for f in report.all_findings()
+                          if f["analysis"] != "diagnostics"]
+                assert served == reference_report(last_good).all_findings()
+            else:
+                assert_reports_identical(report, reference_report(files))
             fresh = IncrementalAnalyzer(files=files)
             if label == "break":
                 fresh.analyze(last_good)
@@ -960,6 +966,7 @@ class TestKernelCorpusEquivalence:
         incremental = IncrementalAnalyzer().analyze()
         batch = AnalysisEngine(files=KERNEL_FILES, tolerant=True).run(jobs=1)
         assert_reports_identical(incremental, batch)
+        assert_reports_identical(incremental, reference_report(KERNEL_FILES))
 
     def test_touch_one_unit_dirties_one_scc(self):
         analyzer = IncrementalAnalyzer()
@@ -1046,25 +1053,76 @@ class TestParseErrorIsolation:
         fixed = analyzer.analyze(CHAIN_FILES)
         assert_matches_cold(fixed, CHAIN_FILES)
 
+    def test_fix_back_to_the_last_good_text_reparses_nothing(self):
+        analyzer = IncrementalAnalyzer(files=CHAIN_FILES)
+        analyzer.analyze()
+        analyzer.analyze(edit(CHAIN_FILES, "mid.c", "return leaf() + 1;",
+                              "return leaf( + 1;"))
+        assert analyzer.last_stats.full_reparse is False
+        assert_fix_carries_the_last_pass(analyzer, CHAIN_FILES)
+
+    def test_fix_after_a_break_that_fell_back_to_a_full_parse(self):
+        analyzer = IncrementalAnalyzer(files=CHAIN_FILES)
+        analyzer.analyze()
+        # The macro edit forces a full parse, which serves the broken unit
+        # from its last good source.
+        macro = edit(CHAIN_FILES, "lib.c", "#define CHAIN_BONUS 3",
+                     "#define CHAIN_BONUS 5")
+        analyzer.analyze(edit(macro, "mid.c", "return leaf() + 1;",
+                              "return leaf( + 1;"))
+        assert analyzer.last_stats.full_reparse is True
+        assert analyzer.last_stats.parse_errors == 1
+        assert_fix_carries_the_last_pass(analyzer, macro)
+
+
+def assert_fix_carries_the_last_pass(analyzer, fixed):
+    """A broken unit serves its last good parse, so the fix back to that
+    text parses, keys and merges nothing, and clears the diagnostic."""
+    report = analyzer.analyze(fixed)
+    stats = analyzer.last_stats
+    assert (stats.parsed_units, stats.shard_keys_computed,
+            stats.analyses_merged, stats.parse_errors) == (0, 0, 0, 0)
+    assert "diagnostics" not in report.analyses
+    assert_matches_cold(report, fixed)
+
+
+class TestServiceNeverForks:
+    def test_pass_succeeds_with_fork_refused(self, monkeypatch):
+        import multiprocessing.process
+        import os
+
+        def refuse(*args):
+            raise AssertionError("a service pass started a process")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                            refuse)
+        service = AnalysisService(files=CHAIN_FILES)
+        snapshot, _ = service.request_reconcile()
+        assert snapshot.report.perf["scheduler"]["mode"] == "serial"
+        assert_matches_cold(snapshot.report, CHAIN_FILES)
+
 
 # ---------------------------------------------------------------------------
-# Artifact-cache eviction
+# Store eviction
 # ---------------------------------------------------------------------------
 
 class TestCacheEviction:
     def test_lru_eviction_respects_budget(self, tmp_path):
-        cache = ArtifactCache(cache_dir=tmp_path, max_mb=0.001)
+        store = PersistentStore(tmp_path, max_mb=0.001)
         for index in range(4):
-            cache.get_or_build(f"artifact-{index}", lambda: b"x" * 2048)
-        assert cache.evictions >= 3
-        assert cache.store.total_bytes() <= cache.store.max_bytes
+            store.put("shard", f"row-{index}", b"x" * 2048)
+        assert store.evictions >= 3
+        assert store.total_bytes() <= store.max_bytes
+        store.close()
 
     def test_no_budget_means_no_eviction(self, tmp_path):
-        cache = ArtifactCache(cache_dir=tmp_path)
+        store = PersistentStore(tmp_path)
         for index in range(4):
-            cache.get_or_build(f"artifact-{index}", lambda: b"x" * 2048)
-        assert cache.evictions == 0
-        assert cache.store.entry_count("artifact") == 4
+            store.put("shard", f"row-{index}", b"x" * 2048)
+        assert store.evictions == 0
+        assert store.entry_count("shard") == 4
+        store.close()
 
 
 def _atimes(store):
@@ -1379,7 +1437,7 @@ def _fail_once(monkeypatch, service, analysis="lockcheck"):
 
 
 def _cold_findings(files):
-    return AnalysisEngine(files=files, tolerant=True).run(jobs=1).all_findings()
+    return reference_report(files).all_findings()
 
 
 class TestFailingPass:

@@ -16,6 +16,7 @@ import threading
 import time
 
 import pytest
+from reference import reference_report
 
 from repro.kernel.corpus import KERNEL_FILES
 from repro.service import AnalysisService, IncrementalAnalyzer
@@ -311,8 +312,6 @@ class TestWarmRestart:
         are solved against them."""
         from dataclasses import replace
 
-        from repro.engine import AnalysisEngine
-
         store = PersistentStore(tmp_path)
         IncrementalAnalyzer(files=KERNEL_FILES, store=store).analyze()
 
@@ -340,7 +339,7 @@ class TestWarmRestart:
             for key in ("elapsed_seconds", "cache_stats", "perf"):
                 payload.pop(key, None)
         assert payloads[0] == payloads[1]
-        cold = AnalysisEngine(files=edited, tolerant=True).run()
+        cold = reference_report(edited)
         assert report.all_findings() == cold.all_findings()
         store.close()
 
