@@ -18,13 +18,16 @@ real subprocess, and checks the full loop:
 5. a local array added to `spin_lock_init` moves its summary (its stack
    frame), so every caller in the other units re-solves, and the served
    findings match `repro-engine run`;
-6. a *restarted* serve over the unchanged corpus warm-starts from the
+6. a global appended to `lib/kernel_lib.c` moves no table a later unit
+   parses against, so the pass re-parses that one unit (no full re-parse),
+   and the served findings match `repro-engine run`;
+7. a *restarted* serve over the unchanged corpus warm-starts from the
    persistent store: its first pass re-solves 0 SCCs and serves findings
    byte-identical to the pre-restart snapshot, and a `POST /analyze` with
    no edit then re-parses nothing, re-runs no shard, rebuilds no
    corpus-wide artifact (`last_pass.rebuilt_artifacts == []`), and hashes
    no shard key and merges no analysis: it carries the last pass whole;
-7. a serve restarted after `spin_lock_init` was edited again while it was
+8. a serve restarted after `spin_lock_init` was edited again while it was
    down, in a way that keeps its summary, re-solves that one SCC against
    components it reads back from the store, re-runs Deputy, errcheck and
    lockcheck in one unit, and serves findings equal to `repro-engine run`
@@ -287,6 +290,26 @@ def main() -> None:
             if sorted_findings(served["findings"]) != batch_findings(corpus):
                 fail("summary-moving findings differ from `repro-engine run`")
             print(f"summary-moving findings: {served['count']} "
+                  "(matches batch run)")
+
+            # A new global is read by no later unit's parse: the pass
+            # re-parses its unit alone.
+            lib.write_text(lib.read_text()
+                           + "\nstatic int __daemon_smoke_global;\n")
+            last = wait_for_pass(port, 5, "the watcher to pick up the "
+                                 "declaration edit")
+            print("declaration-edit pass: "
+                  f"full_reparse={last['full_reparse']} "
+                  f"parsed_units={last['parsed_units']}")
+            if last["full_reparse"] or last["parsed_units"] != 1:
+                fail(f"declaration edit parsed {last['parsed_units']} units "
+                     f"(full_reparse={last['full_reparse']}), not 1 in place")
+            status, served = get(port, "/findings")
+            if status != 200:
+                fail(f"/findings (declaration edit) returned {status}")
+            if sorted_findings(served["findings"]) != batch_findings(corpus):
+                fail("declaration-edit findings differ from `repro-engine run`")
+            print(f"declaration-edit findings: {served['count']} "
                   "(matches batch run)")
 
             status, pre_restart = get(port, "/findings")

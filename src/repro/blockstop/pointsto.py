@@ -222,11 +222,3 @@ class FunctionPointerAnalysis:
             return ctype.signature()
         return None
 
-
-def analyse_function_pointers(program: Program, graph: CallGraph,
-                              indirect_calls: list[IndirectCall],
-                              precision: Precision = Precision.TYPE_BASED) -> PointsToResult:
-    """Run collection and resolution in one step."""
-    analysis = FunctionPointerAnalysis(program, precision)
-    analysis.collect()
-    return analysis.resolve(graph, indirect_calls)

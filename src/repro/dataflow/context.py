@@ -50,15 +50,3 @@ class AnalysisContext:
     #: Checker-specific prebuilt inputs that have no cross-checker home
     #: (blockstop's blocking/irq sets, errcheck's error-returning names).
     extras: dict = field(default_factory=dict)
-
-    def with_functions(self, functions: Optional[list]) -> "AnalysisContext":
-        """A shallow copy scoped to one shard's function subset."""
-        return AnalysisContext(
-            program=self.program,
-            type_envs=self.type_envs,
-            call_graph=self.call_graph,
-            summaries=self.summaries,
-            facts=self.facts,
-            functions=functions,
-            extras=self.extras,
-        )

@@ -19,6 +19,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field
 
+from ..annotations.attrs import AnnotationKind
 from ..dataflow.cfg import build_cfg
 from ..dataflow.consts import trackable_names
 from ..dataflow.domains import facts_of
@@ -151,7 +152,7 @@ class DeputyInstrumenter:
     def _do_function(self, func: ast.FuncDef, rewrite: bool) -> None:
         result = FunctionCheckResult(function=func.name)
         self.results[func.name] = result
-        if _function_is_trusted(func):
+        if self.program.function_annotations(func.name).has(AnnotationKind.TRUSTED):
             result.trusted = True
             return
         env = self._env_for(func)
@@ -202,11 +203,6 @@ class DeputyInstrumenter:
             if frozen:
                 relations[id(element.stmt)] = frozen
         return ranges, relations
-
-
-def _function_is_trusted(func: ast.FuncDef) -> bool:
-    from ..annotations.attrs import AnnotationKind
-    return func.annotations.has(AnnotationKind.TRUSTED)
 
 
 def _case_terminates(stmts: list[ast.Stmt]) -> bool:

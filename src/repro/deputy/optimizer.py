@@ -278,27 +278,15 @@ class CheckCache:
         self.consts, self.ranges = dict(consts), dict(ranges)
 
     def bind_decl(self, name: str, init: ast.Expr | None) -> None:
-        """A declaration bound ``name``: learn its folded initializer.
-
-        Besides the constant binding, a declaration with a linear
-        initializer (``int limit = n - 1;``) binds the *relational*
-        equality ``limit == n - 1`` — the derived-bound fact the loop-guard
+        """A declaration bound ``name`` (whose old facts the caller already
+        dropped): an initialised one is learnt as the assignment
+        ``name = init`` (:meth:`note_effects`), so it binds the constant,
+        the range and, for a linear initializer (``int limit = n - 1;``),
+        the relational equality ``limit == n - 1`` that the loop-guard
         entailment later closes through.
         """
-        if name in (self.safe_names or frozenset()):
-            self._bind_const(name, None if init is None else self.fold(init))
-            self._drop_atoms({atom for atom, (names, _)
-                              in self._rel_atoms.items() if name in names})
-            if init is not None:
-                self._learn_equality(name, init)
-        else:
-            self.consts.pop(name, None)
-
-    def _bind_const(self, name: str, value: int | None) -> None:
-        if value is None:
-            self.consts.pop(name, None)
-        else:
-            self.consts[name] = value
+        if init is not None:
+            self.note_effects(ast.Assign(target=ast.Ident(name=name), value=init))
 
     # -- interval facts ------------------------------------------------------
 

@@ -142,7 +142,7 @@ def build_report(program: Program,
                 sets = [node.annotations] if node.annotations else []
                 sets += _annotation_sets_of_type(node.type, seen_types)
                 note_annotations(sets, node.location.filename, node.location.line)
-                if node.annotations.has(AnnotationKind.TRUSTED):
+                if program.function_annotations(node.name).has(AnnotationKind.TRUSTED):
                     report.trusted_functions += 1
                     report.trusted_lines += _span_lines(node)
             elif isinstance(node, ast.StructDecl):

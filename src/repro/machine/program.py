@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from ..annotations.attrs import AnnotationSet
 from ..minic import ast_nodes as ast
-from ..minic.ctypes import CFunc, CType
+from ..minic.ctypes import CFunc
 from ..minic.errors import SemanticError
 from ..minic.symtab import TypeRegistry
 from ..minic.syntax import FunctionSyntax, index_function
@@ -27,7 +27,8 @@ class Program:
     registry: TypeRegistry = field(default_factory=TypeRegistry)
     units: list[ast.TranslationUnit] = field(default_factory=list)
     functions: dict[str, ast.FuncDef] = field(default_factory=dict)
-    prototypes: dict[str, ast.Declaration] = field(default_factory=dict)
+    #: Function name -> every prototype of it, in link order.
+    prototypes: dict[str, list[ast.Declaration]] = field(default_factory=dict)
     globals: dict[str, ast.Declaration] = field(default_factory=dict)
     #: Function name -> syntax record of ``functions[name]``, built on first
     #: use.  Never pickled or deep-copied: a copy indexes its own nodes.
@@ -56,37 +57,19 @@ class Program:
         self.units.append(unit)
         for decl in unit.decls:
             if isinstance(decl, ast.FuncDef):
-                self._add_function(decl)
+                if decl.name in self.functions:
+                    raise SemanticError(
+                        f"duplicate definition of function {decl.name!r}",
+                        decl.location)
+                self.functions[decl.name] = decl
             elif isinstance(decl, ast.Declaration):
                 self._add_declaration(decl)
-
-    def _add_function(self, func: ast.FuncDef) -> None:
-        existing = self.functions.get(func.name)
-        if existing is not None:
-            raise SemanticError(f"duplicate definition of function {func.name!r}",
-                                func.location)
-        self.functions[func.name] = func
-        proto = self.prototypes.get(func.name)
-        if proto is not None:
-            _merge_annotations(func.annotations, proto.annotations)
-            proto_type = proto.type.strip()
-            if isinstance(proto_type, CFunc):
-                _merge_annotations(func.annotations, proto_type.annotations)
 
     def _add_declaration(self, decl: ast.Declaration) -> None:
         if decl.is_typedef:
             return
         if decl.type.strip().is_function():
-            previous = self.prototypes.get(decl.name)
-            if previous is not None:
-                _merge_annotations(decl.annotations, previous.annotations)
-            self.prototypes[decl.name] = decl
-            existing_def = self.functions.get(decl.name)
-            if existing_def is not None:
-                _merge_annotations(existing_def.annotations, decl.annotations)
-                decl_type = decl.type.strip()
-                if isinstance(decl_type, CFunc):
-                    _merge_annotations(existing_def.annotations, decl_type.annotations)
+            self.prototypes.setdefault(decl.name, []).append(decl)
             return
         if decl.storage == "extern" and decl.name in self.globals:
             return
@@ -136,9 +119,9 @@ class Program:
         if func is not None:
             stripped = func.type.strip()
             return stripped if isinstance(stripped, CFunc) else None
-        proto = self.prototypes.get(name)
-        if proto is not None:
-            stripped = proto.type.strip()
+        protos = self.prototypes.get(name)
+        if protos:
+            stripped = protos[-1].type.strip()
             return stripped if isinstance(stripped, CFunc) else None
         return None
 
@@ -150,28 +133,22 @@ class Program:
         self._annotations[name] = annotations
 
     def function_annotations(self, name: str) -> AnnotationSet:
-        """Merged annotations for ``name`` from its definition and prototypes."""
+        """Merged annotations for ``name``: its definition's, then its
+        prototypes', the latest linked first.  A kind present in an earlier
+        set is not taken again from a later one."""
         adopted = self._annotations.get(name)
         if adopted is not None:
             return adopted
         merged = AnnotationSet()
         func = self.functions.get(name)
-        if func is not None:
-            _merge_annotations(merged, func.annotations)
-            stripped = func.type.strip()
-            if isinstance(stripped, CFunc):
-                _merge_annotations(merged, stripped.annotations)
-        proto = self.prototypes.get(name)
-        if proto is not None:
-            _merge_annotations(merged, proto.annotations)
-            stripped = proto.type.strip()
+        sources = [func] if func is not None else []
+        sources.extend(reversed(self.prototypes.get(name, ())))
+        for node in sources:
+            _merge_annotations(merged, node.annotations)
+            stripped = node.type.strip()
             if isinstance(stripped, CFunc):
                 _merge_annotations(merged, stripped.annotations)
         return merged
-
-    def global_type(self, name: str) -> CType | None:
-        decl = self.globals.get(name)
-        return decl.type if decl is not None else None
 
     def functions_subset(self, names: list[str] | None = None,
                          ) -> list[tuple[str, ast.FuncDef]]:
@@ -191,18 +168,6 @@ class Program:
 
     def defined_function_names(self) -> list[str]:
         return sorted(self.functions)
-
-    def total_source_lines(self) -> int:
-        """Total number of source lines across the linked units."""
-        total = 0
-        for unit in self.units:
-            last_line = 0
-            from ..minic.visitor import walk
-            for node in walk(unit):
-                if node.location.line > last_line and node.location.filename == unit.filename:
-                    last_line = node.location.line
-            total += last_line
-        return total
 
 
 def _merge_annotations(target: AnnotationSet, source: AnnotationSet) -> None:

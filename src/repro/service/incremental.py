@@ -59,11 +59,15 @@ Two invariants keep this sound:
 
 1. *Correctness never depends on the parse reuse.*  Cache keys are derived
    from rendered content (macro-expanded ASTs, type-definition renders,
-   location streams), not from object identity.  Whenever an in-place
-   re-parse cannot be proven equivalent to a from-scratch parse — the edit
-   changed a macro, a typedef, a type definition, any top-level
-   declaration, or simply failed one of the post-parse table checks — the
-   analyzer falls back to a full re-parse of the corpus.  All derived
+   location streams), not from object identity.  An in-place re-parse is
+   accepted only when its effect on the shared parse-time tables equals
+   the old parse's; when the edit changed a macro, a typedef, an enum
+   constant or a type definition, or the re-parse failed, the analyzer
+   falls back to a full re-parse of the corpus.  A unit's top-level
+   declarations (its globals and prototypes) are not part of that effect:
+   no later unit's parse reads them, linking writes nothing into a parsed
+   unit, and each pass that re-parsed a unit links again, so a global or
+   prototype edit re-parses that unit alone.  All derived
    stores hold plain data (summaries, constant facts, shard payload dicts;
    the same records the persistent store pickles), so they remain valid
    across that fallback and keep their hits.
@@ -155,6 +159,7 @@ class _TableSnapshot:
 
     macros: dict[str, str]
     typedefs: dict[str, object]
+    #: Typedef name -> the render of the type it names.
     typedef_renders: dict[str, str]
     enum_constants: dict[str, int]
     struct_keys: frozenset[str]
@@ -162,6 +167,38 @@ class _TableSnapshot:
     structs_complete: frozenset[str]
     enums_complete: frozenset[str]
     anon: int
+
+
+@dataclass(frozen=True)
+class _UnitEffect:
+    """What parsing one file did to the shared tables, compared with ``==``.
+
+    The pure tables (macros, typedef renders, enum constants, the
+    anonymous-tag counter) are absolute values: a re-parse starts from the
+    file's ``pre`` snapshot exactly, so its ending state equals the old one
+    iff the file's contribution is unchanged.  Completions are *deltas*
+    from the state the parse started in — the registry legitimately still
+    holds types created by *later* files (their objects are never rolled
+    back; downstream units hold references into them), so the absolute
+    sets can never match a mid-corpus record's sequential snapshot — and
+    carry the completed structs' and enums' renders.  Bare tag *interning*
+    is deliberately not part of the effect: first mention of an unknown
+    ``struct s`` just creates the shared registry object that any unit
+    would create identically, the parser never consults completeness for
+    it (layout is computed after linking), and named creation moves no
+    counter — so it cannot change how a downstream unit parses.  Nor are
+    the file's top-level declarations: no later file's parse reads them,
+    and linking, which does, is redone by every pass that re-parsed a unit.
+    """
+
+    macros: dict[str, str]
+    typedef_renders: dict[str, str]
+    enum_constants: dict[str, int]
+    anon: int
+    structs_completed: tuple[str, ...]
+    enums_completed: tuple[str, ...]
+    struct_renders: dict[str, str]
+    enum_members: dict[str, dict[str, int]]
 
 
 @dataclass
@@ -180,10 +217,10 @@ class _UnitRecord:
     diagnostic: ParseDiagnostic | None
     pre: _TableSnapshot
     post: _TableSnapshot
-    structs_completed: tuple[str, ...] = ()
-    enums_completed: tuple[str, ...] = ()
-    struct_renders: dict[str, str] = field(default_factory=dict)
-    enum_members: dict[str, dict[str, int]] = field(default_factory=dict)
+    #: None when the file has no parse to serve.
+    effect: _UnitEffect | None = None
+    #: The rendered top-level declarations of ``unit``, which the globals
+    #: fingerprint folds.
     decl_render: str = ""
 
 
@@ -191,16 +228,13 @@ class _UnitRecord:
 class _FunctionRecord:
     """What one pass derived from a linked FuncDef, for the next pass.
 
-    A unit that is not re-parsed keeps its FuncDef objects, and no analysis
-    mutates the shared program, so the syntax record, the hashes, the
-    referenced names and the type environment carry over as long as the
-    same object is linked again.  ``annotation_count`` guards the one
-    in-place change linking itself makes: merging a prototype's annotations
-    into the definition (which only ever adds).
+    A unit that is not re-parsed keeps its FuncDef objects, and neither
+    linking nor any analysis writes into a parsed unit, so the syntax
+    record, the hashes, the referenced names and the type environment
+    carry over as long as the same object is linked again.
     """
 
     func: ast.FuncDef
-    annotation_count: int
     syntax: FunctionSyntax
     sem_hash: str
     loc_hash: str
@@ -221,11 +255,6 @@ class _FunctionRecord:
     #: through ``env.program`` lazily, so each pass that links this FuncDef
     #: again re-points it at that pass's Program.
     env: TypeEnv
-
-
-def _annotation_count(func: ast.FuncDef) -> int:
-    ftype = func.type.strip()
-    return len(func.annotations) + len(getattr(ftype, "annotations", ()))
 
 
 def _function_reference(expr: ast.Expr) -> str | None:
@@ -397,10 +426,9 @@ def _complete_key(local_key: str, scc: tuple[str, ...], graph,
     """An SCC's key: its local key plus ``name:summary_hash:sig_hash`` of
     every out-of-component callee, sorted.  That is all its fixpoint reads
     about a callee: the summary, through ``lookup``, and the ``blocking``,
-    ``blocking_if_wait`` and ``errcodes`` annotations of its header,
-    through the summary context's seed sets.  A callee without a
-    definition has no header of its own (its prototypes are in the
-    globals, which the local key covers)."""
+    ``blocking_if_wait`` and ``errcodes`` annotations merged from its
+    header and its prototypes, through the summary context's seed sets.
+    The prototypes are in the globals, which the local key covers."""
     members = set(scc)
     callees = sorted({callee for name in scc
                       for callee in graph.edges.get(name, ())
@@ -552,7 +580,7 @@ class IncrementalAnalyzer:
         return _TableSnapshot(
             macros=dict(self._preprocessor.defines),
             typedefs=dict(registry.typedefs),
-            typedef_renders={name: printer.type_name(ctype)
+            typedef_renders={name: printer.type_name(ctype.underlying)
                              for name, ctype in registry.typedefs.items()},
             enum_constants=dict(registry.enum_constants),
             struct_keys=frozenset(registry.structs),
@@ -592,9 +620,9 @@ class IncrementalAnalyzer:
         """
         self._apply_tables(record.pre)
         registry = self._type_registry
-        for key in record.structs_completed:
+        for key in record.effect.structs_completed:
             self._reset_struct(registry.structs[key])
-        for tag in record.enums_completed:
+        for tag in record.effect.enums_completed:
             enum = registry.enums[tag]
             enum.members.clear()
             enum.complete = False
@@ -631,13 +659,34 @@ class IncrementalAnalyzer:
         parser = Parser(tokens, corpus_file.filename, self._type_registry)
         return parser.parse_translation_unit()
 
-    def _build_record(self, pre: _TableSnapshot, corpus_file: CorpusFile,
-                      unit: ast.TranslationUnit) -> _UnitRecord:
-        post = self._snapshot()
+    def _effect(self, pre: _TableSnapshot,
+                post: _TableSnapshot) -> _UnitEffect:
+        """The effect of the parse that went from ``pre`` to ``post``, the
+        current state."""
         registry = self._type_registry
         printer = self._printer
         structs_completed = tuple(sorted(post.structs_complete - pre.structs_complete))
         enums_completed = tuple(sorted(post.enums_complete - pre.enums_complete))
+        return _UnitEffect(
+            macros=post.macros,
+            typedef_renders=post.typedef_renders,
+            enum_constants=post.enum_constants,
+            anon=post.anon,
+            structs_completed=structs_completed,
+            enums_completed=enums_completed,
+            struct_renders={key: printer.print_type_definition(registry.structs[key])
+                            for key in structs_completed},
+            enum_members={tag: dict(registry.enums[tag].members)
+                          for tag in enums_completed})
+
+    def _decl_render(self, unit: ast.TranslationUnit) -> str:
+        return "\n".join(self._printer.print_top_level(decl)
+                         for decl in unit.decls
+                         if not isinstance(decl, ast.FuncDef))
+
+    def _build_record(self, pre: _TableSnapshot, corpus_file: CorpusFile,
+                      unit: ast.TranslationUnit) -> _UnitRecord:
+        post = self._snapshot()
         return _UnitRecord(
             filename=corpus_file.filename,
             corpus_file=corpus_file,
@@ -646,85 +695,20 @@ class IncrementalAnalyzer:
             diagnostic=None,
             pre=pre,
             post=post,
-            structs_completed=structs_completed,
-            enums_completed=enums_completed,
-            struct_renders={key: printer.print_type_definition(registry.structs[key])
-                            for key in structs_completed},
-            enum_members={tag: dict(registry.enums[tag].members)
-                          for tag in enums_completed},
-            decl_render="\n".join(printer.print_top_level(decl)
-                                  for decl in unit.decls
-                                  if not isinstance(decl, ast.FuncDef)))
-
-    def _attempt_effect(self, attempt_pre: _TableSnapshot,
-                        unit: ast.TranslationUnit) -> dict:
-        """What a just-finished re-parse attempt did to the shared state.
-
-        The pure tables (macros, typedefs, enum constants, the anonymous-tag
-        counter) are reported as absolute values: the attempt started from
-        ``record.pre`` exactly, so ending state equals the old ``post`` iff
-        the file's contribution is unchanged.  Completion sets are reported
-        as *deltas* from ``attempt_pre`` instead — the registry legitimately
-        still holds types created by *later* files (their objects are never
-        rolled back; downstream units hold references into them), so the
-        absolute sets can never match a mid-corpus record's sequential
-        snapshot.  Bare tag *interning* is deliberately not part of the
-        effect: first mention of an unknown ``struct s`` just creates the
-        shared registry object that any unit would create identically, the
-        parser never consults completeness for it (layout is computed after
-        linking), and named creation moves no counter — so it cannot change
-        how a downstream unit parses.
-        """
-        post = self._snapshot()
-        registry = self._type_registry
-        printer = self._printer
-        structs_completed = tuple(sorted(
-            post.structs_complete - attempt_pre.structs_complete))
-        enums_completed = tuple(sorted(
-            post.enums_complete - attempt_pre.enums_complete))
-        return {
-            "macros": post.macros,
-            "typedef_renders": post.typedef_renders,
-            "enum_constants": post.enum_constants,
-            "anon": post.anon,
-            "structs_completed": structs_completed,
-            "enums_completed": enums_completed,
-            "struct_renders": {
-                key: printer.print_type_definition(registry.structs[key])
-                for key in structs_completed},
-            "enum_members": {tag: dict(registry.enums[tag].members)
-                             for tag in enums_completed},
-            "decl_render": "\n".join(printer.print_top_level(decl)
-                                     for decl in unit.decls
-                                     if not isinstance(decl, ast.FuncDef)),
-        }
-
-    def _effect_matches(self, record: _UnitRecord, effect: dict) -> bool:
-        """Was the edit *body-only*?  Any observable difference in how the
-        file affects shared state — macros, typedefs, enum constants, type
-        definitions, top-level declarations, even the anonymous-tag count —
-        disqualifies the in-place re-parse and forces a full one."""
-        old_post = record.post
-        return (effect["macros"] == old_post.macros
-                and effect["typedef_renders"] == old_post.typedef_renders
-                and effect["enum_constants"] == old_post.enum_constants
-                and effect["anon"] == old_post.anon
-                and effect["structs_completed"] == record.structs_completed
-                and effect["enums_completed"] == record.enums_completed
-                and effect["struct_renders"] == record.struct_renders
-                and effect["enum_members"] == record.enum_members
-                and effect["decl_render"] == record.decl_render)
+            effect=self._effect(pre, post),
+            decl_render=self._decl_render(unit))
 
     def _reparse_unit(self, index: int, corpus_file: CorpusFile,
                       stats: IncrementalStats) -> bool:
         """Re-parse one edited file in place; False means "full-parse me".
 
-        The attempt is only accepted when the new parse's effect on the
-        shared tables is provably identical to the old one's — otherwise
-        downstream (not re-parsed) units could have parsed differently.
-        An accepted attempt therefore keeps the record's sequential
-        ``pre``/``post`` snapshots verbatim: the guard just proved they
-        still describe this file's boundaries exactly.
+        The attempt is only accepted when its effect on the shared tables
+        (:class:`_UnitEffect`) equals the old parse's — otherwise downstream
+        (not re-parsed) units could have parsed differently.  An accepted
+        attempt therefore keeps the record's sequential ``pre``/``post``
+        snapshots and effect verbatim: the guard just proved they still
+        describe this file's boundaries exactly.  Its top-level
+        declarations may have moved; the record takes their new render.
         """
         record = self._records[index]
         if record.unit is None:
@@ -741,22 +725,20 @@ class IncrementalAnalyzer:
             # the rollback undid.
             self._undo_attempt(attempt_pre)
             try:
-                good_unit = self._parse_source(record.corpus_file)
+                self._parse_source(record.corpus_file)
                 stats.parsed_units += 1
             except MiniCError:
                 return False
-            if not self._effect_matches(
-                    record, self._attempt_effect(attempt_pre, good_unit)):
+            if self._effect(attempt_pre, self._snapshot()) != record.effect:
                 return False
             self._records[index] = replace(record, seen=corpus_file,
                                            diagnostic=diagnostic)
             return True
-        if not self._effect_matches(
-                record, self._attempt_effect(attempt_pre, unit)):
+        if self._effect(attempt_pre, self._snapshot()) != record.effect:
             return False
         self._records[index] = replace(
             record, corpus_file=corpus_file, seen=corpus_file,
-            unit=unit, diagnostic=None)
+            unit=unit, diagnostic=None, decl_render=self._decl_render(unit))
         self._last_good[corpus_file.filename] = corpus_file
         return True
 
@@ -882,14 +864,12 @@ class IncrementalAnalyzer:
         ``stats.indexed_functions`` counts them.  A carried record's
         :class:`TypeEnv` is re-pointed at this pass's program, and its
         merged annotations are adopted by it (``Program.adopt_annotations``)
-        unless the globals moved — a unit dropped out of the link, say —
-        in which case they are merged again, since a prototype may have
-        gone.
+        unless the globals moved — a prototype added, edited or gone with
+        a unit that dropped out of the link, say — in which case they are
+        merged again.
 
         The global part folds every linked unit's ``decl_render``, in link
-        order.  Those renders are taken before linking merges earlier
-        prototypes' annotations into later ones, but linking is a function
-        of the ordered renders, so they still determine the linked result.
+        order, which determines the prototypes and globals linking sees.
 
         The type environments are returned for reuse — the points-to pass
         and the deputy checker consume the same entries.
@@ -908,10 +888,8 @@ class IncrementalAnalyzer:
         carried = last.records if last is not None else {}
         records: dict[str, _FunctionRecord] = {}
         for name, decl in program.functions.items():
-            count = _annotation_count(decl)
             record = carried.get(name)
-            if (record is not None and record.func is decl
-                    and record.annotation_count == count):
+            if record is not None and record.func is decl:
                 program.adopt_syntax(decl, record.syntax)
                 record.env.program = program
                 if not same_globals:
@@ -930,7 +908,7 @@ class IncrementalAnalyzer:
                 syntax = program.syntax_of(decl)
                 sig = _sha(printer.print_signature(decl))
                 record = _FunctionRecord(
-                    func=decl, annotation_count=count, syntax=syntax,
+                    func=decl, syntax=syntax,
                     sem_hash=sem, loc_hash=digest.hexdigest()[:32],
                     sig_hash=sig, referenced=tuple(sorted(syntax.names)),
                     structure_hash=_structure_hash(sig, sem, syntax),

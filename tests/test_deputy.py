@@ -179,6 +179,24 @@ class TestStaticChecking:
         results = check_program(build(source))
         assert results["f"].count(ObligationStatus.RUNTIME) == 1
 
+    def test_a_declaration_binds_what_its_assignment_binds(self):
+        # `k`'s range [1, 2] discharges both indices whether a declaration
+        # or a statement assigns it.
+        source = """
+        int pick_decl(int n) { int a[4]; int k = n > 0 ? 1 : 2; a[k] = 0; return a[k]; }
+        int pick_assign(int n) { int a[4]; int k; k = n > 0 ? 1 : 2; a[k] = 0; return a[k]; }
+        """
+        results = check_program(build(source))
+        for name in ("pick_decl", "pick_assign"):
+            assert [(o.status, o.detail) for o in results[name].obligations] == [
+                (ObligationStatus.STATIC, "interval-bounded index")] * 2, name
+
+    def test_an_initializer_effect_moves_the_index(self):
+        # `i` is 3 after `int k = i++;`, so `a[i]` must keep its check.
+        source = "int f(void) { int a[3]; int i = 2; int k = i++; return a[i]; }"
+        results = check_program(build(source))
+        assert results["f"].count(ObligationStatus.STATIC) == 0
+
     def test_nonnull_pointer_deref_is_static(self):
         source = "struct s { int x; }; int f(struct s *p nonnull) { return p->x; }"
         results = check_program(build(source))

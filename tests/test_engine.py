@@ -9,6 +9,7 @@ import json
 
 import pytest
 from reference import reference_report
+from test_service import REUSE_EDITS, REUSE_FILES, edit
 
 from repro.analyses import analyse_error_checks, analyse_locks, analyse_stack
 from repro.blockstop import find_irq_handlers, run_blockstop
@@ -18,7 +19,11 @@ from repro.engine.cli import main as cli_main
 from repro.kernel import build as kernel_build
 from repro.kernel.corpus import KERNEL_FILES, CorpusFile
 from repro.kernel.synth import generate_corpus
+from repro.machine import link_units
+from repro.minic import parse_source
 from repro.minic.pretty import render_unit
+from repro.minic.source import Preprocessor
+from repro.minic.symtab import TypeRegistry
 from repro.service import IncrementalAnalyzer
 
 
@@ -511,6 +516,66 @@ class TestSharedArtifacts:
         # The harness paths must survive a mismatched engine by re-parsing.
         from repro.harness import run_deputy_stats
         assert run_deputy_stats(engine=mismatched).shape_holds()
+
+
+# ---------------------------------------------------------------------------
+# Linking: prototype annotations merge inside the Program, never into the
+# parsed units, so a unit that fails to link changes no other unit.
+# ---------------------------------------------------------------------------
+
+LINKED_UNIT = CorpusFile("link/a.c", """
+int buf[4];
+int g(int i) { return buf[i]; }
+int h(void) { return 0; }
+void f(void) { }
+""")
+
+
+class TestLinking:
+    @pytest.mark.parametrize("prototype", [
+        "int g(int i) trusted;", "void f(void) blocking;"])
+    def test_a_unit_that_fails_to_link_changes_no_other(self, prototype):
+        # The skipped unit's prototype precedes its duplicate `h`, so a link
+        # that merged as it went would have reached a.c's definition first.
+        skipped = CorpusFile("link/b.c", f"{prototype}\nint h(void) {{ return 1; }}\n")
+        observed = []
+        for files in ((LINKED_UNIT, skipped), (LINKED_UNIT,)):
+            engine = AnalysisEngine(files=files, tolerant=True)
+            metrics = engine.run(["deputy"]).analyses["deputy"].metrics
+            observed.append((metrics["trusted_functions"],
+                             metrics["obligations_runtime"],
+                             "f" in engine.artifacts().blocking.may_block,
+                             str(engine.program().function_annotations("f")),
+                             [d.filename for d in engine.parse_diagnostics()]))
+        # `buf[i]` keeps its run-time check, and `f` neither blocks nor
+        # carries an annotation.
+        assert observed == [(0, 1, False, "", ["link/b.c"]),
+                            (0, 1, False, "", [])]
+
+    def test_linking_writes_nothing_into_the_units(self):
+        # top.c's new prototype of `schedule` follows lib.c's `blocking` one.
+        files = edit(REUSE_FILES, *dict(REUSE_EDITS)["inheriting prototype"])
+        registry, preprocessor = TypeRegistry(), Preprocessor()
+        units = [kernel_build._parse_file(corpus_file, registry, preprocessor)
+                 for corpus_file in files]
+        before = [render_unit(unit) for unit in units]
+        program = link_units(units, registry)
+        assert [render_unit(unit) for unit in units] == before
+        assert len(program.prototypes["schedule"]) == 2
+        assert str(program.function_annotations("schedule")) == "blocking"
+
+    def test_merge_takes_the_definition_then_the_latest_prototype(self):
+        # A kind the definition lacks comes from the prototype linked last,
+        # wherever the definition sits; the definition's own kind wins.
+        program = link_units([parse_source(
+            "int f(void) errcodes(-1);\n"
+            "int f(void) { return 0; }\n"
+            "int f(void) errcodes(-2);\n"
+            "int g(void) errcodes(-1);\n"
+            "int g(void) errcodes(-3) { return 0; }\n"
+            "int g(void) blocking errcodes(-2);\n")])
+        assert str(program.function_annotations("f")) == "errcodes(-(2))"
+        assert str(program.function_annotations("g")) == "errcodes(-(3)) blocking"
 
 
 # ---------------------------------------------------------------------------

@@ -298,16 +298,35 @@ class TestInvalidation:
         assert dict(PARSE_COUNTS) == {"lib.c": 2, "mid.c": 1, "top.c": 1}
         assert_reports_identical(report, IncrementalAnalyzer(files=edited).analyze())
 
-    def test_new_global_decl_forces_full_reparse(self):
+    def test_typedef_edit_forces_full_reparse(self):
+        # use.c parsed against def.c's `word`, so retyping it must re-parse
+        # use.c too, whose frame then grows.
+        files = (CorpusFile("def.c", "typedef char word;\n"
+                                     "int def(void) { return 0; }\n"),
+                 CorpusFile("use.c", "int frame(void) {\n    word pad[64];\n"
+                                     "    return sizeof(pad);\n}\n"))
+        analyzer = IncrementalAnalyzer(files=files)
+        analyzer.analyze()
+        edited = edit(files, "def.c", "typedef char", "typedef long")
+        report = analyzer.analyze(edited)
+        assert analyzer.last_stats.full_reparse is True
+        assert_matches_cold(report, edited)
+
+    def test_new_global_decl_reparses_one_unit(self):
         analyzer = IncrementalAnalyzer(files=CHAIN_FILES)
         analyzer.analyze()
+        # No later unit's parse reads a global, so only top.c re-parses;
+        # the globals fingerprint still moves every key.
         edited = edit(CHAIN_FILES, "top.c", "int mid(void);",
                       "int mid(void);\nstatic int chain_extra;")
+        reset_counters()
         report = analyzer.analyze(edited)
         stats = analyzer.last_stats
-        assert stats.full_reparse is True
+        assert stats.full_reparse is False
+        assert stats.parsed_units == 1
+        assert dict(PARSE_COUNTS) == {"top.c": 1}
         assert stats.sccs_reused == 0
-        assert_reports_identical(report, IncrementalAnalyzer(files=edited).analyze())
+        assert_matches_cold(report, edited)
 
     def test_file_set_change_forces_full_reparse(self):
         analyzer = IncrementalAnalyzer(files=CHAIN_FILES)
@@ -621,16 +640,19 @@ class TestEarlyCutoff:
 # ---------------------------------------------------------------------------
 
 DEVICE_OPS = """
+typedef int drv_word;
+enum drv_mode { DRV_IDLE, DRV_BUSY = 4 };
 struct drv_ops {
     int (*handler)(int v);
 };
 static struct drv_ops drv_table;
+static drv_word drv_state;
 int request_irq(int irq, void *handler, void *dev);
 int drv_first(int v) {
     return v;
 }
 int drv_second(int v) {
-    return v + 1;
+    return v + DRV_BUSY;
 }
 int drv_setup(void) {
     drv_table.handler = drv_first;
@@ -861,12 +883,30 @@ class TestCarriedState:
 # merge of the pass's payloads, and the report a fresh analyzer's.
 # ---------------------------------------------------------------------------
 
+#: Top-level declaration edits.  No later unit's parse reads a global or a
+#: prototype, so those re-parse their unit alone; a struct, enum or typedef
+#: edit changes the tables later units parse against, so it re-parses all.
+DECLARATION_EDITS = (
+    ("add global", ("mid.c", "int mid(void) {", "int mid_calls;\nint mid(void) {")),
+    ("remove global", ("mid.c", "int mid_calls;\n", "")),
+    ("global type", ("lib.c", "static int chain_lock;", "static long chain_lock;")),
+    ("prototype annotation", ("mid.c", "int leaf(void);", "int leaf(void) blocking;")),
+    ("drop prototype annotation", ("mid.c", "int leaf(void) blocking;",
+                                   "int leaf(void);")),
+    ("struct field", ("drv.c", "    int (*handler)(int v);\n};",
+                      "    int (*handler)(int v);\n    int flags;\n};")),
+    ("enum constant", ("drv.c", "DRV_BUSY = 4", "DRV_BUSY = 5")),
+    ("typedef", ("drv.c", "typedef int drv_word;", "typedef long drv_word;")),
+)
+ONE_UNIT_EDITS = {"add global", "remove global", "global type",
+                  "prototype annotation", "drop prototype annotation"}
+
 #: REUSE_EDITS with an edit that moves `lone`'s summary once `top` calls it
-#: (so `top`'s SCC key and the error-returning set move) and, last, a
-#: reordered corpus.
+#: (so `top`'s SCC key and the error-returning set move), the declaration
+#: edits and, last, a reordered corpus.
 AUDIT_EDITS = (REUSE_EDITS[:3]
                + (("error return", ("lib.c", "return 8;", "return -8;")),)
-               + REUSE_EDITS[3:] + (("reorder", None),))
+               + REUSE_EDITS[3:] + DECLARATION_EDITS + (("reorder", None),))
 
 
 def reference_shard_key(name, filename, functions, records, outside,
@@ -958,6 +998,10 @@ class TestCarriedStateAudit:
             if label == "literal bump":
                 assert stats.keyed_units == ["lib.c"]
                 assert stats.shard_keys_computed == 5
+            if label in ONE_UNIT_EDITS:
+                assert (stats.parsed_units, stats.full_reparse) == (1, False), label
+            elif label in dict(DECLARATION_EDITS):
+                assert stats.full_reparse is True, label
         assert analyzer.last_stats.full_reparse is True
 
 
