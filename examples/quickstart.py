@@ -12,13 +12,13 @@ This walks the complete pipeline on a ~40-line MiniC driver:
 Run with:  python examples/quickstart.py
 """
 
-from repro.blockstop import run_blockstop
+from repro.blockstop import check_blockstop
 from repro.ccount import CCountConfig
 from repro.ccount import instrument_program as ccount_instrument
 from repro.ccount import runtime as ccount_runtime
 from repro.deputy import DeputyOptions, instrument_program
 from repro.deputy import runtime as deputy_runtime
-from repro.engine import AnalysisEngine
+from repro.engine import AnalysisEngine, build_shared_artifacts
 from repro.kernel.corpus import CorpusFile
 from repro.machine import CheckFailure, Interpreter, link_units
 from repro.minic import parse_source
@@ -109,7 +109,7 @@ def main() -> None:
 
     banner("3. BlockStop: no blocking while interrupts are disabled")
     program = link_units([parse_source(DRIVER_SOURCE, "driver.c")])
-    blockstop = run_blockstop(program)
+    blockstop = check_blockstop(build_shared_artifacts(program))
     for violation in blockstop.reported:
         print(violation.describe())
     print(f"functions that may block: {sorted(blockstop.blocking.may_block)}")

@@ -3,7 +3,7 @@
 from .errcheck import (
     ErrcheckReport,
     UncheckedCall,
-    analyse_error_checks,
+    check_error_returns,
     find_error_returning_functions,
 )
 from .lockcheck import (
@@ -12,16 +12,15 @@ from .lockcheck import (
     LockLeak,
     LockReport,
     analyse_locks,
-    collect_acquisitions,
-    collect_lock_facts,
+    check_locks,
     derive_report,
 )
 from .stackcheck import KERNEL_STACK_BYTES, StackReport, analyse_stack, frame_size
 
 __all__ = [
-    "ErrcheckReport", "UncheckedCall", "analyse_error_checks",
+    "ErrcheckReport", "UncheckedCall", "check_error_returns",
     "find_error_returning_functions",
     "LockAcquisition", "LockFacts", "LockLeak", "LockReport", "analyse_locks",
-    "collect_acquisitions", "collect_lock_facts", "derive_report",
+    "check_locks", "derive_report",
     "KERNEL_STACK_BYTES", "StackReport", "analyse_stack", "frame_size",
 ]

@@ -32,16 +32,20 @@ and ``if (ret == <folded #define constant>)`` both credit the obligation
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from ..annotations.attrs import AnnotationKind
 from ..dataflow import COND, DECL, build_cfg, reachable_blocks, solve_forward
 from ..dataflow.consts import refined_edges
-from ..dataflow.context import AnalysisContext
 from ..dataflow.domains import FunctionFacts, facts_of
+from ..dataflow.summaries import FunctionSummary
 from ..machine.program import Program
 from ..minic import ast_nodes as ast
 from ..minic.syntax import FunctionSyntax
 from ..minic.visitor import iter_child_nodes, walk
+
+if TYPE_CHECKING:  # the engine imports this module
+    from ..engine.artifacts import SharedArtifacts
 
 _COMPARISONS = frozenset({"<", "<=", "==", "!=", ">", ">="})
 _LOGICAL = frozenset({"&&", "||"})
@@ -80,7 +84,7 @@ class ErrcheckReport:
 
 def find_error_returning_functions(
         program: Program,
-        summaries: "dict[str, FunctionSummary] | None" = None) -> set[str]:
+        summaries: dict[str, FunctionSummary]) -> set[str]:
     """Functions that may return a negative error constant.
 
     Derived from the interprocedural summaries: a function is
@@ -95,56 +99,31 @@ def find_error_returning_functions(
         annotations = program.function_annotations(name)
         if annotations.has(AnnotationKind.ERRCODES):
             result.add(name)
-    if summaries is None:
-        from ..blockstop.callgraph import build_direct_callgraph
-        from ..dataflow.interproc import solve_summaries
-
-        graph, _ = build_direct_callgraph(program)
-        summaries = solve_summaries(program, graph)
     result |= {name for name, summary in summaries.items()
                if summary.error_returns and summary.defined}
     return result
 
 
-def check_error_returns(ctx: AnalysisContext) -> ErrcheckReport:
+def check_error_returns(artifacts: SharedArtifacts,
+                        functions: list[str] | None = None) -> ErrcheckReport:
     """Check that error-returning calls have their results examined.
 
-    This is the primary entry point, consuming the engine's shared
-    :class:`repro.dataflow.AnalysisContext`.  The error-returning name set
-    travels in ``ctx.extras["error_returning"]`` when pre-built (it is a
-    whole-program artifact the engine shares); ``ctx.functions`` restricts
-    the scan to a subset of defined functions so the engine can shard by
-    translation unit.  The ``unchecked`` list comes out sorted by
-    (function, location) so shard merge order never changes the rendered
-    report.  ``ctx.facts`` supplies the per-function condition facts
-    (solved on demand when absent): calls inside constant-false arms create
-    no obligation at all, and the assigned-then-compared pass never
+    Reads the pipeline's error-returning set and per-function condition
+    facts from ``artifacts``: calls inside constant-false arms create no
+    obligation at all, and the assigned-then-compared pass never
     propagates pending obligations across infeasible edges.
+    ``functions`` restricts the scan to a subset of defined functions
+    (every one when None) so the engine can shard by translation unit.
+    The ``unchecked`` list comes out sorted by (function, location) so
+    shard merge order never changes the rendered report.
     """
-    report = ErrcheckReport()
-    error_returning = ctx.extras.get("error_returning")
-    report.error_returning = (error_returning if error_returning is not None
-                              else find_error_returning_functions(ctx.program))
-    consts_cache = ctx.facts if ctx.facts is not None else {}
-    for caller, func in ctx.program.functions_subset(ctx.functions):
-        _scan_function(report, caller, func, ctx.program.syntax(caller),
-                       consts_cache)
+    program = artifacts.program
+    report = ErrcheckReport(error_returning=artifacts.error_returning)
+    for caller, func in program.functions_subset(functions):
+        _scan_function(report, caller, func, program.syntax(caller),
+                       artifacts.consts)
     report.unchecked.sort(key=_unchecked_sort_key)
     return report
-
-
-def analyse_error_checks(program: Program,
-                         error_returning: set[str] | None = None,
-                         functions: list[str] | None = None,
-                         consts: dict[str, FunctionFacts | None] | None = None,
-                         ) -> ErrcheckReport:
-    """Convenience wrapper for scripts and tests: loose artifacts in, one
-    :class:`AnalysisContext` out, delegated to :func:`check_error_returns`."""
-    extras: dict = {}
-    if error_returning is not None:
-        extras["error_returning"] = error_returning
-    return check_error_returns(AnalysisContext(
-        program=program, functions=functions, facts=consts, extras=extras))
 
 
 def _unchecked_sort_key(call: UncheckedCall) -> tuple:

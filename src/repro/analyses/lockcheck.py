@@ -39,22 +39,24 @@ adds two whole-program findings the paper's sound-analysis story needs:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from ..dataflow import build_cfg, reachable_blocks, solve_forward
 from ..dataflow.consts import refined_edges
-from ..dataflow.context import AnalysisContext
-from ..dataflow.domains import FunctionFacts, facts_of
+from ..dataflow.domains import facts_of
 from ..dataflow.summaries import (
     LOCK_ACQUIRE_CALLS,
     LOCK_RELEASE_CALLS,
     FunctionSummary,
     lock_name_of,
 )
-from ..machine.program import Program
 from ..minic import ast_nodes as ast
 from ..minic.errors import SourceLocation
 from ..minic.syntax import FunctionSyntax
 from ..minic.visitor import walk
+
+if TYPE_CHECKING:  # the engine imports this module
+    from ..engine.artifacts import SharedArtifacts
 
 #: Legacy names (pre-summary-framework); the tables live in the shared
 #: summary domain now so the interprocedural sweep and this checker agree.
@@ -136,9 +138,9 @@ class _FunctionScan:
     """One function's flow-sensitive lock scan (solve + recording pass)."""
 
     def __init__(self, function: str,
-                 summaries: dict[str, FunctionSummary] | None) -> None:
+                 summaries: dict[str, FunctionSummary]) -> None:
         self.function = function
-        self.summaries = summaries or {}
+        self.summaries = summaries
         self.facts: LockFacts | None = None    # set during the recording pass
         #: Where each may-held lock first appeared (acquisition or call site).
         self.may_origin: dict[str, tuple[SourceLocation, str]] = {}
@@ -216,32 +218,31 @@ class _FunctionScan:
         return (must, may)
 
 
-def check_locks(ctx: AnalysisContext) -> LockFacts:
+def check_locks(artifacts: SharedArtifacts,
+                functions: list[str] | None = None) -> LockFacts:
     """Collect acquisitions, interprocedural re-acquisitions, and leaks.
 
-    This is the primary entry point, consuming the engine's shared
-    :class:`repro.dataflow.AnalysisContext`.  Purely per-function work:
-    ``ctx.functions`` restricts the scan so the engine can shard it by
-    translation unit and concatenate the shard results.  ``held_before`` is
+    Purely per-function work: ``functions`` restricts the scan (every
+    defined function when None) so the engine can shard it by translation
+    unit and concatenate the shard results.  ``held_before`` is
     flow-sensitive must-hold information: a lock acquired on only one path
-    to the site is not included.  With ``ctx.summaries`` supplied, callee
-    lock deltas are applied at call sites; without them the scan degrades to
-    the purely intraprocedural behaviour.  ``ctx.facts`` maps function
-    names to solved condition facts (the engine's keyed artifact); missing
-    entries are solved on demand, and the resulting infeasible-edge set
-    prunes the solve — an acquisition inside an ``if (0)`` arm never
-    reaches the exit state, so it is neither recorded nor reported leaked.
+    to the site is not included.  Callee lock deltas come from the
+    pipeline's summaries in ``artifacts``, applied at call sites, and its
+    condition facts prune the solve: an acquisition inside an ``if (0)``
+    arm never reaches the exit state, so it is neither recorded nor
+    reported leaked.
     """
-    summaries = ctx.summaries or {}
-    consts_cache = ctx.facts if ctx.facts is not None else {}
+    program = artifacts.program
+    summaries = artifacts.summaries
     facts = LockFacts()
-    for name, func in ctx.program.functions_subset(ctx.functions):
-        syntax = ctx.program.syntax(name)
+    for name, func in program.functions_subset(functions):
+        syntax = program.syntax(name)
         if not _scan_relevant(syntax, summaries):
             continue    # nothing can move the lock state: skip CFG + solve
         scan = _FunctionScan(name, summaries)
         cfg = build_cfg(func)
-        func_consts = facts_of(func, cache=consts_cache, cfg=cfg, syntax=syntax)
+        func_consts = facts_of(func, cache=artifacts.consts, cfg=cfg,
+                               syntax=syntax)
 
         def transfer(block, state, _scan=scan):
             for element in block.elements:
@@ -268,17 +269,6 @@ def check_locks(ctx: AnalysisContext) -> LockFacts:
     return facts
 
 
-def collect_lock_facts(program: Program,
-                       functions: list[str] | None = None,
-                       summaries: dict[str, FunctionSummary] | None = None,
-                       consts: dict[str, FunctionFacts | None] | None = None,
-                       ) -> LockFacts:
-    """Convenience wrapper for scripts and tests: loose artifacts in, one
-    :class:`AnalysisContext` out, delegated to :func:`check_locks`."""
-    return check_locks(AnalysisContext(program=program, functions=functions,
-                                       summaries=summaries, facts=consts))
-
-
 def _scan_relevant(syntax: FunctionSyntax,
                    summaries: dict[str, FunctionSummary]) -> bool:
     """Whether any call in the function can move the lock state."""
@@ -294,14 +284,6 @@ def _scan_relevant(syntax: FunctionSyntax,
     return False
 
 
-def collect_acquisitions(program: Program,
-                         functions: list[str] | None = None,
-                         summaries: dict[str, FunctionSummary] | None = None,
-                         ) -> list[LockAcquisition]:
-    """Backwards-compatible view of :func:`collect_lock_facts`."""
-    return collect_lock_facts(program, functions, summaries).acquisitions
-
-
 def _acquisition_sort_key(acquisition: LockAcquisition) -> tuple:
     return (acquisition.function, acquisition.location.filename,
             acquisition.location.line, acquisition.location.column,
@@ -313,12 +295,10 @@ def _leak_sort_key(leak: LockLeak) -> tuple:
             leak.location.column, leak.lock)
 
 
-def derive_report(acquisitions: list[LockAcquisition],
-                  irq_functions: set[str] | None = None,
-                  interproc_acquires: list[LockAcquisition] | None = None,
-                  leaks: list[LockLeak] | None = None) -> LockReport:
+def derive_report(facts: LockFacts, irq_functions: set[str]) -> LockReport:
     """Derive the program-wide lock report from collected facts.
 
+    ``irq_functions`` are the functions that run in interrupt context.
     Findings lists come out sorted by (function, location) so that shard
     merge order never changes the rendered report.  Summary-applied
     re-acquisitions join the intraprocedural ones in ``double_acquires``;
@@ -326,8 +306,7 @@ def derive_report(acquisitions: list[LockAcquisition],
     order is not observed, only membership).
     """
     report = LockReport()
-    irq_functions = irq_functions or set()
-    report.acquisitions = list(acquisitions)
+    report.acquisitions = list(facts.acquisitions)
     for acquisition in report.acquisitions:
         for earlier in acquisition.held_before:
             if earlier != acquisition.lock:
@@ -336,8 +315,8 @@ def derive_report(acquisitions: list[LockAcquisition],
             report.irq_context_locks.add(acquisition.lock)
         if acquisition.reacquired:
             report.double_acquires.append(acquisition)
-    report.double_acquires.extend(interproc_acquires or [])
-    report.leaked_returns = sorted(leaks or [], key=_leak_sort_key)
+    report.double_acquires.extend(facts.interproc_acquires)
+    report.leaked_returns = sorted(facts.leaks, key=_leak_sort_key)
     # Inconsistent ordering: both (A, B) and (B, A) observed.
     for first, second in sorted(report.order_pairs):
         if (second, first) in report.order_pairs and (second, first) > (first, second):
@@ -355,32 +334,8 @@ def derive_report(acquisitions: list[LockAcquisition],
     return report
 
 
-def analyse_locks(program: Program,
-                  irq_functions: set[str] | None = None,
-                  summaries: dict[str, FunctionSummary] | None = None,
-                  consts: dict[str, FunctionFacts | None] | None = None,
-                  ) -> LockReport:
-    """Run the lock-safety analysis over every function of ``program``.
-
-    When ``summaries`` is not supplied, the interprocedural summaries are
-    computed here (points-to-resolved call graph, SCC-ordered sweep) so the
-    standalone entry point reports exactly what the engine does.
-    """
-    if summaries is None:
-        summaries = _build_summaries(program)
-    facts = collect_lock_facts(program, summaries=summaries, consts=consts)
-    return derive_report(facts.acquisitions, irq_functions,
-                         interproc_acquires=facts.interproc_acquires,
-                         leaks=facts.leaks)
-
-
-def _build_summaries(program: Program) -> dict[str, FunctionSummary]:
-    from ..blockstop.callgraph import build_direct_callgraph
-    from ..blockstop.pointsto import FunctionPointerAnalysis, Precision
-    from ..dataflow.interproc import solve_summaries
-
-    graph, indirect_calls = build_direct_callgraph(program)
-    pointsto = FunctionPointerAnalysis(program, Precision.TYPE_BASED)
-    pointsto.collect()
-    pointsto.resolve(graph, indirect_calls)
-    return solve_summaries(program, graph)
+def analyse_locks(artifacts: SharedArtifacts) -> LockReport:
+    """The lock-safety report over every function of ``artifacts``, with
+    its IRQ handlers as the interrupt-context functions: what the engine's
+    shards and merge report together."""
+    return derive_report(check_locks(artifacts), artifacts.irq_handlers)

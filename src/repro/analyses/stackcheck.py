@@ -17,16 +17,14 @@ condensation).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from ..blockstop.callgraph import CallGraph
-from ..dataflow.interproc import Condensation, condense_callgraph, solve_summaries
-from ..dataflow.summaries import (
-    FRAME_OVERHEAD,
-    FunctionSummary,
-    function_frame_size,
-)
+from ..dataflow.summaries import FRAME_OVERHEAD, function_frame_size
 from ..machine.program import Program
 from ..minic import ast_nodes as ast
+
+if TYPE_CHECKING:  # the engine imports this module
+    from ..engine.artifacts import SharedArtifacts
 
 KERNEL_STACK_BYTES = 8 * 1024
 
@@ -66,21 +64,18 @@ def frame_size(program: Program, func: ast.FuncDef) -> int:
     return function_frame_size(program, func)
 
 
-def analyse_stack(program: Program, graph: CallGraph,
-                  stack_limit: int = KERNEL_STACK_BYTES,
-                  summaries: dict[str, FunctionSummary] | None = None,
-                  condensation: Condensation | None = None) -> StackReport:
+def analyse_stack(artifacts: SharedArtifacts,
+                  stack_limit: int = KERNEL_STACK_BYTES) -> StackReport:
     """Compute worst-case stack depth for every function.
 
-    ``summaries``/``condensation`` may be supplied pre-built (the engine
-    shares them with every other analysis); the standalone entry point
-    derives them from the given call graph.
+    Reads the pipeline's points-to-resolved call graph, its condensation
+    and its summaries from ``artifacts``: the same basis every other
+    checker uses, indirect edges included.
     """
-    if condensation is None:
-        condensation = condense_callgraph(graph)
-    if summaries is None:
-        summaries = solve_summaries(program, graph, condensation)
-
+    program = artifacts.program
+    graph = artifacts.graph
+    condensation = artifacts.condensation
+    summaries = artifacts.summaries
     report = StackReport(stack_limit=stack_limit)
     report.recursive_functions = {
         name for name in condensation.recursive_functions()

@@ -13,19 +13,10 @@ from .attrs import (
     empty,
 )
 from .erase import erase_type, erase_unit, erased_source
-from .parse import (
-    annotation_census,
-    annotation_free_variables,
-    format_census,
-    has_blocking_annotation,
-    parse_annotation,
-)
 
 __all__ = [
     "Annotation", "AnnotationKind", "AnnotationSet", "empty",
     "KEYWORD_TO_KIND", "KIND_TO_KEYWORD", "NULLARY_KINDS",
     "DEPUTY_KINDS", "BLOCKSTOP_KINDS", "FUTURE_KINDS",
     "erase_type", "erase_unit", "erased_source",
-    "parse_annotation", "annotation_census", "annotation_free_variables",
-    "format_census", "has_blocking_annotation",
 ]

@@ -14,8 +14,8 @@ from .checker import (
     BlockStopChecker,
     BlockStopResult,
     Violation,
+    check_blockstop,
     find_irq_handlers,
-    run_blockstop,
 )
 from .pointsto import FunctionPointerAnalysis, PointsToResult, Precision
 from .report import BlockStopReport, build_report
@@ -32,7 +32,7 @@ __all__ = [
     "derive_blocking", "emit_annotations",
     "CallGraph", "CallSite", "IndirectCall", "build_direct_callgraph",
     "AtomicCallSite", "BlockStopChecker", "BlockStopResult", "Violation",
-    "find_irq_handlers", "run_blockstop",
+    "check_blockstop", "find_irq_handlers",
     "FunctionPointerAnalysis", "PointsToResult", "Precision",
     "BlockStopReport", "build_report",
     "ASSERT_BUILTIN", "BlockStopRuntimeStats", "RuntimeCheckSet",

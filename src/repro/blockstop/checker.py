@@ -1,6 +1,8 @@
 """The BlockStop checker: no blocking calls while interrupts are disabled.
 
-The analysis proceeds in four steps:
+The analysis proceeds in four steps, the first two of which are the
+pipeline's shared artifacts (:mod:`repro.engine.artifacts`) that every
+checker reads:
 
 1. build the call graph (direct calls + points-to-resolved indirect calls);
 2. compute the set of functions that may block — the ``may_block`` bit of the
@@ -24,31 +26,25 @@ paper's stated soundness caveat.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from ..dataflow import build_cfg, reachable_blocks, solve_forward
 from ..dataflow.consts import refined_edges
-from ..dataflow.context import AnalysisContext
-from ..dataflow.domains import FunctionFacts, facts_of
-from ..dataflow.interproc import solve_summaries
-from ..dataflow.summaries import (
-    IRQ_DEPTH_CAP,
-    IRQ_DISABLE_CALLS,
-    IRQ_ENABLE_CALLS,
-    FunctionSummary,
-)
+from ..dataflow.domains import facts_of
+from ..dataflow.summaries import IRQ_DEPTH_CAP, IRQ_DISABLE_CALLS, IRQ_ENABLE_CALLS
 from ..machine.program import Program
 from ..minic import ast_nodes as ast
 from ..minic.errors import SourceLocation
 from ..minic.syntax import FunctionSyntax
 from ..minic.visitor import walk
-from .blocking import (
-    BlockingInfo,
-    call_site_may_block,
-    derive_blocking,
-)
-from .callgraph import CallGraph, build_direct_callgraph
-from .pointsto import FunctionPointerAnalysis, Precision
+from .blocking import BlockingInfo, call_site_may_block
+from .callgraph import CallGraph
+from .pointsto import Precision
 from .runtime_checks import RuntimeCheckSet
+
+if TYPE_CHECKING:  # the engine imports this module
+    from ..engine.artifacts import SharedArtifacts
+
 #: Registration functions whose function-pointer argument runs in IRQ context.
 IRQ_HANDLER_REGISTRATION = frozenset({"request_irq", "register_irq_handler"})
 
@@ -99,7 +95,6 @@ class BlockStopResult:
     asm_functions: set[str] = field(default_factory=set)
     precision: Precision = Precision.TYPE_BASED
     runtime_checks: RuntimeCheckSet = field(default_factory=RuntimeCheckSet)
-    summaries: dict[str, FunctionSummary] = field(default_factory=dict)
 
     @property
     def reported(self) -> list[Violation]:
@@ -132,31 +127,20 @@ def find_irq_handlers(program: Program) -> set[str]:
 
 
 class BlockStopChecker:
-    """Run the whole BlockStop pipeline over a program.
+    """Run BlockStop over the pipeline's artifacts.
 
-    The call graph, blocking summary and interrupt-handler set can either be
-    derived from scratch (the standalone entry point) or supplied pre-built by
-    :class:`repro.engine.AnalysisEngine`, which shares them between analyses.
+    The call graph, the blocking facts, the IRQ-handler set, the summaries,
+    the constant facts and the points-to precision all come from one
+    :class:`~repro.engine.SharedArtifacts` bundle: the checker derives
+    none of them, so its report is the engine's by construction.
     """
 
-    def __init__(self, program: Program,
-                 precision: Precision = Precision.TYPE_BASED,
-                 runtime_checks: RuntimeCheckSet | None = None,
-                 graph: CallGraph | None = None,
-                 blocking: BlockingInfo | None = None,
-                 irq_handlers: set[str] | None = None,
-                 summaries: dict[str, FunctionSummary] | None = None,
-                 consts: dict[str, FunctionFacts | None] | None = None) -> None:
-        self.program = program
-        self.precision = precision
+    def __init__(self, artifacts: SharedArtifacts,
+                 runtime_checks: RuntimeCheckSet | None = None) -> None:
+        self.artifacts = artifacts
+        self.program = artifacts.program
         self.runtime_checks = runtime_checks or RuntimeCheckSet()
-        self._graph = graph
-        self._blocking = blocking
-        self._irq_handlers = irq_handlers
-        self._summaries = summaries
-        #: Per-function constant facts (engine artifact or lazily solved).
-        self.consts = consts if consts is not None else {}
-        self.summaries: dict[str, FunctionSummary] = {}
+        self.summaries = artifacts.summaries
 
     def run(self) -> BlockStopResult:
         """Every step: the atomic call sites of the whole program, then
@@ -166,7 +150,7 @@ class BlockStopChecker:
         return result
 
     def scan(self, functions: list[str] | None = None) -> BlockStopResult:
-        """Steps 1-3 for ``functions`` (all when None): a result holding the
+        """Step 3 for ``functions`` (all when None): a result holding the
         artifacts and those functions' atomic call sites, no violations.
 
         A function's scan reads its own body and constant facts, its
@@ -174,29 +158,13 @@ class BlockStopChecker:
         the engine runs it per translation unit and checks the union of
         the units' call sites once (:func:`check_violations`).
         """
-        graph = self._graph
-        blocking = self._blocking
-        irq_handlers = self._irq_handlers
-        summaries = self._summaries
-        if graph is None:
-            graph, indirect_calls = build_direct_callgraph(self.program)
-            pointsto = FunctionPointerAnalysis(self.program, self.precision)
-            pointsto.collect()
-            pointsto.resolve(graph, indirect_calls)
-        if summaries is None:
-            summaries = solve_summaries(self.program, graph)
-        self.summaries = summaries
-        if blocking is None:
-            blocking = derive_blocking(self.program, graph, summaries)
-        if irq_handlers is None:
-            irq_handlers = find_irq_handlers(self.program)
-
-        result = BlockStopResult(graph=graph, blocking=blocking,
-                                 precision=self.precision,
-                                 runtime_checks=self.runtime_checks,
-                                 summaries=summaries)
-        result.irq_handlers = set(irq_handlers)
-        self._scan_atomic_regions(result, blocking, functions)
+        artifacts = self.artifacts
+        result = BlockStopResult(graph=artifacts.graph,
+                                 blocking=artifacts.blocking,
+                                 precision=artifacts.precision,
+                                 runtime_checks=self.runtime_checks)
+        result.irq_handlers = set(artifacts.irq_handlers)
+        self._scan_atomic_regions(result, artifacts.blocking, functions)
         return result
 
     # -- atomic-region scan -------------------------------------------------------
@@ -242,7 +210,8 @@ class BlockStopChecker:
         if not starts_atomic and not self._can_raise_depth(syntax):
             return      # depth can never leave 0: skip the CFG + solve cost
         cfg = build_cfg(func)
-        func_consts = facts_of(func, cache=self.consts, cfg=cfg, syntax=syntax)
+        func_consts = facts_of(func, cache=self.artifacts.consts, cfg=cfg,
+                               syntax=syntax)
         entry_depth = 1 if starts_atomic else 0
 
         def transfer(block, depth: int) -> int:
@@ -382,58 +351,9 @@ def _function_name_of(expr: ast.Expr, program: Program) -> str | None:
     return None
 
 
-def check_blockstop(ctx: AnalysisContext,
-                    precision: Precision = Precision.TYPE_BASED,
+def check_blockstop(artifacts: SharedArtifacts,
                     runtime_checks: RuntimeCheckSet | None = None,
                     ) -> BlockStopResult:
-    """Run the full BlockStop analysis over a shared analysis context.
-
-    This is the primary entry point: the engine builds one
-    :class:`repro.dataflow.AnalysisContext` per run and every checker
-    consumes the same bundle.  Prebuilt ``blocking`` facts and the IRQ
-    handler set travel in ``ctx.extras`` (they have no cross-checker home);
-    anything missing is computed on demand exactly as before.
-    """
-    return _checker(ctx, precision, runtime_checks).run()
-
-
-def scan_blockstop(ctx: AnalysisContext,
-                   precision: Precision = Precision.TYPE_BASED,
-                   runtime_checks: RuntimeCheckSet | None = None,
-                   ) -> BlockStopResult:
-    """:func:`check_blockstop`'s first three steps over ``ctx.functions``
-    (every function when None): the atomic call sites, no violations.  The
-    engine's per-unit shard; :func:`check_violations` finishes the union."""
-    return _checker(ctx, precision, runtime_checks).scan(ctx.functions)
-
-
-def _checker(ctx: AnalysisContext, precision: Precision,
-             runtime_checks: RuntimeCheckSet | None) -> BlockStopChecker:
-    extras = ctx.extras
-    return BlockStopChecker(ctx.program, precision, runtime_checks,
-                            graph=ctx.call_graph,
-                            blocking=extras.get("blocking"),
-                            irq_handlers=extras.get("irq_handlers"),
-                            summaries=ctx.summaries,
-                            consts=ctx.facts)
-
-
-def run_blockstop(program: Program,
-                  precision: Precision = Precision.TYPE_BASED,
-                  runtime_checks: RuntimeCheckSet | None = None,
-                  graph: CallGraph | None = None,
-                  blocking: BlockingInfo | None = None,
-                  irq_handlers: set[str] | None = None,
-                  summaries: dict[str, FunctionSummary] | None = None,
-                  consts: dict[str, FunctionFacts | None] | None = None,
-                  ) -> BlockStopResult:
-    """Convenience wrapper for scripts and tests: loose artifacts in, one
-    :class:`AnalysisContext` out, delegated to :func:`check_blockstop`."""
-    extras: dict = {}
-    if blocking is not None:
-        extras["blocking"] = blocking
-    if irq_handlers is not None:
-        extras["irq_handlers"] = irq_handlers
-    ctx = AnalysisContext(program=program, call_graph=graph,
-                          summaries=summaries, facts=consts, extras=extras)
-    return check_blockstop(ctx, precision, runtime_checks)
+    """The full BlockStop analysis over the pipeline's artifacts, at their
+    points-to precision: every atomic call site and every violation."""
+    return BlockStopChecker(artifacts, runtime_checks).run()

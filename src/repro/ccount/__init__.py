@@ -18,7 +18,7 @@ from .report import (
     build_run_report,
 )
 from .runtime import BadFree, CCountConfig, CCountRuntime, CCountStats, install
-from .typeinfo import TypeInfoRegistry, TypeLayout, build_typeinfo, typeid_constants
+from .typeinfo import TypeInfoRegistry, TypeLayout, build_typeinfo
 
 __all__ = [
     "delayed_free_scope", "count_delayed_scopes", "count_pointer_nullouts",
@@ -27,5 +27,5 @@ __all__ = [
     "CCountConversionReport", "CCountRunReport", "build_conversion_report",
     "build_run_report",
     "BadFree", "CCountConfig", "CCountRuntime", "CCountStats", "install",
-    "TypeInfoRegistry", "TypeLayout", "build_typeinfo", "typeid_constants",
+    "TypeInfoRegistry", "TypeLayout", "build_typeinfo",
 ]

@@ -81,12 +81,3 @@ def build_typeinfo(program: Program) -> TypeInfoRegistry:
         if struct.complete:
             registry.register_struct(struct)
     return registry
-
-
-def typeid_constants(registry: TypeInfoRegistry) -> dict[str, int]:
-    """Preprocessor-style constants (``TYPEID_struct_foo``) for the corpus."""
-    constants: dict[str, int] = {}
-    for layout in registry.layouts.values():
-        name = "TYPEID_" + layout.tag.replace(" ", "_")
-        constants[name] = layout.type_id
-    return constants

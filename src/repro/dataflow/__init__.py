@@ -39,7 +39,6 @@ from .consts import (
     eval_const,
     refined_edges,
 )
-from .context import AnalysisContext
 from .domains import (
     DEFAULT_DOMAINS,
     DOMAIN_REGISTRY,
@@ -76,7 +75,6 @@ from .summaries import FunctionSummary, SummaryContext, build_context
 
 __all__ = [
     "AbstractDomain",
-    "AnalysisContext",
     "CFG",
     "BasicBlock",
     "COND",

@@ -336,9 +336,9 @@ def solve_summaries(
     """Compute every function's summary, bottom-up over the condensation.
 
     ``consts`` pre-seeds the context's per-function constant facts (the
-    engine's keyed artifact); without it each function's facts are solved
-    lazily the first time its summary computation needs them, so standalone
-    callers still get the pruned-CFG summaries.
+    pipeline's artifact); without it each function's facts are solved
+    lazily the first time its summary computation needs them, by the same
+    solve, so the summaries are the same pruned-CFG ones.
     """
     condensation = condensation or condense_callgraph(graph)
     ctx = ctx or build_context(program, graph, consts=consts)

@@ -103,10 +103,11 @@ class DeputyInstrumenter:
     The instrumenter seeds each loop body's region cache with the solved
     interval environment at the loop head, which is what lets the static
     checker discharge ``i < n``-bounded index obligations instead of
-    emitting ``__deputy_check_index``.  When no table is supplied the facts
-    are solved on demand per function — like the other standalone checker
-    entry points, results match the artifact-fed engine run by
-    construction.
+    emitting ``__deputy_check_index``.  When no table is supplied (the
+    kernel build instruments without a pipeline) each function's facts are
+    solved on demand by the pipeline's own solve
+    (:func:`~repro.dataflow.domains.facts_of`), so results match the
+    artifact-fed engine run by construction.
     """
 
     def __init__(self, program: Program, options: DeputyOptions | None = None,

@@ -104,6 +104,16 @@ def _annotation_sets_of_type(ctype: CType, seen: set[int]) -> list[AnnotationSet
     return sets
 
 
+def _declared_sets(node: ast.Declaration | ast.FuncDef,
+                   seen: set[int]) -> list[AnnotationSet]:
+    """The annotation sets ``node`` declares, each once: a function's own
+    set is also its ``CFunc``'s, so it is counted through the type."""
+    sets = _annotation_sets_of_type(node.type, seen)
+    if node.annotations and not isinstance(node.type, CFunc):
+        sets.insert(0, node.annotations)
+    return sets
+
+
 def _span_lines(node: ast.Node) -> int:
     """Approximate number of source lines covered by ``node``."""
     lines = [n.location.line for n in walk(node) if n.location.line > 0]
@@ -134,14 +144,12 @@ def build_report(program: Program,
             if node.location.filename == unit.filename:
                 last_line = max(last_line, node.location.line)
             if isinstance(node, ast.Declaration):
-                sets = [node.annotations] if node.annotations else []
-                sets += _annotation_sets_of_type(node.type, seen_types)
-                note_annotations(sets, node.location.filename, node.location.line)
+                note_annotations(_declared_sets(node, seen_types),
+                                 node.location.filename, node.location.line)
             elif isinstance(node, ast.FuncDef):
                 report.functions_converted += 1
-                sets = [node.annotations] if node.annotations else []
-                sets += _annotation_sets_of_type(node.type, seen_types)
-                note_annotations(sets, node.location.filename, node.location.line)
+                note_annotations(_declared_sets(node, seen_types),
+                                 node.location.filename, node.location.line)
                 if program.function_annotations(node.name).has(AnnotationKind.TRUSTED):
                     report.trusted_functions += 1
                     report.trusted_lines += _span_lines(node)

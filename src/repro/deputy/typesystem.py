@@ -220,11 +220,6 @@ def _target_of(ctype: CType) -> CType:
     return INT
 
 
-def is_constant_expr(expr: ast.Expr) -> bool:
-    """Whether ``expr`` is a literal integer constant."""
-    return isinstance(expr, (ast.IntLit, ast.CharLit))
-
-
 def constant_value(expr: ast.Expr) -> Optional[int]:
     if isinstance(expr, (ast.IntLit, ast.CharLit)):
         return expr.value

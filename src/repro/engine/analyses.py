@@ -28,6 +28,7 @@ from typing import Any
 from ..analyses.errcheck import check_error_returns
 from ..analyses.lockcheck import (
     LockAcquisition,
+    LockFacts,
     LockLeak,
     check_locks,
     derive_report,
@@ -35,9 +36,9 @@ from ..analyses.lockcheck import (
 from ..analyses.stackcheck import analyse_stack
 from ..blockstop.checker import (
     AtomicCallSite,
+    BlockStopChecker,
     BlockStopResult,
     check_violations,
-    scan_blockstop,
 )
 from ..blockstop.runtime_checks import RuntimeCheckSet
 from ..ccount.delayed_free import (
@@ -47,36 +48,12 @@ from ..ccount.delayed_free import (
 )
 from ..ccount.instrument import CCountInstrumenter
 from ..ccount.typeinfo import build_typeinfo
-from ..dataflow.context import AnalysisContext
 from ..deputy.checker import DeputyOptions, ObligationStatus, check_program
 from ..minic import ast_nodes as minic_ast
 from ..minic.errors import SourceLocation
 from .artifacts import SharedArtifacts
 
 Finding = dict  # normalized: analysis, kind, function, file, line, message
-
-
-def analysis_context(artifacts: SharedArtifacts,
-                     functions: list[str] | None = None) -> AnalysisContext:
-    """The one :class:`AnalysisContext` bundle a shard's checker consumes.
-
-    Every checker adapter derives its context here, so the mapping from
-    the engine's ``SharedArtifacts`` to the checkers' shared-context API
-    lives in exactly one place.
-    """
-    return AnalysisContext(
-        program=artifacts.program,
-        type_envs=artifacts.type_envs,
-        call_graph=artifacts.graph,
-        summaries=artifacts.summaries,
-        facts=artifacts.consts,
-        functions=functions,
-        extras={
-            "blocking": artifacts.blocking,
-            "irq_handlers": artifacts.irq_handlers,
-            "error_returning": artifacts.error_returning,
-        },
-    )
 
 
 def make_finding(analysis: str, kind: str, function: str, location: Any,
@@ -183,11 +160,10 @@ class DeputyAnalysis(EngineAnalysis):
         self.options = options or DeputyOptions()
 
     def run_shard(self, artifacts, functions):
-        ctx = analysis_context(artifacts, functions)
-        results = check_program(ctx.program, self.options,
-                                functions=ctx.functions,
-                                env_cache=ctx.type_envs,
-                                facts=ctx.facts)
+        results = check_program(artifacts.program, self.options,
+                                functions=functions,
+                                env_cache=artifacts.type_envs,
+                                facts=artifacts.consts)
         payload = {"functions": {}, "findings": []}
         for name, result in results.items():
             discharges = {"interval": 0, "relational": 0}
@@ -263,9 +239,7 @@ class BlockStopAnalysis(EngineAnalysis):
         return hashlib.sha256("\x00".join(parts).encode()).hexdigest()[:32]
 
     def run_shard(self, artifacts, functions):
-        result = scan_blockstop(analysis_context(artifacts, functions),
-                                artifacts.precision,
-                                runtime_checks=self.runtime_checks)
+        result = BlockStopChecker(artifacts, self.runtime_checks).scan(functions)
         return {"sites": [
             {"caller": site.caller, "callee": site.callee,
              "file": site.location.filename, "line": site.location.line,
@@ -319,7 +293,7 @@ class ErrcheckAnalysis(EngineAnalysis):
         return hashlib.sha256(joined.encode()).hexdigest()[:32]
 
     def run_shard(self, artifacts, functions):
-        report = check_error_returns(analysis_context(artifacts, functions))
+        report = check_error_returns(artifacts, functions)
         findings = [make_finding(self.name, "unchecked-error-return",
                                  call.caller, call.location,
                                  f"result of {call.callee}() {call.reason}")
@@ -371,7 +345,7 @@ class LockcheckAnalysis(EngineAnalysis):
             via_callee=raw.get("via_callee", ""))
 
     def run_shard(self, artifacts, functions):
-        facts = check_locks(analysis_context(artifacts, functions))
+        facts = check_locks(artifacts, functions)
         return {
             "acquisitions": [self._acq_payload(acq)
                              for acq in facts.acquisitions],
@@ -386,22 +360,20 @@ class LockcheckAnalysis(EngineAnalysis):
         }
 
     def merge(self, artifacts, payloads):
-        acquisitions = [self._acq_restore(raw) for payload in payloads
-                        for raw in payload["acquisitions"]]
-        interproc = [self._acq_restore(raw) for payload in payloads
-                     for raw in payload.get("interproc_acquires", [])]
-        leaks = [
-            LockLeak(function=raw["function"], lock=raw["lock"],
-                     location=SourceLocation(raw.get("file", "<unknown>"),
-                                             raw.get("line", 0),
-                                             raw.get("column", 0)),
-                     via_callee=raw.get("via_callee", ""))
-            for payload in payloads for raw in payload.get("leaks", [])
-        ]
-        lock_report = derive_report(acquisitions,
-                                    irq_functions=artifacts.irq_handlers,
-                                    interproc_acquires=interproc,
-                                    leaks=leaks)
+        facts = LockFacts(
+            acquisitions=[self._acq_restore(raw) for payload in payloads
+                          for raw in payload["acquisitions"]],
+            interproc_acquires=[
+                self._acq_restore(raw) for payload in payloads
+                for raw in payload.get("interproc_acquires", [])],
+            leaks=[
+                LockLeak(function=raw["function"], lock=raw["lock"],
+                         location=SourceLocation(raw.get("file", "<unknown>"),
+                                                 raw.get("line", 0),
+                                                 raw.get("column", 0)),
+                         via_callee=raw.get("via_callee", ""))
+                for payload in payloads for raw in payload.get("leaks", [])])
+        lock_report = derive_report(facts, artifacts.irq_handlers)
         report = AnalysisReport(name=self.name)
         for first, second in lock_report.order_violations:
             report.findings.append(make_finding(
@@ -462,9 +434,7 @@ class StackcheckAnalysis(EngineAnalysis):
     shard_reads = ShardReads.CALL_GRAPH_AND_SUMMARIES
 
     def run_shard(self, artifacts, functions):
-        stack_report = analyse_stack(artifacts.program, artifacts.graph,
-                                     summaries=artifacts.summaries,
-                                     condensation=artifacts.condensation)
+        stack_report = analyse_stack(artifacts)
         findings = [make_finding(self.name, "recursion-needs-runtime-check",
                                  name, None,
                                  f"{name} is (mutually) recursive; stack depth "

@@ -4,11 +4,15 @@ Every analysis in this repro is *sound* and whole-program, and all of them
 consume the same handful of derived facts: the parsed and linked corpus, the
 per-function symbol tables, the merged annotations, the direct call graph,
 and the points-to solution for indirect calls.  :class:`SharedArtifacts`
-bundles them.  The analysis pipeline, the incremental analyzer
+bundles them, and it is the one input of every checker entry: errcheck,
+lockcheck, stackcheck and BlockStop read the bundle and derive none of it
+themselves (they name it only for type checking, as this module imports
+them).  The analysis pipeline, the incremental analyzer
 (:mod:`repro.service.incremental`), derives them under per-function,
 per-SCC and per-shard keys; :func:`build_shared_artifacts` derives them
-from a parsed program with no cache at all, for an analysis at another
-precision and as the reference the pipeline is tested against.
+from a parsed program with no cache at all: for an analysis at another
+precision, for a script or test that calls a checker directly, and as the
+reference the pipeline is tested against.
 """
 
 from __future__ import annotations

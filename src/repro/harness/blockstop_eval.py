@@ -9,7 +9,7 @@ from ..blockstop import (
     Precision,
     RuntimeCheckSet,
     build_report,
-    run_blockstop,
+    check_blockstop,
 )
 
 #: The paper's reference values.
@@ -111,9 +111,10 @@ def run_blockstop_eval(engine: "AnalysisEngine | None" = None) -> BlockStopEvalR
     """Run BlockStop with and without the manual run-time checks.
 
     All three runs (before/after the manual checks, and the field-sensitive
-    ablation) share the engine's parsed corpus; the two type-based runs also
-    share its call graph and blocking summary, so the corpus is parsed once
-    and the points-to analysis runs once per precision instead of per run.
+    ablation) share the engine's parsed corpus.  The two type-based runs
+    read one artifact bundle, the engine's own when its precision matches,
+    so the corpus is parsed once and the artifacts (points-to, summaries,
+    blocking facts) are derived at most once per precision.
     """
     from ..engine import AnalysisEngine, build_shared_artifacts
 
@@ -131,10 +132,7 @@ def run_blockstop_eval(engine: "AnalysisEngine | None" = None) -> BlockStopEvalR
     # The before/after legs are defined as TYPE_BASED runs.
     shared = artifacts_at(Precision.TYPE_BASED)
 
-    before_result = run_blockstop(program, Precision.TYPE_BASED,
-                                  graph=shared.graph, blocking=shared.blocking,
-                                  irq_handlers=shared.irq_handlers,
-                                  consts=shared.consts)
+    before_result = check_blockstop(shared)
     before = build_report(before_result)
 
     real_bug_callers = {v.caller for v in before_result.reported
@@ -146,20 +144,9 @@ def run_blockstop_eval(engine: "AnalysisEngine | None" = None) -> BlockStopEvalR
                               if v.caller not in ALL_SEEDED_CALLERS}
     checks = RuntimeCheckSet(set(false_positive_callees))
 
-    after_result = run_blockstop(program, Precision.TYPE_BASED,
-                                 runtime_checks=checks,
-                                 graph=shared.graph, blocking=shared.blocking,
-                                 irq_handlers=shared.irq_handlers,
-                                 consts=shared.consts)
-    after = build_report(after_result)
-
-    field_shared = artifacts_at(Precision.FIELD_SENSITIVE)
-    field_result = run_blockstop(program, Precision.FIELD_SENSITIVE,
-                                 graph=field_shared.graph,
-                                 blocking=field_shared.blocking,
-                                 irq_handlers=field_shared.irq_handlers,
-                                 consts=field_shared.consts)
-    field_report = build_report(field_result)
+    after = build_report(check_blockstop(shared, runtime_checks=checks))
+    field_report = build_report(
+        check_blockstop(artifacts_at(Precision.FIELD_SENSITIVE)))
 
     return BlockStopEvalResult(
         before=before, after=after, field_sensitive=field_report,

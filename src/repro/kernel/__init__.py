@@ -4,10 +4,7 @@ from .boot import KernelInstance, boot_kernel
 from .build import (
     BuildConfig,
     KernelBuild,
-    baseline_build,
     build_kernel,
-    ccount_build,
-    deputized_build,
     parse_corpus,
 )
 from .corpus import (
@@ -30,8 +27,7 @@ from .workloads import (
 
 __all__ = [
     "KernelInstance", "boot_kernel",
-    "BuildConfig", "KernelBuild", "baseline_build", "build_kernel",
-    "ccount_build", "deputized_build", "parse_corpus",
+    "BuildConfig", "KernelBuild", "build_kernel", "parse_corpus",
     "ALL_FILES", "BOOT_SEQUENCE", "KERNEL_FILES", "USER_FILES", "CorpusFile",
     "corpus_line_count", "kernel_line_count",
     "WorkloadResult", "workload_boot_to_login", "workload_deferred_work",

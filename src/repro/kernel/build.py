@@ -241,20 +241,3 @@ def build_kernel(config: BuildConfig | None = None,
         for corpus_file in USER_FILES:
             program.add_unit(_parse_file(corpus_file, program.registry, preprocessor))
     return build
-
-
-def baseline_build() -> KernelBuild:
-    """A plain, uninstrumented kernel build."""
-    return build_kernel(BuildConfig())
-
-
-def deputized_build(options: DeputyOptions | None = None) -> KernelBuild:
-    """A Deputy-instrumented kernel build."""
-    return build_kernel(BuildConfig(deputy=True,
-                                    deputy_options=options or DeputyOptions()))
-
-
-def ccount_build(config: CCountConfig | None = None) -> KernelBuild:
-    """A CCount-instrumented kernel build."""
-    return build_kernel(BuildConfig(ccount=True,
-                                    ccount_config=config or CCountConfig()))

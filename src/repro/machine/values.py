@@ -23,7 +23,6 @@ from ..minic.ctypes import (
     CType,
     CVoid,
     INT,
-    UINT,
 )
 
 Number = Union[int, float]
@@ -52,10 +51,6 @@ VOID_VALUE = TypedValue(0, CVoid())
 
 def int_value(value: int, ctype: CType = INT) -> TypedValue:
     return TypedValue(int(value), ctype)
-
-
-def uint_value(value: int) -> TypedValue:
-    return TypedValue(int(value) & 0xFFFFFFFF, UINT)
 
 
 def pointer_value(addr: int, ctype: CType) -> TypedValue:
@@ -96,7 +91,3 @@ def is_signed(ctype: CType) -> bool:
     if isinstance(stripped, CEnum):
         return True
     return False
-
-
-def truthy(value: TypedValue) -> bool:
-    return bool(value.value)

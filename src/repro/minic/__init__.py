@@ -32,10 +32,10 @@ from .errors import (
 )
 from .lexer import tokenize
 from .parser import Parser, evaluate_constant, parse_expression, parse_source
-from .pretty import PrettyPrinter, render_expression, render_statement, render_unit
+from .pretty import PrettyPrinter, render_expression, render_unit
 from .source import Preprocessor, SourceFile, preprocess, strip_comments
 from .symtab import Scope, Symbol, TypeRegistry
-from .visitor import Transformer, Visitor, collect, count_nodes, iter_child_nodes, walk
+from .visitor import Transformer, Visitor, collect, iter_child_nodes, walk
 
 __all__ = [
     "ast",
@@ -45,8 +45,8 @@ __all__ = [
     "TypeError_",
     "tokenize",
     "Parser", "evaluate_constant", "parse_expression", "parse_source",
-    "PrettyPrinter", "render_expression", "render_statement", "render_unit",
+    "PrettyPrinter", "render_expression", "render_unit",
     "Preprocessor", "SourceFile", "preprocess", "strip_comments",
     "Scope", "Symbol", "TypeRegistry",
-    "Transformer", "Visitor", "collect", "count_nodes", "iter_child_nodes", "walk",
+    "Transformer", "Visitor", "collect", "iter_child_nodes", "walk",
 ]

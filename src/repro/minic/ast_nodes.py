@@ -335,15 +335,6 @@ class TranslationUnit(Node):
 # Helpers used throughout the toolchain
 # ---------------------------------------------------------------------------
 
-def is_lvalue(expr: Expr) -> bool:
-    """Whether ``expr`` designates a memory location."""
-    if isinstance(expr, (Ident, Index, Member)):
-        return True
-    if isinstance(expr, Unary) and expr.op == "*":
-        return True
-    return False
-
-
 def make_call(name: str, args: list[Expr],
               location: SourceLocation | None = None) -> Call:
     """Construct a call to a named function (used by the instrumenters)."""

@@ -487,17 +487,8 @@ def pointer_to(target: CType, annotations: AnnotationSet | None = None) -> CPoin
     return CPointer(target, annotations or AnnotationSet())
 
 
-def char_pointer() -> CPointer:
-    return pointer_to(CHAR)
-
-
 def void_pointer() -> CPointer:
     return pointer_to(VOID)
-
-
-def is_char_type(ctype: CType) -> bool:
-    stripped = ctype.strip()
-    return isinstance(stripped, CInt) and stripped.kind == "char"
 
 
 def common_arithmetic_type(left: CType, right: CType) -> CType:

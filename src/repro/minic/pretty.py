@@ -285,8 +285,3 @@ def render_unit(unit: ast.TranslationUnit, erase_annotations: bool = False) -> s
 def render_expression(expr: ast.Expr) -> str:
     """Render a single expression (used for diagnostics and annotations)."""
     return PrettyPrinter().print_expr(expr)
-
-
-def render_statement(stmt: ast.Stmt) -> str:
-    """Render a single statement at indentation depth zero."""
-    return PrettyPrinter().print_stmt(stmt, 0)

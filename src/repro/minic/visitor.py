@@ -179,8 +179,3 @@ def initializer_expressions(init: ast.Initializer) -> list[ast.Expr]:
 def collect(node: ast.Node, node_type: type) -> list[ast.Node]:
     """Collect all descendants of ``node`` that are instances of ``node_type``."""
     return [n for n in walk(node) if isinstance(n, node_type)]
-
-
-def count_nodes(node: ast.Node) -> int:
-    """Total number of nodes in the subtree rooted at ``node``."""
-    return sum(1 for _ in walk(node))

@@ -85,7 +85,7 @@ import gc
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 from .. import source_digest
 from ..analyses.errcheck import find_error_returning_functions
@@ -120,13 +120,11 @@ from ..engine.artifacts import SharedArtifacts, unit_function_map
 from ..engine.core import EngineReport, summary_stats
 from ..engine.scheduler import Task, WorkStealingExecutor, worker_count
 from ..blockstop.runtime_checks import RuntimeCheckSet
-from ..kernel.build import PARSE_COUNTS, ParseDiagnostic, link_tolerant
+from ..kernel.build import ParseDiagnostic, _parse_file, link_tolerant
 from ..kernel.corpus import KERNEL_FILES, CorpusFile
 from ..machine.program import Program
 from ..minic import ast_nodes as ast
 from ..minic.errors import MiniCError
-from ..minic.lexer import tokenize
-from ..minic.parser import Parser
 from ..minic.pretty import PrettyPrinter
 from ..minic.source import Preprocessor
 from ..minic.symtab import TypeRegistry
@@ -219,8 +217,8 @@ class _UnitRecord:
     post: _TableSnapshot
     #: None when the file has no parse to serve.
     effect: _UnitEffect | None = None
-    #: The rendered top-level declarations of ``unit``, which the globals
-    #: fingerprint folds.
+    #: The rendered top-level declarations of ``unit`` and the typedefs its
+    #: parse set, which the globals fingerprint folds.
     decl_render: str = ""
 
 
@@ -491,32 +489,10 @@ class IncrementalStats:
     elapsed_seconds: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "revision": self.revision,
-            "full_reparse": self.full_reparse,
-            "reparse_reason": self.reparse_reason,
-            "parsed_units": self.parsed_units,
-            "reused_units": self.reused_units,
-            "parse_errors": self.parse_errors,
-            "consts_solved": self.consts_solved,
-            "consts_reused": self.consts_reused,
-            "consts_seconds": round(self.consts_seconds, 4),
-            "dirty_sccs": self.dirty_sccs,
-            "sccs_reused": self.sccs_reused,
-            "dirty_functions": list(self.dirty_functions),
-            "summaries_changed": self.summaries_changed,
-            "shards_rerun": self.shards_rerun,
-            "shards_rerun_by_analysis": dict(self.shards_rerun_by_analysis),
-            "shards_reused": self.shards_reused,
-            "shard_keys_computed": self.shard_keys_computed,
-            "keyed_units": list(self.keyed_units),
-            "analyses_merged": self.analyses_merged,
-            "store_hits": self.store_hits,
-            "store_writes": self.store_writes,
-            "indexed_functions": self.indexed_functions,
-            "rebuilt_artifacts": list(self.rebuilt_artifacts),
-            "elapsed_seconds": round(self.elapsed_seconds, 4),
-        }
+        payload = asdict(self)
+        payload["consts_seconds"] = round(self.consts_seconds, 4)
+        payload["elapsed_seconds"] = round(self.elapsed_seconds, 4)
+        return payload
 
 
 class IncrementalAnalyzer:
@@ -653,11 +629,7 @@ class IncrementalAnalyzer:
                 enum.complete = False
 
     def _parse_source(self, corpus_file: CorpusFile) -> ast.TranslationUnit:
-        PARSE_COUNTS[corpus_file.filename] += 1
-        text = self._preprocessor.process(corpus_file.source, corpus_file.filename)
-        tokens = tokenize(text, corpus_file.filename)
-        parser = Parser(tokens, corpus_file.filename, self._type_registry)
-        return parser.parse_translation_unit()
+        return _parse_file(corpus_file, self._type_registry, self._preprocessor)
 
     def _effect(self, pre: _TableSnapshot,
                 post: _TableSnapshot) -> _UnitEffect:
@@ -679,10 +651,17 @@ class IncrementalAnalyzer:
             enum_members={tag: dict(registry.enums[tag].members)
                           for tag in enums_completed})
 
-    def _decl_render(self, unit: ast.TranslationUnit) -> str:
-        return "\n".join(self._printer.print_top_level(decl)
-                         for decl in unit.decls
-                         if not isinstance(decl, ast.FuncDef))
+    def _decl_render(self, unit: ast.TranslationUnit, pre: _TableSnapshot,
+                     post: _TableSnapshot) -> str:
+        """The unit's rendered top-level declarations, then every typedef
+        its parse set: one declared in a function body enters the shared
+        table too, and later units parse against it."""
+        renders = [self._printer.print_top_level(decl) for decl in unit.decls
+                   if not isinstance(decl, ast.FuncDef)]
+        renders += [f"typedef {name} = {render}"
+                    for name, render in post.typedef_renders.items()
+                    if pre.typedef_renders.get(name) != render]
+        return "\n".join(renders)
 
     def _build_record(self, pre: _TableSnapshot, corpus_file: CorpusFile,
                       unit: ast.TranslationUnit) -> _UnitRecord:
@@ -696,7 +675,7 @@ class IncrementalAnalyzer:
             pre=pre,
             post=post,
             effect=self._effect(pre, post),
-            decl_render=self._decl_render(unit))
+            decl_render=self._decl_render(unit, pre, post))
 
     def _reparse_unit(self, index: int, corpus_file: CorpusFile,
                       stats: IncrementalStats) -> bool:
@@ -738,7 +717,8 @@ class IncrementalAnalyzer:
             return False
         self._records[index] = replace(
             record, corpus_file=corpus_file, seen=corpus_file,
-            unit=unit, diagnostic=None, decl_render=self._decl_render(unit))
+            unit=unit, diagnostic=None,
+            decl_render=self._decl_render(unit, record.pre, record.post))
         self._last_good[corpus_file.filename] = corpus_file
         return True
 

@@ -27,6 +27,15 @@ def kernel_program():
 
 
 @pytest.fixture(scope="session")
+def kernel_artifacts(kernel_program):
+    """The from-scratch artifact bundle of the kernel corpus, which every
+    checker entry reads."""
+    from repro.engine import build_shared_artifacts
+
+    return build_shared_artifacts(kernel_program)
+
+
+@pytest.fixture(scope="session")
 def baseline_kernel():
     """A booted baseline kernel shared by read-mostly tests."""
     return boot_kernel(BuildConfig(), reset_cycles_after_boot=True)

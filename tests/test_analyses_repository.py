@@ -1,12 +1,13 @@
 """Tests for the future analyses (§3.1) and the annotation repository (§3.2)."""
 
 from repro.analyses import (
-    analyse_error_checks,
     analyse_locks,
     analyse_stack,
+    check_error_returns,
     frame_size,
 )
 from repro.blockstop import build_direct_callgraph
+from repro.engine import build_shared_artifacts
 from repro.machine import link_units
 from repro.minic import parse_source
 from repro.repository import AnnotationDatabase, Fact, export_blocking_facts
@@ -14,6 +15,10 @@ from repro.repository import AnnotationDatabase, Fact, export_blocking_facts
 
 def build(source):
     return link_units([parse_source(source)])
+
+
+def bundle(source):
+    return build_shared_artifacts(build(source))
 
 
 LOCK_SOURCE = """
@@ -50,28 +55,33 @@ void process_path_wrong(void) {
 }
 """
 
+#: Registers ``irq_handler_path`` as an interrupt handler.
+IRQ_REGISTRATION = """
+int request_irq(int irq, void *handler, void *dev);
+int setup_irq(void) { return request_irq(1, irq_handler_path, 0); }
+"""
+
 
 class TestLockCheck:
     def test_inconsistent_order_detected(self):
-        report = analyse_locks(build(LOCK_SOURCE))
+        report = analyse_locks(bundle(LOCK_SOURCE))
         assert len(report.order_violations) == 1
 
     def test_consistent_order_clean(self):
         source = LOCK_SOURCE.replace(
             "    spin_lock(&lock_b);\n    spin_lock(&lock_a);",
             "    spin_lock(&lock_a);\n    spin_lock(&lock_b);")
-        report = analyse_locks(build(source))
+        report = analyse_locks(bundle(source))
         assert report.deadlock_free
 
     def test_irq_discipline_violation(self):
-        report = analyse_locks(build(LOCK_SOURCE),
-                               irq_functions={"irq_handler_path"})
+        report = analyse_locks(bundle(LOCK_SOURCE + IRQ_REGISTRATION))
         offenders = {v.function for v in report.irq_violations}
         assert "process_path_wrong" in offenders
         assert "irq_handler_path" not in offenders
 
-    def test_kernel_corpus_has_consistent_lock_order(self, kernel_program):
-        report = analyse_locks(kernel_program)
+    def test_kernel_corpus_has_consistent_lock_order(self, kernel_artifacts):
+        report = analyse_locks(kernel_artifacts)
         assert report.deadlock_free
 
 
@@ -91,21 +101,16 @@ class TestStackCheck:
         int mid(void) { int pad[8]; return leaf(); }
         int root(void) { int pad[8]; return mid(); }
         """
-        program = build(source)
-        graph, _ = build_direct_callgraph(program)
-        report = analyse_stack(program, graph)
+        report = analyse_stack(bundle(source))
         assert report.max_depth["root"] > report.max_depth["mid"] > report.max_depth["leaf"]
 
     def test_recursion_needs_runtime_check(self):
         source = "int fact(int n) { if (n < 2) { return 1; } return n * fact(n - 1); }"
-        program = build(source)
-        graph, _ = build_direct_callgraph(program)
-        report = analyse_stack(program, graph)
+        report = analyse_stack(bundle(source))
         assert "fact" in report.runtime_checks_needed
 
-    def test_kernel_corpus_fits_in_stack(self, kernel_program):
-        graph, indirect = build_direct_callgraph(kernel_program)
-        report = analyse_stack(kernel_program, graph)
+    def test_kernel_corpus_fits_in_stack(self, kernel_artifacts):
+        report = analyse_stack(kernel_artifacts)
         assert report.worst_case > 0
         assert report.fits
 
@@ -132,23 +137,22 @@ class TestErrCheck:
     """
 
     def test_error_returning_functions_found(self):
-        program = build(self.ERR_SOURCE)
-        report = analyse_error_checks(program)
+        report = check_error_returns(bundle(self.ERR_SOURCE))
         assert "risky" in report.error_returning
 
     def test_checked_call_accepted(self):
-        report = analyse_error_checks(build(self.ERR_SOURCE))
+        report = check_error_returns(bundle(self.ERR_SOURCE))
         unchecked_callers = {u.caller for u in report.unchecked}
         assert "careful" not in unchecked_callers
 
     def test_discarded_result_reported(self):
-        report = analyse_error_checks(build(self.ERR_SOURCE))
+        report = check_error_returns(bundle(self.ERR_SOURCE))
         reasons = {u.caller: u.reason for u in report.unchecked}
         assert "careless" in reasons
         assert "discarded" in reasons["careless"]
 
     def test_stored_but_unchecked_reported(self):
-        report = analyse_error_checks(build(self.ERR_SOURCE))
+        report = check_error_returns(bundle(self.ERR_SOURCE))
         assert any(u.caller == "stores_but_never_checks" for u in report.unchecked)
 
 

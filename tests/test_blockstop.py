@@ -7,19 +7,24 @@ from repro.blockstop import (
     RuntimeCheckSet,
     build_direct_callgraph,
     build_report,
+    check_blockstop,
     collect_seeds,
     derive_blocking,
     emit_annotations,
     insert_assertions,
-    run_blockstop,
 )
 from repro.blockstop import runtime_checks as bs_runtime
+from repro.engine import build_shared_artifacts
 from repro.machine import CheckFailure, Interpreter, link_units
 from repro.minic import parse_source
 
 
 def build(source):
     return link_units([parse_source(source)])
+
+
+def bundle(source, precision=Precision.TYPE_BASED):
+    return build_shared_artifacts(build(source), precision)
 
 
 SIMPLE_SOURCE = """
@@ -148,35 +153,34 @@ class TestBlockingPropagation:
 
 class TestChecker:
     def test_direct_violation_detected(self):
-        result = run_blockstop(build(SIMPLE_SOURCE))
+        result = check_blockstop(bundle(SIMPLE_SOURCE))
         callers = {v.caller for v in result.reported}
         assert "bad_atomic" in callers
         assert "good_atomic" not in callers
 
     def test_gfp_wait_violation_only(self):
-        result = run_blockstop(build(GFP_SOURCE))
+        result = check_blockstop(bundle(GFP_SOURCE))
         callers = {v.caller for v in result.reported}
         assert callers == {"atomic_alloc_bad"}
 
     def test_type_based_pointsto_produces_false_positive(self):
-        result = run_blockstop(build(FNPTR_SOURCE), Precision.TYPE_BASED)
+        result = check_blockstop(bundle(FNPTR_SOURCE, Precision.TYPE_BASED))
         callees = {v.callee for v in result.reported}
         assert "sleepy_hook" in callees  # false positive: never actually called
 
     def test_field_sensitive_pointsto_removes_false_positive(self):
-        result = run_blockstop(build(FNPTR_SOURCE), Precision.FIELD_SENSITIVE)
+        result = check_blockstop(bundle(FNPTR_SOURCE, Precision.FIELD_SENSITIVE))
         callees = {v.callee for v in result.reported}
         assert "sleepy_hook" not in callees
 
     def test_runtime_check_silences_report(self):
         checks = RuntimeCheckSet({"sleepy_hook"})
-        result = run_blockstop(build(FNPTR_SOURCE), Precision.TYPE_BASED,
-                               runtime_checks=checks)
+        result = check_blockstop(bundle(FNPTR_SOURCE), runtime_checks=checks)
         assert not result.reported
         assert result.silenced
 
     def test_report_summary(self):
-        result = run_blockstop(build(SIMPLE_SOURCE))
+        result = check_blockstop(bundle(SIMPLE_SOURCE))
         report = build_report(result)
         assert report.functions_analyzed >= 4
         assert report.violations_reported >= 1
@@ -210,19 +214,19 @@ class TestRuntimeAssertion:
 
 
 class TestOnKernelCorpus:
-    def test_kernel_seeded_bugs_found(self, kernel_program):
-        result = run_blockstop(kernel_program)
+    def test_kernel_seeded_bugs_found(self, kernel_artifacts):
+        result = check_blockstop(kernel_artifacts)
         callers = {v.caller for v in result.reported}
         assert "buggy_stats_update" in callers
         assert "disk_timeout_interrupt" in callers
 
-    def test_kernel_irq_handlers_discovered(self, kernel_program):
-        result = run_blockstop(kernel_program)
+    def test_kernel_irq_handlers_discovered(self, kernel_artifacts):
+        result = check_blockstop(kernel_artifacts)
         assert "timer_interrupt" in result.irq_handlers
         assert "disk_timeout_interrupt" in result.irq_handlers
 
-    def test_kernel_blocking_set_contains_syscalls(self, kernel_program):
-        result = run_blockstop(kernel_program)
+    def test_kernel_blocking_set_contains_syscalls(self, kernel_artifacts):
+        result = check_blockstop(kernel_artifacts)
         assert "schedule" in result.blocking.may_block
         assert "do_fork" in result.blocking.may_block
         assert "pipe_write" in result.blocking.may_block

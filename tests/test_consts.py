@@ -7,10 +7,10 @@ import multiprocessing
 
 import pytest
 
-from repro.analyses.errcheck import analyse_error_checks, find_error_returning_functions
-from repro.analyses.lockcheck import analyse_locks, collect_lock_facts
+from repro.analyses.errcheck import check_error_returns
+from repro.analyses.lockcheck import analyse_locks, check_locks
 from repro.blockstop.callgraph import build_direct_callgraph
-from repro.blockstop.checker import run_blockstop
+from repro.blockstop.checker import check_blockstop
 from repro.dataflow import build_cfg, solve_summaries
 from repro.dataflow.cfg import COND
 from repro.dataflow.consts import (
@@ -21,6 +21,7 @@ from repro.dataflow.consts import (
 )
 from repro.dataflow.domains import ProductWalk, solve_function_facts, solve_program_facts
 from repro.deputy.checker import ObligationKind, ObligationStatus, check_program
+from repro.engine.artifacts import build_shared_artifacts
 from repro.engine.cli import main as cli_main
 from repro.engine.core import AnalysisEngine
 from repro.kernel.build import parse_corpus
@@ -266,7 +267,7 @@ class TestEdgeRefinement:
         )
         func = program.functions["f"]
         assert not solve_function_facts(func, domains=("consts",)).prunes
-        facts = collect_lock_facts(program)
+        facts = check_locks(build_shared_artifacts(program))
         assert [a for a in facts.acquisitions if a.function == "f"]
 
     def test_shadowed_binding_never_prunes_a_live_edge(self):
@@ -282,7 +283,7 @@ class TestEdgeRefinement:
         )
         assert not solve_function_facts(program.functions["f"],
                                         domains=("consts",)).prunes
-        facts = collect_lock_facts(program)
+        facts = check_locks(build_shared_artifacts(program))
         assert [a for a in facts.acquisitions if a.function == "f"]
 
     def test_goto_into_a_dead_arm_revives_it(self):
@@ -334,19 +335,19 @@ class TestLockcheckPruning:
         return parse(GATED_LOCK_SRC)
 
     def test_dead_acquire_never_recorded_or_leaked(self, program):
-        facts = collect_lock_facts(program)
+        facts = check_locks(build_shared_artifacts(program))
         assert not [a for a in facts.acquisitions if a.function == "gated"]
         assert not [leak for leak in facts.leaks
                     if leak.function in ("gated", "call_gated")]
 
     def test_live_twin_still_reports(self, program):
-        facts = collect_lock_facts(program)
+        facts = check_locks(build_shared_artifacts(program))
         assert [a for a in facts.acquisitions if a.function == "live"]
         leakers = {leak.function for leak in facts.leaks}
         assert "live" in leakers
 
     def test_caller_summaries_stay_clean(self, program):
-        report = analyse_locks(program)
+        report = analyse_locks(build_shared_artifacts(program))
         leakers = {leak.function for leak in report.leaked_returns}
         assert "call_gated" not in leakers
         assert "call_live" in leakers
@@ -375,7 +376,7 @@ void slow_path(void) {
 class TestBlockstopPruning:
     def test_dead_blocking_call_not_reported(self):
         program = parse(BLOCK_SRC)
-        result = run_blockstop(program)
+        result = check_blockstop(build_shared_artifacts(program))
         callers = {v.caller for v in result.reported}
         assert "fast_path" not in callers
         assert "slow_path" in callers
@@ -434,11 +435,11 @@ class TestErrcheckConsts:
     @pytest.fixture(scope="class")
     def report(self):
         program = parse(ERRCHECK_SRC)
-        return analyse_error_checks(program)
+        return check_error_returns(build_shared_artifacts(program))
 
     def test_folded_returns_detected_as_error_returning(self):
         program = parse(ERRCHECK_SRC)
-        error_returning = find_error_returning_functions(program)
+        error_returning = build_shared_artifacts(program).error_returning
         assert {"helper", "folded_helper", "folded_expr_helper"} <= error_returning
 
     def test_dead_calls_create_no_obligation(self, report):

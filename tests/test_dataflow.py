@@ -8,8 +8,8 @@ and errcheck's assigned-then-compared tracking must be order-aware.
 
 import pytest
 
-from repro.analyses import analyse_error_checks, analyse_locks
-from repro.blockstop import run_blockstop
+from repro.analyses import analyse_locks, check_error_returns
+from repro.blockstop import check_blockstop
 from repro.dataflow import (
     COND,
     FixpointDivergence,
@@ -17,12 +17,17 @@ from repro.dataflow import (
     reachable_blocks,
     solve_forward,
 )
+from repro.engine import build_shared_artifacts
 from repro.machine import link_units
 from repro.minic import parse_source
 
 
 def build(source):
     return link_units([parse_source(source)])
+
+
+def bundle(source):
+    return build_shared_artifacts(build(source))
 
 
 def cfg_of(source, name):
@@ -186,7 +191,7 @@ class TestLockcheckFlow:
         # acquisitions of lock_b in the else-branch and after the merge must
         # both report an empty held set — the old walk() scan fabricated a
         # lock_a -> lock_b ordering here.
-        report = analyse_locks(build(LOCK_PROTOS + """
+        report = analyse_locks(bundle(LOCK_PROTOS + """
         void branchy(int x) {
             if (x) {
                 spin_lock(&lock_a);
@@ -207,7 +212,7 @@ class TestLockcheckFlow:
     def test_no_false_deadlock_pair_from_exclusive_branches(self):
         # a->b in one branch, b->a in the other -- but each branch releases
         # before the other acquires; only a truly nested pair may count.
-        report = analyse_locks(build(LOCK_PROTOS + """
+        report = analyse_locks(bundle(LOCK_PROTOS + """
         void one_way(int x) {
             if (x) {
                 spin_lock(&lock_a);
@@ -228,7 +233,7 @@ class TestLockcheckFlow:
         assert report.order_violations == []
 
     def test_real_nested_ordering_still_detected(self):
-        report = analyse_locks(build(LOCK_PROTOS + """
+        report = analyse_locks(bundle(LOCK_PROTOS + """
         void ab(void) {
             spin_lock(&lock_a);
             spin_lock(&lock_b);
@@ -247,7 +252,7 @@ class TestLockcheckFlow:
     def test_early_return_keeps_lock_held_on_fallthrough(self):
         # The release happens only on the early-return path; the fall-through
         # acquisition of lock_b happens with lock_a held.
-        report = analyse_locks(build(LOCK_PROTOS + """
+        report = analyse_locks(bundle(LOCK_PROTOS + """
         void holds_across(int x) {
             spin_lock(&lock_a);
             if (x) {
@@ -267,7 +272,7 @@ class TestLockcheckFlow:
         # lock_a is released inside the loop body, so at the header it is
         # not *definitely* held; the acquisition inside the body reports an
         # empty held set rather than inventing one.
-        report = analyse_locks(build(LOCK_PROTOS + """
+        report = analyse_locks(bundle(LOCK_PROTOS + """
         void loopy(int n) {
             int i;
             for (i = 0; i < n; i = i + 1) {
@@ -279,7 +284,7 @@ class TestLockcheckFlow:
         assert all(a.held_before == () for a in report.acquisitions)
 
     def test_double_acquire_diagnostic(self):
-        report = analyse_locks(build(LOCK_PROTOS + """
+        report = analyse_locks(bundle(LOCK_PROTOS + """
         void self_deadlock(void) {
             spin_lock(&lock_a);
             spin_lock(&lock_a);
@@ -295,7 +300,7 @@ class TestLockcheckFlow:
         # After one release of the doubly-acquired lock_a, it is still held:
         # the lock_b acquisition must see it.  The old list bookkeeping
         # dropped the first occurrence and corrupted held_before.
-        report = analyse_locks(build(LOCK_PROTOS + """
+        report = analyse_locks(bundle(LOCK_PROTOS + """
         void nested(void) {
             spin_lock(&lock_a);
             spin_lock(&lock_a);
@@ -320,7 +325,7 @@ class TestBlockstopFlow:
         # the then-branch restores before leaving, so *nothing* outside the
         # then-branch is atomic.  The old scan poisoned the else-branch and
         # everything after the if.
-        result = run_blockstop(build(LOCK_PROTOS + """
+        result = check_blockstop(bundle(LOCK_PROTOS + """
         void helper(void) { schedule(); }
         void branchy(int x) {
             if (x) {
@@ -339,7 +344,7 @@ class TestBlockstopFlow:
     def test_any_path_atomic_is_still_conservative(self):
         # One arm disables without re-enabling: after the merge the join is
         # max(1, 0) = 1 -- the call may run atomically, so it is reported.
-        result = run_blockstop(build(LOCK_PROTOS + """
+        result = check_blockstop(bundle(LOCK_PROTOS + """
         void maybe_atomic(int x) {
             if (x) {
                 local_irq_save();
@@ -355,7 +360,7 @@ class TestBlockstopFlow:
     def test_early_reenable_does_not_hide_fallthrough_region(self):
         # The kernel-corpus schedule() shape: release on the early-return
         # path only.  The old scan treated the fall-through as non-atomic.
-        result = run_blockstop(build(LOCK_PROTOS + """
+        result = check_blockstop(bundle(LOCK_PROTOS + """
         void early(int x) {
             unsigned long flags;
             flags = spin_lock_irqsave(&lock_a);
@@ -370,7 +375,7 @@ class TestBlockstopFlow:
         assert {v.caller for v in result.reported} == {"early"}
 
     def test_loop_body_disable_reaches_fixpoint_and_reports(self):
-        result = run_blockstop(build(LOCK_PROTOS + """
+        result = check_blockstop(bundle(LOCK_PROTOS + """
         void loopy(int n) {
             int i;
             for (i = 0; i < n; i = i + 1) {
@@ -385,7 +390,7 @@ class TestBlockstopFlow:
     def test_unmatched_disable_in_loop_converges(self):
         # Pathological: a disable per iteration with no enable.  The depth
         # cap keeps the lattice finite; the call after the loop is atomic.
-        result = run_blockstop(build(LOCK_PROTOS + """
+        result = check_blockstop(bundle(LOCK_PROTOS + """
         void runaway(int n) {
             int i;
             for (i = 0; i < n; i = i + 1) {
@@ -410,7 +415,7 @@ void consume(int value);
 
 class TestErrcheckFlow:
     def test_comparison_before_call_does_not_count(self):
-        report = analyse_error_checks(build(ERR_PROTOS + """
+        report = check_error_returns(bundle(ERR_PROTOS + """
         int backwards(int x) {
             int rc;
             rc = 0;
@@ -423,7 +428,7 @@ class TestErrcheckFlow:
         assert "never compared" in report.unchecked[0].reason
 
     def test_comparison_after_call_counts(self):
-        report = analyse_error_checks(build(ERR_PROTOS + """
+        report = check_error_returns(bundle(ERR_PROTOS + """
         int forwards(int x) {
             int rc;
             rc = risky(x);
@@ -435,7 +440,7 @@ class TestErrcheckFlow:
         assert report.checked_calls == 1
 
     def test_check_on_one_branch_counts(self):
-        report = analyse_error_checks(build(ERR_PROTOS + """
+        report = check_error_returns(bundle(ERR_PROTOS + """
         int branchy(int x) {
             int rc;
             rc = risky(x);
@@ -448,7 +453,7 @@ class TestErrcheckFlow:
         assert report.unchecked == []
 
     def test_reassignment_kills_pending_obligation(self):
-        report = analyse_error_checks(build(ERR_PROTOS + """
+        report = check_error_returns(bundle(ERR_PROTOS + """
         int clobbered(int x) {
             int rc;
             rc = risky(x);
@@ -460,7 +465,7 @@ class TestErrcheckFlow:
         assert [u.caller for u in report.unchecked] == ["clobbered"]
 
     def test_unary_not_idiom_counts(self):
-        report = analyse_error_checks(build(ERR_PROTOS + """
+        report = check_error_returns(bundle(ERR_PROTOS + """
         int negated(int x) {
             int rc;
             rc = risky(x);
@@ -471,7 +476,7 @@ class TestErrcheckFlow:
         assert report.unchecked == []
 
     def test_unary_minus_idiom_counts(self):
-        report = analyse_error_checks(build(ERR_PROTOS + """
+        report = check_error_returns(bundle(ERR_PROTOS + """
         int minused(int x) {
             int rc;
             rc = risky(x);
@@ -482,7 +487,7 @@ class TestErrcheckFlow:
         assert report.unchecked == []
 
     def test_nested_call_argument_is_classified_not_silently_checked(self):
-        report = analyse_error_checks(build(ERR_PROTOS + """
+        report = check_error_returns(bundle(ERR_PROTOS + """
         void passes_on(int x) {
             consume(risky(x));
         }
@@ -492,7 +497,7 @@ class TestErrcheckFlow:
         assert report.checked_calls == 1
 
     def test_unknown_usage_is_reported_unchecked(self):
-        report = analyse_error_checks(build(ERR_PROTOS + """
+        report = check_error_returns(bundle(ERR_PROTOS + """
         int arithmetic(int x) {
             int total;
             total = 1 + risky(x);
@@ -503,7 +508,7 @@ class TestErrcheckFlow:
         assert "not a check" in report.unchecked[0].reason
 
     def test_direct_condition_still_checked(self):
-        report = analyse_error_checks(build(ERR_PROTOS + """
+        report = check_error_returns(bundle(ERR_PROTOS + """
         int direct(int x) {
             if (risky(x) < 0) { return -1; }
             while (!risky(x)) { x = x + 1; }
@@ -514,7 +519,7 @@ class TestErrcheckFlow:
         assert report.checked_calls == 2
 
     def test_assignment_through_ternary_tracks_obligation(self):
-        report = analyse_error_checks(build(ERR_PROTOS + """
+        report = check_error_returns(bundle(ERR_PROTOS + """
         int ternary(int x) {
             int rc;
             rc = x ? risky(x) : 0 - 1;
@@ -526,7 +531,7 @@ class TestErrcheckFlow:
         assert report.checked_calls == 1
 
     def test_assign_inside_comparison_idiom(self):
-        report = analyse_error_checks(build(ERR_PROTOS + """
+        report = check_error_returns(bundle(ERR_PROTOS + """
         int inline_assign(int x) {
             int rc;
             if ((rc = risky(x)) < 0) { return rc; }
@@ -537,7 +542,7 @@ class TestErrcheckFlow:
         assert report.checked_calls == 1
 
     def test_unary_minus_on_direct_call_is_a_condition(self):
-        report = analyse_error_checks(build(ERR_PROTOS + """
+        report = check_error_returns(bundle(ERR_PROTOS + """
         int direct_minus(int x) {
             if (-risky(x)) { return 1; }
             return 0;
@@ -549,7 +554,7 @@ class TestErrcheckFlow:
     def test_logical_op_condition_credits_stored_code(self):
         # The kernel idiom `if (ret && ret != -EAGAIN)`: truth-testing an
         # operand of && / || (or a ternary condition) is a check.
-        report = analyse_error_checks(build(ERR_PROTOS + """
+        report = check_error_returns(bundle(ERR_PROTOS + """
         int logical(int x) {
             int rc;
             int other;
@@ -564,7 +569,7 @@ class TestErrcheckFlow:
         assert report.checked_calls == 2
 
     def test_loop_carried_obligation_checked_after_loop(self):
-        report = analyse_error_checks(build(ERR_PROTOS + """
+        report = check_error_returns(bundle(ERR_PROTOS + """
         int loop_carried(int n) {
             int rc;
             int i;

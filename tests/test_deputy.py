@@ -497,3 +497,12 @@ class TestConversionReport:
         report = build_report(program, result)
         assert report.trusted_functions == 1
         assert report.trusted_lines >= 1
+
+    def test_function_annotations_counted_once(self):
+        # A function's annotation set is also its CFunc's: the definition's
+        # `trusted` and the prototype's `blocking` are one annotation each.
+        program = build("int f(void) trusted { return 0; }\n"
+                        "int g(int i) blocking;\n")
+        report = build_report(program)
+        assert report.annotation_count == 2
+        assert report.by_annotation_kind == {"trusted": 1, "blocking": 1}

@@ -11,8 +11,8 @@ import pytest
 from reference import reference_report
 from test_service import REUSE_EDITS, REUSE_FILES, edit
 
-from repro.analyses import analyse_error_checks, analyse_locks, analyse_stack
-from repro.blockstop import find_irq_handlers, run_blockstop
+from repro.analyses import analyse_locks, analyse_stack, check_error_returns
+from repro.blockstop import check_blockstop
 from repro.deputy import ObligationStatus, check_program
 from repro.engine import AnalysisEngine, EngineReport
 from repro.engine.cli import main as cli_main
@@ -408,8 +408,11 @@ class TestReference:
 # ---------------------------------------------------------------------------
 
 class TestStandaloneEquivalence:
-    def test_blockstop(self, engine_report, kernel_program):
-        standalone = run_blockstop(kernel_program)
+    """Each checker's own entry, run over the from-scratch bundle of the
+    whole corpus at once, against the engine's sharded and merged report."""
+
+    def test_blockstop(self, engine_report, kernel_artifacts):
+        standalone = check_blockstop(kernel_artifacts)
         expected = {(v.caller, v.location.line, v.describe())
                     for v in standalone.reported}
         actual = {(f["function"], f["line"], f["message"])
@@ -430,8 +433,8 @@ class TestStandaloneEquivalence:
                                for f in engine_report.analyses["deputy"].findings)
         assert actual_errors == expected_errors
 
-    def test_errcheck(self, engine_report, kernel_program):
-        standalone = analyse_error_checks(kernel_program)
+    def test_errcheck(self, engine_report, kernel_artifacts):
+        standalone = check_error_returns(kernel_artifacts)
         expected = {(c.caller, c.callee, c.location.line) for c in standalone.unchecked}
         actual = set()
         for finding in engine_report.analyses["errcheck"].findings:
@@ -441,31 +444,21 @@ class TestStandaloneEquivalence:
         assert (engine_report.analyses["errcheck"].metrics["checked_calls"]
                 == standalone.checked_calls)
 
-    def test_lockcheck(self, engine_report, kernel_program):
-        standalone = analyse_locks(kernel_program,
-                                   irq_functions=find_irq_handlers(kernel_program))
+    def test_lockcheck(self, engine_report, kernel_artifacts):
+        standalone = analyse_locks(kernel_artifacts)
         metrics = engine_report.analyses["lockcheck"].metrics
         assert metrics["acquisitions"] == len(standalone.acquisitions)
         assert metrics["order_violations"] == len(standalone.order_violations)
         assert metrics["irq_violations"] == len(standalone.irq_violations)
 
-    def test_stackcheck(self, engine_report, kernel_program):
-        # Independent derivation of the same basis the engine documents: the
-        # BlockStop-style graph with points-to-resolved indirect edges (not
-        # the engine's own artifact object, which would be circular).
-        from repro.blockstop.callgraph import build_direct_callgraph
-        from repro.blockstop.pointsto import FunctionPointerAnalysis, Precision
-
-        graph, indirect_calls = build_direct_callgraph(kernel_program)
-        pointsto = FunctionPointerAnalysis(kernel_program, Precision.TYPE_BASED)
-        pointsto.collect()
-        pointsto.resolve(graph, indirect_calls)
-        standalone = analyse_stack(kernel_program, graph)
+    def test_stackcheck(self, engine_report, kernel_artifacts):
+        standalone = analyse_stack(kernel_artifacts)
         metrics = engine_report.analyses["stackcheck"].metrics
         assert metrics["call_graph"] == "pointsto_resolved"
-        assert metrics["worst_case_bytes"] == standalone.worst_case
+        assert metrics["worst_case_bytes"] == standalone.worst_case == 268
         assert metrics["fits"] == standalone.fits
         assert metrics["recursive_functions"] == len(standalone.recursive_functions)
+        assert metrics["deepest_chain"] == standalone.deepest_chain
 
     def test_ccount_census_matches_harness_conversion_report(self, engine_report):
         from repro.ccount import build_conversion_report
@@ -677,6 +670,32 @@ class TestHarnessWiring:
                 == default.before.violations_reported)
         assert (from_fs_engine.field_sensitive.violations_reported
                 == default.field_sensitive.violations_reported)
+
+    def test_blockstop_eval_derives_each_precision_once(self, engine,
+                                                        monkeypatch):
+        """The type-based legs read the engine's bundle as it stands; only
+        the field-sensitive ablation derives one, solving each SCC once."""
+        from repro.dataflow import interproc
+        from repro.harness import run_blockstop_eval
+
+        sccs = len(engine.artifacts().condensation.sccs)
+        solved = []
+        solve_scc = interproc.solve_scc
+
+        def counting_solve_scc(*args, **kwargs):
+            solved.append(args[0])
+            return solve_scc(*args, **kwargs)
+
+        monkeypatch.setattr(interproc, "solve_scc", counting_solve_scc)
+        result = run_blockstop_eval(engine)
+        assert len(solved) == sccs == 198
+        counts = [(report.precision, report.violations_reported,
+                   report.violations_silenced, report.blocking_functions)
+                  for report in (result.before, result.after,
+                                 result.field_sensitive)]
+        assert counts == [("type_based", 21, 0, 50), ("type_based", 4, 17, 50),
+                          ("field_sensitive", 18, 0, 46)]
+        assert result.shape_holds()
 
     def test_run_all_parses_corpus_once(self):
         from repro.harness import run_all

@@ -7,18 +7,19 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+from dataclasses import replace
 
 import pytest
 
-from repro.analyses import analyse_locks, analyse_stack, collect_lock_facts
+from repro.analyses import analyse_locks, analyse_stack, check_locks
 from repro.analyses.errcheck import find_error_returning_functions
-from repro.blockstop import build_direct_callgraph, run_blockstop
+from repro.blockstop import build_direct_callgraph, check_blockstop
 from repro.blockstop.pointsto import FunctionPointerAnalysis, Precision
 from repro.dataflow import (
     condense_callgraph,
     solve_summaries,
 )
-from repro.engine import AnalysisEngine
+from repro.engine import AnalysisEngine, build_shared_artifacts
 from repro.engine.cli import main as cli_main
 from repro.machine import link_units
 from repro.minic import parse_source
@@ -26,6 +27,10 @@ from repro.minic import parse_source
 
 def build(source):
     return link_units([parse_source(source)])
+
+
+def bundle(source):
+    return build_shared_artifacts(build(source))
 
 
 def summarise(source, pointsto=False):
@@ -211,7 +216,7 @@ class TestSummaries:
 
 class TestInterprocLockcheck:
     def test_returns_with_lock_held_and_caller_inheritance(self):
-        report = analyse_locks(build(LOCK_PROTOS + """
+        report = analyse_locks(bundle(LOCK_PROTOS + """
         int leaky(int n) {
             spin_lock(&lock_a);
             if (n < 0) { return -1; }
@@ -227,7 +232,7 @@ class TestInterprocLockcheck:
         assert by_function["caller"].via_callee == "leaky"
 
     def test_balanced_wrappers_are_not_leaks(self):
-        report = analyse_locks(build(LOCK_PROTOS + """
+        report = analyse_locks(bundle(LOCK_PROTOS + """
         void take(void) { spin_lock(&lock_a); }
         void drop(void) { spin_unlock(&lock_a); }
         int fine(void) { take(); drop(); return 0; }
@@ -238,7 +243,7 @@ class TestInterprocLockcheck:
         assert "drop" not in functions
 
     def test_interprocedural_double_acquire(self):
-        report = analyse_locks(build(LOCK_PROTOS + """
+        report = analyse_locks(bundle(LOCK_PROTOS + """
         void helper(void) { spin_lock(&lock_a); spin_unlock(&lock_a); }
         void deadlocks(void) {
             spin_lock(&lock_a);
@@ -254,11 +259,11 @@ class TestInterprocLockcheck:
         assert not report.deadlock_free
 
     def test_oracle_matches_hand_inlined_double_acquire(self):
-        modular = analyse_locks(build(LOCK_PROTOS + """
+        modular = analyse_locks(bundle(LOCK_PROTOS + """
         void helper(void) { spin_lock(&lock_a); spin_unlock(&lock_a); }
         void caller(void) { spin_lock(&lock_a); helper(); spin_unlock(&lock_a); }
         """))
-        inlined = analyse_locks(build(LOCK_PROTOS + """
+        inlined = analyse_locks(bundle(LOCK_PROTOS + """
         void caller(void) {
             spin_lock(&lock_a);
             spin_lock(&lock_a);
@@ -272,7 +277,7 @@ class TestInterprocLockcheck:
                 == {acq.lock for acq in inlined.double_acquires})
 
     def test_oracle_matches_hand_inlined_leak(self):
-        modular = analyse_locks(build(LOCK_PROTOS + """
+        modular = analyse_locks(bundle(LOCK_PROTOS + """
         int grab(int n) {
             spin_lock(&lock_a);
             if (n < 0) { return -1; }
@@ -281,7 +286,7 @@ class TestInterprocLockcheck:
         }
         int caller(int n) { return grab(n); }
         """))
-        inlined = analyse_locks(build(LOCK_PROTOS + """
+        inlined = analyse_locks(bundle(LOCK_PROTOS + """
         int caller(int n) {
             spin_lock(&lock_a);
             if (n < 0) { return -1; }
@@ -304,22 +309,18 @@ class TestInterprocBlockstop:
     """
 
     def test_atomic_context_through_callee_irq_delta(self):
-        result = run_blockstop(build(self.IRQ_DELTA_SOURCE))
+        result = check_blockstop(bundle(self.IRQ_DELTA_SOURCE))
         callers = {v.caller for v in result.reported}
         assert "bad" in callers
         assert "good" not in callers
 
     def test_intraprocedural_scan_misses_it(self):
-        program = build(self.IRQ_DELTA_SOURCE)
-        graph, _ = build_direct_callgraph(program)
-        from repro.blockstop import derive_blocking
-        blocking = derive_blocking(program, graph)
-        result = run_blockstop(program, graph=graph, blocking=blocking,
-                               summaries={})   # summaries withheld
+        result = check_blockstop(replace(bundle(self.IRQ_DELTA_SOURCE),
+                                         summaries={}))   # summaries withheld
         assert "bad" not in {v.caller for v in result.reported}
 
     def test_oracle_matches_hand_inlined_corpus(self):
-        inlined = run_blockstop(build(LOCK_PROTOS + """
+        inlined = check_blockstop(bundle(LOCK_PROTOS + """
         void bad(void) {
             local_irq_disable();
             schedule();
@@ -331,7 +332,7 @@ class TestInterprocBlockstop:
             schedule();
         }
         """))
-        modular = run_blockstop(build(self.IRQ_DELTA_SOURCE))
+        modular = check_blockstop(bundle(self.IRQ_DELTA_SOURCE))
         assert ({v.caller for v in modular.reported}
                 == {v.caller for v in inlined.reported} == {"bad"})
         assert ({v.callee for v in modular.reported}
@@ -350,8 +351,7 @@ class TestInterprocStackcheck:
         int pong(int n) { return ping(n - 1); }
         int entry(void) { return ping(5); }
         """)
-        graph, _ = build_direct_callgraph(program)
-        report = analyse_stack(program, graph)
+        report = analyse_stack(build_shared_artifacts(program))
         assert report.recursive_functions == {"ping", "pong"}
         assert report.max_depth["ping"] > 4000
         assert report.max_depth["entry"] > 4000
@@ -363,8 +363,7 @@ class TestInterprocStackcheck:
         int odd(int n) { if (n == 0) { return 0; } return even(n - 1); }
         int straight(int n) { return even(n); }
         """)
-        graph, _ = build_direct_callgraph(program)
-        report = analyse_stack(program, graph)
+        report = analyse_stack(build_shared_artifacts(program))
         assert report.recursive_functions == {"even", "odd"}
         assert "straight" not in report.recursive_functions
         assert report.max_depth["straight"] > 0
@@ -376,19 +375,17 @@ class TestInterprocStackcheck:
 
 class TestKernelCorpusInterproc:
     @pytest.fixture(scope="class")
-    def artifacts(self, kernel_program):
-        from repro.engine.artifacts import build_shared_artifacts
-        return build_shared_artifacts(kernel_program)
+    def artifacts(self, kernel_artifacts):
+        return kernel_artifacts
 
     def test_seeded_lock_leak_found_and_propagated(self, artifacts):
-        facts = collect_lock_facts(artifacts.program,
-                                   summaries=artifacts.summaries)
+        facts = check_locks(artifacts)
         flagged = {(leak.function, leak.lock) for leak in facts.leaks}
         assert ("audit_reserve_slot", "&(audit_slot_lock)") in flagged
         assert ("buggy_audit_reserve", "&(audit_slot_lock)") in flagged
 
     def test_seeded_lock_leak_invisible_intraprocedurally(self, artifacts):
-        facts = collect_lock_facts(artifacts.program)    # no summaries
+        facts = check_locks(replace(artifacts, summaries={}))    # no summaries
         # audit_try_slot_trace is the live if (1) twin of the pruned
         # condition-gated leak: it leaks within one function, while its
         # caller's leak (audit_probe_trace) needs the summaries.
@@ -396,25 +393,16 @@ class TestKernelCorpusInterproc:
             "audit_reserve_slot", "audit_try_slot_trace"}
 
     def test_seeded_irq_delta_bug_found(self, artifacts):
-        result = run_blockstop(artifacts.program,
-                               graph=artifacts.graph,
-                               blocking=artifacts.blocking,
-                               irq_handlers=artifacts.irq_handlers,
-                               summaries=artifacts.summaries)
+        result = check_blockstop(artifacts)
         flagged = {(v.caller, v.callee) for v in result.reported}
         assert ("buggy_deferred_flush", "audit_log_event") in flagged
 
     def test_seeded_irq_delta_bug_invisible_intraprocedurally(self, artifacts):
-        result = run_blockstop(artifacts.program,
-                               graph=artifacts.graph,
-                               blocking=artifacts.blocking,
-                               irq_handlers=artifacts.irq_handlers,
-                               summaries={})   # summaries withheld
+        result = check_blockstop(replace(artifacts, summaries={}))   # summaries withheld
         assert "buggy_deferred_flush" not in {v.caller for v in result.reported}
 
     def test_corpus_has_no_spurious_leaks(self, artifacts):
-        facts = collect_lock_facts(artifacts.program,
-                                   summaries=artifacts.summaries)
+        facts = check_locks(artifacts)
         # The four leaks are all seeded: the PR 3 interprocedural pair and
         # the PR 4 condition-gated live twin plus its caller.  The if (0)
         # variants (audit_try_slot_debug / audit_probe_debug) must *not*

@@ -886,6 +886,9 @@ class TestCarriedState:
 #: Top-level declaration edits.  No later unit's parse reads a global or a
 #: prototype, so those re-parse their unit alone; a struct, enum or typedef
 #: edit changes the tables later units parse against, so it re-parses all.
+#: So does a typedef declared in a function body, which enters the same
+#: table: the last two edits add one that a later function's frame reads,
+#: then retype it, which must move that function's summary.
 DECLARATION_EDITS = (
     ("add global", ("mid.c", "int mid(void) {", "int mid_calls;\nint mid(void) {")),
     ("remove global", ("mid.c", "int mid_calls;\n", "")),
@@ -897,6 +900,12 @@ DECLARATION_EDITS = (
                       "    int (*handler)(int v);\n    int flags;\n};")),
     ("enum constant", ("drv.c", "DRV_BUSY = 4", "DRV_BUSY = 5")),
     ("typedef", ("drv.c", "typedef int drv_word;", "typedef long drv_word;")),
+    ("body typedef", ("drv.c", "int drv_dispatch(int v) {\n",
+                      "int drv_cell_size(void) {\n    typedef char drv_cell;\n"
+                      "    return sizeof(drv_cell);\n}\n"
+                      "int drv_dispatch(int v) {\n    drv_cell pad[64];\n")),
+    ("body typedef type", ("drv.c", "typedef char drv_cell;",
+                           "typedef long drv_cell;")),
 )
 ONE_UNIT_EDITS = {"add global", "remove global", "global type",
                   "prototype annotation", "drop prototype annotation"}
@@ -954,6 +963,23 @@ def reference_keys(analyzer):
                  *sorted(f"{function}:{digest}" for function, digest
                          in state.summary_hashes.items())]))}
     return keys
+
+
+class TestBodyTypedef:
+    DEF = CorpusFile("def.c", "int def(void) { typedef char word; return 0; }\n")
+    USE = CorpusFile("use.c",
+                     "int frame(void) { word pad[64]; return sizeof(pad); }\n")
+
+    def test_retyping_a_body_typedef_moves_its_readers_keys(self):
+        files = (self.DEF, self.USE)
+        analyzer = IncrementalAnalyzer(files=files)
+        report = analyzer.analyze()
+        assert report.analyses["stackcheck"].metrics["worst_case_bytes"] == 96
+        files = edit(files, "def.c", "typedef char word;", "typedef long word;")
+        report = analyzer.analyze(files)
+        assert "frame" in analyzer.last_stats.dirty_functions
+        assert report.analyses["stackcheck"].metrics["worst_case_bytes"] == 288
+        assert_matches_cold(report, files)
 
 
 class TestCarriedStateAudit:
@@ -1327,6 +1353,41 @@ class TestHTTPAPI:
         assert payload["status"] == "ok"
         assert payload["finding_count"] == service.snapshot.report.finding_count
         assert payload["totals"]["full_reparses"] >= 1
+
+    def test_stats_last_pass_is_every_pass_counter(self, http_service):
+        service, request = http_service
+        service.reconcile()
+        stats = service.snapshot.stats
+        expected = {
+            "revision": stats.revision,
+            "full_reparse": stats.full_reparse,
+            "reparse_reason": stats.reparse_reason,
+            "parsed_units": stats.parsed_units,
+            "reused_units": stats.reused_units,
+            "parse_errors": stats.parse_errors,
+            "consts_solved": stats.consts_solved,
+            "consts_reused": stats.consts_reused,
+            "consts_seconds": round(stats.consts_seconds, 4),
+            "dirty_sccs": stats.dirty_sccs,
+            "sccs_reused": stats.sccs_reused,
+            "dirty_functions": list(stats.dirty_functions),
+            "summaries_changed": stats.summaries_changed,
+            "shards_rerun": stats.shards_rerun,
+            "shards_rerun_by_analysis": dict(stats.shards_rerun_by_analysis),
+            "shards_reused": stats.shards_reused,
+            "shard_keys_computed": stats.shard_keys_computed,
+            "keyed_units": list(stats.keyed_units),
+            "analyses_merged": stats.analyses_merged,
+            "store_hits": stats.store_hits,
+            "store_writes": stats.store_writes,
+            "indexed_functions": stats.indexed_functions,
+            "rebuilt_artifacts": list(stats.rebuilt_artifacts),
+            "elapsed_seconds": round(stats.elapsed_seconds, 4),
+        }
+        assert list(stats.to_dict().items()) == list(expected.items())
+        status, payload = request("/stats")
+        assert status == 200
+        assert payload["last_pass"] == expected
 
     def test_unknown_routes_404(self, http_service):
         _, request = http_service
