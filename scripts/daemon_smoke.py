@@ -21,13 +21,17 @@ real subprocess, and checks the full loop:
 6. a global appended to `lib/kernel_lib.c` moves no table a later unit
    parses against, so the pass re-parses that one unit (no full re-parse),
    and the served findings match `repro-engine run`;
-7. a *restarted* serve over the unchanged corpus warm-starts from the
+7. a blank line prepended to `lib/kernel_lib.c` moves only locations,
+   which the call graph does not hold: the pass rebuilds no corpus-wide
+   artifact, re-solves no SCC and hashes no SCC key, hashes shard keys
+   for that unit alone, and the served findings match `repro-engine run`;
+8. a *restarted* serve over the unchanged corpus warm-starts from the
    persistent store: its first pass re-solves 0 SCCs and serves findings
    byte-identical to the pre-restart snapshot, and a `POST /analyze` with
    no edit then re-parses nothing, re-runs no shard, rebuilds no
    corpus-wide artifact (`last_pass.rebuilt_artifacts == []`), and hashes
    no shard key and merges no analysis: it carries the last pass whole;
-8. a serve restarted after `spin_lock_init` was edited again while it was
+9. a serve restarted after `spin_lock_init` was edited again while it was
    down, in a way that keeps its summary, re-solves that one SCC against
    components it reads back from the store, re-runs Deputy, errcheck and
    lockcheck in one unit, and serves findings equal to `repro-engine run`
@@ -311,6 +315,33 @@ def main() -> None:
                 fail("declaration-edit findings differ from `repro-engine run`")
             print(f"declaration-edit findings: {served['count']} "
                   "(matches batch run)")
+
+            # A blank line moves every function of the unit down a line and
+            # nothing else: the call graph holds no locations, so the pass
+            # keeps every corpus-wide artifact and SCC key, and re-keys only
+            # the unit's shards, whose findings carry lines.
+            lib.write_text("\n" + lib.read_text())
+            last = wait_for_pass(port, 6, "the watcher to pick up the "
+                                 "line shift")
+            print("line-shift pass: "
+                  f"rebuilt={last['rebuilt_artifacts']} "
+                  f"dirty_sccs={last['dirty_sccs']} "
+                  f"scc_keys_hashed={last['scc_keys_hashed']} "
+                  f"keyed_units={last['keyed_units']}")
+            if last["rebuilt_artifacts"] != []:
+                fail(f"line shift rebuilt {last['rebuilt_artifacts']}")
+            if last["dirty_sccs"] != 0 or last["scc_keys_hashed"] != 0:
+                fail(f"line shift re-solved {last['dirty_sccs']} SCCs and "
+                     f"hashed {last['scc_keys_hashed']} SCC keys, not 0 and 0")
+            if last["keyed_units"] != ["lib/kernel_lib.c"]:
+                fail(f"line shift keyed shards of {last['keyed_units']}, "
+                     "not lib/kernel_lib.c alone")
+            status, served = get(port, "/findings")
+            if status != 200:
+                fail(f"/findings (line shift) returned {status}")
+            if sorted_findings(served["findings"]) != batch_findings(corpus):
+                fail("line-shift findings differ from `repro-engine run`")
+            print(f"line-shift findings: {served['count']} (matches batch run)")
 
             status, pre_restart = get(port, "/findings")
             if status != 200:

@@ -8,7 +8,7 @@ from .blocking import (
     derive_blocking,
     emit_annotations,
 )
-from .callgraph import CallGraph, CallSite, IndirectCall, build_direct_callgraph
+from .callgraph import CallGraph, IndirectCall, build_direct_callgraph
 from .checker import (
     AtomicCallSite,
     BlockStopChecker,
@@ -30,7 +30,7 @@ from .runtime_checks import (
 __all__ = [
     "BlockingInfo", "GFP_WAIT_BIT", "call_site_may_block", "collect_seeds",
     "derive_blocking", "emit_annotations",
-    "CallGraph", "CallSite", "IndirectCall", "build_direct_callgraph",
+    "CallGraph", "IndirectCall", "build_direct_callgraph",
     "AtomicCallSite", "BlockStopChecker", "BlockStopResult", "Violation",
     "check_blockstop", "find_irq_handlers",
     "FunctionPointerAnalysis", "PointsToResult", "Precision",

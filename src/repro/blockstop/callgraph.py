@@ -5,8 +5,11 @@ BlockStop is a whole-program analysis, and the call graph is its backbone
 :mod:`repro.analyses.stackcheck` does).  Direct calls contribute edges
 immediately; calls through function pointers are resolved by the points-to
 analysis in :mod:`repro.blockstop.pointsto` and added as *indirect* edges,
-labelled so reports can distinguish them (they are the main source of false
-positives the paper describes).
+which the graph also records per caller (``indirect``) so reports can
+distinguish them (they are the main source of false positives the paper
+describes).  The graph holds function names only, no call sites: an edit
+that moves a call's line or column leaves it, and everything derived from
+it, as it was.
 """
 
 from __future__ import annotations
@@ -16,18 +19,6 @@ from typing import Iterable, Iterator
 
 from ..machine.program import Program
 from ..minic import ast_nodes as ast
-from ..minic.errors import SourceLocation
-
-
-@dataclass(frozen=True)
-class CallSite:
-    """One call expression inside a function."""
-
-    caller: str
-    callee: str
-    location: SourceLocation
-    indirect: bool = False
-    irqs_disabled: bool = False   # filled in by the checker's context scan
 
 
 @dataclass
@@ -37,23 +28,22 @@ class CallGraph:
     nodes: set[str] = field(default_factory=set)
     edges: dict[str, set[str]] = field(default_factory=dict)
     reverse_edges: dict[str, set[str]] = field(default_factory=dict)
-    call_sites: list[CallSite] = field(default_factory=list)
+    #: caller -> the callees its indirect calls resolve to (a callee may
+    #: also be a direct one).
+    indirect: dict[str, set[str]] = field(default_factory=dict)
 
     def add_node(self, name: str) -> None:
         self.nodes.add(name)
         self.edges.setdefault(name, set())
         self.reverse_edges.setdefault(name, set())
 
-    def add_edge(self, caller: str, callee: str,
-                 location: SourceLocation | None = None,
-                 indirect: bool = False) -> None:
+    def add_edge(self, caller: str, callee: str, indirect: bool = False) -> None:
         self.add_node(caller)
         self.add_node(callee)
         self.edges[caller].add(callee)
         self.reverse_edges[callee].add(caller)
-        self.call_sites.append(CallSite(
-            caller=caller, callee=callee,
-            location=location or SourceLocation(), indirect=indirect))
+        if indirect:
+            self.indirect.setdefault(caller, set()).add(callee)
 
     def callees(self, name: str) -> set[str]:
         return self.edges.get(name, set())
@@ -109,9 +99,6 @@ class CallGraph:
             frontier = next_frontier
         return []
 
-    def indirect_sites(self) -> list[CallSite]:
-        return [site for site in self.call_sites if site.indirect]
-
     def __iter__(self) -> Iterator[str]:
         return iter(sorted(self.nodes))
 
@@ -125,7 +112,6 @@ class IndirectCall:
 
     caller: str
     expr: ast.Call
-    location: SourceLocation
 
 
 def build_direct_callgraph(program: Program) -> tuple[CallGraph, list[IndirectCall]]:
@@ -138,8 +124,7 @@ def build_direct_callgraph(program: Program) -> tuple[CallGraph, list[IndirectCa
         for node in program.syntax(name).calls:
             target = node.func
             if isinstance(target, ast.Ident):
-                graph.add_edge(name, target.name, node.location, indirect=False)
+                graph.add_edge(name, target.name)
             else:
-                indirect.append(IndirectCall(caller=name, expr=node,
-                                             location=node.location))
+                indirect.append(IndirectCall(caller=name, expr=node))
     return graph, indirect

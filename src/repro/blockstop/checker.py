@@ -305,11 +305,9 @@ def check_violations(result: BlockStopResult) -> None:
     graph = result.graph
     blocking_set = set(blocking.may_block)
     for site in result.atomic_call_sites:
-        callees: list[tuple[str, bool]] = []
         if site.indirect:
-            resolved = [s.callee for s in graph.call_sites
-                        if s.caller == site.caller and s.indirect]
-            callees = [(callee, True) for callee in sorted(set(resolved))]
+            callees = [(callee, True)
+                       for callee in sorted(graph.indirect.get(site.caller, ()))]
         else:
             callees = [(site.callee, False)]
         for callee, indirect in callees:

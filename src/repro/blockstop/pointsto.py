@@ -172,7 +172,7 @@ class FunctionPointerAnalysis:
             else:
                 self.result.unresolved_sites += 1
             for callee in sorted(callees):
-                graph.add_edge(site.caller, callee, site.location, indirect=True)
+                graph.add_edge(site.caller, callee, indirect=True)
         return self.result
 
     def _resolve_site(self, site: IndirectCall,

@@ -54,7 +54,8 @@ def build_report(result: BlockStopResult) -> BlockStopReport:
         functions_analyzed=len(result.graph),
         blocking_functions=len(result.blocking.may_block),
         blocking_seeds=len(result.blocking.seeds) + len(result.blocking.conditional_seeds),
-        indirect_edges=len(result.graph.indirect_sites()),
+        indirect_edges=sum(len(callees)
+                           for callees in result.graph.indirect.values()),
         atomic_call_sites=len(result.atomic_call_sites),
         violations_reported=len(result.reported),
         violations_silenced=len(result.silenced),

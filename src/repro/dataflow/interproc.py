@@ -201,7 +201,6 @@ def scc_local_key(
     scc: tuple[str, ...],
     graph: "CallGraph",
     body_hashes: dict[str, str],
-    indirect: dict[str, "set[str] | frozenset[str]"],
     globals_fp: str = "",
 ) -> str:
     """One component's local key: ``globals_fp`` plus each member's body
@@ -217,7 +216,7 @@ def scc_local_key(
         for callee in sorted(graph.edges.get(name, ())):
             digest.update(b",")
             digest.update(callee.encode())
-        for callee in sorted(indirect.get(name, ())):
+        for callee in sorted(graph.indirect.get(name, ())):
             digest.update(b"*")
             digest.update(callee.encode())
     return digest.hexdigest()[:32]
@@ -239,9 +238,10 @@ def scc_fingerprints(
     * its full resolved out-edge list, so a points-to change that adds or
       drops an edge — even one landing back inside the same component —
       changes the key;
-    * which of those edges its indirect calls resolve to (the summary
-      context's ``resolved_indirect``), so a points-to change that makes an
-      existing direct edge indirect as well changes the key too;
+    * which of those edges its indirect calls resolve to (the graph's
+      ``indirect``, which the summary context reads as
+      ``resolved_indirect``), so a points-to change that makes an existing
+      direct edge indirect as well changes the key too;
     * prototypes, annotations, defines, type layouts and analysis
       parameters via ``globals_fp`` (the caller folds those in).
 
@@ -254,12 +254,7 @@ def scc_fingerprints(
     Functions without a definition hash as ``undef:<name>``; their
     observable behavior is annotation-only, which ``globals_fp`` covers.
     """
-    indirect: dict[str, set[str]] = {}
-    for site in graph.call_sites:
-        if site.indirect:
-            indirect.setdefault(site.caller, set()).add(site.callee)
-    return [scc_local_key(scc, graph, body_hashes, indirect, globals_fp)
-            for scc in condensation.sccs]
+    return [scc_local_key(scc, graph, body_hashes, globals_fp) for scc in condensation.sccs]
 
 
 # ---------------------------------------------------------------------------

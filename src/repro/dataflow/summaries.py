@@ -260,16 +260,14 @@ def build_context(
             conditional.add(name)
         if annotations.has(AnnotationKind.ERRCODES):
             errcodes.add(name)
-    resolved: dict[str, set[str]] = {}
-    for site in graph.call_sites:
-        if site.indirect:
-            resolved.setdefault(site.caller, set()).add(site.callee)
     return SummaryContext(
         program=program,
         blocking_seeds=frozenset(blocking),
         conditional_seeds=frozenset(conditional),
         errcode_annotated=frozenset(errcodes),
-        resolved_indirect={caller: frozenset(callees) for caller, callees in resolved.items()},
+        resolved_indirect={
+            caller: frozenset(callees) for caller, callees in graph.indirect.items()
+        },
         consts=dict(consts) if consts else {},
     )
 

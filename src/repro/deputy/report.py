@@ -130,8 +130,15 @@ def build_report(program: Program,
     annotated_lines: set[tuple[str, int]] = set()
 
     def note_annotations(sets: list[AnnotationSet], filename: str, line: int) -> None:
+        # The parser folds a declarator's trailing annotations onto its
+        # pointer type as the same objects, so one declaration's sets may
+        # share annotations: each is counted once.
+        counted: set[int] = set()
         for annotation_set in sets:
             for annotation in annotation_set:
+                if id(annotation) in counted:
+                    continue
+                counted.add(id(annotation))
                 report.annotation_count += 1
                 kind = annotation.kind.name.lower()
                 report.by_annotation_kind[kind] = report.by_annotation_kind.get(kind, 0) + 1

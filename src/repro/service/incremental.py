@@ -27,9 +27,10 @@ structure actually has:
   only when the edited function's summary or header moved (early cutoff,
   as in *Build Systems à la Carte*).  One wave loop, in this process,
   takes each component from memory, else from the persistent store, else
-  from a fresh fixpoint; over the last pass's condensation a component
-  whose local key and callees did not move keeps the last pass's key
-  without hashing anything;
+  from a fresh fixpoint; a component whose members' bodies, out-edges and
+  callees did not move keeps the last pass's key without hashing anything,
+  matched by its member tuple when an added or dropped function or call
+  edge rebuilt the condensation;
 * **checker shards** per (analysis, translation unit), keyed on the unit's
   function bodies plus exactly what the analysis declares its shard reads
   about functions outside the unit (:class:`~repro.engine.analyses.ShardReads`):
@@ -220,6 +221,10 @@ class _UnitRecord:
     #: The rendered top-level declarations of ``unit`` and the typedefs its
     #: parse set, which the globals fingerprint folds.
     decl_render: str = ""
+    #: Each struct the parse completed: its fields, size and alignment.  A
+    #: failed re-parse rolls the completions back, then puts these and
+    #: ``effect.enum_members`` back rather than parsing the unit again.
+    layouts: dict[str, tuple[list, int, int]] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -273,20 +278,21 @@ def _structure_hash(sig_hash: str, sem_hash: str,
     """Everything :func:`build_direct_callgraph`,
     :meth:`FunctionPointerAnalysis.collect` and :func:`find_irq_handlers`
     read from one function: its signature (the points-to sets key address-
-    taken functions by it), each call's callee or "indirect" with its
-    location, each function reference passed as an argument or assigned,
-    with the assigned field's name.  A function with an indirect call also
-    folds in its ``sem_hash``: resolving the call types the pointer
-    expression through the function's locals."""
+    taken functions by it), each call's callee or "indirect", each function
+    reference passed as an argument or assigned, with the assigned field's
+    name.  A function with an indirect call also folds in its ``sem_hash``:
+    resolving the call types the pointer expression through the function's
+    locals.  No location: the graph holds none, so an edit that only moves
+    lines keeps the graph and everything derived from it."""
     parts = [sig_hash]
     indirect = False
     for call in syntax.calls:
         target = call.func
         if isinstance(target, ast.Ident):
-            parts.append(f"call {target.name} {call.location}")
+            parts.append(f"call {target.name}")
         else:
             indirect = True
-            parts.append(f"indirect {call.location}")
+            parts.append("indirect")
         for arg in call.args:
             name = _function_reference(arg)
             if name is not None:
@@ -461,6 +467,11 @@ class IncrementalStats:
     #: ones included; every function on a cold pass): the witness for early
     #: cutoff, since only a moved summary re-keys its callers.
     summaries_changed: int = 0
+    #: SCCs whose local or completed key was hashed this pass: a key
+    #: carries over unless a member or a callee's summary or header moved.
+    #: Every SCC on a cold pass and on one that moved the globals; 0 on one
+    #: that only moved lines.
+    scc_keys_hashed: int = 0
     shards_rerun: int = 0
     #: ``shards_rerun`` split by analysis: every analysis of the pass, 0
     #: allowed.
@@ -663,9 +674,34 @@ class IncrementalAnalyzer:
                     if pre.typedef_renders.get(name) != render]
         return "\n".join(renders)
 
+    def _layouts(self, effect: _UnitEffect) -> dict[str, tuple[list, int, int]]:
+        """The fields, size and alignment of the structs ``effect``
+        completed, as the registry holds them now."""
+        structs = self._type_registry.structs
+        return {key: (structs[key].fields, structs[key]._size,
+                      structs[key]._align)
+                for key in effect.structs_completed}
+
+    def _complete_again(self, record: _UnitRecord) -> None:
+        """Undo :meth:`_restore_parse_point`'s rollback of ``record``'s
+        completions: its last good parse serves again."""
+        registry = self._type_registry
+        for key, (fields, size, align) in record.layouts.items():
+            struct = registry.structs[key]
+            struct.fields, struct._size, struct._align = fields, size, align
+            struct.complete = True
+        for tag, members in record.effect.enum_members.items():
+            # An attempt that failed inside the enum's body left some of
+            # its own members, and no completion for the scrub to undo.
+            enum = registry.enums[tag]
+            enum.members.clear()
+            enum.members.update(members)
+            enum.complete = True
+
     def _build_record(self, pre: _TableSnapshot, corpus_file: CorpusFile,
                       unit: ast.TranslationUnit) -> _UnitRecord:
         post = self._snapshot()
+        effect = self._effect(pre, post)
         return _UnitRecord(
             filename=corpus_file.filename,
             corpus_file=corpus_file,
@@ -674,8 +710,9 @@ class IncrementalAnalyzer:
             diagnostic=None,
             pre=pre,
             post=post,
-            effect=self._effect(pre, post),
-            decl_render=self._decl_render(unit, pre, post))
+            effect=effect,
+            decl_render=self._decl_render(unit, pre, post),
+            layouts=self._layouts(effect))
 
     def _reparse_unit(self, index: int, corpus_file: CorpusFile,
                       stats: IncrementalStats) -> bool:
@@ -687,7 +724,10 @@ class IncrementalAnalyzer:
         attempt therefore keeps the record's sequential ``pre``/``post``
         snapshots and effect verbatim: the guard just proved they still
         describe this file's boundaries exactly.  Its top-level
-        declarations may have moved; the record takes their new render.
+        declarations may have moved; the record takes their new render.  A
+        failed attempt is scrubbed, and the unit keeps serving its last good
+        parse, with the types that parse completed, without parsing it
+        again.
         """
         record = self._records[index]
         if record.unit is None:
@@ -698,27 +738,23 @@ class IncrementalAnalyzer:
             unit = self._parse_source(corpus_file)
             stats.parsed_units += 1
         except MiniCError as error:
-            diagnostic = ParseDiagnostic.of(corpus_file.filename, error)
             # Keep serving the last good parse: scrub the failed attempt,
-            # then re-parse the last good source to re-complete the types
-            # the rollback undid.
+            # then complete again the types the rollback undid.  The tables
+            # need nothing: each rollback starts from a snapshot, and the
+            # pass ends on the last unit's.
             self._undo_attempt(attempt_pre)
-            try:
-                self._parse_source(record.corpus_file)
-                stats.parsed_units += 1
-            except MiniCError:
-                return False
-            if self._effect(attempt_pre, self._snapshot()) != record.effect:
-                return False
-            self._records[index] = replace(record, seen=corpus_file,
-                                           diagnostic=diagnostic)
+            self._complete_again(record)
+            self._records[index] = replace(
+                record, seen=corpus_file,
+                diagnostic=ParseDiagnostic.of(corpus_file.filename, error))
             return True
         if self._effect(attempt_pre, self._snapshot()) != record.effect:
             return False
         self._records[index] = replace(
             record, corpus_file=corpus_file, seen=corpus_file,
             unit=unit, diagnostic=None,
-            decl_render=self._decl_render(unit, record.pre, record.post))
+            decl_render=self._decl_render(unit, record.pre, record.post),
+            layouts=self._layouts(record.effect))
         self._last_good[corpus_file.filename] = corpus_file
         return True
 
@@ -970,61 +1006,83 @@ class IncrementalAnalyzer:
         return consts, store
 
     def _rekey(self, records: dict[str, _FunctionRecord], graph,
-               condensation, context: SummaryContext,
-               globals_fp: str) -> tuple[list[str], set[int]]:
-        """Local SCC keys over the last pass's condensation and globals.
+               condensation, globals_fp: str):
+        """Local SCC keys carried from the last pass, over the same globals.
 
-        Only the components of functions whose body or resolved indirect
-        callees moved are re-keyed.  Returns the keys and the components
-        whose key the wave loop must complete afresh: those re-keyed here,
-        and the callers of a function whose header moved.  Every other
-        component keeps the last pass's key unless a callee's summary moves
-        during the loop.
+        Each component is matched with the last pass's component of the
+        same member tuple (over the last pass's condensation, every one
+        is).  A matched component keeps its local key unless a member's
+        body, out-edges or resolved indirect callees moved; an unmatched
+        one, or one where they moved, is keyed afresh.  Returns the local
+        keys, the last pass's completed key of each matched component (""
+        for the others), and the components whose key the wave loop must
+        complete afresh: those keyed here, and the callers of a function
+        whose header moved.  Every other component keeps its completed key
+        unless a callee's summary moves during the loop.
         """
         last = self._last
         old = last.records
         edited = [name for name, record in records.items()
                   if name not in old or old[name].sem_hash != record.sem_hash]
         edited += [name for name in old if name not in records]
-        indirect = context.resolved_indirect
-        old_indirect = last.context.resolved_indirect
         rekeyed = set(edited)
-        if indirect is not old_indirect:
-            rekeyed.update(name for name in indirect.keys() | old_indirect.keys()
-                           if indirect.get(name) != old_indirect.get(name))
-        stale: set[int] = set()
-        local_keys = list(last.local_keys)
+        old_graph = last.artifacts.graph
+        if graph is not old_graph:
+            rekeyed.update(
+                name for name, callees in graph.edges.items()
+                if callees != old_graph.edges.get(name)
+                or graph.indirect.get(name) != old_graph.indirect.get(name))
+        old_condensation = last.artifacts.condensation
+        if condensation is old_condensation:
+            local_keys, carried = list(last.local_keys), last.scc_keys
+            stale: set[int] = set()
+        else:
+            old_index = {scc: index for index, scc
+                         in enumerate(old_condensation.sccs)}
+            local_keys, carried, stale = [], [], set()
+            for index, scc in enumerate(condensation.sccs):
+                before = old_index.get(scc)
+                if before is None:
+                    stale.add(index)
+                    local_keys.append("")
+                    carried.append("")
+                else:
+                    local_keys.append(last.local_keys[before])
+                    carried.append(last.scc_keys[before])
         scc_of = condensation.scc_of
-        for index in {scc_of[name] for name in rekeyed if name in scc_of}:
+        stale.update(scc_of[name] for name in rekeyed if name in scc_of)
+        for index in stale:
             scc = condensation.sccs[index]
             local_keys[index] = scc_local_key(
                 scc, graph, {name: records[name].sem_hash
-                             for name in scc if name in records},
-                indirect, globals_fp)
-            stale.add(index)
+                             for name in scc if name in records}, globals_fp)
         for name in edited:
             record, previous = records.get(name), old.get(name)
             if (record.sig_hash if record is not None else None) != (
                     previous.sig_hash if previous is not None else None):
                 stale.update(scc_of[caller]
                              for caller in graph.reverse_edges.get(name, ()))
-        return local_keys, stale
+        return local_keys, carried, stale
 
     def _solve_summaries(self, graph, condensation, context: SummaryContext,
-                         local_keys: list[str], stale: set[int] | None,
+                         local_keys: list[str], carried: list[str],
+                         stale: set[int] | None,
                          records: dict[str, _FunctionRecord],
                          stats: IncrementalStats):
         """Bottom-up solve reusing clean components from the SCC stores.
 
         Mirrors :func:`repro.dataflow.interproc.solve_summaries` wave
-        order exactly (dict iteration order is observable downstream).
-        Each component's key is its local key completed with its callees'
-        summary and signature hashes (:func:`_complete_key`), which the
-        earlier waves have just produced.  With ``stale`` (from
-        :meth:`_rekey`), a component outside it keeps the last pass's key
-        unhashed; a component whose summary hash moved adds its callers to
-        it; and an empty one returns the last pass's solve whole.  Without
-        ``stale``, every key is completed.
+        order exactly, over this pass's condensation (dict iteration order
+        is observable downstream).  Each component's key is its local key
+        completed with its callees' summary and signature hashes
+        (:func:`_complete_key`), which the earlier waves have just
+        produced.  With ``stale`` (from :meth:`_rekey`), a component
+        outside it keeps its ``carried`` key unhashed; a component whose
+        summary hash moved adds its callers to it; and an empty one over
+        the last pass's condensation returns the last pass's solve whole.
+        Without ``stale`` (a cold pass, or moved globals), every key is
+        completed.  ``stats.scc_keys_hashed`` counts the completions: a
+        component whose local key was hashed is completed too.
 
         Each component comes from memory, else from the persistent store
         (one batched read per wave, for the wave's memory misses), else
@@ -1036,14 +1094,14 @@ class IncrementalAnalyzer:
         pass's.
         """
         last = self._last
-        if stale is not None and not stale:
+        if (stale is not None and not stale
+                and condensation is last.artifacts.condensation):
             # No component's key can move, so the last pass's solve stands.
             stats.sccs_reused = len(condensation.sccs)
             if self.store is not None:
                 self.store.touch("scc", last.scc_keys)
             return (last.artifacts.summaries, last.summary_hashes,
                     last.scc_keys, self._scc_store, [])
-        last_keys = last.scc_keys if stale is not None else []
         last_hashes = last.summary_hashes if last is not None else {}
         memo = self._scc_store
         scc_of = condensation.scc_of
@@ -1063,8 +1121,9 @@ class IncrementalAnalyzer:
                     keys[index] = _complete_key(
                         local_keys[index], condensation.sccs[index], graph,
                         hashes, records)
+                    stats.scc_keys_hashed += 1
                 else:
-                    keys[index] = last_keys[index]
+                    keys[index] = carried[index]
             misses = [keys[index] for index in wave if keys[index] not in memo]
             found = (self.store.get_many("scc", misses)
                      if self.store is not None and misses else {})
@@ -1451,9 +1510,6 @@ class IncrementalAnalyzer:
         structure_same = same_frame and all(
             record.structure_hash == old[name].structure_hash
             for name, record in records.items())
-        bodies_same = same_frame and all(
-            record.sem_hash == old[name].sem_hash
-            for name, record in records.items())
         rebuilt: list[str] = []
 
         # What the call graph, points-to and IRQ scans read is each
@@ -1481,7 +1537,7 @@ class IncrementalAnalyzer:
         consts, consts_store = self._solve_consts(
             program, globals_fp, records, unit_functions, stats, pool)
         # The condensation and the graph fingerprint read the edge set
-        # alone, so they also survive a rebuild that moved only call sites.
+        # alone, so they also survive a rebuild that kept every edge.
         if last is not None and (structure_same
                                  or graph.edges == last.artifacts.graph.edges):
             condensation = last.artifacts.condensation
@@ -1499,24 +1555,21 @@ class IncrementalAnalyzer:
             context = build_context(program, graph, consts=consts)
             rebuilt.append("summary_context")
         # A local SCC key reads the globals and its members' bodies,
-        # out-edges and indirect callees, so over the last pass's
-        # condensation and globals only the components of functions where
-        # those moved are re-keyed.
-        if bodies_same and condensation is last.artifacts.condensation:
-            local_keys, stale = last.local_keys, set()
-        elif (last is not None and condensation is last.artifacts.condensation
-                and last.globals_fp == globals_fp):
-            local_keys, stale = self._rekey(records, graph, condensation,
-                                            context, globals_fp)
+        # out-edges and indirect callees, so over the last pass's globals
+        # only the components where those moved, or whose members did, are
+        # keyed again.
+        if last is not None and last.globals_fp == globals_fp:
+            local_keys, carried, stale = self._rekey(records, graph,
+                                                     condensation, globals_fp)
         else:
             local_keys = scc_fingerprints(
                 condensation, graph,
                 {name: record.sem_hash for name, record in records.items()},
                 globals_fp)
-            stale = None
+            carried, stale = [], None
         summaries, summary_hashes, scc_keys, scc_store, moved = (
             self._solve_summaries(graph, condensation, context, local_keys,
-                                  stale, records, stats))
+                                  carried, stale, records, stats))
         if structure_same and not moved:
             blocking = last.artifacts.blocking
             error_returning = last.artifacts.error_returning

@@ -230,3 +230,11 @@ class TestOnKernelCorpus:
         assert "schedule" in result.blocking.may_block
         assert "do_fork" in result.blocking.may_block
         assert "pipe_write" in result.blocking.may_block
+
+    @pytest.mark.parametrize("precision, edges", [
+        (Precision.TYPE_BASED, 61), (Precision.FIELD_SENSITIVE, 43)])
+    def test_kernel_indirect_call_edges(self, kernel_program, precision, edges):
+        # Each (caller, callee) pair the indirect calls resolve to: the
+        # graph's per-caller map, which holds no call sites.
+        shared = build_shared_artifacts(kernel_program, precision)
+        assert build_report(check_blockstop(shared)).indirect_edges == edges

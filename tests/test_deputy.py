@@ -506,3 +506,20 @@ class TestConversionReport:
         report = build_report(program)
         assert report.annotation_count == 2
         assert report.by_annotation_kind == {"trusted": 1, "blocking": 1}
+
+    @pytest.mark.parametrize("source", [
+        "char *buf count(8);", "char * count(8) buf;",
+        "int f(char *p count(4));", "struct s { char *d count(4); };"])
+    def test_trailing_declarator_annotation_counted_once(self, source):
+        # The parser folds a trailing annotation onto the pointer type:
+        # both spellings declare one annotation.
+        report = build_report(build(source))
+        assert report.annotation_count == 1
+        assert report.by_annotation_kind == {"count": 1}
+
+    def test_kernel_census(self, kernel_program):
+        report = build_report(kernel_program)
+        assert report.annotation_count == 119
+        assert report.by_annotation_kind == {
+            "blocking": 30, "blocking_if_wait": 5, "count": 38,
+            "nonnull": 37, "nullterm": 9}

@@ -697,6 +697,9 @@ REUSE_EDITS = (
     ("remove appended", ("lib.c", EXTRA_FUNCTION + "int lone(void)",
                          "int lone(void)")),
     ("line shift", ("mid.c", "int leaf(void);", "\nint leaf(void);")),
+    # A line inside leaf's body: every later function of lib.c moves down.
+    ("statement added", ("lib.c", "    schedule();\n",
+                         "    schedule();\n    chain_lock = chain_lock + 0;\n")),
     ("break", ("mid.c", "return leaf() + 1;", "return leaf( + 1;")),
     ("fix", ("mid.c", "return leaf( + 1;", "return leaf() + 1;")),
     ("duplicate definition", ("top.c", "int top(void) {",
@@ -714,7 +717,7 @@ def artifact_fields(artifacts) -> dict:
     graph = artifacts.graph
     condensation = artifacts.condensation
     return {
-        "graph": (graph.nodes, graph.edges, graph.call_sites),
+        "graph": (graph.nodes, graph.edges, graph.indirect),
         "pointsto": artifacts.pointsto,
         "condensation": (condensation.sccs, condensation.waves,
                          condensation.scc_callees),
@@ -761,7 +764,7 @@ class TestArtifactReuse:
                 fresh.artifacts), label
             assert all(env.program is artifacts.program
                        for env in artifacts.type_envs.values()), label
-            if label in ("noop", "break"):
+            if label in ("noop", "break", "line shift", "statement added"):
                 assert rebuilt == set(), label
             if label in ("literal bump", "fix"):
                 assert not rebuilt & GRAPH_ARTIFACTS, label
@@ -1007,6 +1010,10 @@ class TestCarriedStateAudit:
             assert_reports_identical(report, fresh.analyze(files))
 
             state = analyzer._last
+            # Carried SCC keys, over a rebuilt condensation too, are the
+            # keys a fresh pass hashes.
+            assert (state.local_keys, state.scc_keys) == (
+                fresh._last.local_keys, fresh._last.scc_keys), label
             keys = {name: merged.keys for name, merged in state.merged.items()}
             assert keys == reference_keys(analyzer), label
             assert keys == {name: merged.keys for name, merged
@@ -1024,6 +1031,12 @@ class TestCarriedStateAudit:
             if label == "literal bump":
                 assert stats.keyed_units == ["lib.c"]
                 assert stats.shard_keys_computed == 5
+            if label == "line shift":
+                assert stats.scc_keys_hashed == 0
+            if label in ("append", "add call", "remove call"):
+                assert "condensation" in stats.rebuilt_artifacts, label
+                assert 0 < stats.scc_keys_hashed < len(
+                    state.artifacts.condensation.sccs), label
             if label in ONE_UNIT_EDITS:
                 assert (stats.parsed_units, stats.full_reparse) == (1, False), label
             elif label in dict(DECLARATION_EDITS):
@@ -1143,6 +1156,42 @@ class TestParseErrorIsolation:
         assert analyzer.last_stats.full_reparse is True
         assert analyzer.last_stats.parse_errors == 1
         assert_fix_carries_the_last_pass(analyzer, macro)
+
+    @pytest.mark.parametrize("good, bad", [
+        # The attempt completes the struct again, then fails.
+        ("return drv_table.handler(v);", "return drv_table.handler(v;"),
+        # The attempt fails inside the enum's body, with one member of its
+        # own added, before it reaches the struct.
+        ("DRV_IDLE, DRV_BUSY = 4 }", "DRV_IDLE, DRV_SPARE, DRV_BUSY = 4 + }"),
+    ], ids=["after the struct", "inside the enum"])
+    def test_break_in_a_unit_that_completes_types(self, good, bad):
+        # drv.c completes `struct drv_ops` and `enum drv_mode`: the unit
+        # must go on serving its last good parse's types, with no parse.
+        analyzer = IncrementalAnalyzer(files=REUSE_FILES)
+        analyzer.analyze()
+        drv_ops = analyzer._type_registry.structs["struct drv_ops"]
+        fields = drv_ops.fields
+        broken = edit(REUSE_FILES, "drv.c", good, bad)
+        # A structural edit in an earlier unit: the points-to pass resolves
+        # drv_dispatch's call through the struct's field again.
+        elsewhere = edit(broken, "top.c", "return mid() + CHAIN_BONUS;",
+                         "return mid() + lone() + CHAIN_BONUS;")
+        fixed = edit(elsewhere, "drv.c", bad, good)
+        # Each step: the files, the files a fresh analyzer must see first
+        # to serve the same parses, and the units the pass parses.
+        for files, served, parsed in ((broken, REUSE_FILES, 0),
+                                      (elsewhere, fixed, 1), (fixed, fixed, 0)):
+            report = analyzer.analyze(files)
+            fresh = IncrementalAnalyzer(files=served)
+            fresh.analyze()
+            assert_reports_identical(report, fresh.analyze(files))
+            assert artifact_fields(analyzer.artifacts) == artifact_fields(
+                fresh.artifacts)
+            stats = analyzer.last_stats
+            assert (stats.parsed_units, stats.full_reparse) == (parsed, False)
+            assert (drv_ops.complete, drv_ops.fields) == (True, fields)
+            assert analyzer._type_registry.enums["drv_mode"].members == {
+                "DRV_IDLE": 0, "DRV_BUSY": 4}
 
 
 def assert_fix_carries_the_last_pass(analyzer, fixed):
@@ -1372,6 +1421,7 @@ class TestHTTPAPI:
             "sccs_reused": stats.sccs_reused,
             "dirty_functions": list(stats.dirty_functions),
             "summaries_changed": stats.summaries_changed,
+            "scc_keys_hashed": stats.scc_keys_hashed,
             "shards_rerun": stats.shards_rerun,
             "shards_rerun_by_analysis": dict(stats.shards_rerun_by_analysis),
             "shards_reused": stats.shards_reused,
